@@ -46,7 +46,8 @@ from .spaces import (
     SpaceDescriptor,
     nuclearity_verdict,
     stability_constant,
-    subadditivity_constant,
+    window_cap,
+    window_subadditivity,
 )
 from .verdicts import Outcome, Window
 
@@ -153,7 +154,7 @@ class ExperimentConfig:
     seed: int | None = None
 
 
-def _resolve_space(cfg: Mapping[str, Any], ref: Any, path: str,
+def _resolve_space(ref: Any, path: str,
                    spaces: Mapping[str, SpaceDescriptor]) -> SpaceDescriptor:
     if isinstance(ref, str):
         if ref not in spaces:
@@ -208,8 +209,8 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
             variant = Variant(spec["variant"])
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"{path}.variant: {exc}") from exc
-        domain = _resolve_space(data, spec.get("domain"), f"{path}.domain", spaces)
-        codomain = _resolve_space(data, spec.get("codomain"), f"{path}.codomain",
+        domain = _resolve_space(spec.get("domain"), f"{path}.domain", spaces)
+        codomain = _resolve_space(spec.get("codomain"), f"{path}.codomain",
                                   spaces)
         symbol = _resolve_symbol(spec.get("symbol"), f"{path}.symbol", symbols)
         try:
@@ -262,7 +263,7 @@ def _verdict_status(outcome: Outcome) -> str:
 
 
 def _run_space_check(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
-    space = _resolve_space({}, task.get("space"), f"{path}.space", cfg.spaces)
+    space = _resolve_space(task.get("space"), f"{path}.space", cfg.spaces)
     checks = task.get("checks", ["nuclearity", "stability", "subadditivity"])
     report: dict[str, Any] = {}
     statuses = []
@@ -276,14 +277,13 @@ def _run_space_check(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
                 report[check] = {"applicable": False}
                 continue
             alpha = space.alpha
-            n_cap = min(cfg.window.n_max, alpha.max_index or cfg.window.n_max)
             if check == "stability":
+                n_cap = window_cap(alpha, cfg.window)
                 report[check] = {"applicable": True,
                                  "sup_ratio": stability_constant(alpha, n_cap),
                                  "n_max": n_cap}
             else:
-                sub = subadditivity_constant(alpha, n_cap,
-                                             cfg.window.subadd_m_max)
+                sub = window_subadditivity(alpha, cfg.window)
                 report[check] = {"applicable": True, **sub.to_json()}
                 statuses.append(_STATUS_OK if sub.holds else _STATUS_FAILS)
         else:
@@ -308,7 +308,7 @@ def _run_membership(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     spec = symbol.lower if part == "lower" else symbol.upper
     if spec is None:
         raise ConfigurationError(f"{path}.part: symbol has no {part} part")
-    space = _resolve_space({}, task.get("space"), f"{path}.space", cfg.spaces)
+    space = _resolve_space(task.get("space"), f"{path}.space", cfg.spaces)
     target = task.get("target", "space")
     if target == "space":
         verdict = membership_in_space(spec, space, cfg.window)
@@ -373,8 +373,8 @@ def _run_tame(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
         variant = Variant(task.get("variant", "lower"))
     except ValueError as exc:
         raise ConfigurationError(f"{path}.variant: {exc}") from exc
-    domain = _resolve_space({}, task.get("domain"), f"{path}.domain", cfg.spaces)
-    codomain = _resolve_space({}, task.get("codomain"), f"{path}.codomain",
+    domain = _resolve_space(task.get("domain"), f"{path}.domain", cfg.spaces)
+    codomain = _resolve_space(task.get("codomain"), f"{path}.codomain",
                               cfg.spaces)
     family_data = dict(task.get("family", {}))
     if cfg.seed is not None:
@@ -391,8 +391,8 @@ def _run_tame(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
 
 
 def _run_tame_condition(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
-    domain = _resolve_space({}, task.get("domain"), f"{path}.domain", cfg.spaces)
-    codomain = _resolve_space({}, task.get("codomain"), f"{path}.codomain",
+    domain = _resolve_space(task.get("domain"), f"{path}.domain", cfg.spaces)
+    codomain = _resolve_space(task.get("codomain"), f"{path}.codomain",
                               cfg.spaces)
     try:
         direction = Variant(task.get("direction", "lower"))

@@ -30,7 +30,7 @@ from .errors import (
     NotWellDefinedError,
     UnsupportedCombinationError,
 )
-from .logdomain import LOG_ZERO, LogValue
+from .logdomain import LogValue
 from .operators import (
     NormKind,
     Symbol,
@@ -50,15 +50,15 @@ from .spaces import (
     SpaceDescriptor,
     SubadditivityReport,
     nuclearity_verdict,
-    subadditivity_constant,
     weight_array,
+    window_subadditivity,
 )
 from .verdicts import (
     CompositeCertificate,
     FailureWitness,
     Outcome,
-    PlateauStatus,
     PointwiseCertificate,
+    SupPair,
     TameCertificate,
     UniformCertificate,
     Verdict,
@@ -67,6 +67,9 @@ from .verdicts import (
     fails,
     holds,
     inconclusive,
+    scan_exists,
+    scan_fixed,
+    scan_forall,
 )
 
 
@@ -224,6 +227,16 @@ def _sup_pair(gap: np.ndarray, n0: int, n_max: int) -> tuple[LogValue, LogValue]
     return sup_half, sup_full
 
 
+def _gap_pairs(cond: QuantifierCondition, n_max: int) -> SupPair:
+    """Scan evidence from the raw weight gaps of the condition."""
+    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue] | None:
+        n0 = k if cond.n_start is NStart.K else 1
+        gap = _gap(weight_array(cond.lhs, k, n_max),
+                   weight_array(cond.rhs, m, n_max))
+        return _sup_pair(gap, n0, n_max)
+    return sup_pair
+
+
 def certify(cond: QuantifierCondition, window: Window | None = None) -> Verdict:
     """Search the window for witnesses of the quantifier condition.
 
@@ -233,150 +246,41 @@ def certify(cond: QuantifierCondition, window: Window | None = None) -> Verdict:
     win = window or Window()
     k_max, m_max, n_max, clipped = _effective_bounds(cond, win)
     tags = ("finite-window",) if clipped else ()
+    sup_pair = _gap_pairs(cond, n_max)
+    n_range = (n_max // 2, n_max)
     if cond.shape is Shape.FORALL_K_EXISTS_M:
-        return _certify_forall(cond, win, k_max, m_max, n_max, tags)
-    if cond.shape is Shape.EXISTS_M_FORALL_K:
-        return _certify_exists(cond, win, k_max, m_max, n_max, tags)
-    return _certify_fixed(cond, win, k_max, m_max, n_max, tags)
-
-
-def _scan_m(
-    cond: QuantifierCondition, win: Window, k: int, m_max: int, n_max: int
-) -> tuple[tuple[int, LogValue] | None, float | None, bool]:
-    """Ascending m scan at one grading k.
-
-    Returns (accepted (m, logC) or None, smallest growth seen, drift flag).
-    """
-    n0 = k if cond.n_start is NStart.K else 1
-    lhs = weight_array(cond.lhs, k, n_max)
-    best_growth: float | None = None
-    saw_drift = False
-    for m in range(1, m_max + 1):
-        gap = _gap(lhs, weight_array(cond.rhs, m, n_max))
-        pair = _sup_pair(gap, n0, n_max)
-        if pair is None:
-            return None, None, True
-        status = win.classify_sup(*pair)
-        if status is PlateauStatus.PLATEAU:
-            return (m, pair[1]), None, False
-        if status is PlateauStatus.GROWTH:
-            move = pair[1] - pair[0]
-            best_growth = move if best_growth is None else min(best_growth, move)
-        else:
-            saw_drift = True
-    return None, best_growth, saw_drift
-
-
-def _certify_forall(cond, win, k_max, m_max, n_max, tags) -> Verdict:
-    entries: dict[int, tuple[int, LogValue]] = {}
-    for k in range(1, k_max + 1):
-        accepted, growth, drift = _scan_m(cond, win, k, m_max, n_max)
-        if accepted is not None:
-            entries[k] = accepted
-            continue
-        if drift or growth is None:
+        scan = scan_forall(win, sup_pair, k_max, m_max)
+        if scan.outcome is Outcome.HOLDS:
+            return holds(PointwiseCertificate(scan.entries), win, tags=tags)
+        if scan.outcome is Outcome.INCONCLUSIVE:
             return inconclusive(
-                f"gap sup neither settles nor grows for some m at k={k}",
+                f"gap sup neither settles nor grows for some m at k={scan.k}",
                 win, tags=tags,
             )
-        witness = FailureWitness(k=k, best_m=m_max,
-                                 n_range=(n_max // 2, n_max), growth_log=growth)
-        return fails(witness, win, tags=tags,
-                     reason=f"gap sup grows for every m at k={k}")
-    return holds(PointwiseCertificate(entries), win, tags=tags)
-
-
-def exists_probe_top(k_max: int, m: int) -> int:
-    """Grading reach when refuting a uniform witness candidate m.
-
-    Only gradings beyond m can refute it, and the refuting growth must
-    overtake window transients (column-norm humps), so the probe climbs to
-    twice the candidate."""
-    return max(k_max, 2 * m + 1)
-
-
-def _exists_k_top(cond: QuantifierCondition, k_max: int, m: int) -> int:
-    top = exists_probe_top(k_max, m)
-    if cond.lhs.k_limit is not None:
-        top = min(top, cond.lhs.k_limit)
-    return top
-
-
-def _certify_exists(cond, win, k_max, m_max, n_max, tags) -> Verdict:
-    any_drift = False
-    last_growth: tuple[float, int] | None = None  # at the largest (best) m
-    for m in range(1, m_max + 1):
-        rhs = weight_array(cond.rhs, m, n_max)
-        k_top = _exists_k_top(cond, k_max, m)
-        log_c: dict[int, LogValue] = {}
-        m_growth: tuple[float, int] | None = None
-        m_drift = False
-        for k in range(1, k_top + 1):
-            n0 = k if cond.n_start is NStart.K else 1
-            gap = _gap(weight_array(cond.lhs, k, n_max), rhs)
-            pair = _sup_pair(gap, n0, n_max)
-            if pair is None:
-                m_drift = True
-                break
-            status = win.classify_sup(*pair)
-            if status is PlateauStatus.PLATEAU:
-                if k <= k_max:
-                    log_c[k] = pair[1]
-            elif status is PlateauStatus.GROWTH:
-                m_growth = (pair[1] - pair[0], k)
-                break
-            else:
-                m_drift = True
-                break
-        if len(log_c) == k_max and m_growth is None and not m_drift:
-            return holds(UniformCertificate(m, log_c), win, tags=tags)
-        if m_drift:
-            any_drift = True
-        else:
-            last_growth = m_growth
-    if any_drift or last_growth is None:
-        return inconclusive("no uniform witness index settles on the window",
-                            win, tags=tags)
-    witness = FailureWitness(k=last_growth[1], best_m=m_max,
-                             n_range=(n_max // 2, n_max),
-                             growth_log=last_growth[0])
-    return fails(witness, win, tags=tags,
-                 reason="every witness index leaves a growing grading")
-
-
-def _certify_fixed(cond, win, k_max, m_max, n_max, tags) -> Verdict:
+        return fails(FailureWitness(scan.k, m_max, n_range, scan.growth), win,
+                     tags=tags, reason=f"gap sup grows for every m at k={scan.k}")
+    if cond.shape is Shape.EXISTS_M_FORALL_K:
+        scan = scan_exists(win, sup_pair, k_max, m_max, cond.lhs.k_limit)
+        if scan.outcome is Outcome.HOLDS:
+            return holds(UniformCertificate(scan.m, scan.entries), win, tags=tags)
+        if scan.outcome is Outcome.INCONCLUSIVE:
+            return inconclusive("no uniform witness index settles on the window",
+                                win, tags=tags)
+        return fails(FailureWitness(scan.k, m_max, n_range, scan.growth), win,
+                     tags=tags, reason="every witness index leaves a growing grading")
     s = cond.s_map
-    targets = {k: s(k) for k in range(1, k_max + 1)}
-    over = [k for k, m in targets.items() if m > m_max]
-    if over:
+    over = next((k for k in range(1, k_max + 1) if s(k) > m_max), None)
+    if over is not None:
         raise ConfigurationError(
-            f"index map exceeds the witness window at k={over[0]}: "
-            f"S(k)={targets[over[0]]} > m_max={m_max}"
+            f"index map exceeds the witness window at k={over}: "
+            f"S(k)={s(over)} > m_max={m_max}"
         )
-    statuses: dict[int, tuple[PlateauStatus, LogValue, float]] = {}
-    for k in range(1, k_max + 1):
-        n0 = k if cond.n_start is NStart.K else 1
-        gap = _gap(weight_array(cond.lhs, k, n_max),
-                   weight_array(cond.rhs, targets[k], n_max))
-        pair = _sup_pair(gap, n0, n_max)
-        if pair is None:
-            statuses[k] = (PlateauStatus.DRIFT, LOG_ZERO, 0.0)
-            continue
-        statuses[k] = (win.classify_sup(*pair), pair[1], pair[1] - pair[0])
-    k0 = None
-    for k in range(k_max, 0, -1):
-        if statuses[k][0] is not PlateauStatus.PLATEAU:
-            break
-        k0 = k
-    if k0 is not None:
-        log_c = {k: statuses[k][1] for k in range(k0, k_max + 1)}
-        return holds(TameCertificate(k0, log_c), win, tags=tags)
-    top_status, _, top_move = statuses[k_max]
-    if top_status is PlateauStatus.GROWTH:
-        witness = FailureWitness(k=k_max, best_m=targets[k_max],
-                                 n_range=(n_max // 2, n_max), growth_log=top_move)
-        return fails(witness, win, tags=tags,
-                     reason=f"gap sup grows at the top grading k={k_max}")
+    scan = scan_fixed(win, sup_pair, k_max, s)
+    if scan.outcome is Outcome.HOLDS:
+        return holds(TameCertificate(min(scan.entries), scan.entries), win, tags=tags)
+    if scan.outcome is Outcome.FAILS_ON_WINDOW:
+        return fails(FailureWitness(k_max, s(k_max), n_range, scan.growth), win,
+                     tags=tags, reason=f"gap sup grows at the top grading k={k_max}")
     return inconclusive("gap sup drifts at the top grading", win, tags=tags)
 
 
@@ -530,13 +434,9 @@ def _evaluate_hypotheses(
         if name == H_NUCLEAR_COD:
             out[name] = nuclearity_verdict(op.codomain, win)
         elif name == H_SUBADD_COD:
-            alpha = op.codomain.alpha
-            n_cap = min(win.n_max, alpha.max_index or win.n_max)
-            out[name] = subadditivity_constant(alpha, n_cap, win.subadd_m_max)
+            out[name] = window_subadditivity(op.codomain.alpha, win)
         elif name == H_SUBADD_DOM:
-            alpha = op.domain.alpha
-            n_cap = min(win.n_max, alpha.max_index or win.n_max)
-            out[name] = subadditivity_constant(alpha, n_cap, win.subadd_m_max)
+            out[name] = window_subadditivity(op.domain.alpha, win)
     return out
 
 
@@ -784,28 +684,18 @@ def _sample_tameness(
     for space in (op.domain, op.codomain):
         if space.n_limit is not None:
             n_max = min(n_max, space.n_limit)
-    half = n_max // 2
-    if half < 1:
+    if n_max < 2:
         return Outcome.INCONCLUSIVE, None, None
-    statuses: list[PlateauStatus] = []
-    sups: list[LogValue] = []
-    for k in range(1, win.k_max + 1):
-        profile = column_norm_profile(op, k, n_max, norm_kind)
-        gap = profile - weight_array(op.domain, s_map(k), n_max)
-        sup_half = float(np.max(gap[:half]))
-        sup_full = max(sup_half, float(np.max(gap[half:])))
-        statuses.append(win.classify_sup(sup_half, sup_full))
-        sups.append(sup_full)
-    k0 = None
-    for k in range(win.k_max, 0, -1):
-        if statuses[k - 1] is not PlateauStatus.PLATEAU:
-            break
-        k0 = k
-    if k0 is not None:
-        return Outcome.HOLDS, k0, max(sups[k0 - 1 :])
-    top = statuses[-1]
-    return (Outcome.FAILS_ON_WINDOW if top is PlateauStatus.GROWTH
-            else Outcome.INCONCLUSIVE), None, None
+
+    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue] | None:
+        gap = (column_norm_profile(op, k, n_max, norm_kind)
+               - weight_array(op.domain, m, n_max))
+        return _sup_pair(gap, 1, n_max)
+
+    scan = scan_fixed(win, sup_pair, win.k_max, s_map)
+    if scan.outcome is Outcome.HOLDS:
+        return Outcome.HOLDS, min(scan.entries), max(scan.entries.values())
+    return scan.outcome, None, None
 
 
 def tameness_check(
@@ -907,17 +797,13 @@ def tame_condition_certify(
             if codomain.kind == POWER_SERIES_FINITE:
                 implied = ImpliedTameness("S", 1)
             elif codomain.kind == POWER_SERIES_INFINITE:
-                n_cap = min(win.n_max, codomain.alpha.max_index or win.n_max)
-                subadd = subadditivity_constant(codomain.alpha, n_cap,
-                                                win.subadd_m_max)
+                subadd = window_subadditivity(codomain.alpha, win)
                 implied = ImpliedTameness("M*S", subadd.m)
         else:
             if domain.kind == POWER_SERIES_INFINITE:
                 implied = ImpliedTameness("2S", 2)
             elif domain.kind == POWER_SERIES_FINITE:
-                n_cap = min(win.n_max, domain.alpha.max_index or win.n_max)
-                subadd = subadditivity_constant(domain.alpha, n_cap,
-                                                win.subadd_m_max)
+                subadd = window_subadditivity(domain.alpha, win)
                 implied = ImpliedTameness("M*S", subadd.m)
     return TameConditionReport(verdict=verdict, implied=implied,
                                subadditivity=subadd)

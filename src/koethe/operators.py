@@ -46,10 +46,10 @@ from .verdicts import (
     Outcome,
     Verdict,
     Window,
-    PlateauStatus,
     fails,
     holds,
     inconclusive,
+    scan_forall,
 )
 
 #: relative log-mass below which a column tail cannot move any report
@@ -678,7 +678,6 @@ def membership_in_space(
     if space.k_limit is not None:
         k_top = min(k_top, space.k_limit)
     logs = spec.log_abs_array(n_max)
-    limits: dict[int, tuple[int, LogValue]] = {}
     saw_inconclusive = None
     for k in range(1, k_top + 1):
         w = weight_array(space, k, n_max)
@@ -692,8 +691,6 @@ def membership_in_space(
             return fails(witness, win, reason=f"membership series diverges at k={k}")
         if verdict.classification is SeriesClass.INCONCLUSIVE:
             saw_inconclusive = k
-        else:
-            limits[k] = (k, verdict.limit_log)
     if saw_inconclusive is not None:
         return inconclusive(
             f"membership series undecided at k={saw_inconclusive}", win
@@ -738,22 +735,17 @@ def membership_in_dual(
     if half < 1:
         return inconclusive("window too short for a plateau test", win)
     logs = spec.log_abs_array(n_max)
-    best_growth = math.inf
-    saw_drift = False
-    for m in range(1, win.m_max + 1):
+
+    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
         gap = logs - dual_log_bound(space, m, n_max)
-        sup_half = float(np.max(gap[:half]))
-        sup_full = float(np.max(gap))
-        status = win.classify_sup(sup_half, sup_full)
-        if status is PlateauStatus.PLATEAU:
-            cert = BoundCertificate(m=m, log_c=sup_full)
-            return holds(cert, win)
-        if status is PlateauStatus.GROWTH:
-            best_growth = min(best_growth, sup_full - sup_half)
-        else:
-            saw_drift = True
-    if saw_drift:
+        return float(np.max(gap[:half])), float(np.max(gap))
+
+    scan = scan_forall(win, sup_pair, 1, win.m_max)
+    if scan.outcome is Outcome.HOLDS:
+        m, log_c = scan.entries[1]
+        return holds(BoundCertificate(m=m, log_c=log_c), win)
+    if scan.outcome is Outcome.INCONCLUSIVE:
         return inconclusive("coefficient gap drifts for some m", win)
     witness = FailureWitness(k=None, best_m=win.m_max, n_range=(half, n_max),
-                             growth_log=best_growth)
+                             growth_log=scan.growth)
     return fails(witness, win, reason="coefficient bound violated for every m")

@@ -16,9 +16,8 @@ trichotomy and thresholds as the certificate search.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .criteria import (
     compactness_verdict,
     continuity_verdict,
     default_norm_kind,
-    exists_probe_top,
 )
 from .operators import (
     NormKind,
@@ -43,14 +41,16 @@ from .spaces import nuclearity_verdict, weight_array
 from .verdicts import (
     FailureWitness,
     Outcome,
-    PlateauStatus,
     PointwiseCertificate,
+    SupPair,
     UniformCertificate,
     Verdict,
     Window,
     fails,
     holds,
     inconclusive,
+    scan_exists,
+    scan_forall,
 )
 
 
@@ -167,12 +167,16 @@ def ratio_curve(
                       points=tuple(_curve_points(op, kind, k, m, pts)))
 
 
-def _curve_status(win: Window, points: Sequence[tuple[int, LogValue]]
-                  ) -> tuple[PlateauStatus, LogValue, float]:
-    (_, sup_half), (_, sup_full) = points[-2], points[-1]
-    status = win.classify_sup(sup_half, sup_full)
-    move = sup_full - sup_half if math.isfinite(sup_full) else math.inf
-    return status, sup_full, move
+def _profile_pairs(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
+                   ) -> SupPair:
+    """Scan evidence from the ratio curve at the last two checkpoints; the
+    plateau status only reads the last doubling."""
+    last = pts[-2:]
+
+    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
+        (_, sup_half), (_, sup_full) = _curve_points(op, kind, k, m, last)
+        return sup_half, sup_full
+    return sup_pair
 
 
 # ---------------------------------------------------------------------------
@@ -193,37 +197,18 @@ def oracle_continuity(
         return inconclusive("window too short for ratio evidence", win,
                             tags=("oracle",))
     tags = ("oracle",) if pts == win.checkpoints else ("oracle", "finite-window")
-    scan_pts = pts[-2:]  # the plateau status only reads the last doubling
-    entries: dict[int, tuple[int, LogValue]] = {}
-    for k in range(1, win.k_max + 1):
-        best_growth: float | None = None
-        drift = False
-        accepted = None
-        for m in range(1, win.m_max + 1):
-            status, sup, move = _curve_status(
-                win, _curve_points(op, kind, k, m, scan_pts)
-            )
-            if status is PlateauStatus.PLATEAU:
-                accepted = (m, sup)
-                break
-            if status is PlateauStatus.GROWTH:
-                best_growth = move if best_growth is None else min(best_growth, move)
-            else:
-                drift = True
-        if accepted is not None:
-            entries[k] = accepted
-            continue
-        if drift or best_growth is None:
-            return inconclusive(
-                f"ratio curve neither settles nor grows for some m at k={k}",
-                win, tags=tags,
-            )
-        witness = FailureWitness(k=k, best_m=win.m_max,
-                                 n_range=(pts[-2], pts[-1]),
-                                 growth_log=best_growth)
-        return fails(witness, win, tags=tags,
-                     reason=f"ratio curve grows for every m at k={k}")
-    return holds(PointwiseCertificate(entries), win, tags=tags)
+    scan = scan_forall(win, _profile_pairs(op, kind, pts), win.k_max, win.m_max)
+    if scan.outcome is Outcome.HOLDS:
+        return holds(PointwiseCertificate(scan.entries), win, tags=tags)
+    if scan.outcome is Outcome.INCONCLUSIVE:
+        return inconclusive(
+            f"ratio curve neither settles nor grows for some m at k={scan.k}",
+            win, tags=tags,
+        )
+    witness = FailureWitness(k=scan.k, best_m=win.m_max,
+                             n_range=(pts[-2], pts[-1]), growth_log=scan.growth)
+    return fails(witness, win, tags=tags,
+                 reason=f"ratio curve grows for every m at k={scan.k}")
 
 
 def oracle_compactness(
@@ -254,41 +239,15 @@ def oracle_compactness(
         tags.append(f"hypothesis-unverified:nuclearity-{nuclear.outcome.value}")
     tags = tuple(tags)
 
-    scan_pts = pts[-2:]  # the plateau status only reads the last doubling
-    any_drift = False
-    last_growth: tuple[float, int] | None = None
-    for m in range(1, win.m_max + 1):
-        k_top = exists_probe_top(win.k_max, m)
-        if op.codomain.k_limit is not None:
-            k_top = min(k_top, op.codomain.k_limit)
-        log_c: dict[int, LogValue] = {}
-        m_growth: tuple[float, int] | None = None
-        m_drift = False
-        for k in range(1, k_top + 1):
-            status, sup, move = _curve_status(
-                win, _curve_points(op, kind, k, m, scan_pts)
-            )
-            if status is PlateauStatus.PLATEAU:
-                if k <= win.k_max:
-                    log_c[k] = sup
-            elif status is PlateauStatus.GROWTH:
-                m_growth = (move, k)
-                break
-            else:
-                m_drift = True
-                break
-        if len(log_c) == win.k_max and m_growth is None and not m_drift:
-            return holds(UniformCertificate(m, log_c), win, tags=tags)
-        if m_drift:
-            any_drift = True
-        else:
-            last_growth = m_growth
-    if any_drift or last_growth is None:
+    scan = scan_exists(win, _profile_pairs(op, kind, pts), win.k_max, win.m_max,
+                       op.codomain.k_limit)
+    if scan.outcome is Outcome.HOLDS:
+        return holds(UniformCertificate(scan.m, scan.entries), win, tags=tags)
+    if scan.outcome is Outcome.INCONCLUSIVE:
         return inconclusive("no uniform witness index settles the ratio curves",
                             win, tags=tags)
-    witness = FailureWitness(k=last_growth[1], best_m=win.m_max,
-                             n_range=(pts[-2], pts[-1]),
-                             growth_log=last_growth[0])
+    witness = FailureWitness(k=scan.k, best_m=win.m_max,
+                             n_range=(pts[-2], pts[-1]), growth_log=scan.growth)
     return fails(witness, win, tags=tags,
                  reason="every witness index leaves a growing ratio curve")
 

@@ -604,6 +604,17 @@ def subadditivity_constant(
     return SubadditivityReport(m, best_ratio, best_pair, n_max, m_max)
 
 
+def window_cap(seq: ExponentSequence, window: Window) -> int:
+    """Truncation for checks on an exponent sequence: the window, clipped
+    to a tabulated sequence."""
+    return min(window.n_max, seq.max_index or window.n_max)
+
+
+def window_subadditivity(seq: ExponentSequence, window: Window) -> SubadditivityReport:
+    """:func:`subadditivity_constant` over the window."""
+    return subadditivity_constant(seq, window_cap(seq, window), window.subadd_m_max)
+
+
 def stability_constant(seq: ExponentSequence, n_max: int) -> float:
     """max over n <= n_max/2 of alpha_{2n}/alpha_n; indices with
     alpha_n = 0 are skipped."""

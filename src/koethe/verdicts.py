@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigurationError
 from .logdomain import LogValue, linear_or_none
@@ -110,6 +110,7 @@ class Window:
             "growth_tol": self.growth_tol,
             "series_tail_rel": self.series_tail_rel,
             "series_growth_tol": self.series_growth_tol,
+            "dense_cap": self.dense_cap,
         }
 
     @classmethod
@@ -126,6 +127,128 @@ class Window:
         if "checkpoints" in kwargs:
             kwargs["checkpoints"] = tuple(kwargs["checkpoints"])
         return cls(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# quantifier scans
+# ---------------------------------------------------------------------------
+
+#: evidence for a grading k against a witness index m: the sup of the gap
+#: over the half and the full window, or None (read as drift) when the
+#: window holds no evidence for the pair
+SupPair = Callable[[int, int], "tuple[LogValue, LogValue] | None"]
+
+
+@dataclass(frozen=True)
+class Scan:
+    """Result of a quantifier scan.
+
+    HOLDS carries the accepted ``entries`` by grading k -- ``(m, sup)`` for
+    the for-all scan, the stabilized sup otherwise -- and, for the exists
+    scan, the uniform witness ``m``.  FAILS_ON_WINDOW names the grading
+    ``k`` whose sup kept growing and its ``growth``; INCONCLUSIVE names the
+    drifting grading where the scan has one.
+    """
+
+    outcome: Outcome
+    entries: Mapping[int, Any] = field(default_factory=dict)
+    m: int | None = None
+    k: int | None = None
+    growth: float | None = None
+
+
+def _status(win: Window, pair: tuple[LogValue, LogValue] | None) -> PlateauStatus:
+    return PlateauStatus.DRIFT if pair is None else win.classify_sup(*pair)
+
+
+def scan_forall(win: Window, sup_pair: SupPair, k_max: int, m_max: int) -> Scan:
+    """For all k <= k_max there is an m <= m_max: the ascending m scan at
+    each k accepts the first plateau.  A grading with no plateau fails with
+    the smallest growth seen, unless some m drifted."""
+    entries: dict[int, tuple[int, LogValue]] = {}
+    for k in range(1, k_max + 1):
+        growth: float | None = None
+        drift = False
+        for m in range(1, m_max + 1):
+            pair = sup_pair(k, m)
+            status = _status(win, pair)
+            if status is PlateauStatus.PLATEAU:
+                entries[k] = (m, pair[1])
+                break
+            if status is PlateauStatus.GROWTH:
+                move = pair[1] - pair[0]
+                growth = move if growth is None else min(growth, move)
+            else:
+                drift = True
+        else:
+            if drift:
+                return Scan(Outcome.INCONCLUSIVE, k=k)
+            return Scan(Outcome.FAILS_ON_WINDOW, k=k, growth=growth)
+    return Scan(Outcome.HOLDS, entries)
+
+
+def scan_exists(
+    win: Window, sup_pair: SupPair, k_max: int, m_max: int,
+    k_limit: int | None = None,
+) -> Scan:
+    """There is an m <= m_max for all k <= k_max: the first m whose sup
+    plateaus at every grading it is probed against.
+
+    Only gradings beyond m can refute a candidate m, and the refuting growth
+    must overtake window transients (column-norm humps), so candidate m is
+    probed up to k = max(k_max, 2m + 1), capped by ``k_limit`` (the last
+    grading of a tabulated codomain).  Plateaus above k_max are checked but
+    not recorded.  Failure reports the growing grading of the largest
+    candidate; any drifting candidate makes the scan inconclusive.
+    """
+    drift = False
+    failing: tuple[int, float] | None = None
+    for m in range(1, m_max + 1):
+        k_top = max(k_max, 2 * m + 1)
+        if k_limit is not None:
+            k_top = min(k_top, k_limit)
+        log_c: dict[int, LogValue] = {}
+        status = PlateauStatus.PLATEAU
+        for k in range(1, k_top + 1):
+            pair = sup_pair(k, m)
+            status = _status(win, pair)
+            if status is not PlateauStatus.PLATEAU:
+                break
+            if k <= k_max:
+                log_c[k] = pair[1]
+        if status is PlateauStatus.DRIFT:
+            drift = True
+        elif status is PlateauStatus.GROWTH:
+            failing = (k, pair[1] - pair[0])
+        elif len(log_c) == k_max:
+            return Scan(Outcome.HOLDS, log_c, m=m)
+        else:
+            failing = None
+    if drift or failing is None:
+        return Scan(Outcome.INCONCLUSIVE)
+    k, growth = failing
+    return Scan(Outcome.FAILS_ON_WINDOW, k=k, growth=growth)
+
+
+def scan_fixed(
+    win: Window, sup_pair: SupPair, k_max: int, s_map: Callable[[int], int]
+) -> Scan:
+    """m fixed by the index map, m = S(k): the run of plateaus reaching down
+    from k_max, whose bottom is the threshold k0 = min(entries).  The scan
+    walks down and stops at the first grading that does not plateau; with
+    no plateau at k_max it fails only on growth there."""
+    entries: dict[int, LogValue] = {}
+    for k in range(k_max, 0, -1):
+        pair = sup_pair(k, s_map(k))
+        status = _status(win, pair)
+        if status is not PlateauStatus.PLATEAU:
+            break
+        entries[k] = pair[1]
+    if entries:
+        return Scan(Outcome.HOLDS, dict(sorted(entries.items())))
+    if status is PlateauStatus.GROWTH:
+        return Scan(Outcome.FAILS_ON_WINDOW, k=k_max, growth=pair[1] - pair[0])
+    return Scan(Outcome.INCONCLUSIVE, k=k_max)
 
 
 @dataclass(frozen=True)
