@@ -3,9 +3,10 @@
 Exit codes: 0 when every verdict holds and every cross-check agrees, 1 when
 some verdict fails on its window, 2 when some verdict is inconclusive (and
 nothing conflicts), 3 when a theorem/oracle conflict was detected, and >= 4
-for usage or configuration problems.  Identical config and seed produce
-byte-identical reports: keys are sorted, floats go through repr, and no
-timestamps are written.
+for usage or configuration problems, or any other error that escapes.
+Identical config and seed produce byte-identical reports: keys are sorted,
+floats go through repr, and no timestamps are written.  Reports are strict
+JSON; non-finite floats are written as "NaN", "Infinity" or "-Infinity".
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+import traceback
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -85,17 +88,21 @@ def exit_code_for(statuses: Sequence[str]) -> int:
 
 
 def _jsonify(obj: Any) -> Any:
+    """Plain JSON values, with non-finite floats spelled as fixed strings."""
     if isinstance(obj, Mapping):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     return obj
 
 
 def _dumps(payload: Any) -> str:
-    return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_jsonify(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _load_json_arg(value: str) -> Any:
@@ -154,6 +161,14 @@ class ExperimentConfig:
     seed: int | None = None
 
 
+def _decode(cls: Any, data: Any, path: str) -> Any:
+    """``cls.from_json(data)``, its errors prefixed with the config path."""
+    try:
+        return cls.from_json(data)
+    except KoetheError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+
+
 def _resolve_space(ref: Any, path: str,
                    spaces: Mapping[str, SpaceDescriptor]) -> SpaceDescriptor:
     if isinstance(ref, str):
@@ -161,7 +176,7 @@ def _resolve_space(ref: Any, path: str,
             raise ConfigurationError(f"{path}: unknown space {ref!r}")
         return spaces[ref]
     if isinstance(ref, Mapping):
-        return SpaceDescriptor.from_json(ref)
+        return _decode(SpaceDescriptor, ref, path)
     raise ConfigurationError(f"{path}: expected a space name or object")
 
 
@@ -172,7 +187,7 @@ def _resolve_symbol(ref: Any, path: str,
             raise ConfigurationError(f"{path}: unknown symbol {ref!r}")
         return symbols[ref]
     if isinstance(ref, Mapping):
-        return Symbol.from_json(ref)
+        return _decode(Symbol, ref, path)
     raise ConfigurationError(f"{path}: expected a symbol name or object")
 
 
@@ -186,19 +201,10 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
     except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"window: {exc}") from exc
 
-    spaces: dict[str, SpaceDescriptor] = {}
-    for name, spec in dict(data.get("spaces", {})).items():
-        try:
-            spaces[name] = SpaceDescriptor.from_json(spec)
-        except (KoetheError, KeyError, TypeError) as exc:
-            raise ConfigurationError(f"spaces.{name}: {exc}") from exc
-
-    symbols: dict[str, Symbol] = {}
-    for name, spec in dict(data.get("symbols", {})).items():
-        try:
-            symbols[name] = Symbol.from_json(spec)
-        except (KoetheError, KeyError, TypeError) as exc:
-            raise ConfigurationError(f"symbols.{name}: {exc}") from exc
+    spaces = {name: _decode(SpaceDescriptor, spec, f"spaces.{name}")
+              for name, spec in dict(data.get("spaces", {})).items()}
+    symbols = {name: _decode(Symbol, spec, f"symbols.{name}")
+               for name, spec in dict(data.get("symbols", {})).items()}
 
     operators: dict[str, ToeplitzOperator] = {}
     for name, spec in dict(data.get("operators", {})).items():
@@ -254,7 +260,7 @@ def _get_operator(cfg: ExperimentConfig, task: Mapping[str, Any], path: str
             raise ConfigurationError(f"{path}.operator: unknown operator {ref!r}")
         return cfg.operators[ref]
     if isinstance(ref, Mapping):
-        return ToeplitzOperator.from_json(ref)
+        return _decode(ToeplitzOperator, ref, f"{path}.operator")
     raise ConfigurationError(f"{path}.operator: expected a name or object")
 
 
@@ -383,7 +389,7 @@ def _run_tame(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
         family = FamilySpec.from_json(family_data)
     except TypeError as exc:
         raise ConfigurationError(f"{path}.family: {exc}") from exc
-    s_map = SMap.from_json(task.get("s_map", {"form": "identity"}))
+    s_map = _decode(SMap, task.get("s_map", {"form": "identity"}), f"{path}.s_map")
     report = tameness_check(family, s_map,
                             OperatorTemplate(variant, domain, codomain),
                             cfg.window)
@@ -398,7 +404,7 @@ def _run_tame_condition(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
         direction = Variant(task.get("direction", "lower"))
     except ValueError as exc:
         raise ConfigurationError(f"{path}.direction: {exc}") from exc
-    s_map = SMap.from_json(task.get("s_map", {"form": "identity"}))
+    s_map = _decode(SMap, task.get("s_map", {"form": "identity"}), f"{path}.s_map")
     report = tame_condition_certify(s_map, domain, codomain, direction,
                                     cfg.window)
     return _verdict_status(report.verdict.outcome), report.to_json()
@@ -611,21 +617,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if args.command == "spaces":
             cfg = _single_task_config(args)
-            cfg.spaces["target"] = SpaceDescriptor.from_json(
-                _load_json_arg(args.space))
             status, report = _run_space_check(
-                cfg, {"space": "target", "checks": args.checks}, "spaces-check")
+                cfg, {"space": _load_json_arg(args.space), "checks": args.checks},
+                "spaces-check")
             _emit({"status": status, "report": report})
             return exit_code_for([status])
 
         if args.command == "symbol":
             cfg = _single_task_config(args)
-            cfg.symbols["target"] = Symbol.from_json(_load_json_arg(args.symbol))
-            cfg.spaces["space"] = SpaceDescriptor.from_json(
-                _load_json_arg(args.space))
             status, report = _run_membership(
-                cfg, {"symbol": "target", "part": args.part, "space": "space",
-                      "target": args.target}, "membership")
+                cfg, {"symbol": _load_json_arg(args.symbol), "part": args.part,
+                      "space": _load_json_arg(args.space), "target": args.target},
+                "membership")
             _emit({"status": status, "report": report})
             return exit_code_for([status])
 
@@ -663,15 +666,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = _single_task_config(args)
             task = {
                 "variant": args.variant,
-                "domain": SpaceDescriptor.from_json(_load_json_arg(args.domain)).to_json(),
-                "codomain": SpaceDescriptor.from_json(_load_json_arg(args.codomain)).to_json(),
+                "domain": _load_json_arg(args.domain),
+                "codomain": _load_json_arg(args.codomain),
                 "family": _load_json_arg(args.family),
                 "s_map": _load_json_arg(args.s_map),
             }
-            cfg.spaces["domain"] = SpaceDescriptor.from_json(task["domain"])
-            cfg.spaces["codomain"] = SpaceDescriptor.from_json(task["codomain"])
-            status, report = _run_tame(
-                cfg, {**task, "domain": "domain", "codomain": "codomain"}, "tame")
+            status, report = _run_tame(cfg, task, "tame")
             _emit({"status": status, "report": report})
             return exit_code_for([status])
 
@@ -686,6 +686,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise ConfigurationError(f"unhandled command {args.command!r}")
     except KoetheError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # no input may exit with a verdict code (0-3)
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_USAGE
 
 

@@ -29,6 +29,8 @@ from .errors import (
     ConfigurationError,
     NotWellDefinedError,
     UnsupportedCombinationError,
+    json_field,
+    json_object,
 )
 from .logdomain import LogValue
 from .operators import (
@@ -141,13 +143,14 @@ class SMap:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SMap":
-        form = data.get("form")
+        what = "index map"
+        form = json_object(data, what).get("form")
         if form == "identity":
             return cls.identity()
         if form == "linear":
-            return cls.linear(data["a"])
+            return cls.linear(json_field(data, "a", "number", what))
         if form == "table":
-            return cls.table(data["values"])
+            return cls.table(json_field(data, "values", "numbers", what))
         raise ConfigurationError(f"unknown index map form {form!r}")
 
 

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the JSON field checks
+that turn malformed inline objects into configuration errors."""
+
+import math
+import numbers
+from typing import Any, Mapping
 
 
 class KoetheError(Exception):
@@ -23,3 +28,53 @@ class UnsupportedCombinationError(KoetheError):
 
 class ConfigurationError(KoetheError, ValueError):
     """Invalid window, search bounds, or experiment configuration."""
+
+
+# ---------------------------------------------------------------------------
+# decoding helpers: malformed JSON objects fail as configuration errors
+# ---------------------------------------------------------------------------
+
+
+def _is_number(value: Any) -> bool:
+    # the plain-type test first: the ABC check is slow on long weight tables
+    plain = isinstance(value, (int, float))
+    if isinstance(value, bool) or not (plain or isinstance(value, numbers.Real)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _is_numbers(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+
+
+_KINDS = {
+    "number": ("a finite number", _is_number),
+    "numbers": ("an array of finite numbers", _is_numbers),
+    "rows": ("an array of arrays of finite numbers",
+             lambda v: isinstance(v, (list, tuple)) and all(map(_is_numbers, v))),
+    "object": ("an object", lambda v: isinstance(v, Mapping)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def json_object(data: Any, what: str) -> Mapping[str, Any]:
+    """``data`` if it is a decoded JSON object, else a ConfigurationError."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"{what}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def json_field(data: Mapping[str, Any], key: str, kind: str, what: str) -> Any:
+    """``data[key]``, which must be present and of the JSON ``kind`` named in
+    ``_KINDS``; anything else is a ConfigurationError naming ``what``."""
+    if key not in data:
+        raise ConfigurationError(f"{what}: missing field {key!r}")
+    desc, check = _KINDS[kind]
+    value = data[key]
+    if not check(value):
+        raise ConfigurationError(f"{what}: field {key!r} must be {desc}")
+    return value

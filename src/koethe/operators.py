@@ -29,6 +29,8 @@ from .errors import (
     InvariantError,
     UnsupportedCombinationError,
     WindowError,
+    json_field,
+    json_object,
 )
 from .logdomain import LOG_ZERO, LogValue, log_from_linear, log_max, log_sum
 from .spaces import (
@@ -233,21 +235,23 @@ class SymbolSpec:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SymbolSpec":
-        form = data.get("form")
+        what = "symbol part"
+        form = json_object(data, what).get("form")
         if form == "explicit":
-            spec = cls.explicit(data["values"])
+            spec = cls.explicit(json_field(data, "values", "numbers", what))
         elif form == "geometric":
-            spec = cls.geometric(data["r"])
+            spec = cls.geometric(json_field(data, "r", "number", what))
         elif form == "exp_of_exponent":
             spec = cls.exp_of_exponent(
-                data["c"], ExponentSequence.from_json(data["alpha"])
+                json_field(data, "c", "number", what),
+                ExponentSequence.from_json(json_field(data, "alpha", "object", what)),
             )
         elif form == "polynomial":
-            spec = cls.polynomial(data["d"])
+            spec = cls.polynomial(json_field(data, "d", "number", what))
         else:
             raise ConfigurationError(f"unknown symbol form {form!r}")
         if "head" in data:
-            spec = spec.with_head(data["head"])
+            spec = spec.with_head(json_field(data, "head", "number", what))
         return spec
 
 
@@ -266,7 +270,8 @@ class Symbol:
         if self.lower is None and self.upper is None:
             raise InvariantError("symbol needs at least one triangular part")
         if self.lower is not None and self.upper is not None:
-            if self.lower.value(0) == 0.0 or self.upper.value(0) == 0.0:
+            # in log domain, so a head beyond float range is not an error
+            if LOG_ZERO in (self.lower.log_abs(0), self.upper.log_abs(0)):
                 raise InvariantError(
                     "diagonal split components must both be nonzero"
                 )
@@ -290,9 +295,10 @@ class Symbol:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Symbol":
-        lower = SymbolSpec.from_json(data["lower"]) if "lower" in data else None
-        upper = SymbolSpec.from_json(data["upper"]) if "upper" in data else None
-        return cls(lower=lower, upper=upper)
+        data = json_object(data, "symbol")
+        parts = {part: SymbolSpec.from_json(json_field(data, part, "object", "symbol"))
+                 for part in ("lower", "upper") if part in data}
+        return cls(**parts)
 
 
 def decompose(
@@ -360,11 +366,17 @@ class ToeplitzOperator:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ToeplitzOperator":
+        what = "operator"
+        variant = json_field(json_object(data, what), "variant", "string", what)
+        try:
+            variant = Variant(variant)
+        except ValueError:
+            raise ConfigurationError(f"{what}: unknown variant {variant!r}") from None
         return cls(
-            symbol=Symbol.from_json(data["symbol"]),
-            variant=Variant(data["variant"]),
-            domain=SpaceDescriptor.from_json(data["domain"]),
-            codomain=SpaceDescriptor.from_json(data["codomain"]),
+            symbol=Symbol.from_json(json_field(data, "symbol", "object", what)),
+            variant=variant,
+            domain=SpaceDescriptor.from_json(json_field(data, "domain", "object", what)),
+            codomain=SpaceDescriptor.from_json(json_field(data, "codomain", "object", what)),
         )
 
 
@@ -502,41 +514,63 @@ def _run_profile(
     blocks, returning per-column (scale, scaled sum); for the sup kind the
     scale is the norm and the sum stays zero.
 
+    The weights sit in a copy padded with log-zero on both sides, wide
+    enough that every (column, offset) pair a block can touch is a plain
+    slice of a strided window view over it (reversed for direction -1), so
+    no index array is built.  Each block is laid out (offset, column) in
+    one contiguous buffer, so the max and sum over offsets keep a fixed
+    reduction order.
+
     A block is skipped for columns whose best possible remaining term sits
     NEGLIGIBLE_LOG below their running scale (with a log(n) allowance for
     the sum kind), so rapidly decaying symbols cost a short band.
     """
-    pad = np.full(n_trunc + 2, -np.inf)
-    pad[1 : n_trunc + 1] = v[:n_trunc]
     u_sufmax = _suffix_max(u)
-    v_reach = _suffix_max(pad) if direction > 0 else np.maximum.accumulate(pad)
-    allowance = math.log(n_trunc) if norm_kind is NormKind.SUM else 0.0
-
-    cols = np.arange(1, n_trunc + 1)
-    m_run = np.full(n_trunc, -np.inf)
-    s_run = np.zeros(n_trunc)
     # offsets past the symbol's support contribute nothing
     support = int(np.argmax(np.isneginf(u_sufmax))) if np.isneginf(u_sufmax).any() \
         else len(u)
     i_top = min(support, n_trunc)
+    # row r of the codomain sits at pad[edge + r]; rows outside 1..n_trunc
+    # that offsets below i_top + _BLOCK reach read log-zero
+    edge = i_top + _BLOCK
+    pad = np.full(n_trunc + 2 * edge, -np.inf)
+    pad[edge + 1 : edge + n_trunc + 1] = v[:n_trunc]
+    v_reach = _suffix_max(pad) if direction > 0 else np.maximum.accumulate(pad)
+    # window[base + n, i] is the weight of the row that offset i0 + i reaches
+    # from column n, with base set per block below
+    window = np.lib.stride_tricks.sliding_window_view(pad, _BLOCK)
+    if direction < 0:
+        window = window[:, ::-1]
+    allowance = math.log(n_trunc) if norm_kind is NormKind.SUM else 0.0
+
+    m_run = np.full(n_trunc, -np.inf)
+    s_run = np.zeros(n_trunc)
+    buf = np.empty(_BLOCK * n_trunc)
     for i0 in range(0, i_top, _BLOCK):
-        reach_idx = np.clip(cols + direction * i0, 0, n_trunc + 1)
-        peak = u_sufmax[i0] + v_reach[reach_idx]
+        reach = edge + 1 + direction * i0
+        peak = u_sufmax[i0] + v_reach[reach : reach + n_trunc]
         active = peak + allowance > m_run - NEGLIGIBLE_LOG
         if not active.any():
             break
         lo, hi = np.flatnonzero(active)[[0, -1]]
-        n_idx = cols[lo : hi + 1]
-        i_idx = np.arange(i0, min(i0 + _BLOCK, i_top))
-        j = np.clip(n_idx[None, :] + direction * i_idx[:, None], 0, n_trunc + 1)
-        terms = u[i_idx][:, None] + pad[j]
+        width = hi - lo + 1
+        nb = min(_BLOCK, i_top - i0)
+        base = edge + i0 if direction > 0 else edge - i0 - _BLOCK + 1
+        s0 = base + lo + 1
+        if s0 < 0 or s0 + width > len(window):
+            raise InvariantError(f"window rows {s0}..{s0 + width} outside the padding")
+        terms = buf[: nb * width].reshape(nb, width)
+        np.add(u[i0 : i0 + nb, None], window[s0 : s0 + width, :nb].T, out=terms)
         bm = terms.max(axis=0)
         if norm_kind is NormKind.SUP:
             m_run[lo : hi + 1] = np.maximum(m_run[lo : hi + 1], bm)
             continue
+        # exp(-inf - safe) is already 0 and safe is never -inf
         safe = np.where(np.isneginf(bm), 0.0, bm)
         with np.errstate(invalid="ignore"):
-            bs = np.where(np.isneginf(terms), 0.0, np.exp(terms - safe)).sum(axis=0)
+            terms -= safe
+        np.exp(terms, out=terms)
+        bs = terms.sum(axis=0)
         m_new, s_new = _merge_scaled(m_run[lo : hi + 1], s_run[lo : hi + 1], bm, bs)
         m_run[lo : hi + 1] = m_new
         s_run[lo : hi + 1] = s_new

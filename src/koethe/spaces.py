@@ -25,7 +25,13 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantError, WindowError
+from .errors import (
+    ConfigurationError,
+    InvariantError,
+    WindowError,
+    json_field,
+    json_object,
+)
 from .logdomain import LOG_ZERO, LogValue, linear_or_none, log_from_linear, log_sum
 from .verdicts import (
     Outcome,
@@ -146,15 +152,17 @@ class ExponentSequence:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ExponentSequence":
-        form = data.get("form")
+        what = "exponent sequence"
+        form = json_object(data, what).get("form")
         if form == "power":
-            return cls.power(data["p"])
+            return cls.power(json_field(data, "p", "number", what))
         if form == "log":
             return cls.logarithmic()
         if form == "affine":
-            return cls.affine(data["a"], data.get("b", 0.0))
+            b = json_field(data, "b", "number", what) if "b" in data else 0.0
+            return cls.affine(json_field(data, "a", "number", what), b)
         if form == "table":
-            return cls.table(data["values"])
+            return cls.table(json_field(data, "values", "numbers", what))
         raise ConfigurationError(f"unknown exponent form {form!r}")
 
 
@@ -268,13 +276,13 @@ class SpaceDescriptor:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SpaceDescriptor":
-        kind = data.get("kind")
-        if kind == POWER_SERIES_FINITE:
-            return cls.power_series_finite(ExponentSequence.from_json(data["alpha"]))
-        if kind == POWER_SERIES_INFINITE:
-            return cls.power_series_infinite(ExponentSequence.from_json(data["alpha"]))
+        what = "space"
+        kind = json_object(data, what).get("kind")
+        if kind in (POWER_SERIES_FINITE, POWER_SERIES_INFINITE):
+            alpha = ExponentSequence.from_json(json_field(data, "alpha", "object", what))
+            return cls(kind=kind, alpha=alpha)
         if kind == GENERAL_KOETHE:
-            return cls.general(data["weights"])
+            return cls.general(json_field(data, "weights", "rows", what))
         raise ConfigurationError(f"unknown space kind {kind!r}")
 
 

@@ -3,21 +3,28 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koethe import cli
 from koethe.cli import (
     EXIT_CONFLICT,
     EXIT_FAILS,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    _dumps,
     exit_code_for,
     main,
     read_vector,
     write_vector,
 )
+from koethe.criteria import SMap
+from koethe.errors import KoetheError
+from koethe.operators import Symbol, SymbolSpec, ToeplitzOperator
+from koethe.spaces import ExponentSequence, SpaceDescriptor
 
 L1N = {"kind": "power_series_finite", "alpha": {"form": "power", "p": 1.0}}
 L1N2 = {"kind": "power_series_finite", "alpha": {"form": "power", "p": 2.0}}
@@ -203,11 +210,18 @@ def test_spaces_check_subcommand(capsys):
     assert payload["report"]["stability"]["sup_ratio"] == 2.0
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def test_spaces_check_failing_nuclearity(capsys):
     space = {"kind": "power_series_finite", "alpha": {"form": "log"}}
     code = main(["spaces", "check", "--space", json.dumps(space),
                  "--checks", "nuclearity"])
     assert code == EXIT_FAILS
+    # the diverging witness has no growth rate; the report stays strict JSON
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["report"]["nuclearity"]["witness"]["growth_log"] == "NaN"
 
 
 def test_symbol_membership_subcommand(capsys):
@@ -288,3 +302,60 @@ def test_vector_io_roundtrip(tmp_path):
     path.write_text("1.0\n\nnot-a-number\n")
     with pytest.raises(Exception):
         read_vector(path)
+
+
+# -- malformed input and strict reports -------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["operator", "certify", "--property", "continuity", "--operator",
+     json.dumps({"variant": "lower", "domain": L1N, "codomain": L1N2})],
+    ["spaces", "check", "--space", json.dumps({"kind": "power_series_finite"})],
+    ["family", "tame", "--domain", json.dumps(L1N), "--codomain", json.dumps(L1N2),
+     "--s-map", json.dumps({"form": "linear"})],
+], ids=["operator-without-symbol", "space-without-alpha", "linear-s-map-without-a"])
+def test_malformed_inline_objects_are_usage_errors(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing field" in err
+
+
+def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_space_check", boom)
+    assert main(["spaces", "check", "--space", json.dumps(L1N)]) == EXIT_USAGE
+    assert "error: unexpected RuntimeError: boom" in capsys.readouterr().err
+
+
+FIELDS = ["kind", "alpha", "weights", "form", "p", "a", "b", "values", "r", "c",
+          "d", "head", "lower", "upper", "variant", "symbol", "domain", "codomain"]
+NAMES = ["power_series_finite", "power_series_infinite", "general_koethe",
+         "power", "log", "affine", "table", "explicit", "geometric",
+         "exp_of_exponent", "polynomial", "identity", "linear",
+         "lower", "upper", "full"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(NAMES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=6),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=json_values)
+def test_decoders_raise_only_koethe_errors(data):
+    for cls in (ExponentSequence, SpaceDescriptor, SymbolSpec, Symbol,
+                ToeplitzOperator, SMap):
+        try:
+            cls.from_json(data)
+        except KoetheError:
+            pass
+
+
+def test_non_finite_floats_have_one_spelling():
+    payload = {"nan": math.nan, "inf": np.float64(math.inf), "ninf": [-math.inf],
+               "finite": 0.5}
+    assert json.loads(_dumps(payload), parse_constant=_reject_constant) == {
+        "nan": "NaN", "inf": "Infinity", "ninf": ["-Infinity"], "finite": 0.5}

@@ -135,6 +135,8 @@ def test_symbol_invariant_both_heads_nonzero():
         Symbol(lower=SymbolSpec.explicit([0.0, 1.0]), upper=DELTA)
     with pytest.raises(InvariantError):
         Symbol()
+    huge = SymbolSpec.exp_of_exponent(1e5, ALPHA_N)  # e^{1e5} overflows a float
+    assert Symbol(lower=huge, upper=DELTA).lower is huge
 
 
 def test_dense_full_is_sum_of_parts_exactly():

@@ -1,0 +1,112 @@
+"""The window-view column-norm kernel against the clip-and-gather reference.
+
+Both kernels compute the same terms in the same (offset, column) layout, so
+every comparison here is exact: ``np.array_equal``, not a tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from koethe.operators import (
+    _BLOCK,
+    NormKind,
+    Symbol,
+    SymbolSpec,
+    ToeplitzOperator,
+    Variant,
+    _part_offset_logs,
+    _run_profile,
+)
+from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
+from reference_kernels import gather_kernel, gather_run_profile, uncached_profile
+
+ALPHAS = [
+    ExponentSequence.power(0.5),
+    ExponentSequence.affine(1.0),
+    ExponentSequence.power(2.0),
+    ExponentSequence.logarithmic(),
+]
+SPACES = ([SpaceDescriptor.power_series_finite(a) for a in ALPHAS]
+          + [SpaceDescriptor.power_series_infinite(a) for a in ALPHAS])
+
+
+def make_op(variant, lower, upper, domain, codomain):
+    sym = Symbol(lower=lower if variant is not Variant.UPPER else None,
+                 upper=upper if variant is not Variant.LOWER else None)
+    return ToeplitzOperator(sym, variant, domain, codomain)
+
+
+def assert_kernels_agree(op, k, n, norm):
+    v = weight_array(op.codomain, k, n)
+    for u, direction in _part_offset_logs(op, n):
+        m_new, s_new = _run_profile(u, v, direction, n, norm)
+        m_ref, s_ref = gather_run_profile(u, v, direction, n, norm)
+        assert np.array_equal(m_new, m_ref)
+        assert np.array_equal(s_new, s_ref)
+    profile = uncached_profile(op, k, n, norm)
+    with gather_kernel():
+        reference = uncached_profile(op, k, n, norm)
+    assert np.array_equal(profile, reference)
+
+
+@pytest.mark.parametrize("n", [7, _BLOCK, 300, 2 * _BLOCK + 100])
+@pytest.mark.parametrize("norm", list(NormKind))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_kernels_agree_on_fixed_cases(variant, norm, n):
+    lower = SymbolSpec.geometric(0.9)
+    upper = SymbolSpec.explicit([0.5, -2.0, 0.0, 3.0] * 40)
+    for domain, codomain in [(SPACES[5], SPACES[1]), (SPACES[2], SPACES[6])]:
+        op = make_op(variant, lower, upper, domain, codomain)
+        for k in (1, 6, 12):
+            assert_kernels_agree(op, k, n, norm)
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_kernels_agree_on_slow_upper_symbol_past_two_blocks(norm):
+    # r = 0.99 loses only ~2.6 per block, so every offset block stays inside
+    # the NEGLIGIBLE_LOG band up to the top columns
+    n = 4 * _BLOCK + 37
+    op = make_op(Variant.UPPER, None, SymbolSpec.geometric(0.99),
+                 SPACES[1], SPACES[1])
+    for k in (1, 12):
+        assert_kernels_agree(op, k, n, norm)
+        (u, direction), = _part_offset_logs(op, n)
+        v = weight_array(op.codomain, k, n)
+        cut = u.copy()
+        cut[3 * _BLOCK:] = -np.inf
+        full_m, _ = _run_profile(u, v, direction, n, norm)
+        cut_m, _ = _run_profile(cut, v, direction, n, norm)
+        assert not np.array_equal(full_m, cut_m)  # blocks past 3*_BLOCK count
+
+
+heads = st.sampled_from([None, 0.5, -2.0])
+symbol_parts = st.one_of(
+    st.builds(SymbolSpec.geometric, st.floats(-0.999, 0.999)),
+    st.builds(SymbolSpec.explicit,
+              st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40)),
+    st.builds(SymbolSpec.polynomial, st.integers(-3, 3)),
+).flatmap(lambda spec: heads.map(
+    lambda h: spec if h is None else spec.with_head(h)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    lower=symbol_parts,
+    upper=symbol_parts,
+    domain=st.sampled_from(SPACES),
+    codomain=st.sampled_from(SPACES),
+    k=st.integers(1, 12),
+    n=st.integers(1, 700),
+    norm=st.sampled_from(list(NormKind)),
+)
+def test_kernels_agree_on_random_operators(variant, lower, upper, domain,
+                                           codomain, k, n, norm):
+    if variant is Variant.FULL:
+        # a full symbol splits its diagonal into two nonzero halves
+        lower = lower if lower.value(0) != 0.0 else lower.with_head(1.0)
+        upper = upper if upper.value(0) != 0.0 else upper.with_head(1.0)
+    op = make_op(variant, lower, upper, domain, codomain)
+    assert_kernels_agree(op, k, n, norm)
