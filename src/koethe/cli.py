@@ -196,10 +196,7 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
     """Validate an experiment config, naming the offending path on error."""
     if not isinstance(data, Mapping):
         raise ConfigurationError("config root must be a JSON object")
-    try:
-        window = Window.from_json(data.get("window", {}))
-    except (TypeError, ConfigurationError) as exc:
-        raise ConfigurationError(f"window: {exc}") from exc
+    window = _decode(Window, data.get("window", {}), "window")
 
     spaces = {name: _decode(SpaceDescriptor, spec, f"spaces.{name}")
               for name, spec in dict(data.get("spaces", {})).items()}
@@ -341,7 +338,11 @@ def _run_probe(cfg: ExperimentConfig, task, path) -> tuple[str, dict, list[str]]
     ks = [ks] if isinstance(ks, int) else list(ks)
     ms = [ms] if isinstance(ms, int) else list(ms)
     norm = task.get("norm")
-    kind = NormKind(norm) if norm else None
+    try:
+        kind = NormKind(norm) if norm else None
+    except ValueError:
+        raise ConfigurationError(
+            f"{path}.norm: expected 'sum' or 'sup', got {norm!r}") from None
     curves = [ratio_curve(op, k, m, norm_kind=kind, window=cfg.window)
               for k in ks for m in ms]
     rows = [CSV_HEADER]
@@ -382,13 +383,10 @@ def _run_tame(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     domain = _resolve_space(task.get("domain"), f"{path}.domain", cfg.spaces)
     codomain = _resolve_space(task.get("codomain"), f"{path}.codomain",
                               cfg.spaces)
-    family_data = dict(task.get("family", {}))
-    if cfg.seed is not None:
-        family_data["seed"] = cfg.seed
-    try:
-        family = FamilySpec.from_json(family_data)
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}.family: {exc}") from exc
+    family_data = task.get("family", {})
+    if cfg.seed is not None and isinstance(family_data, Mapping):
+        family_data = {**family_data, "seed": cfg.seed}
+    family = _decode(FamilySpec, family_data, f"{path}.family")
     s_map = _decode(SMap, task.get("s_map", {"form": "identity"}), f"{path}.s_map")
     report = tameness_check(family, s_map,
                             OperatorTemplate(variant, domain, codomain),

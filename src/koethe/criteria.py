@@ -30,6 +30,7 @@ from .errors import (
     NotWellDefinedError,
     UnsupportedCombinationError,
     json_field,
+    json_fields,
     json_object,
 )
 from .logdomain import LogValue
@@ -601,6 +602,8 @@ class FamilySpec:
             raise ConfigurationError(f"unknown sampler {self.sampler!r}")
         if self.count < 1:
             raise ConfigurationError("family count must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("family seed must be >= 0")
         if not 0.0 <= self.r_min <= self.r_max:
             raise ConfigurationError("need 0 <= r_min <= r_max")
         if self.constraint not in ("auto", "space", "dual"):
@@ -615,7 +618,10 @@ class FamilySpec:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "FamilySpec":
-        return cls(**dict(data))
+        kinds = {"sampler": "string", "count": "integer", "seed": "integer",
+                 "r_min": "number", "r_max": "number", "signed": "boolean",
+                 "constraint": "string"}
+        return cls(**json_fields(data, kinds, "family"))
 
 
 def _sample_family(

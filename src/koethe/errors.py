@@ -50,11 +50,19 @@ def _is_numbers(value: Any) -> bool:
     return isinstance(value, (list, tuple)) and all(map(_is_number, value))
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 _KINDS = {
     "number": ("a finite number", _is_number),
     "numbers": ("an array of finite numbers", _is_numbers),
     "rows": ("an array of arrays of finite numbers",
              lambda v: isinstance(v, (list, tuple)) and all(map(_is_numbers, v))),
+    "integer": ("an integer", _is_integer),
+    "integers": ("an array of integers",
+                 lambda v: isinstance(v, (list, tuple)) and all(map(_is_integer, v))),
+    "boolean": ("a boolean", lambda v: isinstance(v, bool)),
     "object": ("an object", lambda v: isinstance(v, Mapping)),
     "string": ("a string", lambda v: isinstance(v, str)),
 }
@@ -78,3 +86,14 @@ def json_field(data: Mapping[str, Any], key: str, kind: str, what: str) -> Any:
     if not check(value):
         raise ConfigurationError(f"{what}: field {key!r} must be {desc}")
     return value
+
+
+def json_fields(data: Any, kinds: Mapping[str, str], what: str) -> dict[str, Any]:
+    """The fields of a JSON object whose every key is named in ``kinds``
+    (key -> kind, as for :func:`json_field`); absent keys are left out, so
+    the caller's defaults apply."""
+    unknown = set(json_object(data, what)) - set(kinds)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
+    return {key: json_field(data, key, kind, what)
+            for key, kind in kinds.items() if key in data}

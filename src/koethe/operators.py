@@ -6,6 +6,8 @@ upper part (theta''_0, theta_{-1}, theta_{-2}, ...) the superdiagonals, with
 the matrix diagonal carrying theta'_0 + theta''_0.  Basis vectors e_n are
 indexed from n = 1; symbol entries from j = 0.
 
+Each symbol part is evaluated over a prefix j = 0..count-1, linearly by
+`SymbolSpec.values_array` and as log|theta_j| by `SymbolSpec.log_abs_array`.
 Column norms, memberships, and dual bounds work purely in log domain so that
 entries on the scale of e^{k*alpha_n} never overflow.  Operator application
 (`apply_dense`, `apply_fast`) is linear-domain and meant for well-scaled
@@ -32,7 +34,15 @@ from .errors import (
     json_field,
     json_object,
 )
-from .logdomain import LOG_ZERO, LogValue, log_from_linear, log_max, log_sum
+from .logdomain import (
+    LOG_ZERO,
+    LogValue,
+    log_add,
+    log_from_linear,
+    log_max,
+    log_sub,
+    log_sum,
+)
 from .spaces import (
     POWER_SERIES_FINITE,
     POWER_SERIES_INFINITE,
@@ -77,7 +87,8 @@ class SymbolSpec:
     Forms: ``explicit`` (a finite list, extended by zeros), ``geometric``
     (theta_j = r**j), ``exp_of_exponent`` (theta_j = e^{c * alpha_{j+1}}),
     and ``polynomial`` (theta_j = (j+1)**d).  ``head`` overrides the j = 0
-    entry; it is how a two-sided symbol's diagonal gets split.
+    entry; it is how a two-sided symbol's diagonal gets split.  The array
+    forms :meth:`values_array` and :meth:`log_abs_array` are the evaluators.
     """
 
     form: str
@@ -129,52 +140,6 @@ class SymbolSpec:
         return dataclasses.replace(self, head=float(head))
 
     # -- evaluation --------------------------------------------------------
-
-    def value(self, j: int) -> float:
-        """Linear-domain entry theta_j."""
-        if j < 0:
-            raise WindowError(f"symbol index must be >= 0, got {j}")
-        if j == 0 and self.head is not None:
-            return self.head
-        if self.form == "explicit":
-            return self.values[j] if j < len(self.values) else 0.0
-        if self.form == "geometric":
-            return self.r**j
-        if self.form == "exp_of_exponent":
-            return math.exp(self.c * self.alpha.value(j + 1))
-        return float(j + 1) ** self.d
-
-    def log_abs(self, j: int) -> LogValue:
-        """log|theta_j|, computed without a linear round trip where the
-        closed form allows (geometric and exponential forms stay finite far
-        beyond float range)."""
-        if j < 0:
-            raise WindowError(f"symbol index must be >= 0, got {j}")
-        if j == 0 and self.head is not None:
-            return log_from_linear(self.head)
-        if self.form == "explicit":
-            if j >= len(self.values):
-                return LOG_ZERO
-            return log_from_linear(self.values[j])
-        if self.form == "geometric":
-            if self.r == 0.0:
-                return 0.0 if j == 0 else LOG_ZERO
-            return j * math.log(abs(self.r))
-        if self.form == "exp_of_exponent":
-            return self.c * self.alpha.value(j + 1)
-        return self.d * math.log(j + 1)
-
-    def sign(self, j: int) -> int:
-        v = 1.0
-        if j == 0 and self.head is not None:
-            v = self.head
-        elif self.form == "explicit":
-            v = self.values[j] if j < len(self.values) else 0.0
-        elif self.form == "geometric":
-            v = -1.0 if (self.r < 0 and j % 2) else (0.0 if self.r == 0 and j else 1.0)
-        if v > 0:
-            return 1
-        return -1 if v < 0 else 0
 
     def values_array(self, count: int) -> np.ndarray:
         """theta_0..theta_{count-1} in linear domain (may overflow to inf)."""
@@ -271,19 +236,16 @@ class Symbol:
             raise InvariantError("symbol needs at least one triangular part")
         if self.lower is not None and self.upper is not None:
             # in log domain, so a head beyond float range is not an error
-            if LOG_ZERO in (self.lower.log_abs(0), self.upper.log_abs(0)):
+            if LOG_ZERO in (self.lower.log_abs_array(1)[0],
+                            self.upper.log_abs_array(1)[0]):
                 raise InvariantError(
                     "diagonal split components must both be nonzero"
                 )
 
     @property
     def diagonal(self) -> float:
-        total = 0.0
-        if self.lower is not None:
-            total += self.lower.value(0)
-        if self.upper is not None:
-            total += self.upper.value(0)
-        return total
+        return sum(float(part.values_array(1)[0])
+                   for part in (self.lower, self.upper) if part is not None)
 
     def to_json(self) -> dict[str, Any]:
         data: dict[str, Any] = {}
@@ -311,10 +273,10 @@ def decompose(
     diagonal value, which ``split`` redistributes as the parts' new heads.
     Both split components must be nonzero and sum to the diagonal value.
     """
-    theta0 = sub.value(0)
-    if not math.isclose(theta0, sup.value(0), rel_tol=1e-12, abs_tol=1e-300):
+    theta0, other = (float(side.values_array(1)[0]) for side in (sub, sup))
+    if not math.isclose(theta0, other, rel_tol=1e-12, abs_tol=1e-300):
         raise InvariantError(
-            f"sides disagree on the diagonal value: {theta0!r} vs {sup.value(0)!r}"
+            f"sides disagree on the diagonal value: {theta0!r} vs {other!r}"
         )
     lo, hi = float(split[0]), float(split[1])
     if lo == 0.0 or hi == 0.0:
@@ -324,6 +286,20 @@ def decompose(
             f"split {lo!r} + {hi!r} does not reproduce the diagonal {theta0!r}"
         )
     return Symbol(lower=sub.with_head(lo), upper=sup.with_head(hi))
+
+
+def _diagonal_log_abs(symbol: Symbol) -> LogValue:
+    """log|theta'_0 + theta''_0| of a two-part symbol: the log of the linear
+    sum while it is finite, else the heads' logs combined, each head signed
+    by its linear value (an overflowed head is +/-inf and keeps its sign)."""
+    total = symbol.diagonal
+    if math.isfinite(total):
+        return log_from_linear(total)
+    lo, hi = symbol.lower, symbol.upper
+    a, b = float(lo.log_abs_array(1)[0]), float(hi.log_abs_array(1)[0])
+    if (lo.values_array(1)[0] > 0) == (hi.values_array(1)[0] > 0):
+        return log_add(a, b)
+    return log_sub(max(a, b), min(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -402,38 +378,25 @@ def column(op: ToeplitzOperator, n: int, n_max: int) -> list[tuple[int, float]]:
     (j, theta_{n-j}) for j <= n.  Full: entrywise sum, i.e. the diagonal
     carries the recombined split.
     """
+    col = _column_entries(op, n, n_max, log=False)
+    return [(j, v) for j, v in enumerate(col, start=1) if v != 0.0]
+
+
+def _column_entries(op: ToeplitzOperator, n: int, n_max: int, log: bool
+                    ) -> list[float]:
+    """Rows 1..n_max of column n: linear entries, or log|entries| when
+    ``log`` is set (absent entries are 0.0, resp. log-zero)."""
     if not 1 <= n <= n_max:
         raise WindowError(f"need 1 <= n <= n_max, got n={n} n_max={n_max}")
-    out: list[tuple[int, float]] = []
-    for j in range(1, n_max + 1):
-        v = _entry(op, n, j)
-        if v != 0.0:
-            out.append((j, v))
-    return out
-
-
-def _entry(op: ToeplitzOperator, n: int, j: int) -> float:
-    if op.variant is Variant.LOWER:
-        return op.symbol.lower.value(j - n) if j >= n else 0.0
-    if op.variant is Variant.UPPER:
-        return op.symbol.upper.value(n - j) if j <= n else 0.0
-    if j > n:
-        return op.symbol.lower.value(j - n)
-    if j < n:
-        return op.symbol.upper.value(n - j)
-    return op.symbol.diagonal
-
-
-def _entry_log_abs(op: ToeplitzOperator, n: int, j: int) -> LogValue:
-    if op.variant is Variant.LOWER:
-        return op.symbol.lower.log_abs(j - n) if j >= n else LOG_ZERO
-    if op.variant is Variant.UPPER:
-        return op.symbol.upper.log_abs(n - j) if j <= n else LOG_ZERO
-    if j > n:
-        return op.symbol.lower.log_abs(j - n)
-    if j < n:
-        return op.symbol.upper.log_abs(n - j)
-    return log_from_linear(op.symbol.diagonal)
+    read = SymbolSpec.log_abs_array if log else SymbolSpec.values_array
+    out = np.full(n_max, LOG_ZERO if log else 0.0)
+    if op.variant is not Variant.UPPER:
+        out[n - 1 :] = read(op.symbol.lower, n_max - n + 1)
+    if op.variant is not Variant.LOWER:
+        out[:n] = read(op.symbol.upper, n)[::-1]
+    if op.variant is Variant.FULL:
+        out[n - 1] = _diagonal_log_abs(op.symbol) if log else op.symbol.diagonal
+    return out.tolist()
 
 
 def column_norm(
@@ -450,13 +413,9 @@ def column_norm(
     seminorms, so this agrees exactly with the seminorm of the scattered
     column.
     """
-    if not 1 <= n <= n_max:
-        raise WindowError(f"need 1 <= n <= n_max, got n={n} n_max={n_max}")
+    logs = _column_entries(op, n, n_max, log=True)
     w = weight_array(op.codomain, k, n_max)
-    terms = []
-    for j in range(1, n_max + 1):
-        la = _entry_log_abs(op, n, j)
-        terms.append(la + w[j - 1] if la != LOG_ZERO else LOG_ZERO)
+    terms = [la + w[j] if la != LOG_ZERO else LOG_ZERO for j, la in enumerate(logs)]
     if norm_kind is NormKind.SUP:
         return log_max(terms)
     return log_sum(terms)
@@ -479,7 +438,7 @@ def _part_offset_logs(op: ToeplitzOperator, count: int) -> list[tuple[np.ndarray
         u = op.symbol.lower.log_abs_array(count)
         if op.variant is Variant.FULL:
             u = u.copy()
-            u[0] = log_from_linear(op.symbol.diagonal)
+            u[0] = _diagonal_log_abs(op.symbol)
         parts.append((u, +1))
     if op.variant in (Variant.UPPER, Variant.FULL):
         u = op.symbol.upper.log_abs_array(count)

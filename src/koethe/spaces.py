@@ -120,21 +120,6 @@ class ExponentSequence:
         """Largest evaluable n, or None when unbounded."""
         return len(self.values) if self.form == "table" else None
 
-    def value(self, n: int) -> float:
-        if n < 1:
-            raise WindowError(f"index n must be >= 1, got {n}")
-        if self.form == "power":
-            return float(n) ** self.p
-        if self.form == "log":
-            return math.log(n + 1)
-        if self.form == "affine":
-            return self.a * n + self.b
-        if n > len(self.values):
-            raise WindowError(
-                f"index n={n} outside tabulated window of length {len(self.values)}"
-            )
-        return self.values[n - 1]
-
     def values_array(self, n_max: int) -> np.ndarray:
         """alpha_1..alpha_{n_max} as a read-only float64 array."""
         return _exponent_values(self, n_max)
@@ -287,20 +272,10 @@ class SpaceDescriptor:
 
 
 def weight(space: SpaceDescriptor, n: int, k: int) -> LogValue:
-    """log a(n, k); nondecreasing in k for fixed n."""
+    """log a(n, k), read from :func:`weight_array`; nondecreasing in k."""
     if n < 1 or k < 1:
         raise WindowError(f"indices must be >= 1, got n={n} k={k}")
-    if space.kind == POWER_SERIES_FINITE:
-        return -space.alpha.value(n) / k
-    if space.kind == POWER_SERIES_INFINITE:
-        return k * space.alpha.value(n)
-    rows = space.weights
-    if n > len(rows) or k > len(rows[0]):
-        raise WindowError(
-            f"(n={n}, k={k}) outside tabulated window "
-            f"{len(rows)}x{len(rows[0])}"
-        )
-    return log_from_linear(rows[n - 1][k - 1])
+    return float(weight_array(space, k, n)[n - 1])
 
 
 @lru_cache(maxsize=1024)

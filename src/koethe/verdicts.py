@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, json_fields
 from .logdomain import LogValue, linear_or_none
 
 
@@ -115,15 +115,14 @@ class Window:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Window":
-        known = {
-            "k_max", "m_max", "n_max", "l_slack", "subadd_m_max", "checkpoints",
-            "plateau_tol", "growth_tol", "series_tail_rel", "series_growth_tol",
-            "dense_cap",
+        kinds = {
+            "k_max": "integer", "m_max": "integer", "n_max": "integer",
+            "l_slack": "integer", "subadd_m_max": "integer",
+            "checkpoints": "integers", "plateau_tol": "number",
+            "growth_tol": "number", "series_tail_rel": "number",
+            "series_growth_tol": "number", "dense_cap": "integer",
         }
-        bad = set(data) - known
-        if bad:
-            raise ConfigurationError(f"unknown window fields: {sorted(bad)}")
-        kwargs = dict(data)
+        kwargs = json_fields(data, kinds, "window")
         if "checkpoints" in kwargs:
             kwargs["checkpoints"] = tuple(kwargs["checkpoints"])
         return cls(**kwargs)

@@ -21,10 +21,11 @@ from koethe.cli import (
     read_vector,
     write_vector,
 )
-from koethe.criteria import SMap
+from koethe.criteria import FamilySpec, SMap
 from koethe.errors import KoetheError
 from koethe.operators import Symbol, SymbolSpec, ToeplitzOperator
 from koethe.spaces import ExponentSequence, SpaceDescriptor
+from koethe.verdicts import Window
 
 L1N = {"kind": "power_series_finite", "alpha": {"form": "power", "p": 1.0}}
 L1N2 = {"kind": "power_series_finite", "alpha": {"form": "power", "p": 2.0}}
@@ -284,6 +285,19 @@ def test_cross_validate_subcommand(capsys):
     assert payload["report"]["agreement"] == "agree"
 
 
+def test_cross_validate_full_diagonal_beyond_float_range(capsys):
+    # the lower head e^{1000} overflows a float; the diagonal stays in log domain
+    log_space = {"kind": "power_series_finite", "alpha": {"form": "log"}}
+    op = {"variant": "full", "domain": log_space, "codomain": log_space,
+          "symbol": {"lower": {"form": "exp_of_exponent", "c": 1000.0,
+                               "alpha": {"form": "affine", "a": 1.0}},
+                     "upper": {"form": "geometric", "r": 0.5}}}
+    code = main(["cross-validate", "--operator", json.dumps(op),
+                 "--property", "continuity", "--n-max", "256"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["report"]["agreement"] == "agree"
+
+
 def test_inline_json_longer_than_filename_limit(capsys):
     # inline operator JSON easily exceeds the OS filename length cap
     op = {"variant": "lower", "domain": L1N, "codomain": L1N2,
@@ -319,6 +333,24 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
     assert err.startswith("error: ") and "missing field" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["family", "tame", "--domain", json.dumps(L1N), "--codomain", json.dumps(L1N2),
+      "--family", "[1]"], "tame.family: family: expected a JSON object"),
+    (["family", "tame", "--domain", json.dumps(L1N), "--codomain", json.dumps(L1N2),
+      "--family", json.dumps({"seed": -1})], "tame.family: family seed must be >= 0"),
+    (base_config(tasks=[{"command": "probe", "operator": "T", "norm": "max"}]),
+     "tasks[0].norm: expected 'sum' or 'sup'"),
+    (base_config(window=5), "window: window: expected a JSON object"),
+], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
+        "window-not-an-object"])
+def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
+    code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "unexpected" not in err and "Traceback" not in err
+
+
 def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
     def boom(*args):
         raise RuntimeError("boom")
@@ -330,10 +362,15 @@ def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
 
 FIELDS = ["kind", "alpha", "weights", "form", "p", "a", "b", "values", "r", "c",
           "d", "head", "lower", "upper", "variant", "symbol", "domain", "codomain"]
+# Window and FamilySpec reject unknown keys, so their objects draw only these
+FLAT_FIELDS = ["k_max", "m_max", "n_max", "l_slack", "subadd_m_max", "checkpoints",
+               "plateau_tol", "growth_tol", "series_tail_rel", "series_growth_tol",
+               "dense_cap", "sampler", "count", "seed", "r_min", "r_max", "signed",
+               "constraint"]
 NAMES = ["power_series_finite", "power_series_infinite", "general_koethe",
          "power", "log", "affine", "table", "explicit", "geometric",
          "exp_of_exponent", "polynomial", "identity", "linear",
-         "lower", "upper", "full"]
+         "lower", "upper", "full", "auto", "space", "dual"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
     | st.sampled_from(NAMES),
@@ -341,13 +378,15 @@ json_values = st.recursive(
     | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=6),
     max_leaves=20,
 )
+decoder_inputs = json_values | st.dictionaries(
+    st.sampled_from(FLAT_FIELDS), json_values, max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=json_values)
+@given(data=decoder_inputs)
 def test_decoders_raise_only_koethe_errors(data):
     for cls in (ExponentSequence, SpaceDescriptor, SymbolSpec, Symbol,
-                ToeplitzOperator, SMap):
+                ToeplitzOperator, SMap, Window, FamilySpec):
         try:
             cls.from_json(data)
         except KoetheError:

@@ -17,6 +17,7 @@ from koethe.operators import (
     ToeplitzOperator,
     Variant,
     _dense_matrix,
+    _part_offset_logs,
     apply_dense,
     apply_fast,
     column,
@@ -26,7 +27,13 @@ from koethe.operators import (
     membership_in_dual,
     membership_in_space,
 )
-from koethe.spaces import ExponentSequence, SpaceDescriptor, seminorm_sum, seminorm_sup
+from koethe.spaces import (
+    ExponentSequence,
+    SpaceDescriptor,
+    seminorm_sum,
+    seminorm_sup,
+    weight,
+)
 from koethe.verdicts import Outcome, Window
 
 ALPHA_N = ExponentSequence.affine(1.0)
@@ -55,34 +62,60 @@ def full_op(lower, upper, domain=L1_N, codomain=L1_N):
 
 
 def test_symbol_forms():
-    assert SymbolSpec.geometric(0.5).value(3) == 0.125
-    assert SymbolSpec.polynomial(2).value(2) == 9.0
-    assert SymbolSpec.explicit([1.0, 2.0]).value(5) == 0.0
+    assert SymbolSpec.geometric(0.5).values_array(4)[3] == 0.125
+    assert SymbolSpec.polynomial(2).values_array(3)[2] == 9.0
+    assert SymbolSpec.explicit([1.0, 2.0]).values_array(6)[5] == 0.0
     exp = SymbolSpec.exp_of_exponent(-1.0, ALPHA_N)
-    assert exp.value(0) == pytest.approx(math.exp(-1.0))
-    assert exp.log_abs(3) == -4.0
+    assert exp.values_array(1)[0] == pytest.approx(math.exp(-1.0))
+    assert exp.log_abs_array(4)[3] == -4.0
 
 
 def test_symbol_log_abs_stays_finite_far_out():
     spec = SymbolSpec.geometric(0.5)
-    assert spec.log_abs(10_000) == 10_000 * math.log(0.5)
+    assert spec.log_abs_array(10_001)[10_000] == 10_000 * math.log(0.5)
     grow = SymbolSpec.exp_of_exponent(1.0, ALPHA_N2)
-    assert grow.log_abs(9_999) == 10_000.0**2
+    assert grow.log_abs_array(10_000)[9_999] == 10_000.0**2
 
 
 def test_symbol_signs():
-    spec = SymbolSpec.geometric(-0.5)
-    assert spec.sign(0) == 1 and spec.sign(1) == -1
-    assert spec.value(1) == -0.5
-    assert SymbolSpec.explicit([0.0, -2.0]).sign(1) == -1
-    assert SymbolSpec.explicit([0.0]).sign(0) == 0
+    vals = SymbolSpec.geometric(-0.5).values_array(2)
+    assert np.sign(vals).tolist() == [1.0, -1.0]
+    assert vals[1] == -0.5
+    assert np.sign(SymbolSpec.explicit([0.0, -2.0]).values_array(2)[1]) == -1
+    assert np.sign(SymbolSpec.explicit([0.0]).values_array(1)[0]) == 0
+
+
+# finite parts whose values stay normal floats on j < 300, so the two
+# evaluators can be compared entry by entry
+signed_parts = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0]).flatmap(
+        lambda s: st.floats(0.1, 1.5).map(lambda r: s * r)).map(SymbolSpec.geometric),
+    st.lists(st.floats(-1e300, 1e300, allow_subnormal=False), max_size=40)
+    .map(SymbolSpec.explicit),
+    st.builds(SymbolSpec.exp_of_exponent, st.floats(-2.0, 2.0),
+              st.sampled_from([ALPHA_N, ExponentSequence.logarithmic(),
+                               ExponentSequence.power(0.5)])),
+    st.integers(-100, 100).map(SymbolSpec.polynomial),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=signed_parts,
+       head=st.none() | st.floats(-1e300, 1e300, allow_subnormal=False),
+       count=st.integers(1, 300))
+def test_value_and_log_evaluators_agree(spec, head, count):
+    if head is not None:
+        spec = spec.with_head(head)
+    vals, logs = spec.values_array(count), spec.log_abs_array(count)
+    nonzero = np.isfinite(vals) & (vals != 0.0)
+    assert np.log(np.abs(vals[nonzero])) == pytest.approx(logs[nonzero], rel=1e-12)
+    assert (logs[vals == 0.0] == LOG_ZERO).all()
 
 
 def test_symbol_head_override():
     spec = SymbolSpec.geometric(0.5).with_head(3.0)
-    assert spec.value(0) == 3.0
-    assert spec.value(1) == 0.5
-    assert spec.log_abs(0) == math.log(3.0)
+    assert spec.values_array(2).tolist() == [3.0, 0.5]
+    assert spec.log_abs_array(1)[0] == math.log(3.0)
     arr = spec.values_array(4)
     assert arr[0] == 3.0 and arr[2] == 0.25
 
@@ -107,8 +140,8 @@ def test_decompose_bookkeeping():
     sub = SymbolSpec.explicit([2.0, 5.0])
     sup = SymbolSpec.explicit([2.0, 7.0])
     sym = decompose(sub, sup, (1.0, 1.0))
-    assert sym.lower.value(0) == 1.0 and sym.lower.value(1) == 5.0
-    assert sym.upper.value(0) == 1.0 and sym.upper.value(1) == 7.0
+    assert sym.lower.values_array(2).tolist() == [1.0, 5.0]
+    assert sym.upper.values_array(2).tolist() == [1.0, 7.0]
     assert sym.diagonal == 2.0
 
 
@@ -128,6 +161,26 @@ def test_decompose_rejects_bad_split():
         decompose(sub, sup, (1.0, 2.0))
     with pytest.raises(InvariantError):
         decompose(sub, SymbolSpec.explicit([3.0]), (1.0, 1.0))
+
+
+def test_full_diagonal_beyond_float_range():
+    # the diagonal is e^{1000} + 1, whose log rounds to 1000
+    log_space = SpaceDescriptor.power_series_finite(ExponentSequence.logarithmic())
+    op = full_op(SymbolSpec.exp_of_exponent(1000.0, ALPHA_N),
+                 SymbolSpec.geometric(0.5), log_space, log_space)
+    assert op.symbol.diagonal == math.inf
+    assert _part_offset_logs(op, 4)[0][0][0] == 1000.0
+    assert column_norm(op, 1, 1, 1, NormKind.SUP) == 1000.0 + weight(log_space, 1, 1)
+
+
+def test_full_diagonal_overflow_keeps_head_signs():
+    # e^{710} overflows; 1e308 is a sizeable fraction of it
+    lower = SymbolSpec.exp_of_exponent(710.0, ALPHA_N)
+    scale = math.exp(710.0 - math.log(1e308))
+    for head, expected in ((1e308, scale + 1.0), (-1e308, scale - 1.0)):
+        op = full_op(lower, SymbolSpec.explicit([head]))
+        got = _part_offset_logs(op, 1)[0][0][0]
+        assert got == pytest.approx(math.log(1e308) + math.log(expected), rel=1e-12)
 
 
 def test_symbol_invariant_both_heads_nonzero():

@@ -106,7 +106,7 @@ def test_kernels_agree_on_random_operators(variant, lower, upper, domain,
                                            codomain, k, n, norm):
     if variant is Variant.FULL:
         # a full symbol splits its diagonal into two nonzero halves
-        lower = lower if lower.value(0) != 0.0 else lower.with_head(1.0)
-        upper = upper if upper.value(0) != 0.0 else upper.with_head(1.0)
+        lower = lower if lower.values_array(1)[0] != 0.0 else lower.with_head(1.0)
+        upper = upper if upper.values_array(1)[0] != 0.0 else upper.with_head(1.0)
     op = make_op(variant, lower, upper, domain, codomain)
     assert_kernels_agree(op, k, n, norm)

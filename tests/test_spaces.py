@@ -47,10 +47,10 @@ def space_strategy():
 
 
 def test_exponent_forms():
-    assert ExponentSequence.power(0.5).value(4) == 2.0
-    assert ExponentSequence.logarithmic().value(1) == math.log(2)
-    assert ExponentSequence.affine(2.0, 1.0).value(3) == 7.0
-    assert ExponentSequence.table([0.0, 1.0, 5.0]).value(3) == 5.0
+    assert ExponentSequence.power(0.5).values_array(4)[3] == 2.0
+    assert ExponentSequence.logarithmic().values_array(1)[0] == math.log(2)
+    assert ExponentSequence.affine(2.0, 1.0).values_array(3)[2] == 7.0
+    assert ExponentSequence.table([0.0, 1.0, 5.0]).values_array(3)[2] == 5.0
 
 
 def test_exponent_validation():
@@ -67,7 +67,7 @@ def test_exponent_validation():
 def test_table_window_error():
     tab = ExponentSequence.table([0.0, 1.0])
     with pytest.raises(WindowError):
-        tab.value(3)
+        tab.values_array(3)
     with pytest.raises(WindowError):
         tab.values_array(10)
 
