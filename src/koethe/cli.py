@@ -33,7 +33,7 @@ from .criteria import (
     tame_condition_certify,
     tameness_check,
 )
-from .errors import ConfigurationError, KoetheError
+from .errors import ConfigurationError, KoetheError, json_field, json_object
 from .operators import (
     NormKind,
     Symbol,
@@ -116,7 +116,7 @@ def _load_json_arg(value: str) -> Any:
     if value.startswith("@") or is_file:
         try:
             text = Path(candidate).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read {candidate!r}: {exc}") from exc
     try:
         return json.loads(text)
@@ -126,8 +126,12 @@ def _load_json_arg(value: str) -> Any:
 
 def read_vector(path: str | Path) -> np.ndarray:
     """Plain-text vector: one coefficient per line, index 1 first."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {str(path)!r}: {exc}") from exc
     values = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -169,26 +173,23 @@ def _decode(cls: Any, data: Any, path: str) -> Any:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-def _resolve_space(ref: Any, path: str,
-                   spaces: Mapping[str, SpaceDescriptor]) -> SpaceDescriptor:
+def _resolve(ref: Any, path: str, table: Mapping[str, Any], cls: Any,
+             what: str) -> Any:
+    """The ``what`` named ``ref`` in ``table``, or ``ref`` decoded by ``cls``."""
     if isinstance(ref, str):
-        if ref not in spaces:
-            raise ConfigurationError(f"{path}: unknown space {ref!r}")
-        return spaces[ref]
+        if ref not in table:
+            raise ConfigurationError(f"{path}: unknown {what} {ref!r}")
+        return table[ref]
     if isinstance(ref, Mapping):
-        return _decode(SpaceDescriptor, ref, path)
-    raise ConfigurationError(f"{path}: expected a space name or object")
+        return _decode(cls, ref, path)
+    raise ConfigurationError(f"{path}: expected a name or object")
 
 
-def _resolve_symbol(ref: Any, path: str,
-                    symbols: Mapping[str, Symbol]) -> Symbol:
-    if isinstance(ref, str):
-        if ref not in symbols:
-            raise ConfigurationError(f"{path}: unknown symbol {ref!r}")
-        return symbols[ref]
-    if isinstance(ref, Mapping):
-        return _decode(Symbol, ref, path)
-    raise ConfigurationError(f"{path}: expected a symbol name or object")
+def _field(data: Mapping[str, Any], key: str, kind: str, path: str,
+           default: Any = None) -> Any:
+    """``data[key]`` of the JSON ``kind`` (see ``errors.json_field``), or
+    ``default`` when the key is absent."""
+    return json_field(data, key, kind, f"{path}.{key}") if key in data else default
 
 
 def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
@@ -199,12 +200,12 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
     window = _decode(Window, data.get("window", {}), "window")
 
     spaces = {name: _decode(SpaceDescriptor, spec, f"spaces.{name}")
-              for name, spec in dict(data.get("spaces", {})).items()}
+              for name, spec in json_object(data.get("spaces", {}), "spaces").items()}
     symbols = {name: _decode(Symbol, spec, f"symbols.{name}")
-               for name, spec in dict(data.get("symbols", {})).items()}
+               for name, spec in json_object(data.get("symbols", {}), "symbols").items()}
 
     operators: dict[str, ToeplitzOperator] = {}
-    for name, spec in dict(data.get("operators", {})).items():
+    for name, spec in json_object(data.get("operators", {}), "operators").items():
         path = f"operators.{name}"
         if not isinstance(spec, Mapping):
             raise ConfigurationError(f"{path}: expected an object")
@@ -212,10 +213,11 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
             variant = Variant(spec["variant"])
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"{path}.variant: {exc}") from exc
-        domain = _resolve_space(spec.get("domain"), f"{path}.domain", spaces)
-        codomain = _resolve_space(spec.get("codomain"), f"{path}.codomain",
-                                  spaces)
-        symbol = _resolve_symbol(spec.get("symbol"), f"{path}.symbol", symbols)
+        domain, codomain = (
+            _resolve(spec.get(key), f"{path}.{key}", spaces, SpaceDescriptor, "space")
+            for key in ("domain", "codomain"))
+        symbol = _resolve(spec.get("symbol"), f"{path}.symbol", symbols, Symbol,
+                          "symbol")
         try:
             operators[name] = ToeplitzOperator(symbol, variant, domain, codomain)
         except KoetheError as exc:
@@ -228,11 +230,11 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
         if not isinstance(task, Mapping) or "command" not in task:
             raise ConfigurationError(f"tasks[{i}]: needs a 'command' field")
 
-    output = dict(data.get("output", {}))
-    out_dir = Path(output.get("dir", "out"))
+    output = json_object(data.get("output", {}), "output")
+    out_dir = Path(_field(output, "dir", "string", "output", "out"))
     if base_dir is not None and not out_dir.is_absolute():
         out_dir = base_dir / out_dir
-    formats = tuple(output.get("formats", ["json", "csv"]))
+    formats = tuple(_field(output, "formats", "strings", "output", ["json", "csv"]))
     bad = [f for f in formats if f not in ("json", "csv")]
     if bad:
         raise ConfigurationError(f"output.formats: unknown format {bad[0]!r}")
@@ -249,32 +251,27 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
 # ---------------------------------------------------------------------------
 
 
-def _get_operator(cfg: ExperimentConfig, task: Mapping[str, Any], path: str
-                  ) -> ToeplitzOperator:
-    ref = task.get("operator")
-    if isinstance(ref, str):
-        if ref not in cfg.operators:
-            raise ConfigurationError(f"{path}.operator: unknown operator {ref!r}")
-        return cfg.operators[ref]
-    if isinstance(ref, Mapping):
-        return _decode(ToeplitzOperator, ref, f"{path}.operator")
-    raise ConfigurationError(f"{path}.operator: expected a name or object")
+def _space(cfg: ExperimentConfig, task, path, key: str) -> SpaceDescriptor:
+    return _resolve(task.get(key), f"{path}.{key}", cfg.spaces, SpaceDescriptor,
+                    "space")
 
 
-def _verdict_status(outcome: Outcome) -> str:
-    return _OUTCOME_STATUS[outcome]
+def _operator(cfg: ExperimentConfig, task, path) -> ToeplitzOperator:
+    return _resolve(task.get("operator"), f"{path}.operator", cfg.operators,
+                    ToeplitzOperator, "operator")
 
 
 def _run_space_check(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
-    space = _resolve_space(task.get("space"), f"{path}.space", cfg.spaces)
-    checks = task.get("checks", ["nuclearity", "stability", "subadditivity"])
+    space = _space(cfg, task, path, "space")
+    checks = _field(task, "checks", "strings", path,
+                    ["nuclearity", "stability", "subadditivity"])
     report: dict[str, Any] = {}
     statuses = []
     for check in checks:
         if check == "nuclearity":
             verdict = nuclearity_verdict(space, cfg.window)
             report["nuclearity"] = verdict.to_json()
-            statuses.append(_verdict_status(verdict.outcome))
+            statuses.append(_OUTCOME_STATUS[verdict.outcome])
         elif check in ("stability", "subadditivity"):
             if not space.is_power_series:
                 report[check] = {"applicable": False}
@@ -298,20 +295,19 @@ _SEVERITY_ORDER = [_STATUS_CONFLICT, _STATUS_FAILS, _STATUS_INCONCLUSIVE, _STATU
 
 
 def _worst_status(statuses: Sequence[str]) -> str:
-    if not statuses:
-        return _STATUS_OK
-    return sorted(statuses, key=_SEVERITY_ORDER.index)[0]
+    return min(statuses, key=_SEVERITY_ORDER.index, default=_STATUS_OK)
 
 
 def _run_membership(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
-    symbol = _resolve_symbol(task.get("symbol"), f"{path}.symbol", cfg.symbols)
+    symbol = _resolve(task.get("symbol"), f"{path}.symbol", cfg.symbols, Symbol,
+                      "symbol")
     part = task.get("part", "lower")
     if part not in ("lower", "upper"):
         raise ConfigurationError(f"{path}.part: expected 'lower' or 'upper'")
     spec = symbol.lower if part == "lower" else symbol.upper
     if spec is None:
         raise ConfigurationError(f"{path}.part: symbol has no {part} part")
-    space = _resolve_space(task.get("space"), f"{path}.space", cfg.spaces)
+    space = _space(cfg, task, path, "space")
     target = task.get("target", "space")
     if target == "space":
         verdict = membership_in_space(spec, space, cfg.window)
@@ -319,24 +315,30 @@ def _run_membership(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
         verdict = membership_in_dual(spec, space, cfg.window)
     else:
         raise ConfigurationError(f"{path}.target: expected 'space' or 'dual'")
-    return _verdict_status(verdict.outcome), {
+    return _OUTCOME_STATUS[verdict.outcome], {
         "part": part, "target": target, "verdict": verdict.to_json(),
     }
 
 
-def _run_certify(cfg: ExperimentConfig, task, path, prop: str) -> tuple[str, dict]:
-    op = _get_operator(cfg, task, path)
+def _run_certify(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
+    op = _operator(cfg, task, path)
+    prop = task["command"].removeprefix("certify-")
     report = (continuity_verdict if prop == CONTINUITY
               else compactness_verdict)(op, cfg.window)
-    return _verdict_status(report.outcome), report.to_json()
+    return _OUTCOME_STATUS[report.outcome], report.to_json()
+
+
+def _integers(task, key: str, default: list[int], path: str) -> list[int]:
+    """An integer or an array of integers at ``task[key]``, as a list."""
+    value = task.get(key, default)
+    return list(json_field({key: [value] if isinstance(value, int) else value},
+                           key, "integers", f"{path}.{key}"))
 
 
 def _run_probe(cfg: ExperimentConfig, task, path) -> tuple[str, dict, list[str]]:
-    op = _get_operator(cfg, task, path)
-    ks = task.get("k", list(range(1, cfg.window.k_max + 1)))
-    ms = task.get("m", [1])
-    ks = [ks] if isinstance(ks, int) else list(ks)
-    ms = [ms] if isinstance(ms, int) else list(ms)
+    op = _operator(cfg, task, path)
+    ks = _integers(task, "k", list(range(1, cfg.window.k_max + 1)), path)
+    ms = _integers(task, "m", [1], path)
     norm = task.get("norm")
     try:
         kind = NormKind(norm) if norm else None
@@ -352,12 +354,13 @@ def _run_probe(cfg: ExperimentConfig, task, path) -> tuple[str, dict, list[str]]
 
 
 def _run_apply(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
-    op = _get_operator(cfg, task, path)
-    source = task.get("input")
+    op = _operator(cfg, task, path)
+    source = _field(task, "input", "string", path)
     if not source:
         raise ConfigurationError(f"{path}.input: vector file required")
+    n = _field(task, "n", "integer", path)
     x = read_vector(source)
-    n = task.get("n", len(x))
+    n = len(x) if n is None else n
     method = task.get("method", "fast")
     if method == "fast":
         y = apply_fast(op, x, n)
@@ -368,7 +371,7 @@ def _run_apply(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     overflow = bool(~np.isfinite(y).all())
     out_file = task.get("output")
     if out_file:
-        write_vector(out_file, y)
+        write_vector(json_field(task, "output", "string", f"{path}.output"), y)
     return _STATUS_OK, {
         "method": method, "n": int(n), "overflow": overflow,
         "output": out_file, "values": None if out_file else [float(v) for v in y],
@@ -380,9 +383,8 @@ def _run_tame(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
         variant = Variant(task.get("variant", "lower"))
     except ValueError as exc:
         raise ConfigurationError(f"{path}.variant: {exc}") from exc
-    domain = _resolve_space(task.get("domain"), f"{path}.domain", cfg.spaces)
-    codomain = _resolve_space(task.get("codomain"), f"{path}.codomain",
-                              cfg.spaces)
+    domain = _space(cfg, task, path, "domain")
+    codomain = _space(cfg, task, path, "codomain")
     family_data = task.get("family", {})
     if cfg.seed is not None and isinstance(family_data, Mapping):
         family_data = {**family_data, "seed": cfg.seed}
@@ -391,13 +393,12 @@ def _run_tame(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     report = tameness_check(family, s_map,
                             OperatorTemplate(variant, domain, codomain),
                             cfg.window)
-    return _verdict_status(report.outcome), report.to_json()
+    return _OUTCOME_STATUS[report.outcome], report.to_json()
 
 
 def _run_tame_condition(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
-    domain = _resolve_space(task.get("domain"), f"{path}.domain", cfg.spaces)
-    codomain = _resolve_space(task.get("codomain"), f"{path}.codomain",
-                              cfg.spaces)
+    domain = _space(cfg, task, path, "domain")
+    codomain = _space(cfg, task, path, "codomain")
     try:
         direction = Variant(task.get("direction", "lower"))
     except ValueError as exc:
@@ -405,12 +406,16 @@ def _run_tame_condition(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     s_map = _decode(SMap, task.get("s_map", {"form": "identity"}), f"{path}.s_map")
     report = tame_condition_certify(s_map, domain, codomain, direction,
                                     cfg.window)
-    return _verdict_status(report.verdict.outcome), report.to_json()
+    return _OUTCOME_STATUS[report.verdict.outcome], report.to_json()
 
 
 def _run_cross_validate(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
-    op = _get_operator(cfg, task, path)
+    op = _operator(cfg, task, path)
     prop = task.get("property", COMPACTNESS)
+    if prop not in (CONTINUITY, COMPACTNESS):
+        raise ConfigurationError(
+            f"{path}.property: expected {CONTINUITY!r} or {COMPACTNESS!r}, "
+            f"got {prop!r}")
     report = cross_validate(op, cfg.window, prop)
     if report.agreement is Agreement.AGREE:
         status = _STATUS_OK
@@ -421,52 +426,60 @@ def _run_cross_validate(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     return status, report.to_json()
 
 
-def run_tasks(cfg: ExperimentConfig) -> tuple[int, list[dict[str, Any]]]:
-    """Execute tasks in order; returns (exit code, per-task summaries)."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    statuses = []
-    for i, task in enumerate(cfg.tasks):
-        path = f"tasks[{i}]"
-        command = task["command"]
-        csv_rows: list[str] | None = None
-        if command == "space-check":
-            status, report = _run_space_check(cfg, task, path)
-        elif command == "membership":
-            status, report = _run_membership(cfg, task, path)
-        elif command == "certify-continuity":
-            status, report = _run_certify(cfg, task, path, CONTINUITY)
-        elif command == "certify-compactness":
-            status, report = _run_certify(cfg, task, path, COMPACTNESS)
-        elif command == "probe":
-            status, report, csv_rows = _run_probe(cfg, task, path)
-        elif command == "apply":
-            status, report = _run_apply(cfg, task, path)
-        elif command == "tame":
-            status, report = _run_tame(cfg, task, path)
-        elif command == "tame-condition":
-            status, report = _run_tame_condition(cfg, task, path)
-        elif command == "cross-validate":
-            status, report = _run_cross_validate(cfg, task, path)
-        else:
+def _run_task(cfg: ExperimentConfig, task: Mapping[str, Any], path: str
+              ) -> tuple[str, dict, list[str] | None]:
+    """Run one task: (status, report, CSV rows or None).
+
+    The one dispatch on a task's command.  Each handler is looked up as a
+    module global on every call, so rebinding ``cli._run_*`` (tracing,
+    tests) reaches every task, whether it came from a config or from argv.
+    """
+    match task["command"]:
+        case "probe":
+            return _run_probe(cfg, task, path)
+        case "space-check":
+            handler = _run_space_check
+        case "membership":
+            handler = _run_membership
+        case "certify-continuity" | "certify-compactness":
+            handler = _run_certify
+        case "apply":
+            handler = _run_apply
+        case "tame":
+            handler = _run_tame
+        case "tame-condition":
+            handler = _run_tame_condition
+        case "cross-validate":
+            handler = _run_cross_validate
+        case command:
             raise ConfigurationError(f"{path}.command: unknown command {command!r}")
-        payload = {"task": i, "command": command, "status": status,
-                   "report": report}
+    return (*handler(cfg, task, path), None)
+
+
+def _csv_text(rows: Sequence[str]) -> str:
+    return "\n".join(rows) + "\n"
+
+
+def run_tasks(cfg: ExperimentConfig) -> dict[str, Any]:
+    """Execute tasks in order, writing per-task reports; returns the run
+    summary (exit code and per-task statuses)."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for i, task in enumerate(cfg.tasks):
+        status, report, csv_rows = _run_task(cfg, task, f"tasks[{i}]")
+        entry = {"task": i, "command": task["command"], "status": status}
+        name = f"task-{i:02d}-{task['command']}"
         if "json" in cfg.formats:
-            name = f"task-{i:02d}-{command}.json"
-            (cfg.out_dir / name).write_text(_dumps(payload))
+            (cfg.out_dir / f"{name}.json").write_text(
+                _dumps({**entry, "report": report}))
         if csv_rows is not None and "csv" in cfg.formats:
-            name = f"task-{i:02d}-{command}.csv"
-            (cfg.out_dir / name).write_text("\n".join(csv_rows) + "\n")
-        results.append(payload)
-        statuses.append(status)
-    code = exit_code_for(statuses)
-    summary = {"exit_code": code,
-               "tasks": [{"task": r["task"], "command": r["command"],
-                          "status": r["status"]} for r in results]}
+            (cfg.out_dir / f"{name}.csv").write_text(_csv_text(csv_rows))
+        entries.append(entry)
+    summary = {"exit_code": exit_code_for([e["status"] for e in entries]),
+               "tasks": entries}
     if "json" in cfg.formats:
         (cfg.out_dir / "summary.json").write_text(_dumps(summary))
-    return code, results
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +509,15 @@ def _add_window_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
 
 
+def _task_parser(sub, name: str, task: str, label: str,
+                 **kwargs: Any) -> argparse.ArgumentParser:
+    """A direct subcommand that runs one ``task`` command; ``label`` prefixes
+    its error messages where a config run names ``tasks[i]``."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(task=task, label=label)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koethe",
@@ -512,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spaces_cmd = sub.add_parser("spaces", help="Space-level checks")
     spaces_sub = spaces_cmd.add_subparsers(dest="subcommand", required=True)
-    check_cmd = spaces_sub.add_parser("check")
+    check_cmd = _task_parser(spaces_sub, "check", "space-check", "spaces-check")
     check_cmd.add_argument("--space", required=True)
     check_cmd.add_argument("--checks", nargs="+",
                            default=["nuclearity", "stability", "subadditivity"])
@@ -520,66 +542,72 @@ def build_parser() -> argparse.ArgumentParser:
 
     symbol_cmd = sub.add_parser("symbol", help="Symbol-level checks")
     symbol_sub = symbol_cmd.add_subparsers(dest="subcommand", required=True)
-    memb_cmd = symbol_sub.add_parser("membership")
+    memb_cmd = _task_parser(symbol_sub, "membership", "membership", "membership")
     memb_cmd.add_argument("--symbol", required=True)
     memb_cmd.add_argument("--part", choices=["lower", "upper"], default="lower")
     memb_cmd.add_argument("--space", required=True)
-    memb_cmd.add_argument("--target", dest="target",
-                          choices=["space", "dual"], default="space")
+    memb_cmd.add_argument("--target", choices=["space", "dual"], default="space")
     _add_window_flags(memb_cmd)
 
     op_cmd = sub.add_parser("operator", help="Operator-level checks")
     op_sub = op_cmd.add_subparsers(dest="subcommand", required=True)
-    cert_cmd = op_sub.add_parser("certify")
+    # --property picks the task command: certify-continuity or certify-compactness
+    cert_cmd = _task_parser(op_sub, "certify", "certify-{property}", "certify")
     cert_cmd.add_argument("--operator", required=True)
-    cert_cmd.add_argument("--property", dest="prop",
-                          choices=[CONTINUITY, COMPACTNESS], required=True)
+    cert_cmd.add_argument("--property", choices=[CONTINUITY, COMPACTNESS],
+                          required=True)
     _add_window_flags(cert_cmd)
-    probe_cmd = op_sub.add_parser("probe")
+    probe_cmd = _task_parser(op_sub, "probe", "probe", "probe")
     probe_cmd.add_argument("--operator", required=True)
     probe_cmd.add_argument("--k", type=int, nargs="+", default=None)
     probe_cmd.add_argument("--m", type=int, nargs="+", default=[1])
     probe_cmd.add_argument("--norm", choices=["sum", "sup"], default=None)
     probe_cmd.add_argument("--out", default=None, help="CSV destination")
     _add_window_flags(probe_cmd)
-    apply_cmd = op_sub.add_parser("apply")
+    apply_cmd = _task_parser(op_sub, "apply", "apply", "apply")
     apply_cmd.add_argument("--operator", required=True)
     apply_cmd.add_argument("--input", required=True)
     apply_cmd.add_argument("--method", choices=["fast", "dense"], default="fast")
     apply_cmd.add_argument("--n", type=int, default=None)
-    apply_cmd.add_argument("--out", default=None)
+    apply_cmd.add_argument("--out", dest="output", metavar="OUT", default=None)
     _add_window_flags(apply_cmd)
 
     family_cmd = sub.add_parser("family", help="Operator-family checks")
     family_sub = family_cmd.add_subparsers(dest="subcommand", required=True)
-    tame_cmd = family_sub.add_parser("tame")
+    tame_cmd = _task_parser(family_sub, "tame", "tame", "tame")
     tame_cmd.add_argument("--variant", choices=["lower", "upper", "full"],
                           default="lower")
     tame_cmd.add_argument("--domain", required=True)
     tame_cmd.add_argument("--codomain", required=True)
     tame_cmd.add_argument("--family", default="{}")
-    tame_cmd.add_argument("--s-map", dest="s_map", default='{"form":"identity"}')
+    tame_cmd.add_argument("--s-map", default='{"form":"identity"}')
     _add_window_flags(tame_cmd)
 
-    cross_cmd = sub.add_parser("cross-validate",
-                               help="Theorem route versus raw oracle")
+    cross_cmd = _task_parser(sub, "cross-validate", "cross-validate",
+                             "cross-validate", help="Theorem route versus raw oracle")
     cross_cmd.add_argument("--operator", required=True)
-    cross_cmd.add_argument("--property", dest="prop",
-                           choices=[CONTINUITY, COMPACTNESS],
+    cross_cmd.add_argument("--property", choices=[CONTINUITY, COMPACTNESS],
                            default=COMPACTNESS)
     _add_window_flags(cross_cmd)
 
     return parser
 
 
-def _single_task_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config shell for direct subcommands; no files are written through it."""
-    return ExperimentConfig(
-        spaces={}, symbols={}, operators={},
-        window=_window_from_args(args),
-        tasks=[], out_dir=Path("."), formats=(),
-        seed=getattr(args, "seed", None),
-    )
+#: namespace fields of a direct subcommand that are not fields of its task
+_NOT_TASK_FIELDS = {"command", "subcommand", "task", "label", "out",
+                    "n_max", "k_max", "m_max", "seed"}
+#: task fields given as inline JSON or a JSON file
+_JSON_FIELDS = {"space", "symbol", "operator", "domain", "codomain", "family",
+                "s_map"}
+
+
+def _task_from_args(args: argparse.Namespace) -> dict[str, Any]:
+    """The ``koethe run`` task that a direct subcommand stands for."""
+    task = {key: _load_json_arg(value) if key in _JSON_FIELDS else value
+            for key, value in vars(args).items()
+            if value is not None and key not in _NOT_TASK_FIELDS}
+    task["command"] = args.task.format(**task)
+    return task
 
 
 def _emit(payload: Any) -> None:
@@ -607,81 +635,23 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.format:
                 cfg.formats = (("json", "csv") if args.format == "both"
                                else (args.format,))
-            code, results = run_tasks(cfg)
-            _emit({"exit_code": code,
-                   "tasks": [{"task": r["task"], "command": r["command"],
-                              "status": r["status"]} for r in results]})
-            return code
+            summary = run_tasks(cfg)
+            _emit(summary)
+            return summary["exit_code"]
 
-        if args.command == "spaces":
-            cfg = _single_task_config(args)
-            status, report = _run_space_check(
-                cfg, {"space": _load_json_arg(args.space), "checks": args.checks},
-                "spaces-check")
+        # a direct subcommand: one task, no files written but its own outputs
+        cfg = ExperimentConfig(spaces={}, symbols={}, operators={},
+                               window=_window_from_args(args), tasks=[],
+                               out_dir=Path("."), formats=(), seed=args.seed)
+        status, report, rows = _run_task(cfg, _task_from_args(args), args.label)
+        if rows is None:
             _emit({"status": status, "report": report})
-            return exit_code_for([status])
-
-        if args.command == "symbol":
-            cfg = _single_task_config(args)
-            status, report = _run_membership(
-                cfg, {"symbol": _load_json_arg(args.symbol), "part": args.part,
-                      "space": _load_json_arg(args.space), "target": args.target},
-                "membership")
-            _emit({"status": status, "report": report})
-            return exit_code_for([status])
-
-        if args.command == "operator":
-            cfg = _single_task_config(args)
-            op_data = _load_json_arg(args.operator)
-            if args.subcommand == "certify":
-                status, report = _run_certify(
-                    cfg, {"operator": op_data}, "certify", args.prop)
-                _emit({"status": status, "report": report})
-                return exit_code_for([status])
-            if args.subcommand == "probe":
-                task = {"operator": op_data, "m": args.m}
-                if args.k is not None:
-                    task["k"] = args.k
-                if args.norm:
-                    task["norm"] = args.norm
-                status, report, rows = _run_probe(cfg, task, "probe")
-                if args.out:
-                    Path(args.out).write_text("\n".join(rows) + "\n")
-                    _emit({"status": status, "csv": args.out})
-                else:
-                    sys.stdout.write("\n".join(rows) + "\n")
-                return exit_code_for([status])
-            if args.subcommand == "apply":
-                task = {"operator": op_data, "input": args.input,
-                        "method": args.method, "output": args.out}
-                if args.n is not None:
-                    task["n"] = args.n
-                status, report = _run_apply(cfg, task, "apply")
-                _emit({"status": status, "report": report})
-                return exit_code_for([status])
-
-        if args.command == "family":
-            cfg = _single_task_config(args)
-            task = {
-                "variant": args.variant,
-                "domain": _load_json_arg(args.domain),
-                "codomain": _load_json_arg(args.codomain),
-                "family": _load_json_arg(args.family),
-                "s_map": _load_json_arg(args.s_map),
-            }
-            status, report = _run_tame(cfg, task, "tame")
-            _emit({"status": status, "report": report})
-            return exit_code_for([status])
-
-        if args.command == "cross-validate":
-            cfg = _single_task_config(args)
-            status, report = _run_cross_validate(
-                cfg, {"operator": _load_json_arg(args.operator),
-                      "property": args.prop}, "cross-validate")
-            _emit({"status": status, "report": report})
-            return exit_code_for([status])
-
-        raise ConfigurationError(f"unhandled command {args.command!r}")
+        elif args.out:
+            Path(args.out).write_text(_csv_text(rows))
+            _emit({"status": status, "csv": args.out})
+        else:
+            sys.stdout.write(_csv_text(rows))
+        return exit_code_for([status])
     except KoetheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

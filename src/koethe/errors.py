@@ -65,6 +65,8 @@ _KINDS = {
     "boolean": ("a boolean", lambda v: isinstance(v, bool)),
     "object": ("an object", lambda v: isinstance(v, Mapping)),
     "string": ("a string", lambda v: isinstance(v, str)),
+    "strings": ("an array of strings",
+                lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v)),
 }
 
 

@@ -341,8 +341,26 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
     (base_config(tasks=[{"command": "probe", "operator": "T", "norm": "max"}]),
      "tasks[0].norm: expected 'sum' or 'sup'"),
     (base_config(window=5), "window: window: expected a JSON object"),
+    (base_config(tasks=[{"command": "probe", "operator": "T", "k": "x"}]),
+     "tasks[0].k: "),
+    (base_config(tasks=[{"command": "probe", "operator": "T", "m": 1.5}]),
+     "tasks[0].m: "),
+    (base_config(tasks=[{"command": "apply", "operator": "T", "input": "x.txt",
+                         "n": "x"}]), "tasks[0].n: "),
+    (base_config(tasks=[{"command": "apply", "operator": "T", "input": 5}]),
+     "tasks[0].input: "),
+    (base_config(tasks=[{"command": "space-check", "space": "A", "checks": 5}]),
+     "tasks[0].checks: "),
+    (base_config(tasks=[{"command": "cross-validate", "operator": "T",
+                         "property": "x"}]), "tasks[0].property: "),
+    (base_config(spaces=[1]), "spaces: expected a JSON object"),
+    (base_config(output="x"), "output: expected a JSON object"),
+    (base_config(output={"dir": 5}), "output.dir: "),
 ], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
-        "window-not-an-object"])
+        "window-not-an-object", "probe-k-not-integers", "probe-m-not-integers",
+        "apply-n-not-an-integer", "apply-input-not-a-path", "checks-not-an-array",
+        "unknown-cross-validate-property", "spaces-not-an-object",
+        "output-not-an-object", "output-dir-not-a-string"])
 def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
     code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
     assert code == EXIT_USAGE
@@ -351,13 +369,95 @@ def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys)
     assert "unexpected" not in err and "Traceback" not in err
 
 
-def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\n"],
+                         ids=["missing", "not-utf8"])
+def test_unreadable_vector_file_is_a_usage_error(content, tmp_path, capsys):
+    source = tmp_path / "x.txt"
+    if content is not None:
+        source.write_bytes(content)
+    op = {"variant": "lower", "domain": L1N, "codomain": L1N, "symbol": DELTA}
+    assert main(["operator", "apply", "--operator", json.dumps(op),
+                 "--input", str(source)]) == EXIT_USAGE
+    config = base_config(tasks=[{"command": "apply", "operator": "T",
+                                 "input": str(source)}])
+    assert run_config(tmp_path, config) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith(f"error: cannot read {str(source)!r}") for line in err)
+
+
+def test_unreadable_json_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["spaces", "check", "--space", f"@{path}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {str(path)!r}")
+    assert "unexpected" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("via_run", [False, True], ids=["direct", "run"])
+def test_unexpected_exception_is_a_usage_error(via_run, tmp_path, monkeypatch,
+                                               capsys):
     def boom(*args):
         raise RuntimeError("boom")
 
+    # handlers are looked up on every task, so the rebinding reaches both paths
     monkeypatch.setattr(cli, "_run_space_check", boom)
-    assert main(["spaces", "check", "--space", json.dumps(L1N)]) == EXIT_USAGE
+    if via_run:
+        config = base_config(tasks=[{"command": "space-check", "space": "A"}])
+        assert run_config(tmp_path, config) == EXIT_USAGE
+    else:
+        assert main(["spaces", "check", "--space", json.dumps(L1N)]) == EXIT_USAGE
     assert "error: unexpected RuntimeError: boom" in capsys.readouterr().err
+
+
+# -- a direct subcommand is the one-task config it stands for ------------------------
+
+OP = {"variant": "lower", "domain": L1N, "codomain": L1N2, "symbol": GEO}
+OP_DELTA = {"variant": "lower", "domain": L1N, "codomain": L1N, "symbol": DELTA}
+FAMILY = {"count": 2, "seed": 1}
+PARITY = {
+    "space-check": (["spaces", "check", "--space", json.dumps(L1N)],
+                    {"space": L1N}),
+    "membership": (["symbol", "membership", "--symbol", json.dumps(GEO),
+                    "--space", json.dumps(L1N2), "--target", "dual"],
+                   {"symbol": GEO, "space": L1N2, "target": "dual"}),
+    "certify-continuity": (["operator", "certify", "--operator", json.dumps(OP),
+                            "--property", "continuity"], {"operator": OP}),
+    "certify-compactness": (["operator", "certify", "--operator", json.dumps(OP),
+                             "--property", "compactness"], {"operator": OP}),
+    "probe": (["operator", "probe", "--operator", json.dumps(OP), "--k", "1", "2",
+               "--norm", "sup"], {"operator": OP, "k": [1, 2], "norm": "sup"}),
+    "apply": (["operator", "apply", "--operator", json.dumps(OP_DELTA),
+               "--input", "x.txt", "--method", "dense"],
+              {"operator": OP_DELTA, "input": "x.txt", "method": "dense"}),
+    "tame": (["family", "tame", "--domain", json.dumps(L1N),
+              "--codomain", json.dumps(L1N2), "--family", json.dumps(FAMILY)],
+             {"domain": L1N, "codomain": L1N2, "family": FAMILY}),
+    "cross-validate": (["cross-validate", "--operator", json.dumps(OP),
+                        "--property", "continuity"],
+                       {"operator": OP, "property": "continuity"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARITY))
+def test_direct_subcommand_equals_one_task_run(command, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    write_vector("x.txt", [1.0, -2.0, 0.5])
+    argv, fields = PARITY[command]
+    flags = ["--n-max", "256", "--k-max", "3", "--m-max", "8"]
+    direct_code = main([*argv, *flags])
+    direct_out = capsys.readouterr().out
+    config = {"tasks": [{"command": command, **fields}], "output": {"dir": "out"}}
+    assert run_config(tmp_path, config, flags) == direct_code
+    name = f"out/task-00-{command}"
+    if command == "probe":
+        assert direct_out == (tmp_path / f"{name}.csv").read_text()
+    else:
+        task = json.loads((tmp_path / f"{name}.json").read_text())
+        assert json.loads(direct_out) == {"status": task["status"],
+                                          "report": task["report"]}
 
 
 FIELDS = ["kind", "alpha", "weights", "form", "p", "a", "b", "values", "r", "c",
