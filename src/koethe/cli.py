@@ -144,8 +144,15 @@ def read_vector(path: str | Path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def write_vector(path: str | Path, values: Sequence[float]) -> None:
-    Path(path).write_text("".join(f"{float(v)!r}\n" for v in values))
+    _write_text(path, "".join(f"{float(v)!r}\n" for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +335,21 @@ def _run_certify(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     return _OUTCOME_STATUS[report.outcome], report.to_json()
 
 
-def _integers(task, key: str, default: list[int], path: str) -> list[int]:
-    """An integer or an array of integers at ``task[key]``, as a list."""
+def _gradings(task, key: str, default: list[int], path: str) -> list[int]:
+    """A grading index or an array of them at ``task[key]``, as a list."""
     value = task.get(key, default)
-    return list(json_field({key: [value] if isinstance(value, int) else value},
-                           key, "integers", f"{path}.{key}"))
+    values = list(json_field({key: [value] if isinstance(value, int) else value},
+                             key, "integers", f"{path}.{key}"))
+    if min(values, default=1) < 1:
+        raise ConfigurationError(
+            f"{path}.{key}: grading index must be >= 1, got {min(values)}")
+    return values
 
 
 def _run_probe(cfg: ExperimentConfig, task, path) -> tuple[str, dict, list[str]]:
     op = _operator(cfg, task, path)
-    ks = _integers(task, "k", list(range(1, cfg.window.k_max + 1)), path)
-    ms = _integers(task, "m", [1], path)
+    ks = _gradings(task, "k", list(range(1, cfg.window.k_max + 1)), path)
+    ms = _gradings(task, "m", [1], path)
     norm = task.get("norm")
     try:
         kind = NormKind(norm) if norm else None
@@ -463,22 +474,25 @@ def _csv_text(rows: Sequence[str]) -> str:
 def run_tasks(cfg: ExperimentConfig) -> dict[str, Any]:
     """Execute tasks in order, writing per-task reports; returns the run
     summary (exit code and per-task statuses)."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(cfg.out_dir)!r}: {exc}") from exc
     entries = []
     for i, task in enumerate(cfg.tasks):
         status, report, csv_rows = _run_task(cfg, task, f"tasks[{i}]")
         entry = {"task": i, "command": task["command"], "status": status}
         name = f"task-{i:02d}-{task['command']}"
         if "json" in cfg.formats:
-            (cfg.out_dir / f"{name}.json").write_text(
-                _dumps({**entry, "report": report}))
+            _write_text(cfg.out_dir / f"{name}.json",
+                        _dumps({**entry, "report": report}))
         if csv_rows is not None and "csv" in cfg.formats:
-            (cfg.out_dir / f"{name}.csv").write_text(_csv_text(csv_rows))
+            _write_text(cfg.out_dir / f"{name}.csv", _csv_text(csv_rows))
         entries.append(entry)
     summary = {"exit_code": exit_code_for([e["status"] for e in entries]),
                "tasks": entries}
     if "json" in cfg.formats:
-        (cfg.out_dir / "summary.json").write_text(_dumps(summary))
+        _write_text(cfg.out_dir / "summary.json", _dumps(summary))
     return summary
 
 
@@ -647,7 +661,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if rows is None:
             _emit({"status": status, "report": report})
         elif args.out:
-            Path(args.out).write_text(_csv_text(rows))
+            _write_text(args.out, _csv_text(rows))
             _emit({"status": status, "csv": args.out})
         else:
             sys.stdout.write(_csv_text(rows))

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -122,7 +122,7 @@ class ExponentSequence:
 
     def values_array(self, n_max: int) -> np.ndarray:
         """alpha_1..alpha_{n_max} as a read-only float64 array."""
-        return _exponent_values(self, n_max)
+        return _exponent_values(self, n_max).values
 
     # -- codec ---------------------------------------------------------------
 
@@ -151,8 +151,22 @@ class ExponentSequence:
         raise ConfigurationError(f"unknown exponent form {form!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class _Exponents:
+    """alpha_1..alpha_{n_max}, and the window facts derived from them alone.
+
+    ``facts`` memoises reports that depend only on the sequence, the
+    truncation and the window (subadditivity constants, nuclearity
+    verdicts), so they are computed once per sequence and are dropped with
+    their ``_exponent_values`` entry.  Shared reports must be immutable.
+    """
+
+    values: np.ndarray
+    facts: dict[tuple, Any] = field(default_factory=dict)
+
+
 @lru_cache(maxsize=512)
-def _exponent_values(seq: ExponentSequence, n_max: int) -> np.ndarray:
+def _exponent_values(seq: ExponentSequence, n_max: int) -> _Exponents:
     n = np.arange(1, n_max + 1, dtype=np.float64)
     if seq.form == "power":
         vals = n**seq.p
@@ -167,7 +181,19 @@ def _exponent_values(seq: ExponentSequence, n_max: int) -> np.ndarray:
             )
         vals = np.asarray(seq.values[:n_max], dtype=np.float64)
     vals.flags.writeable = False
-    return vals
+    return _Exponents(vals)
+
+
+def _memo(seq: ExponentSequence, n_max: int, key: tuple, compute: Callable[[], Any]
+          ) -> Any:
+    """``compute()``, kept among the facts of ``seq`` truncated at ``n_max``.
+
+    A report is a pure function of its key: concurrent first calls may both
+    compute it, and every caller gets the one stored first."""
+    facts = _exponent_values(seq, n_max).facts
+    if key not in facts:
+        facts.setdefault(key, compute())
+    return facts[key]
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +502,24 @@ def gp_probe(
 
 def nuclearity_verdict(space: SpaceDescriptor, window: Window | None = None) -> Verdict:
     """Window evidence for nuclearity: each grading k needs a convergent
-    ratio series against some finer grading l <= k_max + l_slack."""
+    ratio series against some finer grading l <= k_max + l_slack.
+
+    A power series space's verdict is computed once per kind, exponent
+    sequence and window; tabulated spaces are evaluated on every call."""
     win = window or Window()
-    l_top = win.k_max + win.l_slack
-    if space.k_limit is not None:
-        l_top = min(l_top, space.k_limit)
     n_max = win.n_max
     if space.n_limit is not None:
         n_max = min(n_max, space.n_limit)
+    if space.alpha is None:
+        return _nuclearity_scan(space, win, n_max)
+    return _memo(space.alpha, n_max, ("nuclearity", space.kind, win),
+                 lambda: _nuclearity_scan(space, win, n_max))
+
+
+def _nuclearity_scan(space: SpaceDescriptor, win: Window, n_max: int) -> Verdict:
+    l_top = win.k_max + win.l_slack
+    if space.k_limit is not None:
+        l_top = min(l_top, space.k_limit)
     if n_max < 2:
         return inconclusive("window too short for series evidence", win)
 
@@ -556,10 +592,16 @@ def subadditivity_constant(
     seq: ExponentSequence, n_max: int, m_max: int = 64
 ) -> SubadditivityReport:
     """Brute-force minimal M with alpha_s <= M(alpha_{s-t} + alpha_t)
-    over all 1 <= t < s <= n_max."""
+    over all 1 <= t < s <= n_max; computed once per sequence, n_max and
+    m_max."""
     if n_max < 2:
         raise ConfigurationError("subadditivity check needs n_max >= 2")
-    a = seq.values_array(n_max)
+    return _memo(seq, n_max, ("subadditivity", m_max),
+                 lambda: _subadditivity_scan(seq.values_array(n_max), m_max))
+
+
+def _subadditivity_scan(a: np.ndarray, m_max: int) -> SubadditivityReport:
+    n_max = len(a)
     best_ratio = 0.0
     best_pair: tuple[int, int] | None = None
     infeasible: tuple[int, int] | None = None

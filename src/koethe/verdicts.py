@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from .errors import ConfigurationError, json_fields
@@ -250,11 +251,20 @@ def scan_fixed(
     return Scan(Outcome.INCONCLUSIVE, k=k_max)
 
 
+def _freeze(cert: Any, name: str) -> None:
+    """Replace a certificate's mapping by a read-only copy: verdicts may be
+    memoised and shared between callers."""
+    object.__setattr__(cert, name, MappingProxyType(dict(getattr(cert, name))))
+
+
 @dataclass(frozen=True)
 class PointwiseCertificate:
     """For each grading k, a witness index and stabilized log-constant."""
 
     entries: Mapping[int, tuple[int, LogValue]]
+
+    def __post_init__(self):
+        _freeze(self, "entries")
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -273,6 +283,9 @@ class UniformCertificate:
     m: int
     log_c: Mapping[int, LogValue]
 
+    def __post_init__(self):
+        _freeze(self, "log_c")
+
     def to_json(self) -> dict[str, Any]:
         return {
             "shape": "uniform",
@@ -290,6 +303,9 @@ class TameCertificate:
 
     k0: int
     log_c: Mapping[int, LogValue]
+
+    def __post_init__(self):
+        _freeze(self, "log_c")
 
     def to_json(self) -> dict[str, Any]:
         return {

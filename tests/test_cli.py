@@ -18,6 +18,7 @@ from koethe.cli import (
     _dumps,
     exit_code_for,
     main,
+    parse_config,
     read_vector,
     write_vector,
 )
@@ -320,6 +321,8 @@ def test_vector_io_roundtrip(tmp_path):
 
 # -- malformed input and strict reports -------------------------------------------
 
+OP_LINE = {"variant": "lower", "domain": L1N, "codomain": L1N, "symbol": DELTA}
+
 @pytest.mark.parametrize("argv", [
     ["operator", "certify", "--property", "continuity", "--operator",
      json.dumps({"variant": "lower", "domain": L1N, "codomain": L1N2})],
@@ -356,11 +359,18 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
     (base_config(spaces=[1]), "spaces: expected a JSON object"),
     (base_config(output="x"), "output: expected a JSON object"),
     (base_config(output={"dir": 5}), "output.dir: "),
+    (["operator", "probe", "--operator", json.dumps(OP_LINE), "--m", "0"],
+     "probe.m: grading index must be >= 1, got 0"),
+    (base_config(tasks=[{"command": "probe", "operator": "T", "m": [2, 0]}]),
+     "tasks[0].m: grading index must be >= 1, got 0"),
+    (base_config(tasks=[{"command": "probe", "operator": "T", "k": -1}]),
+     "tasks[0].k: grading index must be >= 1, got -1"),
 ], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
         "window-not-an-object", "probe-k-not-integers", "probe-m-not-integers",
         "apply-n-not-an-integer", "apply-input-not-a-path", "checks-not-an-array",
         "unknown-cross-validate-property", "spaces-not-an-object",
-        "output-not-an-object", "output-dir-not-a-string"])
+        "output-not-an-object", "output-dir-not-a-string", "direct-probe-m-zero",
+        "probe-task-m-zero", "probe-task-k-negative"])
 def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
     code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
     assert code == EXIT_USAGE
@@ -392,6 +402,29 @@ def test_unreadable_json_file_is_a_usage_error(tmp_path, capsys):
     assert main(["spaces", "check", "--space", f"@{path}"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {str(path)!r}")
+    assert "unexpected" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["apply", "probe", "run"])
+def test_failed_output_write_is_a_usage_error(case, tmp_path, capsys):
+    op = ["--operator", json.dumps(OP_LINE), "--n-max", "64"]
+    if case == "apply":
+        vec = tmp_path / "x.txt"
+        write_vector(vec, [1.0, 2.0])
+        target = tmp_path / "nodir" / "y.txt"
+        argv = ["operator", "apply", *op, "--input", str(vec), "--out", str(target)]
+    elif case == "probe":
+        target = tmp_path / "nodir" / "c.csv"
+        argv = ["operator", "probe", *op, "--k", "1", "--out", str(target)]
+    else:
+        target = tmp_path / "afile"
+        target.write_text("")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(base_config()))
+        argv = ["run", "--config", str(config), "--out", str(target)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(target)!r}")
     assert "unexpected" not in err and "Traceback" not in err
 
 
@@ -491,6 +524,50 @@ def test_decoders_raise_only_koethe_errors(data):
             cls.from_json(data)
         except KoetheError:
             pass
+
+
+TASK_FIELDS = ["command", "operator", "space", "symbol", "part", "target", "checks",
+               "k", "m", "norm", "input", "n", "method", "output", "variant",
+               "domain", "codomain", "family", "s_map", "direction", "property"]
+COMMANDS = ["space-check", "membership", "certify-continuity", "certify-compactness",
+            "probe", "apply", "tame", "tame-condition", "cross-validate"]
+config_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(NAMES + COMMANDS + ["A", "T"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS + TASK_FIELDS + ["A", "T", "dir",
+                                                              "formats"]),
+                      inner, max_size=6),
+    max_leaves=24,
+)
+task_objects = st.dictionaries(st.sampled_from(TASK_FIELDS), config_values, max_size=5)
+commanded = st.tuples(st.sampled_from(COMMANDS), task_objects).map(
+    lambda pair: {**pair[1], "command": pair[0]})
+
+
+def _named(values):
+    return st.dictionaries(st.sampled_from(["A", "T"]), values, max_size=2)
+
+
+config_inputs = config_values | st.fixed_dictionaries({}, optional={
+    "window": st.just({"n_max": 64}) | config_values,
+    "spaces": _named(config_values),
+    "symbols": _named(config_values),
+    "operators": _named(task_objects | config_values),
+    "tasks": st.lists(commanded | task_objects, max_size=3) | config_values,
+    "output": st.dictionaries(st.sampled_from(["dir", "formats"]), config_values,
+                              max_size=2) | config_values,
+    "seed": config_values,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=config_inputs)
+def test_parse_config_raises_only_koethe_errors(data):
+    try:
+        parse_config(data)
+    except KoetheError:
+        pass
 
 
 def test_non_finite_floats_have_one_spelling():

@@ -1,12 +1,18 @@
 """Spaces: weights, seminorms, series classification, growth conditions."""
 
+import contextlib
+import dataclasses
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koethe import spaces
 from koethe.errors import ConfigurationError, InvariantError, WindowError
 from koethe.logdomain import LOG_ZERO
 from koethe.spaces import (
@@ -22,6 +28,7 @@ from koethe.spaces import (
     subadditivity_constant,
     weight,
     weight_array,
+    window_subadditivity,
 )
 from koethe.verdicts import Outcome, Window
 
@@ -34,6 +41,7 @@ L1_N = SpaceDescriptor.power_series_finite(ALPHA_N)
 L1_N2 = SpaceDescriptor.power_series_finite(ALPHA_N2)
 L1_LOG = SpaceDescriptor.power_series_finite(ALPHA_LOG)
 LINF_N = SpaceDescriptor.power_series_infinite(ALPHA_N)
+LINF_N2 = SpaceDescriptor.power_series_infinite(ALPHA_N2)
 
 
 def space_strategy():
@@ -300,3 +308,123 @@ def test_subadditivity_short_table_range_error():
     tab = ExponentSequence.table([0.0, 1.0])
     with pytest.raises(WindowError):
         subadditivity_constant(tab, 100)
+
+
+# -- per-sequence memo of window facts ------------------------------------------
+
+SMALL = Window(n_max=256, k_max=4, m_max=8)
+
+
+def _tables():
+    steps = st.lists(st.floats(0.0, 4.0), min_size=2, max_size=80)
+    return steps.map(lambda d: ExponentSequence.table(np.cumsum(d).tolist()))
+
+
+def _text(report):
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seq=st.one_of(st.sampled_from([ALPHA_N, ALPHA_N2, ALPHA_SQRT, ALPHA_LOG]),
+                     st.builds(ExponentSequence.power, st.floats(0.1, 3.0)),
+                     st.builds(ExponentSequence.affine, st.floats(0.0, 5.0),
+                               st.floats(0.0, 5.0)),
+                     _tables()),
+       n_max=st.sampled_from([4, 37, 128]), m_max=st.sampled_from([1, 2, 64]))
+def test_memoised_facts_equal_fresh_ones(seq, n_max, m_max):
+    n_max = min(n_max, seq.max_index or n_max)
+    win = dataclasses.replace(SMALL.with_n_max(max(n_max, 4)), subadd_m_max=m_max)
+    space = SpaceDescriptor.power_series_infinite(seq)
+    memo = [subadditivity_constant(seq, n_max, m_max), nuclearity_verdict(space, win)]
+    again = [subadditivity_constant(seq, n_max, m_max), nuclearity_verdict(space, win)]
+    assert all(a is b for a, b in zip(again, memo))
+    spaces._exponent_values.cache_clear()
+    fresh = [subadditivity_constant(seq, n_max, m_max), nuclearity_verdict(space, win)]
+    assert list(map(_text, fresh)) == list(map(_text, memo))
+
+
+@pytest.mark.parametrize("space, field, value", [
+    (LINF_N, "l_slack", 0),
+    (L1_LOG, "series_tail_rel", 0.9),
+], ids=["l_slack", "series_tail_rel"])
+def test_windows_differing_in_one_field_get_their_own_nuclearity(space, field,
+                                                                 value):
+    other = dataclasses.replace(SMALL, **{field: value})
+    first, second = nuclearity_verdict(space, SMALL), nuclearity_verdict(space, other)
+    assert first.window == SMALL and second.window == other
+    assert first.outcome is not second.outcome
+    assert nuclearity_verdict(space, SMALL) == first
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Arguments of every classify_series call made through the module."""
+    calls = []
+    classify = spaces.classify_series
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(spaces, "classify_series", counted)
+    return calls
+
+
+def test_clearing_the_exponent_cache_recomputes(classify_calls):
+    spaces._exponent_values.cache_clear()
+    nuclearity_verdict(L1_N2, SMALL)
+    computed = len(classify_calls)
+    assert computed > 0
+    nuclearity_verdict(L1_N2, SMALL)
+    assert len(classify_calls) == computed
+    spaces._exponent_values.cache_clear()
+    nuclearity_verdict(L1_N2, SMALL)
+    assert len(classify_calls) == 2 * computed
+
+
+def test_general_spaces_are_evaluated_on_every_call(classify_calls):
+    table = SpaceDescriptor.general([[math.exp(-n / k) for k in range(1, 9)]
+                                     for n in range(1, 65)])
+    nuclearity_verdict(table, SMALL)
+    computed = len(classify_calls)
+    assert computed > 0
+    nuclearity_verdict(table, SMALL)
+    assert len(classify_calls) == 2 * computed
+
+
+def test_mutating_a_returned_report_leaves_later_calls_unchanged():
+    verdict = nuclearity_verdict(LINF_N, SMALL)
+    report = window_subadditivity(ALPHA_N2, SMALL)
+    before = _text(verdict), _text(report)
+    for mutate in (lambda: verdict.certificate.entries.clear(),
+                   lambda: verdict.certificate.entries.update({1: (99, 0.0)}),
+                   lambda: setattr(report, "m", 99)):
+        with contextlib.suppress(AttributeError, TypeError):
+            mutate()
+    assert (_text(nuclearity_verdict(LINF_N, SMALL)),
+            _text(window_subadditivity(ALPHA_N2, SMALL))) == before
+
+
+def test_concurrent_first_calls_agree():
+    expected = [_text(nuclearity_verdict(LINF_N2, SMALL)),
+                _text(window_subadditivity(ALPHA_N2, SMALL))]
+    spaces._exponent_values.cache_clear()
+    results, start = [], threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=10)
+        results.append([_text(nuclearity_verdict(LINF_N2, SMALL)),
+                        _text(window_subadditivity(ALPHA_N2, SMALL))])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
