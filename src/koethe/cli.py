@@ -199,6 +199,14 @@ def _field(data: Mapping[str, Any], key: str, kind: str, path: str,
     return json_field(data, key, kind, f"{path}.{key}") if key in data else default
 
 
+def _seed(seed: int | None, what: str) -> int | None:
+    """``seed`` (family sampling seed) when absent or >= 0, else a
+    ConfigurationError naming ``what``."""
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"{what}: must be >= 0, got {seed}")
+    return seed
+
+
 def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
                  ) -> ExperimentConfig:
     """Validate an experiment config, naming the offending path on error."""
@@ -246,10 +254,11 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
     if bad:
         raise ConfigurationError(f"output.formats: unknown format {bad[0]!r}")
 
+    seed = json_field(data, "seed", "integer", "seed") if "seed" in data else None
     return ExperimentConfig(
         spaces=spaces, symbols=symbols, operators=operators, window=window,
         tasks=[dict(t) for t in tasks], out_dir=out_dir, formats=formats,
-        seed=data.get("seed"),
+        seed=_seed(seed, "seed"),
     )
 
 
@@ -637,6 +646,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code == 0 else EXIT_USAGE
 
     try:
+        _seed(args.seed, "--seed")
         if args.command == "run":
             data = _load_json_arg(args.config)
             base = Path(args.config).parent if Path(args.config).exists() else None

@@ -483,6 +483,17 @@ def _run_profile(
     A block is skipped for columns whose best possible remaining term sits
     NEGLIGIBLE_LOG below their running scale (with a log(n) allowance for
     the sum kind), so rapidly decaying symbols cost a short band.
+
+    Each block is then cut before its first row whose bound
+    u_sufmax + v_reach, nonincreasing in the offset, lies NEGLIGIBLE_LOG
+    below the block's first row in every active column; a binary search
+    finds that row.  The cut is exact, not merely close.  A dropped term
+    lies below the block max, so the max does not move.  numpy sums the
+    rows of a block of two or more columns in order, so a dropped term
+    meets a partial sum that already holds the max row's 1, and a scaled
+    term below e^-60 < 2^-53 rounds away.  The inactive columns in the
+    block already contribute less than 2^-53 against their running sum, cut
+    or not.  A one-column block is summed pairwise, so it keeps all rows.
     """
     u_sufmax = _suffix_max(u)
     # offsets past the symbol's support contribute nothing
@@ -514,6 +525,20 @@ def _run_profile(
         lo, hi = np.flatnonzero(active)[[0, -1]]
         width = hi - lo + 1
         nb = min(_BLOCK, i_top - i0)
+        if width > 1:
+            start = reach + lo
+            floor = np.where(active[lo : hi + 1],
+                             u[i0] + pad[start : start + width] - NEGLIGIBLE_LOG,
+                             np.inf)
+            # the cut lies in keep..nb: rows from nb on are known negligible
+            keep = 1
+            while keep < nb:
+                mid = (keep + nb) // 2
+                s = start + direction * mid
+                if (u_sufmax[i0 + mid] + v_reach[s : s + width] <= floor).all():
+                    nb = mid
+                else:
+                    keep = mid + 1
         base = edge + i0 if direction > 0 else edge - i0 - _BLOCK + 1
         s0 = base + lo + 1
         if s0 < 0 or s0 + width > len(window):

@@ -32,7 +32,7 @@ from .errors import (
     json_field,
     json_object,
 )
-from .logdomain import LOG_ZERO, LogValue, linear_or_none, log_from_linear, log_sum
+from .logdomain import LOG_ZERO, LogValue, linear_or_none, log_sum
 from .verdicts import (
     Outcome,
     PointwiseCertificate,
@@ -332,12 +332,16 @@ def weight_array(space: SpaceDescriptor, k: int, n_max: int) -> np.ndarray:
 
 
 def _coefficient_logs(x: Sequence[float], n_max: int) -> list[LogValue]:
+    """log|x_i| for i < n_max, taken by the same numpy call as
+    ``SymbolSpec.log_abs_array``: ``math.log`` can differ from it by an ulp,
+    and a column's norm must equal the seminorm of its coefficients."""
     if len(x) > n_max and any(v != 0.0 for v in x[n_max:]):
         raise InvariantError(f"coefficients have support beyond truncation {n_max}")
-    out = [LOG_ZERO] * n_max
-    for i in range(min(len(x), n_max)):
-        out[i] = log_from_linear(float(x[i]))
-    return out
+    out = np.full(n_max, LOG_ZERO)
+    take = min(len(x), n_max)
+    with np.errstate(divide="ignore"):
+        out[:take] = np.log(np.abs(np.asarray(x[:take], dtype=np.float64)))
+    return out.tolist()
 
 
 def seminorm_sum(

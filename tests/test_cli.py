@@ -365,12 +365,24 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
      "tasks[0].m: grading index must be >= 1, got 0"),
     (base_config(tasks=[{"command": "probe", "operator": "T", "k": -1}]),
      "tasks[0].k: grading index must be >= 1, got -1"),
+    (base_config(seed=1.5, tasks=[{"command": "space-check", "space": "A"}]),
+     "seed: field 'seed' must be an integer"),
+    (base_config(seed="x", tasks=[{"command": "tame", "domain": "A",
+                                   "codomain": "B"}]),
+     "seed: field 'seed' must be an integer"),
+    (base_config(seed=-1), "seed: must be >= 0, got -1"),
+    (["family", "tame", "--domain", json.dumps(L1N), "--codomain", json.dumps(L1N2),
+      "--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["run", "--config", json.dumps(base_config()), "--seed", "-1"],
+     "--seed: must be >= 0, got -1"),
 ], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
         "window-not-an-object", "probe-k-not-integers", "probe-m-not-integers",
         "apply-n-not-an-integer", "apply-input-not-a-path", "checks-not-an-array",
         "unknown-cross-validate-property", "spaces-not-an-object",
         "output-not-an-object", "output-dir-not-a-string", "direct-probe-m-zero",
-        "probe-task-m-zero", "probe-task-k-negative"])
+        "probe-task-m-zero", "probe-task-k-negative", "config-seed-not-an-integer",
+        "config-seed-a-string", "config-seed-negative", "direct-seed-negative",
+        "run-seed-negative"])
 def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
     code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
     assert code == EXIT_USAGE

@@ -1,7 +1,9 @@
 """The window-view column-norm kernel against the clip-and-gather reference.
 
-Both kernels compute the same terms in the same (offset, column) layout, so
-every comparison here is exact: ``np.array_equal``, not a tolerance.
+Both kernels compute the same terms in the same (offset, column) layout; the
+window-view kernel only leaves out the rows at a block's end that cannot move
+its bits.  So every comparison here is exact: ``np.array_equal``, not a
+tolerance.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from koethe.operators import (
     _BLOCK,
+    NEGLIGIBLE_LOG,
     NormKind,
     Symbol,
     SymbolSpec,
@@ -38,13 +41,18 @@ def make_op(variant, lower, upper, domain, codomain):
     return ToeplitzOperator(sym, variant, domain, codomain)
 
 
+def assert_raw_kernels_agree(u, v, direction, norm):
+    n = len(v)
+    m_new, s_new = _run_profile(u, v, direction, n, norm)
+    m_ref, s_ref = gather_run_profile(u, v, direction, n, norm)
+    assert np.array_equal(m_new, m_ref)
+    assert np.array_equal(s_new, s_ref)
+
+
 def assert_kernels_agree(op, k, n, norm):
     v = weight_array(op.codomain, k, n)
     for u, direction in _part_offset_logs(op, n):
-        m_new, s_new = _run_profile(u, v, direction, n, norm)
-        m_ref, s_ref = gather_run_profile(u, v, direction, n, norm)
-        assert np.array_equal(m_new, m_ref)
-        assert np.array_equal(s_new, s_ref)
+        assert_raw_kernels_agree(u, v, direction, norm)
     profile = uncached_profile(op, k, n, norm)
     with gather_kernel():
         reference = uncached_profile(op, k, n, norm)
@@ -81,11 +89,49 @@ def test_kernels_agree_on_slow_upper_symbol_past_two_blocks(norm):
         assert not np.array_equal(full_m, cut_m)  # blocks past 3*_BLOCK count
 
 
+@pytest.mark.parametrize("offset", [-1e-9, 0.0, 1e-9])
+@pytest.mark.parametrize("norm", list(NormKind))
+@pytest.mark.parametrize("direction", [1, -1])
+def test_block_cut_at_the_floor(direction, norm, offset):
+    # flat weights put every column's first row at 0, so the block floor is
+    # -NEGLIGIBLE_LOG; row 40 sits just below, on or just above it, rows
+    # 1..39 are large enough that losing any one of them moves the sum, and
+    # past row 40 nothing is left
+    n = 3 * _BLOCK
+    u = np.full(n, -500.0)
+    u[0] = 0.0
+    u[1:40] = -1.0 - np.arange(39) / 64.0
+    u[40] = -NEGLIGIBLE_LOG + offset
+    assert_raw_kernels_agree(u, np.zeros(n), direction, norm)
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_one_column_block_keeps_its_rows(norm):
+    # only column 1 is active in the second block (rows 257..300); its five
+    # comparable terms end in a cliff, and numpy sums a one-column block
+    # pairwise, so cutting it to five rows would move the sum's last bit
+    n = _BLOCK + 44
+    v = np.zeros(n)
+    v[:_BLOCK] = -100.0
+    u = np.full(n, -300.0)
+    u[:_BLOCK] = 0.0
+    u[_BLOCK : _BLOCK + 5] = -67.0 + np.array([-0.5, -0.5, -0.25, -0.5, -0.5])
+    assert_raw_kernels_agree(u, v, 1, norm)
+
+
 heads = st.sampled_from([None, 0.5, -2.0])
 symbol_parts = st.one_of(
     st.builds(SymbolSpec.geometric, st.floats(-0.999, 0.999)),
+    # slow decay keeps long runs of every block alive
+    st.builds(SymbolSpec.geometric,
+              st.floats(0.95, 0.9999) | st.floats(-0.9999, -0.95)),
     st.builds(SymbolSpec.explicit,
               st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40)),
+    # leading zeros put log-zero in the first block's first row, so that
+    # block is not cut
+    st.builds(lambda zeros, rest: SymbolSpec.explicit([0.0] * zeros + rest),
+              st.integers(1, 3),
+              st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=300)),
     st.builds(SymbolSpec.polynomial, st.integers(-3, 3)),
 ).flatmap(lambda spec: heads.map(
     lambda h: spec if h is None else spec.with_head(h)))
@@ -99,7 +145,7 @@ symbol_parts = st.one_of(
     domain=st.sampled_from(SPACES),
     codomain=st.sampled_from(SPACES),
     k=st.integers(1, 12),
-    n=st.integers(1, 700),
+    n=st.integers(1, 1100),
     norm=st.sampled_from(list(NormKind)),
 )
 def test_kernels_agree_on_random_operators(variant, lower, upper, domain,
