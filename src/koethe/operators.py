@@ -67,6 +67,10 @@ from .verdicts import (
 #: relative log-mass below which a column tail cannot move any report
 NEGLIGIBLE_LOG = 60.0
 
+#: a scaled term below e^-40 ~ 4.2e-18, 26x below 2^-53, rounds away when it
+#: is added to a partial sum of at least 1
+_ROUNDING_LOG = 40.0
+
 _BLOCK = 256
 
 
@@ -480,20 +484,31 @@ def _run_profile(
     one contiguous buffer, so the max and sum over offsets keep a fixed
     reduction order.
 
-    A block is skipped for columns whose best possible remaining term sits
-    NEGLIGIBLE_LOG below their running scale (with a log(n) allowance for
-    the sum kind), so rapidly decaying symbols cost a short band.
+    Every remaining term of a column is bounded by u_sufmax + v_reach, the
+    running maxima of the symbol from the block's first offset on and of the
+    weights from the block's first row on in the walk's direction; both are
+    nonincreasing in the offset.  A block is skipped for columns whose bound
+    sits NEGLIGIBLE_LOG below their running scale (with a log(n) allowance
+    for the many terms) in a sum, or at or below their running max in a sup,
+    so rapidly decaying symbols cost a short band.
 
-    Each block is then cut before its first row whose bound
-    u_sufmax + v_reach, nonincreasing in the offset, lies NEGLIGIBLE_LOG
-    below the block's first row in every active column; a binary search
-    finds that row.  The cut is exact, not merely close.  A dropped term
-    lies below the block max, so the max does not move.  numpy sums the
-    rows of a block of two or more columns in order, so a dropped term
-    meets a partial sum that already holds the max row's 1, and a scaled
-    term below e^-60 < 2^-53 rounds away.  The inactive columns in the
-    block already contribute less than 2^-53 against their running sum, cut
-    or not.  A one-column block is summed pairwise, so it keeps all rows.
+    Each block is then cut before its first row whose bound lies, in every
+    active column, _ROUNDING_LOG or more below the larger of the block's
+    first two row terms in a sum, or not above it in a sup; a binary search
+    finds that row.  Two rows, because a full operator's upper run holds
+    log-zero at offset 0.  The cut is exact, not merely close.  The block
+    max is at least either of the first two terms, so a dropped term never
+    exceeds it, and a max does not move, ties included.  numpy sums the rows
+    of a block of two or more columns in order, so a dropped term meets a
+    partial sum that already holds the max row's 1.  Half an ulp of a float
+    of at least 1 is at least 2^-53, so a scaled term below e^-40 rounds
+    away, and so does each further one against the unchanged sum.  The
+    inactive columns in the block contribute less than 2^-53 against their
+    running sum, or nothing to their running max, cut or not.  A one-column
+    block is summed pairwise, so it keeps all rows.
+
+    The first block merges into a running (-inf, 0), which returns its
+    (max, scaled sum) bit for bit, so it is stored as it stands.
     """
     u_sufmax = _suffix_max(u)
     # offsets past the symbol's support contribute nothing
@@ -504,14 +519,22 @@ def _run_profile(
     # that offsets below i_top + _BLOCK reach read log-zero
     edge = i_top + _BLOCK
     pad = np.full(n_trunc + 2 * edge, -np.inf)
-    pad[edge + 1 : edge + n_trunc + 1] = v[:n_trunc]
-    v_reach = _suffix_max(pad) if direction > 0 else np.maximum.accumulate(pad)
+    rows = slice(edge + 1, edge + n_trunc + 1)
+    pad[rows] = v[:n_trunc]
+    # a walk reads v_reach only from its first row on, in its direction, so
+    # the padding it runs into stays log-zero and the other side is never read
+    v_reach = np.full(len(pad), -np.inf)
+    v_reach[rows] = _suffix_max(v[:n_trunc]) if direction > 0 \
+        else np.maximum.accumulate(v[:n_trunc])
     # window[base + n, i] is the weight of the row that offset i0 + i reaches
     # from column n, with base set per block below
     window = np.lib.stride_tricks.sliding_window_view(pad, _BLOCK)
     if direction < 0:
         window = window[:, ::-1]
-    allowance = math.log(n_trunc) if norm_kind is NormKind.SUM else 0.0
+    if norm_kind is NormKind.SUM:
+        allowance, skip, cut = math.log(n_trunc), NEGLIGIBLE_LOG, _ROUNDING_LOG
+    else:
+        allowance = skip = cut = 0.0
 
     m_run = np.full(n_trunc, -np.inf)
     s_run = np.zeros(n_trunc)
@@ -519,19 +542,20 @@ def _run_profile(
     for i0 in range(0, i_top, _BLOCK):
         reach = edge + 1 + direction * i0
         peak = u_sufmax[i0] + v_reach[reach : reach + n_trunc]
-        active = peak + allowance > m_run - NEGLIGIBLE_LOG
+        active = peak + allowance > m_run - skip
         if not active.any():
             break
         lo, hi = np.flatnonzero(active)[[0, -1]]
+        cols = slice(lo, hi + 1)
         width = hi - lo + 1
         nb = min(_BLOCK, i_top - i0)
-        if width > 1:
+        if width > 1 and nb > 2:
             start = reach + lo
-            floor = np.where(active[lo : hi + 1],
-                             u[i0] + pad[start : start + width] - NEGLIGIBLE_LOG,
-                             np.inf)
+            head = np.maximum(u[i0] + pad[start : start + width],
+                              u[i0 + 1] + pad[start + direction : start + direction + width])
+            floor = np.where(active[cols], head - cut, np.inf)
             # the cut lies in keep..nb: rows from nb on are known negligible
-            keep = 1
+            keep = 2
             while keep < nb:
                 mid = (keep + nb) // 2
                 s = start + direction * mid
@@ -547,7 +571,7 @@ def _run_profile(
         np.add(u[i0 : i0 + nb, None], window[s0 : s0 + width, :nb].T, out=terms)
         bm = terms.max(axis=0)
         if norm_kind is NormKind.SUP:
-            m_run[lo : hi + 1] = np.maximum(m_run[lo : hi + 1], bm)
+            m_run[cols] = np.maximum(m_run[cols], bm)
             continue
         # exp(-inf - safe) is already 0 and safe is never -inf
         safe = np.where(np.isneginf(bm), 0.0, bm)
@@ -555,9 +579,10 @@ def _run_profile(
             terms -= safe
         np.exp(terms, out=terms)
         bs = terms.sum(axis=0)
-        m_new, s_new = _merge_scaled(m_run[lo : hi + 1], s_run[lo : hi + 1], bm, bs)
-        m_run[lo : hi + 1] = m_new
-        s_run[lo : hi + 1] = s_new
+        if i0 == 0:
+            m_run[cols], s_run[cols] = bm, bs
+        else:
+            m_run[cols], s_run[cols] = _merge_scaled(m_run[cols], s_run[cols], bm, bs)
     return m_run, s_run
 
 

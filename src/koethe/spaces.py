@@ -617,7 +617,7 @@ def _subadditivity_scan(a: np.ndarray, m_max: int) -> SubadditivityReport:
             if zero.any() and infeasible is None:
                 t = int(np.flatnonzero(zero)[0]) + 1
                 infeasible = (t, s)
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 ratios = np.where(zero, -np.inf, top / np.where(zero, 1.0, denom))
             i = int(np.argmax(ratios))
             if ratios[i] > best_ratio:
@@ -627,8 +627,9 @@ def _subadditivity_scan(a: np.ndarray, m_max: int) -> SubadditivityReport:
         return SubadditivityReport(None, math.inf, infeasible, n_max, m_max)
     if best_ratio == 0.0:
         return SubadditivityReport(1, 0.0, None, n_max, m_max)
-    m = max(1, math.ceil(best_ratio - 1e-9))
-    if m > m_max:
+    # a ratio over a subnormal denominator overflows to inf, which has no ceil
+    m = max(1, math.ceil(best_ratio - 1e-9)) if math.isfinite(best_ratio) else None
+    if m is None or m > m_max:
         return SubadditivityReport(None, best_ratio, best_pair, n_max, m_max)
     return SubadditivityReport(m, best_ratio, best_pair, n_max, m_max)
 
@@ -656,4 +657,6 @@ def stability_constant(seq: ExponentSequence, n_max: int) -> float:
     mask = den > 0.0
     if not mask.any():
         return 0.0
-    return float(np.max(num[mask] / den[mask]))
+    # a subnormal alpha_n overflows its ratio to inf, which is the answer
+    with np.errstate(over="ignore"):
+        return float(np.max(num[mask] / den[mask]))

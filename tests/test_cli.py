@@ -212,6 +212,20 @@ def test_spaces_check_subcommand(capsys):
     assert payload["report"]["stability"]["sup_ratio"] == 2.0
 
 
+def test_space_check_on_a_subnormal_exponent_exits_by_its_verdict(tmp_path):
+    # alpha_1 / (alpha_1 + alpha_1) overflows the subadditivity ratio to inf
+    tiny = {"kind": "power_series_infinite",
+            "alpha": {"form": "table", "values": [2.2250738585e-313, 1.0, 2.0, 3.0]}}
+    config = base_config(spaces={"A": L1N, "B": L1N2, "T": tiny},
+                         tasks=[{"command": "space-check", "space": "T"}])
+    assert run_config(tmp_path, config) == EXIT_FAILS
+    report = json.loads((tmp_path / "out" / "task-00-space-check.json").read_text(),
+                        parse_constant=_reject_constant)
+    subadditivity = report["report"]["subadditivity"]
+    assert subadditivity["m"] is None and subadditivity["max_ratio"] == "Infinity"
+    assert subadditivity["witness"] == [1, 2]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 

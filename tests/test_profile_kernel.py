@@ -6,13 +6,17 @@ its bits.  So every comparison here is exact: ``np.array_equal``, not a
 tolerance.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koethe import operators
 from koethe.operators import (
     _BLOCK,
+    _ROUNDING_LOG,
     NEGLIGIBLE_LOG,
     NormKind,
     Symbol,
@@ -119,6 +123,88 @@ def test_one_column_block_keeps_its_rows(norm):
     assert_raw_kernels_agree(u, v, 1, norm)
 
 
+class _RowCounter:
+    """numpy as the kernel sees it, counting the offset rows of the blocks
+    it fills (each block's terms are written by one ``np.add(..., out=)``)."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, *args, out=None, **kwargs):
+        if out is not None:
+            self.rows += out.shape[0]
+        return np.add(*args, out=out, **kwargs)
+
+
+def evaluated_rows(monkeypatch, u, v, direction, norm):
+    """Offset rows ``_run_profile`` evaluates over all its blocks."""
+    counter = _RowCounter()
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "np", counter)
+        _run_profile(u, v, direction, len(v), norm)
+    return counter.rows
+
+
+@pytest.mark.parametrize("tail", [-_ROUNDING_LOG - 1e-9, -_ROUNDING_LOG,
+                                  -_ROUNDING_LOG + 1e-9, -33.0])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_sum_cut_at_the_rounding_horizon(monkeypatch, direction, tail):
+    # flat weights put every column's first row at 0 and the sum just above
+    # 1, where half an ulp is 2^-53 ~ e^-36.7; rows 1..39 move the sum, row 40
+    # is the tail, and past it nothing is left.  The floor is -_ROUNDING_LOG:
+    # a tail on or below it is cut, one above it is kept
+    n = 3 * _BLOCK
+    u = np.full(n, -500.0)
+    u[0] = 0.0
+    u[1:40] = -20.0 - np.arange(39) / 64.0
+    u[40] = tail
+    v = np.zeros(n)
+    assert_raw_kernels_agree(u, v, direction, NormKind.SUM)
+    assert evaluated_rows(monkeypatch, u, v, direction, NormKind.SUM) \
+        == 40 + (tail > -_ROUNDING_LOG)
+    # a tail past 2^-53 moves the sum, one at the horizon does not
+    without = u.copy()
+    without[40] = -500.0
+    _, s = _run_profile(u, v, direction, n, NormKind.SUM)
+    _, s_without = _run_profile(without, v, direction, n, NormKind.SUM)
+    assert np.array_equal(s, s_without) == (tail < -36.0)
+
+
+@pytest.mark.parametrize("tail, kept", [(0.0, False), (1e-9, True)])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_sup_cut_and_skip_at_the_max(monkeypatch, direction, tail, kept):
+    # flat weights put every column's first row at 0; rows 1..255 lie below
+    # it and the second block opens with the tail.  A tail that ties the max
+    # cuts the first block after its two head rows and skips the second
+    # (peak == running max); one just above it keeps both
+    n = 3 * _BLOCK
+    u = np.full(n, -500.0)
+    u[0] = 0.0
+    u[1:_BLOCK] = -1.0 - np.arange(_BLOCK - 1) / 64.0
+    u[_BLOCK] = tail
+    v = np.zeros(n)
+    assert_raw_kernels_agree(u, v, direction, NormKind.SUP)
+    assert evaluated_rows(monkeypatch, u, v, direction, NormKind.SUP) \
+        == (_BLOCK + 2 if kept else 2)
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_full_upper_run_is_cut_below_its_log_zero_head(monkeypatch, norm):
+    # the full variant's upper run has log-zero at offset 0 (the diagonal
+    # lives in the lower run), so its floor comes from offset 1
+    n, k = 4096, 3
+    geo = SymbolSpec.geometric(0.3)
+    op = make_op(Variant.FULL, geo, geo, SPACES[4], SPACES[5])
+    assert_kernels_agree(op, k, n, norm)
+    (_, _), (u, direction) = _part_offset_logs(op, n)
+    assert direction == -1 and np.isneginf(u[0])
+    assert evaluated_rows(monkeypatch, u, weight_array(op.codomain, k, n),
+                          direction, norm) <= 16
+
+
 heads = st.sampled_from([None, 0.5, -2.0])
 symbol_parts = st.one_of(
     st.builds(SymbolSpec.geometric, st.floats(-0.999, 0.999)),
@@ -156,3 +242,36 @@ def test_kernels_agree_on_random_operators(variant, lower, upper, domain,
         upper = upper if upper.values_array(1)[0] != 0.0 else upper.with_head(1.0)
     op = make_op(variant, lower, upper, domain, codomain)
     assert_kernels_agree(op, k, n, norm)
+
+
+#: sha256 of np.exp and np.log over a fixed grid on the build that recorded
+#: PROFILE_DIGEST; another libm or SIMD path may round them differently
+_EXP_LOG_DIGEST = "76671592d163edd52976027ea6527f64d3d04ae133bcd50b37a3f8ea93ca3266"
+#: sha256 of the profiles below, recorded before the kernel was cut at the
+#: rounding horizon
+PROFILE_DIGEST = "d53994b036e442c0b2334ab436d1a9ba530c6e9f772d79d08449740b96571450"
+
+
+def test_profiles_match_the_recorded_digest():
+    grid = np.linspace(-60.0, 60.0, 4097)
+    if hashlib.sha256(np.exp(grid).tobytes()
+                      + np.log(np.exp(grid)).tobytes()).hexdigest() != _EXP_LOG_DIGEST:
+        pytest.skip("this numpy build rounds exp or log differently")
+    # the domain does not enter a profile: 3 variants x the 6 spaces of the
+    # cross-validation grid as codomain x 4 symbols = 72 operators
+    alphas = [ExponentSequence.affine(1.0), ExponentSequence.power(2.0),
+              ExponentSequence.power(0.5)]
+    codomains = ([SpaceDescriptor.power_series_finite(a) for a in alphas]
+                 + [SpaceDescriptor.power_series_infinite(a) for a in alphas])
+    symbols = [SymbolSpec.delta(), SymbolSpec.geometric(0.5),
+               SymbolSpec.geometric(0.99),
+               SymbolSpec.explicit([0.5, -2.0, 0.0, 3.0] * 40)]
+    digest = hashlib.sha256()
+    for variant in Variant:
+        for codomain in codomains:
+            for spec in symbols:
+                op = make_op(variant, spec, spec, codomains[0], codomain)
+                for k in (1, 6, 12):
+                    for norm in NormKind:
+                        digest.update(uncached_profile(op, k, 1024, norm).tobytes())
+    assert digest.hexdigest() == PROFILE_DIGEST

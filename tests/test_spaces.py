@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koethe import spaces
@@ -269,6 +269,12 @@ def test_subadditivity_roots(p):
     assert report.m is not None and report.m <= 2
 
 
+def test_subadditivity_ratio_overflowing_to_inf_has_no_constant():
+    report = subadditivity_constant(ExponentSequence.table([2.2250738585e-313, 1.0, 2.0]), 3)
+    assert report.m is None and report.max_ratio == math.inf
+    assert report.witness == (1, 2)
+
+
 def test_subadditivity_squares():
     report = subadditivity_constant(ALPHA_N2, 10_000)
     assert report.m == 2
@@ -331,6 +337,8 @@ def _text(report):
                                st.floats(0.0, 5.0)),
                      _tables()),
        n_max=st.sampled_from([4, 37, 128]), m_max=st.sampled_from([1, 2, 64]))
+# a subnormal first exponent overflows the subadditivity ratio to inf
+@example(seq=ExponentSequence.table([2.2250738585e-313, 1.0]), n_max=4, m_max=1)
 def test_memoised_facts_equal_fresh_ones(seq, n_max, m_max):
     n_max = min(n_max, seq.max_index or n_max)
     win = dataclasses.replace(SMALL.with_n_max(max(n_max, 4)), subadd_m_max=m_max)
