@@ -379,6 +379,8 @@ def _run_apply(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     if not source:
         raise ConfigurationError(f"{path}.input: vector file required")
     n = _field(task, "n", "integer", path)
+    if n is not None and n < 1:
+        raise ConfigurationError(f"{path}.n: must be >= 1, got {n}")
     x = read_vector(source)
     n = len(x) if n is None else n
     method = task.get("method", "fast")

@@ -151,7 +151,7 @@ class SMap:
         if form == "linear":
             return cls.linear(json_field(data, "a", "number", what))
         if form == "table":
-            return cls.table(json_field(data, "values", "numbers", what))
+            return cls.table(json_field(data, "values", "integers", what))
         raise ConfigurationError(f"unknown index map form {form!r}")
 
 

@@ -21,7 +21,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -216,7 +216,7 @@ class SymbolSpec:
                 ExponentSequence.from_json(json_field(data, "alpha", "object", what)),
             )
         elif form == "polynomial":
-            spec = cls.polynomial(json_field(data, "d", "number", what))
+            spec = cls.polynomial(json_field(data, "d", "integer", what))
         else:
             raise ConfigurationError(f"unknown symbol form {form!r}")
         if "head" in data:
@@ -430,27 +430,26 @@ def column_norm(
 # ---------------------------------------------------------------------------
 
 
-def _part_offset_logs(op: ToeplitzOperator, count: int) -> list[tuple[np.ndarray, int]]:
-    """(log|entries| per offset, direction) for each triangular part in play.
+def _runs(op: ToeplitzOperator, count: int, log: bool
+          ) -> list[tuple[np.ndarray, int]]:
+    """(entries per offset, direction) for each triangular part in play:
+    linear entries, or log|entries| when ``log`` is set.
 
     Direction +1 walks down from the diagonal (rows n+i), -1 walks up
-    (rows n-i).  For the full variant the diagonal lives in the lower run
-    and is masked out of the upper run.
+    (rows n-i).  This is the one place that puts a full operator's split
+    diagonal back together: the lower run carries theta'_0 + theta''_0 at
+    offset 0 and the upper run 0.0 (log-zero), so the column-norm kernel,
+    the FFT apply and the dense matrix read every entry from one run.
     """
-    parts: list[tuple[np.ndarray, int]] = []
-    if op.variant in (Variant.LOWER, Variant.FULL):
-        u = op.symbol.lower.log_abs_array(count)
-        if op.variant is Variant.FULL:
-            u = u.copy()
-            u[0] = _diagonal_log_abs(op.symbol)
-        parts.append((u, +1))
-    if op.variant in (Variant.UPPER, Variant.FULL):
-        u = op.symbol.upper.log_abs_array(count)
-        if op.variant is Variant.FULL:
-            u = u.copy()
-            u[0] = LOG_ZERO
-        parts.append((u, -1))
-    return parts
+    read = SymbolSpec.log_abs_array if log else SymbolSpec.values_array
+    runs = [(read(spec, count), direction)
+            for spec, direction, skip in ((op.symbol.lower, +1, Variant.UPPER),
+                                          (op.symbol.upper, -1, Variant.LOWER))
+            if op.variant is not skip]
+    if op.variant is Variant.FULL and count:
+        runs[0][0][0] = _diagonal_log_abs(op.symbol) if log else op.symbol.diagonal
+        runs[1][0][0] = LOG_ZERO if log else 0.0
+    return runs
 
 
 def _suffix_max(arr: np.ndarray) -> np.ndarray:
@@ -461,8 +460,8 @@ def _merge_scaled(m1, s1, m2, s2):
     m = np.maximum(m1, m2)
     safe = np.where(np.isneginf(m), 0.0, m)
     with np.errstate(invalid="ignore"):
-        out = s1 * np.exp(np.where(np.isneginf(m1), -np.inf, m1) - safe)
-        out += s2 * np.exp(np.where(np.isneginf(m2), -np.inf, m2) - safe)
+        out = s1 * np.exp(m1 - safe)
+        out += s2 * np.exp(m2 - safe)
     return m, out
 
 
@@ -477,20 +476,24 @@ def _run_profile(
     blocks, returning per-column (scale, scaled sum); for the sup kind the
     scale is the norm and the sum stays zero.
 
-    The weights sit in a copy padded with log-zero on both sides, wide
+    The walk goes down only, to rows n + i.  An upward run (direction -1,
+    rows n - i) is the downward run over the weights reversed: its column
+    n_trunc + 1 - n reads the terms of column n in the same offset order,
+    so reversing the result back gives every column bit for bit.
+
+    The weights sit in a copy padded with log-zero past row n_trunc, long
     enough that every (column, offset) pair a block can touch is a plain
-    slice of a strided window view over it (reversed for direction -1), so
-    no index array is built.  Each block is laid out (offset, column) in
-    one contiguous buffer, so the max and sum over offsets keep a fixed
-    reduction order.
+    slice of a strided window view over it, so no index array is built.
+    Each block is laid out (offset, column) in one contiguous buffer, so the
+    max and sum over offsets keep a fixed reduction order.
 
     Every remaining term of a column is bounded by u_sufmax + v_reach, the
     running maxima of the symbol from the block's first offset on and of the
-    weights from the block's first row on in the walk's direction; both are
-    nonincreasing in the offset.  A block is skipped for columns whose bound
-    sits NEGLIGIBLE_LOG below their running scale (with a log(n) allowance
-    for the many terms) in a sum, or at or below their running max in a sup,
-    so rapidly decaying symbols cost a short band.
+    weights from the block's first row on; both are nonincreasing in the
+    offset.  A block is skipped for columns whose bound sits NEGLIGIBLE_LOG
+    below their running scale (with a log(n) allowance for the many terms)
+    in a sum, or at or below their running max in a sup, so rapidly
+    decaying symbols cost a short band.
 
     Each block is then cut before its first row whose bound lies, in every
     active column, _ROUNDING_LOG or more below the larger of the block's
@@ -510,27 +513,22 @@ def _run_profile(
     The first block merges into a running (-inf, 0), which returns its
     (max, scaled sum) bit for bit, so it is stored as it stands.
     """
+    if direction < 0:
+        m, s = _run_profile(u, v[:n_trunc][::-1], +1, n_trunc, norm_kind)
+        return np.ascontiguousarray(m[::-1]), np.ascontiguousarray(s[::-1])
     u_sufmax = _suffix_max(u)
     # offsets past the symbol's support contribute nothing
     support = int(np.argmax(np.isneginf(u_sufmax))) if np.isneginf(u_sufmax).any() \
         else len(u)
     i_top = min(support, n_trunc)
-    # row r of the codomain sits at pad[edge + r]; rows outside 1..n_trunc
-    # that offsets below i_top + _BLOCK reach read log-zero
-    edge = i_top + _BLOCK
-    pad = np.full(n_trunc + 2 * edge, -np.inf)
-    rows = slice(edge + 1, edge + n_trunc + 1)
-    pad[rows] = v[:n_trunc]
-    # a walk reads v_reach only from its first row on, in its direction, so
-    # the padding it runs into stays log-zero and the other side is never read
-    v_reach = np.full(len(pad), -np.inf)
-    v_reach[rows] = _suffix_max(v[:n_trunc]) if direction > 0 \
-        else np.maximum.accumulate(v[:n_trunc])
-    # window[base + n, i] is the weight of the row that offset i0 + i reaches
-    # from column n, with base set per block below
+    # row r of the codomain sits at pad[r - 1]; rows past n_trunc that
+    # offsets below i_top + _BLOCK reach read log-zero, in v_reach too
+    pad = np.full(n_trunc + i_top + _BLOCK, -np.inf)
+    pad[:n_trunc] = v[:n_trunc]
+    v_reach = _suffix_max(pad)
+    # window[n - 1 + i0, i] is the weight of the row that offset i0 + i
+    # reaches from column n
     window = np.lib.stride_tricks.sliding_window_view(pad, _BLOCK)
-    if direction < 0:
-        window = window[:, ::-1]
     if norm_kind is NormKind.SUM:
         allowance, skip, cut = math.log(n_trunc), NEGLIGIBLE_LOG, _ROUNDING_LOG
     else:
@@ -540,8 +538,7 @@ def _run_profile(
     s_run = np.zeros(n_trunc)
     buf = np.empty(_BLOCK * n_trunc)
     for i0 in range(0, i_top, _BLOCK):
-        reach = edge + 1 + direction * i0
-        peak = u_sufmax[i0] + v_reach[reach : reach + n_trunc]
+        peak = u_sufmax[i0] + v_reach[i0 : i0 + n_trunc]
         active = peak + allowance > m_run - skip
         if not active.any():
             break
@@ -549,26 +546,24 @@ def _run_profile(
         cols = slice(lo, hi + 1)
         width = hi - lo + 1
         nb = min(_BLOCK, i_top - i0)
+        start = i0 + lo
         if width > 1 and nb > 2:
-            start = reach + lo
             head = np.maximum(u[i0] + pad[start : start + width],
-                              u[i0 + 1] + pad[start + direction : start + direction + width])
+                              u[i0 + 1] + pad[start + 1 : start + 1 + width])
             floor = np.where(active[cols], head - cut, np.inf)
             # the cut lies in keep..nb: rows from nb on are known negligible
             keep = 2
             while keep < nb:
                 mid = (keep + nb) // 2
-                s = start + direction * mid
+                s = start + mid
                 if (u_sufmax[i0 + mid] + v_reach[s : s + width] <= floor).all():
                     nb = mid
                 else:
                     keep = mid + 1
-        base = edge + i0 if direction > 0 else edge - i0 - _BLOCK + 1
-        s0 = base + lo + 1
-        if s0 < 0 or s0 + width > len(window):
-            raise InvariantError(f"window rows {s0}..{s0 + width} outside the padding")
+        if start + width > len(window):
+            raise InvariantError(f"window rows {start}..{start + width} outside the padding")
         terms = buf[: nb * width].reshape(nb, width)
-        np.add(u[i0 : i0 + nb, None], window[s0 : s0 + width, :nb].T, out=terms)
+        np.add(u[i0 : i0 + nb, None], window[start : start + width, :nb].T, out=terms)
         bm = terms.max(axis=0)
         if norm_kind is NormKind.SUP:
             m_run[cols] = np.maximum(m_run[cols], bm)
@@ -603,7 +598,7 @@ def column_norm_profile(
     v = weight_array(op.codomain, k, n_trunc)
     runs = [
         _run_profile(u, v, direction, n_trunc, norm_kind)
-        for u, direction in _part_offset_logs(op, n_trunc)
+        for u, direction in _runs(op, n_trunc, log=True)
     ]
     if norm_kind is NormKind.SUP:
         out = runs[0][0]
@@ -626,15 +621,12 @@ def column_norm_profile(
 
 
 def _dense_matrix(op: ToeplitzOperator, n: int) -> np.ndarray:
-    if op.variant is Variant.FULL:
-        return _dense_matrix(lower_part(op), n) + _dense_matrix(upper_part(op), n)
+    """The n-by-n matrix: the entrywise sum of its runs' triangles."""
     idx = np.arange(n, dtype=np.int32)
     offs = idx[:, None] - idx[None, :]
-    if op.variant is Variant.LOWER:
-        vals = op.symbol.lower.values_array(n)
-        return np.where(offs >= 0, vals[np.clip(offs, 0, n - 1)], 0.0)
-    vals = op.symbol.upper.values_array(n)
-    return np.where(offs <= 0, vals[np.clip(-offs, 0, n - 1)], 0.0)
+    return reduce(np.add, (
+        np.where(direction * offs >= 0, vals[np.clip(direction * offs, 0, n - 1)], 0.0)
+        for vals, direction in _runs(op, n, log=False)))
 
 
 def _prepare_input(x: Sequence[float], n_max: int | None) -> tuple[np.ndarray, int]:
@@ -685,19 +677,11 @@ def apply_fast(
     fx = np.fft.rfft(arr, size)
     y = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        if op.variant in (Variant.LOWER, Variant.FULL):
-            lv = op.symbol.lower.values_array(n)
-            if op.variant is Variant.FULL:
-                lv = lv.copy()
-                lv[0] = op.symbol.diagonal
-            y = y + np.fft.irfft(np.fft.rfft(lv, size) * fx, size)[:n]
-        if op.variant in (Variant.UPPER, Variant.FULL):
-            uv = op.symbol.upper.values_array(n)
-            if op.variant is Variant.FULL:
-                uv = uv.copy()
-                uv[0] = 0.0
-            corr = np.fft.irfft(np.fft.rfft(uv[::-1], size) * fx, size)
-            y = y + corr[n - 1 : 2 * n - 1]
+        for vals, direction in _runs(op, n, log=False):
+            # an upward run is a correlation, whose n outputs start at n - 1
+            first = 0 if direction > 0 else n - 1
+            y = y + np.fft.irfft(np.fft.rfft(vals[::direction], size) * fx,
+                                 size)[first : first + n]
     return _flag_overflow(y)
 
 

@@ -16,13 +16,22 @@ from unittest import mock
 import numpy as np
 
 from koethe import operators
-from koethe.operators import (
-    _BLOCK,
-    NEGLIGIBLE_LOG,
-    NormKind,
-    _merge_scaled,
-    _suffix_max,
-)
+from koethe.operators import _BLOCK, NEGLIGIBLE_LOG, NormKind
+
+
+# copies of the kernel's helpers, so that an edit of either is checked
+# against an implementation it cannot reach
+def _suffix_max(arr: np.ndarray) -> np.ndarray:
+    return np.maximum.accumulate(arr[::-1])[::-1]
+
+
+def _merge_scaled(m1, s1, m2, s2):
+    m = np.maximum(m1, m2)
+    safe = np.where(np.isneginf(m), 0.0, m)
+    with np.errstate(invalid="ignore"):
+        out = s1 * np.exp(np.where(np.isneginf(m1), -np.inf, m1) - safe)
+        out += s2 * np.exp(np.where(np.isneginf(m2), -np.inf, m2) - safe)
+    return m, out
 
 
 def gather_run_profile(

@@ -389,6 +389,15 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
       "--seed", "-1"], "--seed: must be >= 0, got -1"),
     (["run", "--config", json.dumps(base_config()), "--seed", "-1"],
      "--seed: must be >= 0, got -1"),
+    (["operator", "apply", "--operator", json.dumps(OP_LINE), "--input", "zeros.txt",
+      "--n=-1"], "apply.n: must be >= 1, got -1"),
+    (base_config(tasks=[{"command": "apply", "operator": "T", "input": "x.txt",
+                         "n": 0}]), "tasks[0].n: must be >= 1, got 0"),
+    (base_config(tasks=[{"command": "tame-condition", "domain": "A", "codomain": "B",
+                         "s_map": {"form": "table", "values": [1.5, 2.7]}}]),
+     "tasks[0].s_map: index map: field 'values' must be an array of integers"),
+    (base_config(symbols={"geo": {"lower": {"form": "polynomial", "d": 1.5}}}),
+     "symbols.geo: symbol part: field 'd' must be an integer"),
 ], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
         "window-not-an-object", "probe-k-not-integers", "probe-m-not-integers",
         "apply-n-not-an-integer", "apply-input-not-a-path", "checks-not-an-array",
@@ -396,7 +405,8 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
         "output-not-an-object", "output-dir-not-a-string", "direct-probe-m-zero",
         "probe-task-m-zero", "probe-task-k-negative", "config-seed-not-an-integer",
         "config-seed-a-string", "config-seed-negative", "direct-seed-negative",
-        "run-seed-negative"])
+        "run-seed-negative", "direct-apply-n-negative", "apply-task-n-zero",
+        "s-map-table-not-integers", "polynomial-d-not-an-integer"])
 def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
     code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
     assert code == EXIT_USAGE

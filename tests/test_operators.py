@@ -17,7 +17,7 @@ from koethe.operators import (
     ToeplitzOperator,
     Variant,
     _dense_matrix,
-    _part_offset_logs,
+    _runs,
     apply_dense,
     apply_fast,
     column,
@@ -169,7 +169,7 @@ def test_full_diagonal_beyond_float_range():
     op = full_op(SymbolSpec.exp_of_exponent(1000.0, ALPHA_N),
                  SymbolSpec.geometric(0.5), log_space, log_space)
     assert op.symbol.diagonal == math.inf
-    assert _part_offset_logs(op, 4)[0][0][0] == 1000.0
+    assert _runs(op, 4, log=True)[0][0][0] == 1000.0
     assert column_norm(op, 1, 1, 1, NormKind.SUP) == 1000.0 + weight(log_space, 1, 1)
 
 
@@ -179,7 +179,7 @@ def test_full_diagonal_overflow_keeps_head_signs():
     scale = math.exp(710.0 - math.log(1e308))
     for head, expected in ((1e308, scale + 1.0), (-1e308, scale - 1.0)):
         op = full_op(lower, SymbolSpec.explicit([head]))
-        got = _part_offset_logs(op, 1)[0][0][0]
+        got = _runs(op, 1, log=True)[0][0][0]
         assert got == pytest.approx(math.log(1e308) + math.log(expected), rel=1e-12)
 
 

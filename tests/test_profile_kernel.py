@@ -7,6 +7,7 @@ tolerance.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from koethe.operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
-    _part_offset_logs,
     _run_profile,
+    _runs,
 )
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
 from reference_kernels import gather_kernel, gather_run_profile, uncached_profile
@@ -55,7 +56,7 @@ def assert_raw_kernels_agree(u, v, direction, norm):
 
 def assert_kernels_agree(op, k, n, norm):
     v = weight_array(op.codomain, k, n)
-    for u, direction in _part_offset_logs(op, n):
+    for u, direction in _runs(op, n, log=True):
         assert_raw_kernels_agree(u, v, direction, norm)
     profile = uncached_profile(op, k, n, norm)
     with gather_kernel():
@@ -84,29 +85,13 @@ def test_kernels_agree_on_slow_upper_symbol_past_two_blocks(norm):
                  SPACES[1], SPACES[1])
     for k in (1, 12):
         assert_kernels_agree(op, k, n, norm)
-        (u, direction), = _part_offset_logs(op, n)
+        (u, direction), = _runs(op, n, log=True)
         v = weight_array(op.codomain, k, n)
         cut = u.copy()
         cut[3 * _BLOCK:] = -np.inf
         full_m, _ = _run_profile(u, v, direction, n, norm)
         cut_m, _ = _run_profile(cut, v, direction, n, norm)
         assert not np.array_equal(full_m, cut_m)  # blocks past 3*_BLOCK count
-
-
-@pytest.mark.parametrize("offset", [-1e-9, 0.0, 1e-9])
-@pytest.mark.parametrize("norm", list(NormKind))
-@pytest.mark.parametrize("direction", [1, -1])
-def test_block_cut_at_the_floor(direction, norm, offset):
-    # flat weights put every column's first row at 0, so the block floor is
-    # -NEGLIGIBLE_LOG; row 40 sits just below, on or just above it, rows
-    # 1..39 are large enough that losing any one of them moves the sum, and
-    # past row 40 nothing is left
-    n = 3 * _BLOCK
-    u = np.full(n, -500.0)
-    u[0] = 0.0
-    u[1:40] = -1.0 - np.arange(39) / 64.0
-    u[40] = -NEGLIGIBLE_LOG + offset
-    assert_raw_kernels_agree(u, np.zeros(n), direction, norm)
 
 
 @pytest.mark.parametrize("norm", list(NormKind))
@@ -173,6 +158,25 @@ def test_sum_cut_at_the_rounding_horizon(monkeypatch, direction, tail):
     assert np.array_equal(s, s_without) == (tail < -36.0)
 
 
+@pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_sum_block_skip_at_the_negligible_margin(monkeypatch, direction, offset):
+    # flat weights put every column's running scale at 0 once the first
+    # block is cut after its two head rows; the second block opens with the
+    # only other term above e^-500, just below or just above the skip margin
+    # -NEGLIGIBLE_LOG - log n, so its first 512 columns are skipped, or
+    # evaluated for their two head rows.  (The exact tie is left out:
+    # -60 - log n + log n need not round back to -60.)
+    n = 3 * _BLOCK
+    u = np.full(n, -500.0)
+    u[0] = 0.0
+    u[_BLOCK] = -NEGLIGIBLE_LOG - math.log(n) + offset
+    v = np.zeros(n)
+    assert_raw_kernels_agree(u, v, direction, NormKind.SUM)
+    assert evaluated_rows(monkeypatch, u, v, direction, NormKind.SUM) \
+        == (4 if offset > 0 else 2)
+
+
 @pytest.mark.parametrize("tail", [0.0, 1e-9])
 @pytest.mark.parametrize("direction", [1, -1])
 def test_sup_cut_and_skip_at_the_max(monkeypatch, direction, tail):
@@ -199,7 +203,7 @@ def test_full_upper_run_is_cut_below_its_log_zero_head(monkeypatch, norm):
     geo = SymbolSpec.geometric(0.3)
     op = make_op(Variant.FULL, geo, geo, SPACES[4], SPACES[5])
     assert_kernels_agree(op, k, n, norm)
-    (_, _), (u, direction) = _part_offset_logs(op, n)
+    (_, _), (u, direction) = _runs(op, n, log=True)
     assert direction == -1 and np.isneginf(u[0])
     assert evaluated_rows(monkeypatch, u, weight_array(op.codomain, k, n),
                           direction, norm) <= 16
