@@ -164,7 +164,7 @@ def test_sum_block_skip_at_the_negligible_margin(monkeypatch, direction, offset)
     # flat weights put every column's running scale at 0 once the first
     # block is cut after its two head rows; the second block opens with the
     # only other term above e^-500, just below or just above the skip margin
-    # -NEGLIGIBLE_LOG - log n, so its first 512 columns are skipped, or
+    # -NEGLIGIBLE_LOG - log n, so the 512 columns it reaches are skipped, or
     # evaluated for their two head rows.  (The exact tie is left out:
     # -60 - log n + log n need not round back to -60.)
     n = 3 * _BLOCK
