@@ -382,6 +382,8 @@ def _run_apply(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     if n is not None and n < 1:
         raise ConfigurationError(f"{path}.n: must be >= 1, got {n}")
     x = read_vector(source)
+    if not len(x):
+        raise ConfigurationError(f"{path}.input: no coefficients in {source!r}")
     n = len(x) if n is None else n
     method = task.get("method", "fast")
     if method == "fast":

@@ -216,28 +216,48 @@ def _effective_bounds(cond: QuantifierCondition, win: Window) -> tuple[int, int,
 
 def _gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # zero lhs weight satisfies any bound; zero rhs weight under a nonzero
-    # lhs cannot be dominated at any constant
-    with np.errstate(invalid="ignore"):
+    # lhs cannot be dominated at any constant; a gap past float range is +-inf
+    with np.errstate(invalid="ignore", over="ignore"):
         gap = lhs - rhs
     return np.where(np.isneginf(lhs), -np.inf, gap)
 
 
-def _sup_pair(gap: np.ndarray, n0: int, n_max: int) -> tuple[LogValue, LogValue] | None:
-    half = n_max // 2
-    if n0 > half:
-        return None
-    sup_half = float(np.max(gap[n0 - 1 : half]))
-    sup_full = max(sup_half, float(np.max(gap[half:n_max])))
-    return sup_half, sup_full
+def _sup_pair(
+    lhs: np.ndarray, zero: np.ndarray | None, rhs: np.ndarray, n0: int, n_max: int
+) -> tuple[LogValue, LogValue]:
+    """Sups of ``lhs - rhs`` from n0 <= n_max // 2 over the half and the full
+    window, with ``-inf`` wherever ``zero`` marks a zero lhs weight (see
+    :func:`_gap`)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = lhs - rhs
+    if zero is not None:
+        gap[zero] = -np.inf
+    sup_half, sup_rest = np.maximum.reduceat(gap, (n0 - 1, n_max // 2))
+    sup_half = float(sup_half)
+    return sup_half, max(sup_half, float(sup_rest))
 
 
 def _gap_pairs(cond: QuantifierCondition, n_max: int) -> SupPair:
-    """Scan evidence from the raw weight gaps of the condition."""
+    """Scan evidence from the raw weight gaps of the condition.  A scan
+    fetches each grading's and each witness's weight row once, on its
+    first pair, and keeps it for the scan's other pairs."""
+    from_k = cond.n_start is NStart.K
+    lhs_rows: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+    rhs_rows: dict[int, np.ndarray] = {}
+
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue] | None:
-        n0 = k if cond.n_start is NStart.K else 1
-        gap = _gap(weight_array(cond.lhs, k, n_max),
-                   weight_array(cond.rhs, m, n_max))
-        return _sup_pair(gap, n0, n_max)
+        n0 = k if from_k else 1
+        if n0 > n_max // 2:
+            return None
+        lhs = lhs_rows.get(k)
+        if lhs is None:
+            row = weight_array(cond.lhs, k, n_max)
+            zero = np.isneginf(row)
+            lhs = lhs_rows[k] = (row, zero if zero.any() else None)
+        rhs = rhs_rows.get(m)
+        if rhs is None:
+            rhs = rhs_rows[m] = weight_array(cond.rhs, m, n_max)
+        return _sup_pair(*lhs, rhs, n0, n_max)
     return sup_pair
 
 
@@ -696,10 +716,9 @@ def _sample_tameness(
     if n_max < 2:
         return Outcome.INCONCLUSIVE, None, None
 
-    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue] | None:
-        gap = (column_norm_profile(op, k, n_max, norm_kind)
-               - weight_array(op.domain, m, n_max))
-        return _sup_pair(gap, 1, n_max)
+    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
+        return _sup_pair(column_norm_profile(op, k, n_max, norm_kind), None,
+                         weight_array(op.domain, m, n_max), 1, n_max)
 
     scan = scan_fixed(win, sup_pair, win.k_max, s_map)
     if scan.outcome is Outcome.HOLDS:

@@ -592,8 +592,9 @@ def column_norm_profile(
 
     Agrees with :func:`column_norm` up to reduction-order rounding; reports
     that need bit-stable numbers use a fixed block schedule, which this is.
-    Results are memoized, so certificate scans over many witness indices
-    share one profile per grading.
+    Results are memoized: an oracle scan holds the profiles it fetched
+    itself, and the memo serves repeat scans of the same operator (the
+    other property of a cross-validation, another window's checkpoints).
     """
     v = weight_array(op.codomain, k, n_trunc)
     runs = [

@@ -170,12 +170,23 @@ def ratio_curve(
 def _profile_pairs(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
                    ) -> SupPair:
     """Scan evidence from the ratio curve at the last two checkpoints; the
-    plateau status only reads the last doubling."""
-    last = pts[-2:]
+    plateau status only reads the last doubling.  A scan fetches each
+    grading's profiles and each witness's weights at both checkpoints once,
+    on its first pair, and keeps them for the scan's other pairs."""
+    half, full = pts[-2:]
+    profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
-        (_, sup_half), (_, sup_full) = _curve_points(op, kind, k, m, last)
-        return sup_half, sup_full
+        prof = profiles.get(k)
+        if prof is None:
+            prof = profiles[k] = (column_norm_profile(op, k, half, kind),
+                                  column_norm_profile(op, k, full, kind))
+        w = weights.get(m)
+        if w is None:
+            w = weights[m] = (weight_array(op.domain, m, half),
+                              weight_array(op.domain, m, full))
+        return float((prof[0] - w[0]).max()), float((prof[1] - w[1]).max())
     return sup_pair
 
 

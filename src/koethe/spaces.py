@@ -312,7 +312,9 @@ def weight_array(space: SpaceDescriptor, k: int, n_max: int) -> np.ndarray:
     if space.kind == POWER_SERIES_FINITE:
         arr = -space.alpha.values_array(n_max) / k
     elif space.kind == POWER_SERIES_INFINITE:
-        arr = k * space.alpha.values_array(n_max)
+        # a weight past float range is log-weight inf, not an error
+        with np.errstate(over="ignore"):
+            arr = k * space.alpha.values_array(n_max)
     else:
         rows = space.weights
         if n_max > len(rows) or k > len(rows[0]):

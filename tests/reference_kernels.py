@@ -5,18 +5,35 @@ window-view rewrite of :func:`koethe.operators._run_profile`: per offset
 block it builds a clipped index array into the padded codomain weights and
 gathers through it.  It computes the same terms in the same (offset, column)
 layout, so the two kernels must agree bit for bit.
+
+``_gap_pairs``, ``_sup_pair`` and ``_profile_pairs`` are the certifier's and
+the oracle's sup-pair providers as they were before the scans kept their
+rows: every pair looks its rows up in the caches again and reduces each
+half of the gap by its own ``np.max``.  They return the same floats, so the
+two must agree bit for bit as well.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
 
 from koethe import operators
-from koethe.operators import _BLOCK, NEGLIGIBLE_LOG, NormKind
+from koethe.criteria import NStart, QuantifierCondition
+from koethe.logdomain import LogValue
+from koethe.operators import (
+    _BLOCK,
+    NEGLIGIBLE_LOG,
+    NormKind,
+    ToeplitzOperator,
+    column_norm_profile,
+)
+from koethe.spaces import weight_array
+from koethe.verdicts import SupPair
 
 
 # copies of the kernel's helpers, so that an edit of either is checked
@@ -89,3 +106,58 @@ def gather_kernel():
 def uncached_profile(op, k: int, n_trunc: int, norm_kind: NormKind) -> np.ndarray:
     """``column_norm_profile`` without its memo, on whichever kernel is bound."""
     return operators.column_norm_profile.__wrapped__(op, k, n_trunc, norm_kind)
+
+
+# verbatim copies of the sup-pair providers before the scan-local rows
+def _gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # zero lhs weight satisfies any bound; zero rhs weight under a nonzero
+    # lhs cannot be dominated at any constant
+    with np.errstate(invalid="ignore"):
+        gap = lhs - rhs
+    return np.where(np.isneginf(lhs), -np.inf, gap)
+
+
+def _sup_pair(gap: np.ndarray, n0: int, n_max: int) -> tuple[LogValue, LogValue] | None:
+    half = n_max // 2
+    if n0 > half:
+        return None
+    sup_half = float(np.max(gap[n0 - 1 : half]))
+    sup_full = max(sup_half, float(np.max(gap[half:n_max])))
+    return sup_half, sup_full
+
+
+def _gap_pairs(cond: QuantifierCondition, n_max: int) -> SupPair:
+    """Scan evidence from the raw weight gaps of the condition."""
+    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue] | None:
+        n0 = k if cond.n_start is NStart.K else 1
+        gap = _gap(weight_array(cond.lhs, k, n_max),
+                   weight_array(cond.rhs, m, n_max))
+        return _sup_pair(gap, n0, n_max)
+    return sup_pair
+
+
+def _curve_points(
+    op: ToeplitzOperator,
+    norm_kind: NormKind,
+    k: int,
+    m: int,
+    checkpoints: Sequence[int],
+) -> list[tuple[int, LogValue]]:
+    points = []
+    for n_c in checkpoints:
+        profile = column_norm_profile(op, k, n_c, norm_kind)
+        gap = profile - weight_array(op.domain, m, n_c)
+        points.append((n_c, float(np.max(gap))))
+    return points
+
+
+def _profile_pairs(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
+                   ) -> SupPair:
+    """Scan evidence from the ratio curve at the last two checkpoints; the
+    plateau status only reads the last doubling."""
+    last = pts[-2:]
+
+    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
+        (_, sup_half), (_, sup_full) = _curve_points(op, kind, k, m, last)
+        return sup_half, sup_full
+    return sup_pair

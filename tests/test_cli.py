@@ -432,6 +432,23 @@ def test_unreadable_vector_file_is_a_usage_error(content, tmp_path, capsys):
     assert all(line.startswith(f"error: cannot read {str(source)!r}") for line in err)
 
 
+@pytest.mark.parametrize("n", [None, 4], ids=["length-from-input", "explicit-n"])
+def test_empty_vector_file_is_a_usage_error(n, tmp_path, capsys):
+    source = tmp_path / "empty.txt"
+    source.write_text("\n")
+    op = {"variant": "lower", "domain": L1N, "codomain": L1N, "symbol": GEO}
+    argv = ["operator", "apply", "--operator", json.dumps(op), "--input", str(source)]
+    task = {"command": "apply", "operator": "T", "input": str(source)}
+    if n is not None:
+        argv.append(f"--n={n}")
+        task["n"] = n
+    assert main(argv) == EXIT_USAGE
+    assert run_config(tmp_path, base_config(tasks=[task])) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: apply.input: no coefficients in {str(source)!r}",
+                   f"error: tasks[0].input: no coefficients in {str(source)!r}"]
+
+
 def test_unreadable_json_file_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "space.json"
     path.write_bytes(b"\xff\xfe")
