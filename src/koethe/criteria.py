@@ -58,28 +58,18 @@ from .spaces import (
 )
 from .verdicts import (
     CompositeCertificate,
-    FailureWitness,
     Outcome,
     PointwiseCertificate,
+    Shape,
     SupPair,
     TameCertificate,
     UniformCertificate,
     Verdict,
     Window,
     conjoin,
-    fails,
-    holds,
-    inconclusive,
-    scan_exists,
+    decide,
     scan_fixed,
-    scan_forall,
 )
-
-
-class Shape(str, enum.Enum):
-    FORALL_K_EXISTS_M = "forall_k_exists_m"
-    EXISTS_M_FORALL_K = "exists_m_forall_k"
-    FIXED_MAP = "fixed_map"
 
 
 class NStart(str, enum.Enum):
@@ -193,25 +183,24 @@ def weight_domination(
 
 
 def _effective_bounds(cond: QuantifierCondition, win: Window) -> tuple[int, int, int, bool]:
-    """(k_max, m_max, n_max) clipped to any tabulated windows, plus a flag
-    telling whether clipping happened."""
-    k_max, m_max, n_max = win.k_max, win.m_max, win.n_max
-    clipped = False
-    for space, which in ((cond.lhs, "k"), (cond.rhs, "m")):
-        if space.n_limit is not None and space.n_limit < n_max:
-            n_max = space.n_limit
-            clipped = True
-        lim = space.k_limit
-        if lim is not None:
-            if which == "k" and lim < k_max:
-                k_max, clipped = lim, True
-            if which == "m" and lim < m_max:
-                m_max, clipped = lim, True
-    if k_max < 1 or m_max < 1 or n_max < 4:
+    """The window's bounds clipped to the condition's spaces (see
+    :meth:`Window.clip`)."""
+    bounds = win.clip(cond.lhs, cond.rhs)
+    if bounds[2] < 4:
         raise ConfigurationError(
             "condition window collapsed: tabulated weights too short"
         )
-    return k_max, m_max, n_max, clipped
+    return bounds
+
+
+def _check_index_map(s_map: SMap, k_max: int, m_max: int) -> None:
+    """The index map must stay inside the witness window up to k_max."""
+    over = next((k for k in range(1, k_max + 1) if s_map(k) > m_max), None)
+    if over is not None:
+        raise ConfigurationError(
+            f"index map exceeds the witness window at k={over}: "
+            f"S(k)={s_map(over)} > m_max={m_max}"
+        )
 
 
 def _gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -261,6 +250,22 @@ def _gap_pairs(cond: QuantifierCondition, n_max: int) -> SupPair:
     return sup_pair
 
 
+#: reasons of the certifier's verdicts; ``{k}`` is the grading the scan names
+_REASONS = {
+    (Shape.FORALL_K_EXISTS_M, Outcome.INCONCLUSIVE):
+        "gap sup neither settles nor grows for some m at k={k}",
+    (Shape.FORALL_K_EXISTS_M, Outcome.FAILS_ON_WINDOW):
+        "gap sup grows for every m at k={k}",
+    (Shape.EXISTS_M_FORALL_K, Outcome.INCONCLUSIVE):
+        "no uniform witness index settles on the window",
+    (Shape.EXISTS_M_FORALL_K, Outcome.FAILS_ON_WINDOW):
+        "every witness index leaves a growing grading",
+    (Shape.FIXED_MAP, Outcome.INCONCLUSIVE): "gap sup drifts at the top grading",
+    (Shape.FIXED_MAP, Outcome.FAILS_ON_WINDOW):
+        "gap sup grows at the top grading k={k}",
+}
+
+
 def certify(cond: QuantifierCondition, window: Window | None = None) -> Verdict:
     """Search the window for witnesses of the quantifier condition.
 
@@ -269,43 +274,11 @@ def certify(cond: QuantifierCondition, window: Window | None = None) -> Verdict:
     """
     win = window or Window()
     k_max, m_max, n_max, clipped = _effective_bounds(cond, win)
-    tags = ("finite-window",) if clipped else ()
-    sup_pair = _gap_pairs(cond, n_max)
-    n_range = (n_max // 2, n_max)
-    if cond.shape is Shape.FORALL_K_EXISTS_M:
-        scan = scan_forall(win, sup_pair, k_max, m_max)
-        if scan.outcome is Outcome.HOLDS:
-            return holds(PointwiseCertificate(scan.entries), win, tags=tags)
-        if scan.outcome is Outcome.INCONCLUSIVE:
-            return inconclusive(
-                f"gap sup neither settles nor grows for some m at k={scan.k}",
-                win, tags=tags,
-            )
-        return fails(FailureWitness(scan.k, m_max, n_range, scan.growth), win,
-                     tags=tags, reason=f"gap sup grows for every m at k={scan.k}")
-    if cond.shape is Shape.EXISTS_M_FORALL_K:
-        scan = scan_exists(win, sup_pair, k_max, m_max, cond.lhs.k_limit)
-        if scan.outcome is Outcome.HOLDS:
-            return holds(UniformCertificate(scan.m, scan.entries), win, tags=tags)
-        if scan.outcome is Outcome.INCONCLUSIVE:
-            return inconclusive("no uniform witness index settles on the window",
-                                win, tags=tags)
-        return fails(FailureWitness(scan.k, m_max, n_range, scan.growth), win,
-                     tags=tags, reason="every witness index leaves a growing grading")
-    s = cond.s_map
-    over = next((k for k in range(1, k_max + 1) if s(k) > m_max), None)
-    if over is not None:
-        raise ConfigurationError(
-            f"index map exceeds the witness window at k={over}: "
-            f"S(k)={s(over)} > m_max={m_max}"
-        )
-    scan = scan_fixed(win, sup_pair, k_max, s)
-    if scan.outcome is Outcome.HOLDS:
-        return holds(TameCertificate(min(scan.entries), scan.entries), win, tags=tags)
-    if scan.outcome is Outcome.FAILS_ON_WINDOW:
-        return fails(FailureWitness(k_max, s(k_max), n_range, scan.growth), win,
-                     tags=tags, reason=f"gap sup grows at the top grading k={k_max}")
-    return inconclusive("gap sup drifts at the top grading", win, tags=tags)
+    if cond.shape is Shape.FIXED_MAP:
+        _check_index_map(cond.s_map, k_max, m_max)
+    return decide(cond.shape, win, _gap_pairs(cond, n_max), k_max, m_max,
+                  (n_max // 2, n_max), ("finite-window",) if clipped else (),
+                  _REASONS, k_limit=cond.lhs.k_limit, s_map=cond.s_map)
 
 
 def replay_certificate(
@@ -706,13 +679,11 @@ class TamenessReport:
 
 
 def _sample_tameness(
-    op: ToeplitzOperator, s_map: SMap, win: Window, norm_kind: NormKind
+    op: ToeplitzOperator, s_map: SMap, win: Window, norm_kind: NormKind,
+    k_max: int, n_max: int,
 ) -> tuple[Outcome, int | None, LogValue | None]:
-    """Smallest k0 with a stabilized uniform constant for all k >= k0."""
-    n_max = win.n_max
-    for space in (op.domain, op.codomain):
-        if space.n_limit is not None:
-            n_max = min(n_max, space.n_limit)
+    """Smallest k0 <= k_max with a stabilized uniform constant for all
+    k >= k0, on the clipped truncation n_max."""
     if n_max < 2:
         return Outcome.INCONCLUSIVE, None, None
 
@@ -720,7 +691,7 @@ def _sample_tameness(
         return _sup_pair(column_norm_profile(op, k, n_max, norm_kind), None,
                          weight_array(op.domain, m, n_max), 1, n_max)
 
-    scan = scan_fixed(win, sup_pair, win.k_max, s_map)
+    scan = scan_fixed(win, sup_pair, k_max, s_map)
     if scan.outcome is Outcome.HOLDS:
         return Outcome.HOLDS, min(scan.entries), max(scan.entries.values())
     return scan.outcome, None, None
@@ -735,11 +706,8 @@ def tameness_check(
     """Sample the family and certify the uniform column-norm estimate
     ||T e_n||_k <= C ||e_n||_{S(k)} for k beyond a per-member threshold."""
     win = window or Window()
-    bad = [k for k in range(1, win.k_max + 1) if s_map(k) > win.m_max]
-    if bad:
-        raise ConfigurationError(
-            f"index map exceeds the witness window at k={bad[0]}"
-        )
+    k_max, m_max, n_max, _ = win.clip(template.codomain, template.domain)
+    _check_index_map(s_map, k_max, m_max)
     rng = np.random.default_rng(family.seed)
     if template.variant is Variant.FULL:
         lows = _sample_family(family, "space", template.codomain, win, rng)
@@ -759,7 +727,8 @@ def tameness_check(
     samples: list[TameSample] = []
     for spec, second in members:
         op = template.build(spec, second)
-        status, k0, log_c = _sample_tameness(op, s_map, win, norm_kind)
+        status, k0, log_c = _sample_tameness(op, s_map, win, norm_kind,
+                                             k_max, n_max)
         samples.append(TameSample(spec, status, k0, log_c))
     outcomes = [s.status for s in samples]
     overall = conjoin(*outcomes)

@@ -697,17 +697,12 @@ def membership_in_space(
     """Does the one-sided sequence lie in the space?  Evidence per grading k:
     the series sum_j |theta_j| a(j+1, k) is classified on the window."""
     win = window or Window()
-    n_max = win.n_max
-    if space.n_limit is not None:
-        n_max = min(n_max, space.n_limit)
+    k_max, _, n_max, _ = win.clip(space)
     if n_max < 2:
         return inconclusive("window too short for series evidence", win)
-    k_top = win.k_max
-    if space.k_limit is not None:
-        k_top = min(k_top, space.k_limit)
     logs = spec.log_abs_array(n_max)
     saw_inconclusive = None
-    for k in range(1, k_top + 1):
+    for k in range(1, k_max + 1):
         w = weight_array(space, k, n_max)
         terms = np.where(np.isneginf(logs), -np.inf, logs + w)
         verdict = classify_series(terms, win)
@@ -756,9 +751,7 @@ def membership_in_dual(
         raise UnsupportedCombinationError(
             "dual membership is only decided against power series spaces"
         )
-    n_max = win.n_max
-    if space.n_limit is not None:
-        n_max = min(n_max, space.n_limit)
+    _, _, n_max, _ = win.clip(space)
     half = n_max // 2
     if half < 1:
         return inconclusive("window too short for a plateau test", win)

@@ -39,18 +39,13 @@ from .operators import (
 )
 from .spaces import nuclearity_verdict, weight_array
 from .verdicts import (
-    FailureWitness,
     Outcome,
-    PointwiseCertificate,
+    Shape,
     SupPair,
-    UniformCertificate,
     Verdict,
     Window,
-    fails,
-    holds,
+    decide,
     inconclusive,
-    scan_exists,
-    scan_forall,
 )
 
 
@@ -109,15 +104,9 @@ class CrossReport:
 # ---------------------------------------------------------------------------
 
 
-def _effective_checkpoints(
-    op: ToeplitzOperator, window: Window
-) -> tuple[int, ...] | None:
-    """Clip the checkpoint schedule to any tabulated windows; None when the
-    remaining window is too short for a plateau test."""
-    n_max = window.n_max
-    for space in (op.domain, op.codomain):
-        if space.n_limit is not None:
-            n_max = min(n_max, space.n_limit)
+def _effective_checkpoints(window: Window, n_max: int) -> tuple[int, ...] | None:
+    """The checkpoint schedule cut at the clipped truncation n_max; None
+    when the remaining window is too short for a plateau test."""
     pts = [c for c in window.checkpoints if c <= n_max]
     if not pts or pts[-1] != n_max:
         pts.append(n_max)
@@ -158,7 +147,8 @@ def ratio_curve(
     """
     win = window or Window()
     kind = norm_kind or default_norm_kind(op)
-    pts = tuple(checkpoints) if checkpoints else _effective_checkpoints(op, win)
+    pts = (tuple(checkpoints) if checkpoints else
+           _effective_checkpoints(win, win.clip(op.codomain, op.domain)[2]))
     if pts is None:
         raise ConfigurationError("window too short for a ratio curve")
     if list(pts) != sorted(set(pts)):
@@ -195,31 +185,48 @@ def _profile_pairs(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
 # ---------------------------------------------------------------------------
 
 
+#: reasons of the oracle's verdicts; ``{k}`` is the grading the scan names
+_REASONS = {
+    (Shape.FORALL_K_EXISTS_M, Outcome.INCONCLUSIVE):
+        "ratio curve neither settles nor grows for some m at k={k}",
+    (Shape.FORALL_K_EXISTS_M, Outcome.FAILS_ON_WINDOW):
+        "ratio curve grows for every m at k={k}",
+    (Shape.EXISTS_M_FORALL_K, Outcome.INCONCLUSIVE):
+        "no uniform witness index settles the ratio curves",
+    (Shape.EXISTS_M_FORALL_K, Outcome.FAILS_ON_WINDOW):
+        "every witness index leaves a growing ratio curve",
+}
+
+
+def _oracle(
+    op: ToeplitzOperator, shape: Shape, window: Window | None,
+    norm_kind: NormKind | None,
+) -> Verdict:
+    """Scan the ratio curves at the last checkpoint doubling under ``shape``,
+    with k and m cut to the operator's tabulated spaces."""
+    win = window or Window()
+    kind = norm_kind or default_norm_kind(op)
+    k_max, m_max, n_max, clipped = win.clip(op.codomain, op.domain)
+    pts = _effective_checkpoints(win, n_max)
+    if pts is None:
+        return inconclusive("window too short for ratio evidence", win,
+                            tags=("oracle",))
+    tags = ["oracle", "finite-window"] if clipped else ["oracle"]
+    if shape is Shape.EXISTS_M_FORALL_K:
+        nuclear = nuclearity_verdict(op.codomain, win).outcome
+        tags.append("nuclearity:holds" if nuclear is Outcome.HOLDS
+                    else f"hypothesis-unverified:nuclearity-{nuclear.value}")
+    return decide(shape, win, _profile_pairs(op, kind, pts), k_max, m_max,
+                  pts[-2:], tuple(tags), _REASONS, k_limit=op.codomain.k_limit)
+
+
 def oracle_continuity(
     op: ToeplitzOperator,
     window: Window | None = None,
     norm_kind: NormKind | None = None,
 ) -> Verdict:
     """For each grading k, hunt a witness m whose ratio curve plateaus."""
-    win = window or Window()
-    kind = norm_kind or default_norm_kind(op)
-    pts = _effective_checkpoints(op, win)
-    if pts is None:
-        return inconclusive("window too short for ratio evidence", win,
-                            tags=("oracle",))
-    tags = ("oracle",) if pts == win.checkpoints else ("oracle", "finite-window")
-    scan = scan_forall(win, _profile_pairs(op, kind, pts), win.k_max, win.m_max)
-    if scan.outcome is Outcome.HOLDS:
-        return holds(PointwiseCertificate(scan.entries), win, tags=tags)
-    if scan.outcome is Outcome.INCONCLUSIVE:
-        return inconclusive(
-            f"ratio curve neither settles nor grows for some m at k={scan.k}",
-            win, tags=tags,
-        )
-    witness = FailureWitness(k=scan.k, best_m=win.m_max,
-                             n_range=(pts[-2], pts[-1]), growth_log=scan.growth)
-    return fails(witness, win, tags=tags,
-                 reason=f"ratio curve grows for every m at k={scan.k}")
+    return _oracle(op, Shape.FORALL_K_EXISTS_M, window, norm_kind)
 
 
 def oracle_compactness(
@@ -234,33 +241,7 @@ def oracle_compactness(
     hypothesis behind the compactness reading of the ratio criterion) is
     checked and attached as a tag.
     """
-    win = window or Window()
-    kind = norm_kind or default_norm_kind(op)
-    pts = _effective_checkpoints(op, win)
-    if pts is None:
-        return inconclusive("window too short for ratio evidence", win,
-                            tags=("oracle",))
-    nuclear = nuclearity_verdict(op.codomain, win)
-    tags = ["oracle"]
-    if pts != win.checkpoints:
-        tags.append("finite-window")
-    if nuclear.outcome is Outcome.HOLDS:
-        tags.append("nuclearity:holds")
-    else:
-        tags.append(f"hypothesis-unverified:nuclearity-{nuclear.outcome.value}")
-    tags = tuple(tags)
-
-    scan = scan_exists(win, _profile_pairs(op, kind, pts), win.k_max, win.m_max,
-                       op.codomain.k_limit)
-    if scan.outcome is Outcome.HOLDS:
-        return holds(UniformCertificate(scan.m, scan.entries), win, tags=tags)
-    if scan.outcome is Outcome.INCONCLUSIVE:
-        return inconclusive("no uniform witness index settles the ratio curves",
-                            win, tags=tags)
-    witness = FailureWitness(k=scan.k, best_m=win.m_max,
-                             n_range=(pts[-2], pts[-1]), growth_log=scan.growth)
-    return fails(witness, win, tags=tags,
-                 reason="every witness index leaves a growing ratio curve")
+    return _oracle(op, Shape.EXISTS_M_FORALL_K, window, norm_kind)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .logdomain import LOG_ZERO, LogValue, linear_or_none, log_sum
 from .verdicts import (
-    Outcome,
     PointwiseCertificate,
     FailureWitness,
     Verdict,
@@ -513,9 +512,7 @@ def nuclearity_verdict(space: SpaceDescriptor, window: Window | None = None) -> 
     A power series space's verdict is computed once per kind, exponent
     sequence and window; tabulated spaces are evaluated on every call."""
     win = window or Window()
-    n_max = win.n_max
-    if space.n_limit is not None:
-        n_max = min(n_max, space.n_limit)
+    _, _, n_max, _ = win.clip(space)
     if space.alpha is None:
         return _nuclearity_scan(space, win, n_max)
     return _memo(space.alpha, n_max, ("nuclearity", space.kind, win),

@@ -33,6 +33,14 @@ def conjoin(*outcomes: Outcome) -> Outcome:
     return min(outcomes, key=_SEVERITY.__getitem__)
 
 
+class Shape(str, enum.Enum):
+    """Quantifier shape of a condition between a grading k and a witness m."""
+
+    FORALL_K_EXISTS_M = "forall_k_exists_m"
+    EXISTS_M_FORALL_K = "exists_m_forall_k"
+    FIXED_MAP = "fixed_map"
+
+
 class PlateauStatus(str, enum.Enum):
     PLATEAU = "plateau"
     GROWTH = "growth"
@@ -87,6 +95,18 @@ class Window:
 
     def with_n_max(self, n_max: int) -> "Window":
         return replace(self, n_max=n_max, checkpoints=_default_checkpoints(n_max))
+
+    def clip(self, k_space: Any, m_space: Any = None) -> tuple[int, int, int, bool]:
+        """(k_max, m_max, n_max) cut to the tabulated weights of the space
+        graded by k and of the one graded by m, and whether any was cut."""
+        n_max = min(self.n_max, k_space.n_limit or self.n_max)
+        k_max = min(self.k_max, k_space.k_limit or self.k_max)
+        m_max = self.m_max
+        if m_space is not None:
+            n_max = min(n_max, m_space.n_limit or n_max)
+            m_max = min(m_max, m_space.k_limit or m_max)
+        bounds = (k_max, m_max, n_max)
+        return *bounds, bounds != (self.k_max, self.m_max, self.n_max)
 
     def classify_sup(self, sup_half: LogValue, sup_full: LogValue) -> PlateauStatus:
         """Trichotomy for a running sup observed on the half and full window."""
@@ -420,3 +440,39 @@ def fails(witness: FailureWitness, window: Window, **kw) -> Verdict:
 
 def inconclusive(reason: str, window: Window, **kw) -> Verdict:
     return Verdict(Outcome.INCONCLUSIVE, reason=reason, window=window, **kw)
+
+
+def decide(
+    shape: Shape, win: Window, sup_pair: SupPair, k_max: int, m_max: int,
+    n_range: tuple[int, int], tags: tuple[str, ...],
+    reasons: Mapping[tuple[Shape, Outcome], str],
+    k_limit: int | None = None, s_map: Callable[[int], int] | None = None,
+) -> Verdict:
+    """Run the scan of ``shape`` over ``sup_pair`` and turn it into a verdict.
+
+    Holds carries the shape's certificate.  A failure names the grading the
+    scan reports, ``m_max`` (``S(k_max)`` under a fixed map) as the best
+    witness index and ``n_range`` as the window of the growth.  The reason
+    of a verdict that does not hold is ``reasons[shape, outcome]`` with
+    ``{k}`` set to the scan's grading.
+    """
+    if shape is Shape.FORALL_K_EXISTS_M:
+        scan = scan_forall(win, sup_pair, k_max, m_max)
+    elif shape is Shape.EXISTS_M_FORALL_K:
+        scan = scan_exists(win, sup_pair, k_max, m_max, k_limit)
+    else:
+        scan = scan_fixed(win, sup_pair, k_max, s_map)
+    if scan.outcome is Outcome.HOLDS:
+        if shape is Shape.FORALL_K_EXISTS_M:
+            certificate = PointwiseCertificate(scan.entries)
+        elif shape is Shape.EXISTS_M_FORALL_K:
+            certificate = UniformCertificate(scan.m, scan.entries)
+        else:
+            certificate = TameCertificate(min(scan.entries), scan.entries)
+        return holds(certificate, win, tags=tags)
+    reason = reasons[shape, scan.outcome].format(k=scan.k)
+    if scan.outcome is Outcome.INCONCLUSIVE:
+        return inconclusive(reason, win, tags=tags)
+    best_m = s_map(k_max) if shape is Shape.FIXED_MAP else m_max
+    return fails(FailureWitness(scan.k, best_m, n_range, scan.growth), win,
+                 tags=tags, reason=reason)

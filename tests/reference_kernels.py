@@ -6,6 +6,9 @@ block it builds a clipped index array into the padded codomain weights and
 gathers through it.  It computes the same terms in the same (offset, column)
 layout, so the two kernels must agree bit for bit.
 
+``same_exp_log_build`` tells whether numpy rounds exp and log as on the
+build that recorded the tests' byte digests.
+
 ``_gap_pairs``, ``_sup_pair`` and ``_profile_pairs`` are the certifier's and
 the oracle's sup-pair providers as they were before the scans kept their
 rows: every pair looks its rows up in the caches again and reduces each
@@ -16,6 +19,7 @@ two must agree bit for bit as well.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 from typing import Sequence
 from unittest import mock
@@ -34,6 +38,18 @@ from koethe.operators import (
 )
 from koethe.spaces import weight_array
 from koethe.verdicts import SupPair
+
+
+#: sha256 of np.exp and np.log over a fixed grid on the build that recorded
+#: the tests' digests; another libm or SIMD path may round them differently
+_EXP_LOG_DIGEST = "76671592d163edd52976027ea6527f64d3d04ae133bcd50b37a3f8ea93ca3266"
+
+
+def same_exp_log_build() -> bool:
+    """Does numpy round exp and log as on the build that recorded the digests?"""
+    grid = np.linspace(-60.0, 60.0, 4097)
+    data = np.exp(grid).tobytes() + np.log(np.exp(grid)).tobytes()
+    return hashlib.sha256(data).hexdigest() == _EXP_LOG_DIGEST
 
 
 # copies of the kernel's helpers, so that an edit of either is checked

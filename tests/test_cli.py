@@ -313,6 +313,20 @@ def test_cross_validate_full_diagonal_beyond_float_range(capsys):
     assert json.loads(capsys.readouterr().out)["report"]["agreement"] == "agree"
 
 
+def test_cross_validate_from_a_short_general_domain_exits_by_its_verdict(capsys):
+    # 2 gradings, fewer than m_max: the oracle cuts its witness search to them
+    general = {"kind": "general_koethe",
+               "weights": [[math.exp(-n), math.exp(-n / 2)] for n in range(1, 65)]}
+    op = {"variant": "lower", "domain": general, "codomain": L1N,
+          "symbol": {"lower": {"form": "geometric", "r": 0.5}}}
+    for prop in ("continuity", "compactness"):
+        code = main(["cross-validate", "--operator", json.dumps(op),
+                     "--property", prop, "--n-max", "64"])
+        assert code <= 3
+        payload = json.loads(capsys.readouterr().out)
+        assert "finite-window" in payload["report"]["oracle"]["tags"]
+
+
 def test_inline_json_longer_than_filename_limit(capsys):
     # inline operator JSON easily exceeds the OS filename length cap
     op = {"variant": "lower", "domain": L1N, "codomain": L1N2,

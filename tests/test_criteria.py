@@ -343,6 +343,34 @@ def test_tameness_rejects_oversized_map():
         tameness_check(family, SMap.linear(1000), template, WIN)
 
 
+GENERAL3 = SpaceDescriptor.general([[math.exp(-n / k) for k in (1, 2, 3)]
+                                    for n in range(1, 65)])
+GENERAL2 = SpaceDescriptor.general([[math.exp(-n / k) for k in (1, 2)]
+                                    for n in range(1, 65)])
+
+
+def test_tameness_clips_to_a_short_codomain():
+    template = OperatorTemplate(Variant.UPPER, LINF_N, GENERAL3)
+    report = tameness_check(FamilySpec(count=3, seed=1), SMap.identity(), template,
+                            Window().with_n_max(64))
+    assert len(report.samples) == 3
+    assert all(s.k0 is None or s.k0 <= 3 for s in report.samples)
+
+
+def test_tameness_checks_the_map_against_a_short_domain():
+    # S(3) = 3 overruns the 2 gradings of the domain: the certifier's error,
+    # raised before any weight past the table is read
+    template = OperatorTemplate(Variant.LOWER, GENERAL2, L1_N)
+    with pytest.raises(ConfigurationError,
+                       match=r"at k=3: S\(k\)=3 > m_max=2"):
+        tameness_check(FamilySpec(count=3, seed=1), SMap.identity(), template,
+                       Window().with_n_max(64))
+    with pytest.raises(ConfigurationError,
+                       match=r"at k=3: S\(k\)=3 > m_max=2"):
+        certify(weight_domination(GENERAL2, L1_N, Shape.FIXED_MAP,
+                                  s_map=SMap.identity()), Window().with_n_max(64))
+
+
 def test_family_spec_validation():
     with pytest.raises(ConfigurationError):
         FamilySpec(count=0)

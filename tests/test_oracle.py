@@ -141,6 +141,35 @@ def test_oracle_inconclusive_on_short_tabulated_window():
     assert "finite-window" in verdict.tags
 
 
+#: tabulated spaces with 3 and 2 gradings, fewer than the window's k_max
+#: and m_max, at the window's n_max = 64
+GENERAL3 = SpaceDescriptor.general([[math.exp(-n / k) for k in (1, 2, 3)]
+                                    for n in range(1, 65)])
+GENERAL2 = SpaceDescriptor.general([[math.exp(-n / k) for k in (1, 2)]
+                                    for n in range(1, 65)])
+GEO = SymbolSpec.geometric(0.5)
+INTO_GENERAL = ToeplitzOperator(Symbol(upper=GEO), Variant.UPPER, LINF_N, GENERAL3)
+FROM_GENERAL = ToeplitzOperator(Symbol(lower=GEO), Variant.LOWER, GENERAL2, L1_N)
+
+
+@pytest.mark.parametrize("op", [INTO_GENERAL, FROM_GENERAL])
+@pytest.mark.parametrize("prop", [CONTINUITY, COMPACTNESS])
+def test_cross_validate_clips_k_and_m_to_tabulated_spaces(op, prop):
+    # the oracle once cut only n_max and asked for gradings past the table
+    report = cross_validate(op, Window().with_n_max(64), prop)
+    assert "finite-window" in report.oracle_verdict.tags
+    assert report.agreement is not Agreement.CONFLICT
+
+
+def test_oracle_compactness_holds_on_a_short_codomain():
+    # with k_max cut to the 3 gradings a uniform witness can cover them all
+    report = cross_validate(INTO_GENERAL, Window().with_n_max(64), COMPACTNESS)
+    assert report.oracle_verdict.outcome is Outcome.HOLDS
+    assert report.theorem_report.outcome is Outcome.INCONCLUSIVE
+    assert report.agreement is Agreement.THEOREM_INCONCLUSIVE
+    assert set(report.oracle_verdict.certificate.log_c) == {1, 2, 3}
+
+
 def test_cross_validate_agreement_cases():
     report = cross_validate(DECAY_OP, WIN, COMPACTNESS)
     assert report.agreement is Agreement.AGREE

@@ -11,7 +11,18 @@ import pytest
 from koethe.operators import Symbol, SymbolSpec, ToeplitzOperator, Variant
 from koethe.oracle import oracle_continuity, ratio_curve
 from koethe.spaces import ExponentSequence, SpaceDescriptor
-from koethe.verdicts import Outcome, Window, scan_exists, scan_fixed, scan_forall
+from koethe.verdicts import (
+    Outcome,
+    PointwiseCertificate,
+    Shape,
+    TameCertificate,
+    UniformCertificate,
+    Window,
+    decide,
+    scan_exists,
+    scan_fixed,
+    scan_forall,
+)
 
 WIN = Window()  # plateau_tol 1e-6, growth_tol log 2
 
@@ -164,3 +175,93 @@ def test_fixed_fails_only_on_growth_at_k_max():
     assert scan.outcome is Outcome.INCONCLUSIVE
     scan = scan_fixed(WIN, Table({(1, 1): grows(1.5)}), k_max=4, s_map=lambda k: k)
     assert scan.outcome is Outcome.HOLDS and min(scan.entries) == 2
+
+
+# -- from a scan to a verdict --------------------------------------------------
+
+REASONS = {(shape, outcome): f"{shape.value} {outcome.value} at k={{k}}"
+           for shape in Shape
+           for outcome in (Outcome.FAILS_ON_WINDOW, Outcome.INCONCLUSIVE)}
+N_RANGE = (128, 256)
+TAGS = ("finite-window",)
+
+
+def run_decide(shape, table, k_max=3, m_max=4, k_limit=None):
+    """decide under S(k) = k + 1 for the fixed map."""
+    s_map = (lambda k: k + 1) if shape is Shape.FIXED_MAP else None
+    return decide(shape, WIN, table, k_max, m_max, N_RANGE, TAGS, REASONS,
+                  k_limit=k_limit, s_map=s_map)
+
+
+@pytest.mark.parametrize("shape, certificate", [
+    (Shape.FORALL_K_EXISTS_M,
+     PointwiseCertificate({k: (1, 0.25) for k in (1, 2, 3)})),
+    (Shape.EXISTS_M_FORALL_K, UniformCertificate(1, {k: 0.25 for k in (1, 2, 3)})),
+    # the plateau run reaches down to k0 = 2 from k_max = 3
+    (Shape.FIXED_MAP, TameCertificate(2, {2: 0.25, 3: 0.25})),
+])
+def test_decide_holds_with_the_shape_certificate(shape, certificate):
+    verdict = run_decide(shape, Table({(1, 2): DRIFT}))
+    assert verdict.outcome is Outcome.HOLDS and verdict.window is WIN
+    assert verdict.certificate.to_json() == certificate.to_json()
+    assert verdict.tags == TAGS and verdict.witness is None and verdict.reason is None
+
+
+@pytest.mark.parametrize("shape, table, k, best_m", [
+    # every m grows at k = 2; the witness is m_max
+    (Shape.FORALL_K_EXISTS_M, {(2, m): grows(1.0) for m in range(1, 6)}, 2, 5),
+    # each candidate m is refuted at k = 2m + 1 <= k_limit, the last at k = 11
+    (Shape.EXISTS_M_FORALL_K, {(2 * m + 1, m): grows(1.0) for m in range(1, 6)}, 11, 5),
+    # growth at the top grading k_max = 3, whose witness is S(3) = 4, not m_max
+    (Shape.FIXED_MAP, {(3, 4): grows(1.0)}, 3, 4),
+])
+def test_decide_fails_with_the_scan_grading_and_best_m(shape, table, k, best_m):
+    verdict = run_decide(shape, Table(table), m_max=5, k_limit=11)
+    assert verdict.outcome is Outcome.FAILS_ON_WINDOW
+    assert verdict.certificate is None and verdict.tags == TAGS
+    witness = verdict.witness
+    assert (witness.k, witness.best_m, witness.n_range, witness.growth_log) == (
+        k, best_m, N_RANGE, 1.0)
+    assert verdict.reason == f"{shape.value} fails_on_window at k={k}"
+
+
+@pytest.mark.parametrize("shape, table, k", [
+    (Shape.FORALL_K_EXISTS_M, {(1, m): DRIFT for m in range(1, 5)}, 1),
+    (Shape.EXISTS_M_FORALL_K, {(1, m): DRIFT for m in range(1, 5)}, None),
+    (Shape.FIXED_MAP, {(3, 4): DRIFT}, 3),
+])
+def test_decide_inconclusive_names_the_scan_grading(shape, table, k):
+    verdict = run_decide(shape, Table(table))
+    assert verdict.outcome is Outcome.INCONCLUSIVE
+    assert verdict.certificate is None and verdict.witness is None
+    assert verdict.tags == TAGS
+    assert verdict.reason == f"{shape.value} inconclusive at k={k}"
+
+
+def test_decide_passes_k_limit_to_the_exists_scan():
+    # a candidate probed only up to k_limit = 2 < k_max cannot hold
+    verdict = run_decide(Shape.EXISTS_M_FORALL_K, Table({(1, 1): grows(1.0)}),
+                         k_max=3, m_max=2, k_limit=2)
+    assert verdict.outcome is Outcome.INCONCLUSIVE
+
+
+# -- the window clipped to tabulated spaces -----------------------------------
+
+GENERAL = SpaceDescriptor.general([[0.5, 0.7, 0.9]] * 64)
+CLOSED = SpaceDescriptor.power_series_finite(ExponentSequence.affine(1.0))
+TABLE = SpaceDescriptor.power_series_infinite(ExponentSequence.table(range(100)))
+
+
+def test_clip_cuts_k_and_n_to_a_general_space():
+    assert WIN.clip(GENERAL) == (3, WIN.m_max, 64, True)
+    assert WIN.clip(GENERAL, CLOSED) == (3, WIN.m_max, 64, True)
+    assert WIN.clip(CLOSED, GENERAL) == (WIN.k_max, 3, 64, True)
+    assert WIN.clip(TABLE, CLOSED) == (WIN.k_max, WIN.m_max, 100, True)
+
+
+def test_clip_leaves_closed_form_spaces_alone():
+    assert WIN.clip(CLOSED) == (WIN.k_max, WIN.m_max, WIN.n_max, False)
+    assert WIN.clip(CLOSED, CLOSED) == (WIN.k_max, WIN.m_max, WIN.n_max, False)
+    # a tabulated space as large as the window cuts nothing
+    small = Window(k_max=2, m_max=3, n_max=64)
+    assert small.clip(GENERAL, GENERAL) == (2, 3, 64, False)
