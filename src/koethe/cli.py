@@ -357,7 +357,8 @@ def _gradings(task, key: str, default: list[int], path: str) -> list[int]:
 
 def _run_probe(cfg: ExperimentConfig, task, path) -> tuple[str, dict, list[str]]:
     op = _operator(cfg, task, path)
-    ks = _gradings(task, "k", list(range(1, cfg.window.k_max + 1)), path)
+    k_max = cfg.window.clip(op.codomain, op.domain)[0]
+    ks = _gradings(task, "k", list(range(1, k_max + 1)), path)
     ms = _gradings(task, "m", [1], path)
     norm = task.get("norm")
     try:

@@ -73,6 +73,10 @@ _ROUNDING_LOG = 40.0
 
 _BLOCK = 256
 
+#: a block of at most this many terms is evaluated whole: the binary search
+#: for its cut costs more than the rows it would save (see `_run_profile`)
+_SEARCH_TERMS = 4096
+
 
 class NormKind(str, enum.Enum):
     SUM = "sum"
@@ -481,11 +485,12 @@ def _run_profile(
     n_trunc + 1 - n reads the terms of column n in the same offset order,
     so reversing the result back gives every column bit for bit.
 
-    The weights sit in a copy padded with log-zero past row n_trunc, long
-    enough that every (column, offset) pair a block can touch is a plain
-    slice of a strided window view over it, so no index array is built.
-    Each block is laid out (offset, column) in one contiguous buffer, so the
-    max and sum over offsets keep a fixed reduction order.
+    The weights sit in a copy padded with log-zero past row n_trunc, as far
+    as the symbol's support reaches.  A block reads them through one strided
+    (offset, column) view straight over that copy, rows[i, c] = pad[start +
+    i + c], so no index array and no window of the whole copy is built.  Its
+    terms are laid out (offset, column) in one contiguous buffer, so the max
+    and sum over offsets keep a fixed reduction order.
 
     Every remaining term of a column is bounded by u_sufmax + v_reach, the
     running maxima of the symbol from the block's first offset on and of the
@@ -510,6 +515,12 @@ def _run_profile(
     running sum, or nothing to their running max, cut or not.  A one-column
     block is summed pairwise, so it keeps all rows.
 
+    A block of at most _SEARCH_TERMS terms is not searched and keeps all its
+    rows: the cut is exact, so the rows it would drop move no bit, and on so
+    few terms the search costs more than it saves.  The one exception is a
+    term that is NaN, where a +inf part meets a log-zero one: the cut decides
+    whether it enters, so a run with a +inf part searches every block.
+
     The first block merges into a running (-inf, 0), which returns its
     (max, scaled sum) bit for bit, so it is stored as it stands.
     """
@@ -517,67 +528,73 @@ def _run_profile(
         m, s = _run_profile(u, v[:n_trunc][::-1], +1, n_trunc, norm_kind)
         return np.ascontiguousarray(m[::-1]), np.ascontiguousarray(s[::-1])
     u_sufmax = _suffix_max(u)
-    # offsets past the symbol's support contribute nothing
-    support = int(np.argmax(np.isneginf(u_sufmax))) if np.isneginf(u_sufmax).any() \
-        else len(u)
-    i_top = min(support, n_trunc)
+    # offsets past the symbol's support contribute nothing; the log-zero
+    # entries of the suffix maxima are exactly the support's tail
+    i_top = min(len(u) - int(np.count_nonzero(np.isneginf(u_sufmax))), n_trunc)
     # row r of the codomain sits at pad[r - 1]; rows past n_trunc that
-    # offsets below i_top + _BLOCK reach read log-zero, in v_reach too
-    pad = np.full(n_trunc + i_top + _BLOCK, -np.inf)
+    # offsets below i_top reach read log-zero, in v_reach too
+    pad = np.full(n_trunc + i_top, -np.inf)
     pad[:n_trunc] = v[:n_trunc]
     v_reach = _suffix_max(pad)
-    # window[n - 1 + i0, i] is the weight of the row that offset i0 + i
-    # reaches from column n
-    window = np.lib.stride_tricks.sliding_window_view(pad, _BLOCK)
     if norm_kind is NormKind.SUM:
         allowance, skip, cut = math.log(n_trunc), NEGLIGIBLE_LOG, _ROUNDING_LOG
     else:
         allowance = skip = cut = 0.0
+    # with a +inf part a term can be NaN, and then the cut is part of the result
+    finite = i_top and u_sufmax[0] < np.inf and v_reach[0] < np.inf
+    small = _SEARCH_TERMS if finite else 0
 
     m_run = np.full(n_trunc, -np.inf)
     s_run = np.zeros(n_trunc)
     buf = np.empty(_BLOCK * n_trunc)
-    for i0 in range(0, i_top, _BLOCK):
-        peak = u_sufmax[i0] + v_reach[i0 : i0 + n_trunc]
-        active = peak + allowance > m_run - skip
-        if not active.any():
-            break
-        lo, hi = np.flatnonzero(active)[[0, -1]]
-        cols = slice(lo, hi + 1)
-        width = hi - lo + 1
-        nb = min(_BLOCK, i_top - i0)
-        start = i0 + lo
-        if width > 1 and nb > 2:
-            head = np.maximum(u[i0] + pad[start : start + width],
-                              u[i0 + 1] + pad[start + 1 : start + 1 + width])
-            floor = np.where(active[cols], head - cut, np.inf)
-            # the cut lies in keep..nb: rows from nb on are known negligible
-            keep = 2
-            while keep < nb:
-                mid = (keep + nb) // 2
-                s = start + mid
-                if (u_sufmax[i0 + mid] + v_reach[s : s + width] <= floor).all():
-                    nb = mid
-                else:
-                    keep = mid + 1
-        if start + width > len(window):
-            raise InvariantError(f"window rows {start}..{start + width} outside the padding")
-        terms = buf[: nb * width].reshape(nb, width)
-        np.add(u[i0 : i0 + nb, None], window[start : start + width, :nb].T, out=terms)
-        bm = terms.max(axis=0)
-        if norm_kind is NormKind.SUP:
-            m_run[cols] = np.maximum(m_run[cols], bm)
-            continue
-        # exp(-inf - safe) is already 0 and safe is never -inf
-        safe = np.where(np.isneginf(bm), 0.0, bm)
-        with np.errstate(invalid="ignore"):
-            terms -= safe
-        np.exp(terms, out=terms)
-        bs = terms.sum(axis=0)
-        if i0 == 0:
-            m_run[cols], s_run[cols] = bm, bs
-        else:
-            m_run[cols], s_run[cols] = _merge_scaled(m_run[cols], s_run[cols], bm, bs)
+    step = pad.strides[0]
+    # inf - inf, where a +inf part meets log-zero or itself, is NaN by design
+    with np.errstate(invalid="ignore"):
+        for i0 in range(0, i_top, _BLOCK):
+            peak = u_sufmax[i0] + v_reach[i0 : i0 + n_trunc]
+            active = peak + allowance > m_run - skip
+            lo = int(active.argmax())
+            if not active[lo]:
+                break
+            hi = n_trunc - 1 - int(active[::-1].argmax())
+            cols = slice(lo, hi + 1)
+            width = hi - lo + 1
+            nb = min(_BLOCK, i_top - i0)
+            start = i0 + lo
+            if width > 1 and nb > 2 and nb * width > small:
+                head = np.maximum(u[i0] + pad[start : start + width],
+                                  u[i0 + 1] + pad[start + 1 : start + 1 + width])
+                floor = np.where(active[cols], head - cut, np.inf)
+                # the cut lies in keep..nb: rows from nb on are known negligible
+                keep = 2
+                while keep < nb:
+                    mid = (keep + nb) // 2
+                    s = start + mid
+                    if (u_sufmax[i0 + mid] + v_reach[s : s + width] <= floor).all():
+                        nb = mid
+                    else:
+                        keep = mid + 1
+            if start + width + nb - 1 > len(pad):
+                raise InvariantError(
+                    f"weights {start}..{start + width + nb - 2} outside the padding")
+            # rows[i, c] = pad[start + i + c]: the weight that offset i0 + i
+            # reaches from column lo + c, as a view over the padded weights
+            rows = np.ndarray((nb, width), buffer=pad, offset=start * step,
+                              strides=(step, step))
+            terms = buf[: nb * width].reshape(nb, width)
+            np.add(u[i0 : i0 + nb, None], rows, out=terms)
+            bm = terms.max(axis=0)
+            if norm_kind is NormKind.SUP:
+                m_run[cols] = np.maximum(m_run[cols], bm)
+                continue
+            # exp(-inf - safe) is already 0 and safe is never -inf
+            terms -= np.where(np.isneginf(bm), 0.0, bm)
+            np.exp(terms, out=terms)
+            bs = terms.sum(axis=0)
+            if i0 == 0:
+                m_run[cols], s_run[cols] = bm, bs
+            else:
+                m_run[cols], s_run[cols] = _merge_scaled(m_run[cols], s_run[cols], bm, bs)
     return m_run, s_run
 
 
@@ -595,6 +612,9 @@ def column_norm_profile(
     Results are memoized: an oracle scan holds the profiles it fetched
     itself, and the memo serves repeat scans of the same operator (the
     other property of a cross-validation, another window's checkpoints).
+    Callers that want several truncations go through
+    :func:`column_norm_profiles`, which serves an upper operator's sup
+    profiles from one call at the largest.
     """
     v = weight_array(op.codomain, k, n_trunc)
     runs = [
@@ -614,6 +634,29 @@ def column_norm_profile(
         out = np.where(s > 0.0, m + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
     out.flags.writeable = False
     return out
+
+
+def column_norm_profiles(
+    op: ToeplitzOperator,
+    k: int,
+    truncations: Sequence[int],
+    norm_kind: NormKind = NormKind.SUM,
+) -> list[np.ndarray]:
+    """:func:`column_norm_profile` at each of the ascending ``truncations``.
+
+    An upper part's column n holds rows 1..n only, and a sup is the exact
+    max of the same float sums u_i + v_{n-i} whatever the block schedule,
+    so an upper operator's sup profile at truncation N is the first N
+    entries of its profile at any larger truncation: one kernel call at the
+    largest truncation serves them all.  Every other profile gets its own
+    call, since a lower column's rows reach the truncation and a sum's
+    schedule depends on it (the log N allowance, and the pairwise sum of a
+    one-column block).
+    """
+    if op.variant is Variant.UPPER and norm_kind is NormKind.SUP:
+        top = column_norm_profile(op, k, truncations[-1], norm_kind)
+        return [top[:n] for n in truncations]
+    return [column_norm_profile(op, k, n, norm_kind) for n in truncations]
 
 
 # ---------------------------------------------------------------------------

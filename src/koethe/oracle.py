@@ -35,7 +35,7 @@ from .operators import (
     NormKind,
     ToeplitzOperator,
     _dense_matrix,
-    column_norm_profile,
+    column_norm_profiles,
 )
 from .spaces import nuclearity_verdict, weight_array
 from .verdicts import (
@@ -124,12 +124,9 @@ def _curve_points(
     m: int,
     checkpoints: Sequence[int],
 ) -> list[tuple[int, LogValue]]:
-    points = []
-    for n_c in checkpoints:
-        profile = column_norm_profile(op, k, n_c, norm_kind)
-        gap = profile - weight_array(op.domain, m, n_c)
-        points.append((n_c, float(np.max(gap))))
-    return points
+    profiles = column_norm_profiles(op, k, checkpoints, norm_kind)
+    return [(n_c, float(np.max(profile - weight_array(op.domain, m, n_c))))
+            for n_c, profile in zip(checkpoints, profiles)]
 
 
 def ratio_curve(
@@ -170,8 +167,7 @@ def _profile_pairs(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
         prof = profiles.get(k)
         if prof is None:
-            prof = profiles[k] = (column_norm_profile(op, k, half, kind),
-                                  column_norm_profile(op, k, full, kind))
+            prof = profiles[k] = column_norm_profiles(op, k, (half, full), kind)
         w = weights.get(m)
         if w is None:
             w = weights[m] = (weight_array(op.domain, m, half),

@@ -327,6 +327,34 @@ def test_cross_validate_from_a_short_general_domain_exits_by_its_verdict(capsys)
         assert "finite-window" in payload["report"]["oracle"]["tags"]
 
 
+@pytest.mark.parametrize("route", ["subcommand", "run"])
+def test_probe_defaults_to_the_gradings_of_a_short_general_codomain(
+        tmp_path, capsys, route):
+    # 3 gradings, fewer than k_max: the default grading list stops at 3
+    general = {"kind": "general_koethe",
+               "weights": [[math.exp(n / 4), math.exp(n / 2), math.exp(n)]
+                           for n in range(1, 65)]}
+    op = {"variant": "upper", "domain": LINFN, "codomain": general,
+          "symbol": {"upper": {"form": "geometric", "r": 0.5}}}
+    if route == "subcommand":
+        code = main(["operator", "probe", "--operator", json.dumps(op),
+                     "--n-max", "64"])
+        rows = capsys.readouterr().out.splitlines()
+    else:
+        config = base_config(window={"n_max": 64, "k_max": 6, "m_max": 16},
+                             spaces={"G": general, "C": LINFN},
+                             symbols={"geo": op["symbol"]},
+                             operators={"T": {"variant": "upper", "domain": "C",
+                                              "codomain": "G", "symbol": "geo"}},
+                             tasks=[{"command": "probe", "operator": "T"}],
+                             output={"dir": str(tmp_path / "out")})
+        code = run_config(tmp_path, config)
+        rows = (tmp_path / "out" / "task-00-probe.csv").read_text().splitlines()
+    assert code == EXIT_OK
+    assert rows[0] == "N,k,m,log_ratio"
+    assert {row.split(",")[1] for row in rows[1:]} == {"1", "2", "3"}
+
+
 def test_inline_json_longer_than_filename_limit(capsys):
     # inline operator JSON easily exceeds the OS filename length cap
     op = {"variant": "lower", "domain": L1N, "codomain": L1N2,

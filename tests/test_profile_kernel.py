@@ -8,6 +8,7 @@ tolerance.
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from koethe.operators import (
     Variant,
     _run_profile,
     _runs,
+    column_norm_profiles,
 )
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
 from reference_kernels import (
@@ -253,14 +255,110 @@ def test_kernels_agree_on_random_operators(variant, lower, upper, domain,
     assert_kernels_agree(op, k, n, norm)
 
 
+def searched_and_whole(u, v, direction, norm):
+    """``_run_profile`` as it stands, and with every block searched for its cut."""
+    n = len(v)
+    whole = _run_profile(u, v, direction, n, norm)
+    with mock.patch.object(operators, "_SEARCH_TERMS", 0):
+        searched = _run_profile(u, v, direction, n, norm)
+    return searched, whole
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_small_blocks_keep_nan_terms_as_the_search_does(norm):
+    # +inf weights meet the symbol's zero at offset 2 as NaN terms; the cut
+    # drops offsets 2.. (their bound +inf is not above the floor +inf), so a
+    # run with a +inf part must search even its small blocks
+    n = 8
+    u = np.full(n, -np.inf)
+    u[:4] = [0.0, 0.0, -np.inf, 0.0]
+    v = np.full(n, np.inf)
+    for direction in (1, -1):
+        (m_cut, s_cut), (m, s) = searched_and_whole(u, v, direction, norm)
+        assert m.tobytes() == m_cut.tobytes() and s.tobytes() == s_cut.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    lower=symbol_parts,
+    upper=symbol_parts,
+    codomain=st.sampled_from(SPACES + [
+        # log weights past float range: +inf from row 3 on for k >= 2
+        SpaceDescriptor.power_series_infinite(
+            ExponentSequence.table([1.0, 2.0] + [1e308] * 600))]),
+    k=st.integers(1, 12),
+    n=st.integers(1, 600),
+    norm=st.sampled_from(list(NormKind)),
+)
+def test_small_blocks_skip_the_search_without_moving_a_bit(variant, lower, upper,
+                                                           codomain, k, n, norm):
+    if variant is Variant.FULL:
+        lower = lower if lower.values_array(1)[0] != 0.0 else lower.with_head(1.0)
+        upper = upper if upper.values_array(1)[0] != 0.0 else upper.with_head(1.0)
+    op = make_op(variant, lower, upper, SPACES[0], codomain)
+    v = weight_array(op.codomain, k, n)
+    for u, direction in _runs(op, n, log=True):
+        (m_cut, s_cut), (m, s) = searched_and_whole(u, v, direction, norm)
+        assert m.tobytes() == m_cut.tobytes() and s.tobytes() == s_cut.tobytes()
+
+
+@st.composite
+def general_codomains(draw, rows: int):
+    """A tabulated codomain of ``rows`` rows, log weights rising in k, with
+    some zero weights in the first of two or more gradings."""
+    cols = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logs = (rng.uniform(-30.0, 30.0, size=(rows, 1))
+            + np.cumsum(rng.uniform(0.0, 2.0, size=(rows, cols)), axis=1))
+    weights = np.exp(logs)
+    if cols > 1:
+        weights[rng.random(rows) < 0.1, 0] = 0.0
+    return SpaceDescriptor.general(weights.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(upper=symbol_parts, big=st.integers(1, 1100), data=st.data())
+def test_upper_sup_profile_is_a_prefix_of_a_longer_one(upper, big, data):
+    # an upper column n holds rows 1..n only, and a sup is exact whatever
+    # the block schedule, so a longer truncation only appends columns
+    n = data.draw(st.integers(1, big), label="n")
+    codomain = data.draw(st.sampled_from(SPACES) | general_codomains(big),
+                         label="codomain")
+    k = data.draw(st.integers(1, codomain.k_limit or 12), label="k")
+    op = make_op(Variant.UPPER, None, upper, SPACES[0], codomain)
+    short = uncached_profile(op, k, n, NormKind.SUP)
+    assert short.tobytes() == uncached_profile(op, k, big, NormKind.SUP)[:n].tobytes()
+    sliced, top = column_norm_profiles(op, k, (n, big), NormKind.SUP)
+    assert sliced.tobytes() == short.tobytes() and len(top) == big
+
+
+def test_upper_sum_profiles_are_not_sliced():
+    # a sum's schedule depends on the truncation: at 300 only column 300 is
+    # active in the second offset block, which sums its rows pairwise; at
+    # 600 the new columns 301.. join that block, whose rows are summed in
+    # order, and column 300 comes out one ulp apart
+    tail = np.exp(-67.0 + np.random.default_rng(28).uniform(-0.6, 0.0, 8))
+    op = make_op(Variant.UPPER, None,
+                 SymbolSpec.explicit([1.0] * _BLOCK + tail.tolist()), SPACES[0],
+                 SpaceDescriptor.general([[1.0]] * 44 + [[math.exp(-100.0)]] * 556))
+    short, _ = column_norm_profiles(op, 1, (300, 600), NormKind.SUM)
+    assert short.tobytes() == uncached_profile(op, 1, 300, NormKind.SUM).tobytes()
+    if same_exp_log_build():
+        assert short[-1] != uncached_profile(op, 1, 600, NormKind.SUM)[299]
+
+
 #: sha256 of the profiles below, recorded before the kernel was cut at the
 #: rounding horizon
 PROFILE_DIGEST = "d53994b036e442c0b2334ab436d1a9ba530c6e9f772d79d08449740b96571450"
 
 
-def test_profiles_match_the_recorded_digest():
-    if not same_exp_log_build():
-        pytest.skip("this numpy build rounds exp or log differently")
+#: sha256 of the same profiles at small truncations, where a block holds few
+#: terms, recorded before the kernel skipped the cut's search on such blocks
+SMALL_PROFILE_DIGEST = "0181288ef16c60eaf48fbf05e9c100433b425da5e86659ffe6d0715586fd5482"
+
+
+def profile_digest(truncations) -> str:
     # the domain does not enter a profile: 3 variants x the 6 spaces of the
     # cross-validation grid as codomain x 4 symbols = 72 operators
     alphas = [ExponentSequence.affine(1.0), ExponentSequence.power(2.0),
@@ -271,11 +369,25 @@ def test_profiles_match_the_recorded_digest():
                SymbolSpec.geometric(0.99),
                SymbolSpec.explicit([0.5, -2.0, 0.0, 3.0] * 40)]
     digest = hashlib.sha256()
-    for variant in Variant:
-        for codomain in codomains:
-            for spec in symbols:
-                op = make_op(variant, spec, spec, codomains[0], codomain)
-                for k in (1, 6, 12):
-                    for norm in NormKind:
-                        digest.update(uncached_profile(op, k, 1024, norm).tobytes())
-    assert digest.hexdigest() == PROFILE_DIGEST
+    for n in truncations:
+        for variant in Variant:
+            for codomain in codomains:
+                for spec in symbols:
+                    op = make_op(variant, spec, spec, codomains[0], codomain)
+                    for k in (1, 6, 12):
+                        for norm in NormKind:
+                            digest.update(uncached_profile(op, k, n, norm).tobytes())
+    return digest.hexdigest()
+
+
+def test_profiles_match_the_recorded_digest():
+    if not same_exp_log_build():
+        pytest.skip("this numpy build rounds exp or log differently")
+    assert profile_digest([1024]) == PROFILE_DIGEST
+
+
+def test_small_profiles_match_the_recorded_digest():
+    # at these truncations most blocks hold few terms
+    if not same_exp_log_build():
+        pytest.skip("this numpy build rounds exp or log differently")
+    assert profile_digest([2, 16, 64, 128, 256]) == SMALL_PROFILE_DIGEST

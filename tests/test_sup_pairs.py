@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from koethe import oracle
+from koethe import operators as operators_module
 from koethe.criteria import NStart, QuantifierCondition, Shape, _gap_pairs, _sup_pair
 from koethe.operators import (
     NormKind,
@@ -22,7 +22,7 @@ from koethe.operators import (
     Variant,
     column_norm_profile,
 )
-from koethe.oracle import _profile_pairs, oracle_compactness
+from koethe.oracle import _profile_pairs, oracle_compactness, ratio_curve
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
 from koethe.verdicts import Window
 
@@ -120,6 +120,31 @@ def test_profile_pairs_match_the_per_pair_reference(op, kind, n, data):
         assert hexed(new(k, m)) == hexed(old(k, m)), (k, m)
 
 
+# tabulated codomains put zero weights and few gradings under the columns
+upper_operators = st.builds(operator, st.just(Variant.UPPER), symbol_parts,
+                            symbol_parts, power_series(1e3),
+                            power_series(1e3) | general_spaces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(op=upper_operators, kind=st.sampled_from(list(NormKind)),
+       n=st.integers(4, 600), data=st.data())
+def test_upper_pairs_and_curves_match_the_per_checkpoint_reference(op, kind, n, data):
+    # an upper sup profile at a smaller checkpoint is sliced from the largest
+    # one; the references call the kernel at every checkpoint
+    full = n_within(n, op.domain, op.codomain)
+    pts = sorted(set(data.draw(st.lists(st.integers(1, full - 1), min_size=1,
+                                        max_size=4)))) + [full]
+    new, old = _profile_pairs(op, kind, pts), ref._profile_pairs(op, kind, pts)
+    window = [(k, m) for k in range(1, min(4, op.codomain.k_limit or 4) + 1)
+              for m in range(1, 5)]
+    for k, m in window + window[::-1]:
+        assert hexed(new(k, m)) == hexed(old(k, m)), (k, m)
+        curve = ratio_curve(op, k, m, pts, kind)
+        assert ([(c, hexed([v])) for c, v in curve.points]
+                == [(c, hexed([v])) for c, v in ref._curve_points(op, kind, k, m, pts)])
+
+
 @settings(max_examples=80, deadline=None)
 @given(op=operators, kind=st.sampled_from(list(NormKind)), n=st.integers(2, 64),
        k=st.integers(1, 6), m=st.integers(1, 6))
@@ -133,22 +158,29 @@ def test_tameness_sup_pair_matches_the_reference(op, kind, n, k, m):
 
 def test_oracle_looks_each_profile_up_once_through_its_module_global():
     # the benchmark's tracer rebinds module globals; a profile lookup bound
-    # at import time or as a default argument would escape the wrapper
+    # at import time or as a default argument would escape the wrapper.  The
+    # oracle reads its profiles through operators.column_norm_profiles, which
+    # looks column_norm_profile up as a global of operators
     geo = SymbolSpec.geometric(0.5)
     space = SpaceDescriptor.power_series_finite(ExponentSequence.affine(1.0))
-    op = ToeplitzOperator(Symbol(lower=geo), Variant.LOWER, space, space)
-    original = oracle.column_norm_profile
-    seen = []
+    lower = ToeplitzOperator(Symbol(lower=geo), Variant.LOWER, space, space)
+    upper = ToeplitzOperator(Symbol(upper=geo), Variant.UPPER, space, space)
+    original = operators_module.column_norm_profile
+    # an upper operator's sup profile at the half checkpoint is sliced from
+    # the full one
+    for op, kind, truncations in [(lower, None, {128, 256}),
+                                  (upper, NormKind.SUP, {256})]:
+        seen = []
 
-    def wrapper(op, k, n_trunc, norm_kind):
-        seen.append((k, n_trunc))
-        return original(op, k, n_trunc, norm_kind)
+        def wrapper(op, k, n_trunc, norm_kind):
+            seen.append((k, n_trunc))
+            return original(op, k, n_trunc, norm_kind)
 
-    before = original.cache_info()
-    with mock.patch.object(oracle, "column_norm_profile", wrapper):
-        oracle_compactness(op, Window(n_max=256, k_max=4, m_max=8))
-    after = original.cache_info()
-    lookups = (after.hits - before.hits) + (after.misses - before.misses)
-    assert seen and len(seen) == lookups
-    assert len(set(seen)) == len(seen)
-    assert {n for _, n in seen} == {128, 256}
+        before = original.cache_info()
+        with mock.patch.object(operators_module, "column_norm_profile", wrapper):
+            oracle_compactness(op, Window(n_max=256, k_max=4, m_max=8), kind)
+        after = original.cache_info()
+        lookups = (after.hits - before.hits) + (after.misses - before.misses)
+        assert seen and len(seen) == lookups
+        assert len(set(seen)) == len(seen)
+        assert {n for _, n in seen} == truncations
