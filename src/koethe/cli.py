@@ -49,10 +49,9 @@ from .spaces import (
     SpaceDescriptor,
     nuclearity_verdict,
     stability_constant,
-    window_cap,
     window_subadditivity,
 )
-from .verdicts import Outcome, Window
+from .verdicts import Outcome, Window, conjoin
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -192,7 +191,7 @@ def _resolve(ref: Any, path: str, table: Mapping[str, Any], cls: Any,
     raise ConfigurationError(f"{path}: expected a name or object")
 
 
-def _field(data: Mapping[str, Any], key: str, kind: str, path: str,
+def _field(data: Mapping[str, Any], key: str, kind: Any, path: str,
            default: Any = None) -> Any:
     """``data[key]`` of the JSON ``kind`` (see ``errors.json_field``), or
     ``default`` when the key is absent."""
@@ -224,10 +223,7 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
         path = f"operators.{name}"
         if not isinstance(spec, Mapping):
             raise ConfigurationError(f"{path}: expected an object")
-        try:
-            variant = Variant(spec["variant"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigurationError(f"{path}.variant: {exc}") from exc
+        variant = json_field(spec, "variant", Variant, f"{path}.variant")
         domain, codomain = (
             _resolve(spec.get(key), f"{path}.{key}", spaces, SpaceDescriptor, "space")
             for key in ("domain", "codomain"))
@@ -282,55 +278,41 @@ def _run_space_check(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     checks = _field(task, "checks", "strings", path,
                     ["nuclearity", "stability", "subadditivity"])
     report: dict[str, Any] = {}
-    statuses = []
+    outcomes = [Outcome.HOLDS]
     for check in checks:
         if check == "nuclearity":
             verdict = nuclearity_verdict(space, cfg.window)
             report["nuclearity"] = verdict.to_json()
-            statuses.append(_OUTCOME_STATUS[verdict.outcome])
+            outcomes.append(verdict.outcome)
         elif check in ("stability", "subadditivity"):
             if not space.is_power_series:
                 report[check] = {"applicable": False}
                 continue
-            alpha = space.alpha
             if check == "stability":
-                n_cap = window_cap(alpha, cfg.window)
+                n_cap = cfg.window.clip(space)[2]
                 report[check] = {"applicable": True,
-                                 "sup_ratio": stability_constant(alpha, n_cap),
+                                 "sup_ratio": stability_constant(space.alpha, n_cap),
                                  "n_max": n_cap}
             else:
-                sub = window_subadditivity(alpha, cfg.window)
+                sub = window_subadditivity(space, cfg.window)
                 report[check] = {"applicable": True, **sub.to_json()}
-                statuses.append(_STATUS_OK if sub.holds else _STATUS_FAILS)
+                outcomes.append(Outcome.HOLDS if sub.holds else Outcome.FAILS_ON_WINDOW)
         else:
             raise ConfigurationError(f"{path}.checks: unknown check {check!r}")
-    return _worst_status(statuses), report
-
-
-_SEVERITY_ORDER = [_STATUS_CONFLICT, _STATUS_FAILS, _STATUS_INCONCLUSIVE, _STATUS_OK]
-
-
-def _worst_status(statuses: Sequence[str]) -> str:
-    return min(statuses, key=_SEVERITY_ORDER.index, default=_STATUS_OK)
+    return _OUTCOME_STATUS[conjoin(*outcomes)], report
 
 
 def _run_membership(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     symbol = _resolve(task.get("symbol"), f"{path}.symbol", cfg.symbols, Symbol,
                       "symbol")
-    part = task.get("part", "lower")
-    if part not in ("lower", "upper"):
-        raise ConfigurationError(f"{path}.part: expected 'lower' or 'upper'")
+    part = _field(task, "part", ("lower", "upper"), path, "lower")
     spec = symbol.lower if part == "lower" else symbol.upper
     if spec is None:
         raise ConfigurationError(f"{path}.part: symbol has no {part} part")
     space = _space(cfg, task, path, "space")
-    target = task.get("target", "space")
-    if target == "space":
-        verdict = membership_in_space(spec, space, cfg.window)
-    elif target == "dual":
-        verdict = membership_in_dual(spec, space, cfg.window)
-    else:
-        raise ConfigurationError(f"{path}.target: expected 'space' or 'dual'")
+    target = _field(task, "target", ("space", "dual"), path, "space")
+    verdict = (membership_in_space if target == "space"
+               else membership_in_dual)(spec, space, cfg.window)
     return _OUTCOME_STATUS[verdict.outcome], {
         "part": part, "target": target, "verdict": verdict.to_json(),
     }
@@ -360,12 +342,8 @@ def _run_probe(cfg: ExperimentConfig, task, path) -> tuple[str, dict, list[str]]
     k_max = cfg.window.clip(op.codomain, op.domain)[0]
     ks = _gradings(task, "k", list(range(1, k_max + 1)), path)
     ms = _gradings(task, "m", [1], path)
-    norm = task.get("norm")
-    try:
-        kind = NormKind(norm) if norm else None
-    except ValueError:
-        raise ConfigurationError(
-            f"{path}.norm: expected 'sum' or 'sup', got {norm!r}") from None
+    # a null or empty norm leaves the route's default, as an absent one does
+    kind = _field(task, "norm", NormKind, path) if task.get("norm") else None
     curves = [ratio_curve(op, k, m, norm_kind=kind, window=cfg.window)
               for k in ks for m in ms]
     rows = [CSV_HEADER]
@@ -386,13 +364,13 @@ def _run_apply(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     if not len(x):
         raise ConfigurationError(f"{path}.input: no coefficients in {source!r}")
     n = len(x) if n is None else n
-    method = task.get("method", "fast")
-    if method == "fast":
-        y = apply_fast(op, x, n)
-    elif method == "dense":
-        y = apply_dense(op, x, n)
-    else:
-        raise ConfigurationError(f"{path}.method: expected 'fast' or 'dense'")
+    method = _field(task, "method", ("fast", "dense"), path, "fast")
+    if method == "dense" and n > cfg.window.dense_cap:
+        # the dense path holds n-by-n matrices
+        raise ConfigurationError(
+            f"{path}.method: dense apply at n={n} exceeds window.dense_cap="
+            f"{cfg.window.dense_cap}")
+    y = (apply_fast if method == "fast" else apply_dense)(op, x, n)
     overflow = bool(~np.isfinite(y).all())
     out_file = task.get("output")
     if out_file:
@@ -404,10 +382,7 @@ def _run_apply(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
 
 
 def _run_tame(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
-    try:
-        variant = Variant(task.get("variant", "lower"))
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}.variant: {exc}") from exc
+    variant = _field(task, "variant", Variant, path, Variant.LOWER)
     domain = _space(cfg, task, path, "domain")
     codomain = _space(cfg, task, path, "codomain")
     family_data = task.get("family", {})
@@ -424,10 +399,7 @@ def _run_tame(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
 def _run_tame_condition(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     domain = _space(cfg, task, path, "domain")
     codomain = _space(cfg, task, path, "codomain")
-    try:
-        direction = Variant(task.get("direction", "lower"))
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}.direction: {exc}") from exc
+    direction = _field(task, "direction", Variant, path, Variant.LOWER)
     s_map = _decode(SMap, task.get("s_map", {"form": "identity"}), f"{path}.s_map")
     report = tame_condition_certify(s_map, domain, codomain, direction,
                                     cfg.window)
@@ -436,11 +408,7 @@ def _run_tame_condition(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
 
 def _run_cross_validate(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     op = _operator(cfg, task, path)
-    prop = task.get("property", COMPACTNESS)
-    if prop not in (CONTINUITY, COMPACTNESS):
-        raise ConfigurationError(
-            f"{path}.property: expected {CONTINUITY!r} or {COMPACTNESS!r}, "
-            f"got {prop!r}")
+    prop = _field(task, "property", (CONTINUITY, COMPACTNESS), path, COMPACTNESS)
     report = cross_validate(op, cfg.window, prop)
     if report.agreement is Agreement.AGREE:
         status = _STATUS_OK

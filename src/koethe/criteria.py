@@ -29,9 +29,9 @@ from .errors import (
     ConfigurationError,
     NotWellDefinedError,
     UnsupportedCombinationError,
-    json_field,
     json_fields,
-    json_object,
+    json_form,
+    json_record,
 )
 from .logdomain import LogValue
 from .operators import (
@@ -125,24 +125,15 @@ class SMap:
             )
         return self.values[k - 1]
 
-    def to_json(self) -> dict[str, Any]:
-        if self.form == "identity":
-            return {"form": "identity"}
-        if self.form == "linear":
-            return {"form": "linear", "a": self.a}
-        return {"form": "table", "values": list(self.values)}
+    to_json = json_record
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SMap":
-        what = "index map"
-        form = json_object(data, what).get("form")
-        if form == "identity":
-            return cls.identity()
-        if form == "linear":
-            return cls.linear(json_field(data, "a", "number", what))
-        if form == "table":
-            return cls.table(json_field(data, "values", "integers", what))
-        raise ConfigurationError(f"unknown index map form {form!r}")
+        return json_form(data, {
+            "identity": (cls.identity, {}),
+            "linear": (cls.linear, {"a": "number"}),
+            "table": (cls.table, {"values": "integers"}),
+        }, "index map")
 
 
 @dataclass(frozen=True)
@@ -431,9 +422,9 @@ def _evaluate_hypotheses(
         if name == H_NUCLEAR_COD:
             out[name] = nuclearity_verdict(op.codomain, win)
         elif name == H_SUBADD_COD:
-            out[name] = window_subadditivity(op.codomain.alpha, win)
+            out[name] = window_subadditivity(op.codomain, win)
         elif name == H_SUBADD_DOM:
-            out[name] = window_subadditivity(op.domain.alpha, win)
+            out[name] = window_subadditivity(op.domain, win)
     return out
 
 
@@ -568,9 +559,7 @@ class OperatorTemplate:
             sym = Symbol(lower=spec, upper=second)
         return ToeplitzOperator(sym, self.variant, self.domain, self.codomain)
 
-    def to_json(self) -> dict[str, Any]:
-        return {"variant": self.variant.value, "domain": self.domain.to_json(),
-                "codomain": self.codomain.to_json()}
+    to_json = json_record
 
 
 @dataclass(frozen=True)
@@ -602,12 +591,7 @@ class FamilySpec:
         if self.constraint not in ("auto", "space", "dual"):
             raise ConfigurationError(f"unknown constraint {self.constraint!r}")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "sampler": self.sampler, "count": self.count, "seed": self.seed,
-            "r_min": self.r_min, "r_max": self.r_max, "signed": self.signed,
-            "constraint": self.constraint,
-        }
+    to_json = json_record
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "FamilySpec":
@@ -794,13 +778,13 @@ def tame_condition_certify(
             if codomain.kind == POWER_SERIES_FINITE:
                 implied = ImpliedTameness("S", 1)
             elif codomain.kind == POWER_SERIES_INFINITE:
-                subadd = window_subadditivity(codomain.alpha, win)
+                subadd = window_subadditivity(codomain, win)
                 implied = ImpliedTameness("M*S", subadd.m)
         else:
             if domain.kind == POWER_SERIES_INFINITE:
                 implied = ImpliedTameness("2S", 2)
             elif domain.kind == POWER_SERIES_FINITE:
-                subadd = window_subadditivity(domain.alpha, win)
+                subadd = window_subadditivity(domain, win)
                 implied = ImpliedTameness("M*S", subadd.m)
     return TameConditionReport(verdict=verdict, implied=implied,
                                subadditivity=subadd)

@@ -1,9 +1,13 @@
-"""Exception hierarchy shared across the package, and the JSON field checks
-that turn malformed inline objects into configuration errors."""
+"""Exception hierarchy shared across the package, and the one JSON codec of
+the input records: the encoder :func:`json_record`, the field checks that
+turn malformed inline objects into configuration errors, and the tag
+dispatch :func:`json_form`."""
 
+import dataclasses
+import enum
 import math
 import numbers
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 
 class KoetheError(Exception):
@@ -78,13 +82,31 @@ def json_object(data: Any, what: str) -> Mapping[str, Any]:
     return data
 
 
-def json_field(data: Mapping[str, Any], key: str, kind: str, what: str) -> Any:
-    """``data[key]``, which must be present and of the JSON ``kind`` named in
-    ``_KINDS``; anything else is a ConfigurationError naming ``what``."""
+def json_field(data: Mapping[str, Any], key: str, kind: Any, what: str) -> Any:
+    """``data[key]``, which must be present and of the JSON ``kind``; anything
+    else is a ConfigurationError naming ``what``.
+
+    A kind is one of:
+
+    - a name in ``_KINDS``, and the value is returned as it is;
+    - a choice, an enum class or a tuple of strings, and the value must be
+      one of its values; an enum member is returned for an enum;
+    - a record class, and the value is an object decoded by its
+      ``from_json``.
+    """
     if key not in data:
         raise ConfigurationError(f"{what}: missing field {key!r}")
-    desc, check = _KINDS[kind]
     value = data[key]
+    if isinstance(kind, (tuple, enum.EnumMeta)):
+        choices = kind if isinstance(kind, tuple) else tuple(c.value for c in kind)
+        if value not in choices:
+            names = ", ".join(map(repr, choices[:-1]))
+            raise ConfigurationError(
+                f"{what}: expected {names} or {choices[-1]!r}, got {value!r}")
+        return value if isinstance(kind, tuple) else kind(value)
+    if not isinstance(kind, str):
+        return kind.from_json(json_field(data, key, "object", what))
+    desc, check = _KINDS[kind]
     if not check(value):
         raise ConfigurationError(f"{what}: field {key!r} must be {desc}")
     return value
@@ -99,3 +121,43 @@ def json_fields(data: Any, kinds: Mapping[str, str], what: str) -> dict[str, Any
         raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
     return {key: json_field(data, key, kind, what)
             for key, kind in kinds.items() if key in data}
+
+
+def json_form(data: Any,
+              forms: Mapping[str, tuple[Callable[..., Any], Mapping[str, Any]]],
+              what: str, tag: str = "form", optional: tuple[str, ...] = ()) -> Any:
+    """The record that a JSON object describes: its ``tag`` field picks one of
+    ``forms``, which maps each tag value to the constructor of that form and
+    the kinds of the fields it takes (as for :func:`json_field`).  The
+    constructor gets each field by name; a field named in ``optional`` may be
+    absent, and then the constructor's default applies."""
+    make, kinds = forms[json_field(json_object(data, what), tag, tuple(forms), what)]
+    return make(**{key: json_field(data, key, kind, what) for key, kind in kinds.items()
+                   if key in data or key not in optional})
+
+
+def json_record(record: Any) -> dict[str, Any]:
+    """The JSON object of an input record: every dataclass field that is set
+    (not None), enums by value, tuples as arrays and nested records through
+    their own ``to_json``.  It round-trips through the record's
+    ``from_json``."""
+    out = {}
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if value is not None:
+            out[f.name] = _json_value(value)
+    return out
+
+
+#: values written as they are; the type test is the cheap first check
+_PLAIN = (bool, int, float, str)
+
+
+def _json_value(value: Any) -> Any:
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value.to_json() if dataclasses.is_dataclass(value) else value

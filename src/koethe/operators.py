@@ -27,12 +27,13 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     InvariantError,
     UnsupportedCombinationError,
     WindowError,
     json_field,
+    json_form,
     json_object,
+    json_record,
 )
 from .logdomain import (
     LOG_ZERO,
@@ -192,37 +193,18 @@ class SymbolSpec:
 
     # -- codec ---------------------------------------------------------------
 
-    def to_json(self) -> dict[str, Any]:
-        if self.form == "explicit":
-            data: dict[str, Any] = {"form": "explicit", "values": list(self.values)}
-        elif self.form == "geometric":
-            data = {"form": "geometric", "r": self.r}
-        elif self.form == "exp_of_exponent":
-            data = {"form": "exp_of_exponent", "c": self.c,
-                    "alpha": self.alpha.to_json()}
-        else:
-            data = {"form": "polynomial", "d": self.d}
-        if self.head is not None:
-            data["head"] = self.head
-        return data
+    to_json = json_record
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SymbolSpec":
         what = "symbol part"
-        form = json_object(data, what).get("form")
-        if form == "explicit":
-            spec = cls.explicit(json_field(data, "values", "numbers", what))
-        elif form == "geometric":
-            spec = cls.geometric(json_field(data, "r", "number", what))
-        elif form == "exp_of_exponent":
-            spec = cls.exp_of_exponent(
-                json_field(data, "c", "number", what),
-                ExponentSequence.from_json(json_field(data, "alpha", "object", what)),
-            )
-        elif form == "polynomial":
-            spec = cls.polynomial(json_field(data, "d", "integer", what))
-        else:
-            raise ConfigurationError(f"unknown symbol form {form!r}")
+        spec = json_form(data, {
+            "explicit": (cls.explicit, {"values": "numbers"}),
+            "geometric": (cls.geometric, {"r": "number"}),
+            "exp_of_exponent": (cls.exp_of_exponent, {"c": "number",
+                                                      "alpha": ExponentSequence}),
+            "polynomial": (cls.polynomial, {"d": "integer"}),
+        }, what)
         if "head" in data:
             spec = spec.with_head(json_field(data, "head", "number", what))
         return spec
@@ -255,20 +237,13 @@ class Symbol:
         return sum(float(part.values_array(1)[0])
                    for part in (self.lower, self.upper) if part is not None)
 
-    def to_json(self) -> dict[str, Any]:
-        data: dict[str, Any] = {}
-        if self.lower is not None:
-            data["lower"] = self.lower.to_json()
-        if self.upper is not None:
-            data["upper"] = self.upper.to_json()
-        return data
+    to_json = json_record
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Symbol":
         data = json_object(data, "symbol")
-        parts = {part: SymbolSpec.from_json(json_field(data, part, "object", "symbol"))
-                 for part in ("lower", "upper") if part in data}
-        return cls(**parts)
+        return cls(**{part: json_field(data, part, SymbolSpec, "symbol")
+                      for part in ("lower", "upper") if part in data})
 
 
 def decompose(
@@ -340,27 +315,17 @@ class ToeplitzOperator:
         if self.variant in (Variant.UPPER, Variant.FULL) and self.symbol.upper is None:
             raise InvariantError(f"{self.variant.value} variant needs an upper part")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "variant": self.variant.value,
-            "symbol": self.symbol.to_json(),
-            "domain": self.domain.to_json(),
-            "codomain": self.codomain.to_json(),
-        }
+    to_json = json_record
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ToeplitzOperator":
         what = "operator"
-        variant = json_field(json_object(data, what), "variant", "string", what)
-        try:
-            variant = Variant(variant)
-        except ValueError:
-            raise ConfigurationError(f"{what}: unknown variant {variant!r}") from None
+        variant = json_field(json_object(data, what), "variant", Variant, what)
         return cls(
-            symbol=Symbol.from_json(json_field(data, "symbol", "object", what)),
+            symbol=json_field(data, "symbol", Symbol, what),
             variant=variant,
-            domain=SpaceDescriptor.from_json(json_field(data, "domain", "object", what)),
-            codomain=SpaceDescriptor.from_json(json_field(data, "codomain", "object", what)),
+            domain=json_field(data, "domain", SpaceDescriptor, what),
+            codomain=json_field(data, "codomain", SpaceDescriptor, what),
         )
 
 
@@ -504,7 +469,11 @@ def _run_profile(
     active column, _ROUNDING_LOG or more below the larger of the block's
     first two row terms in a sum, or not above it in a sup; a binary search
     finds that row.  Two rows, because a full operator's upper run holds
-    log-zero at offset 0.  The cut is exact, not merely close.  The block
+    log-zero at offset 0.  A column whose first terms are so large that
+    subtracting _ROUNDING_LOG rounds to a floor less than _ROUNDING_LOG - 1
+    below them (a float past 2^56 has an ulp of 16 or more) cuts no row: a
+    term at that floor need not be negligible.  The cut is exact, not merely
+    close.  The block
     max is at least either of the first two terms, so a dropped term never
     exceeds it, and a max does not move, ties included.  numpy sums the rows
     of a block of two or more columns in order, so a dropped term meets a
@@ -564,7 +533,11 @@ def _run_profile(
             if width > 1 and nb > 2 and nb * width > small:
                 head = np.maximum(u[i0] + pad[start : start + width],
                                   u[i0 + 1] + pad[start + 1 : start + 1 + width])
-                floor = np.where(active[cols], head - cut, np.inf)
+                floor = head - cut
+                # past 2^56 the subtraction rounds: a floor that ends up less
+                # than cut - 1 below its head bounds no negligible term
+                floor[head - floor < cut - 1] = -np.inf
+                floor[~active[cols]] = np.inf
                 # the cut lies in keep..nb: rows from nb on are known negligible
                 keep = 2
                 while keep < nb:

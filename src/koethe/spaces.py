@@ -29,8 +29,8 @@ from .errors import (
     ConfigurationError,
     InvariantError,
     WindowError,
-    json_field,
-    json_object,
+    json_form,
+    json_record,
 )
 from .logdomain import LOG_ZERO, LogValue, linear_or_none, log_sum
 from .verdicts import (
@@ -125,29 +125,16 @@ class ExponentSequence:
 
     # -- codec ---------------------------------------------------------------
 
-    def to_json(self) -> dict[str, Any]:
-        if self.form == "power":
-            return {"form": "power", "p": self.p}
-        if self.form == "log":
-            return {"form": "log"}
-        if self.form == "affine":
-            return {"form": "affine", "a": self.a, "b": self.b}
-        return {"form": "table", "values": list(self.values)}
+    to_json = json_record
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ExponentSequence":
-        what = "exponent sequence"
-        form = json_object(data, what).get("form")
-        if form == "power":
-            return cls.power(json_field(data, "p", "number", what))
-        if form == "log":
-            return cls.logarithmic()
-        if form == "affine":
-            b = json_field(data, "b", "number", what) if "b" in data else 0.0
-            return cls.affine(json_field(data, "a", "number", what), b)
-        if form == "table":
-            return cls.table(json_field(data, "values", "numbers", what))
-        raise ConfigurationError(f"unknown exponent form {form!r}")
+        return json_form(data, {
+            "power": (cls.power, {"p": "number"}),
+            "log": (cls.logarithmic, {}),
+            "affine": (cls.affine, {"a": "number", "b": "number"}),
+            "table": (cls.table, {"values": "numbers"}),
+        }, "exponent sequence", optional=("b",))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,21 +266,16 @@ class SpaceDescriptor:
 
     # -- codec ---------------------------------------------------------------
 
-    def to_json(self) -> dict[str, Any]:
-        if self.kind == GENERAL_KOETHE:
-            return {"kind": self.kind, "weights": [list(r) for r in self.weights]}
-        return {"kind": self.kind, "alpha": self.alpha.to_json()}
+    to_json = json_record
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SpaceDescriptor":
-        what = "space"
-        kind = json_object(data, what).get("kind")
-        if kind in (POWER_SERIES_FINITE, POWER_SERIES_INFINITE):
-            alpha = ExponentSequence.from_json(json_field(data, "alpha", "object", what))
-            return cls(kind=kind, alpha=alpha)
-        if kind == GENERAL_KOETHE:
-            return cls.general(json_field(data, "weights", "rows", what))
-        raise ConfigurationError(f"unknown space kind {kind!r}")
+        return json_form(data, {
+            POWER_SERIES_FINITE: (cls.power_series_finite, {"alpha": ExponentSequence}),
+            POWER_SERIES_INFINITE: (cls.power_series_infinite,
+                                    {"alpha": ExponentSequence}),
+            GENERAL_KOETHE: (cls.general, {"weights": "rows"}),
+        }, "space", tag="kind")
 
 
 def weight(space: SpaceDescriptor, n: int, k: int) -> LogValue:
@@ -415,7 +397,8 @@ class SeriesVerdict:
 
 
 def _prefix_lse(terms: np.ndarray, bounds: Sequence[int]) -> list[LogValue]:
-    """Log partial sums at each bound; scaled segment sums, fixed order."""
+    """Log partial sums at each bound; scaled segment sums, fixed order.  An
+    infinite term makes its partial sum and every later one infinite."""
     out: list[LogValue] = []
     run_m, run_s = LOG_ZERO, 0.0
     prev = 0
@@ -424,7 +407,10 @@ def _prefix_lse(terms: np.ndarray, bounds: Sequence[int]) -> list[LogValue]:
         prev = b
         if seg.size:
             seg_m = float(np.max(seg))
-            if seg_m > LOG_ZERO:
+            if seg_m == math.inf:
+                # a later finite segment adds seg_s * exp(-inf) = 0
+                run_m, run_s = math.inf, 1.0
+            elif seg_m > LOG_ZERO:
                 seg_s = float(np.sum(np.exp(seg - seg_m)))
                 if seg_m > run_m:
                     run_s = run_s * math.exp(run_m - seg_m) if run_s else 0.0
@@ -633,15 +619,10 @@ def _subadditivity_scan(a: np.ndarray, m_max: int) -> SubadditivityReport:
     return SubadditivityReport(m, best_ratio, best_pair, n_max, m_max)
 
 
-def window_cap(seq: ExponentSequence, window: Window) -> int:
-    """Truncation for checks on an exponent sequence: the window, clipped
-    to a tabulated sequence."""
-    return min(window.n_max, seq.max_index or window.n_max)
-
-
-def window_subadditivity(seq: ExponentSequence, window: Window) -> SubadditivityReport:
-    """:func:`subadditivity_constant` over the window."""
-    return subadditivity_constant(seq, window_cap(seq, window), window.subadd_m_max)
+def window_subadditivity(space: SpaceDescriptor, window: Window) -> SubadditivityReport:
+    """:func:`subadditivity_constant` of a power series space's exponent
+    sequence over the window, clipped to the space."""
+    return subadditivity_constant(space.alpha, window.clip(space)[2], window.subadd_m_max)
 
 
 def stability_constant(seq: ExponentSequence, n_max: int) -> float:

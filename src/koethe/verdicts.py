@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
-from .errors import ConfigurationError, json_fields
+from .errors import ConfigurationError, json_fields, json_record
 from .logdomain import LogValue, linear_or_none
 
 
@@ -119,20 +119,7 @@ class Window:
             return PlateauStatus.GROWTH
         return PlateauStatus.DRIFT
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "k_max": self.k_max,
-            "m_max": self.m_max,
-            "n_max": self.n_max,
-            "l_slack": self.l_slack,
-            "subadd_m_max": self.subadd_m_max,
-            "checkpoints": list(self.checkpoints),
-            "plateau_tol": self.plateau_tol,
-            "growth_tol": self.growth_tol,
-            "series_tail_rel": self.series_tail_rel,
-            "series_growth_tol": self.series_growth_tol,
-            "dense_cap": self.dense_cap,
-        }
+    to_json = json_record
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Window":

@@ -249,6 +249,18 @@ def test_symbol_membership_subcommand(capsys):
     assert payload["report"]["verdict"]["outcome"] == "holds"
 
 
+def test_membership_with_an_infinite_weight_fails(capsys):
+    # k * 1e308 is past float range from k = 2 on: the series is infinite
+    space = {"kind": "power_series_infinite",
+             "alpha": {"form": "table", "values": [1.0, 2.0] + [1e308] * 14}}
+    code = main(["symbol", "membership", "--symbol", json.dumps(GEO),
+                 "--space", json.dumps(space), "--n-max", "16", "--k-max", "3"])
+    assert code == EXIT_FAILS
+    verdict = json.loads(capsys.readouterr().out)["report"]["verdict"]
+    assert verdict["reason"] == "membership series diverges at k=2"
+    assert verdict["witness"]["growth_log"] == "Infinity"
+
+
 def test_operator_certify_subcommand(capsys):
     op = {"variant": "lower", "domain": L1N, "codomain": L1N2, "symbol": GEO}
     code = main(["operator", "certify", "--operator", json.dumps(op),
@@ -277,6 +289,26 @@ def test_operator_apply_subcommand(tmp_path, capsys):
                  "--input", str(vec), "--method", "dense", "--out", str(out)])
     assert code == EXIT_OK
     assert read_vector(out).tolist() == [1.0, 2.0, 3.0]
+
+
+def test_dense_apply_past_the_dense_cap_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_vector("x.txt", [1.0] * 4097)
+    write_vector("short.txt", [1.0] * 8)
+    config = base_config(window={"n_max": 512, "dense_cap": 8},
+                         tasks=[{"command": "apply", "operator": "T", "input": "short.txt",
+                                 "n": 9, "method": "dense"}])
+    assert run_config(tmp_path, config) == EXIT_USAGE
+    op = {"variant": "lower", "domain": L1N, "codomain": L1N, "symbol": DELTA}
+    argv = ["operator", "apply", "--operator", json.dumps(op), "--input", "x.txt"]
+    assert main([*argv, "--method", "dense"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: tasks[0].method: dense apply at n=9 exceeds window.dense_cap=8",
+        "error: apply.method: dense apply at n=4097 exceeds window.dense_cap=4096"]
+    # at the cap, and on the fast path past it, the apply runs
+    config["tasks"][0]["n"] = 8
+    assert run_config(tmp_path, config) == EXIT_OK
+    assert main([*argv, "--out", "y.txt"]) == EXIT_OK
 
 
 def test_family_tame_subcommand(capsys):
@@ -440,6 +472,23 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
      "tasks[0].s_map: index map: field 'values' must be an array of integers"),
     (base_config(symbols={"geo": {"lower": {"form": "polynomial", "d": 1.5}}}),
      "symbols.geo: symbol part: field 'd' must be an integer"),
+    (base_config(operators={"T": {"variant": "x", "domain": "A", "codomain": "B",
+                                  "symbol": "geo"}}),
+     "operators.T.variant: expected 'lower', 'upper' or 'full', got 'x'"),
+    (base_config(operators={"T": {"domain": "A", "codomain": "B", "symbol": "geo"}}),
+     "operators.T.variant: missing field 'variant'"),
+    (base_config(tasks=[{"command": "membership", "symbol": "geo", "space": "A",
+                         "part": "middle"}]),
+     "tasks[0].part: expected 'lower' or 'upper', got 'middle'"),
+    (base_config(tasks=[{"command": "membership", "symbol": "geo", "space": "A",
+                         "target": ["dual"]}]),
+     "tasks[0].target: expected 'space' or 'dual', got ['dual']"),
+    (base_config(tasks=[{"command": "tame", "domain": "A", "codomain": "B",
+                         "variant": 1}]),
+     "tasks[0].variant: expected 'lower', 'upper' or 'full', got 1"),
+    (base_config(tasks=[{"command": "tame-condition", "domain": "A", "codomain": "B",
+                         "direction": "down"}]),
+     "tasks[0].direction: expected 'lower', 'upper' or 'full', got 'down'"),
 ], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
         "window-not-an-object", "probe-k-not-integers", "probe-m-not-integers",
         "apply-n-not-an-integer", "apply-input-not-a-path", "checks-not-an-array",
@@ -448,7 +497,10 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
         "probe-task-m-zero", "probe-task-k-negative", "config-seed-not-an-integer",
         "config-seed-a-string", "config-seed-negative", "direct-seed-negative",
         "run-seed-negative", "direct-apply-n-negative", "apply-task-n-zero",
-        "s-map-table-not-integers", "polynomial-d-not-an-integer"])
+        "s-map-table-not-integers", "polynomial-d-not-an-integer",
+        "unknown-operator-variant", "operator-without-variant", "unknown-membership-part",
+        "membership-target-not-a-string", "tame-variant-not-a-string",
+        "unknown-tame-condition-direction"])
 def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
     code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
     assert code == EXIT_USAGE

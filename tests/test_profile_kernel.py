@@ -234,6 +234,16 @@ symbol_parts = st.one_of(
     lambda h: spec if h is None else spec.with_head(h)))
 
 
+def test_the_cut_keeps_rows_that_rounding_hides_under_huge_weights():
+    # at log weights of 1e308, u_i + v rounds every log(0.5) step away: the
+    # last column's three terms all equal its max, so the cut may drop none
+    u = np.log(0.5) * np.arange(5)
+    v = np.array([1.0, 2.0] + [1e308] * 3)
+    (m_cut, s_cut), (m, s) = searched_and_whole(u, v, -1, NormKind.SUM)
+    assert m.tobytes() == m_cut.tobytes() and s.tobytes() == s_cut.tobytes()
+    assert s[-1] == 3.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     variant=st.sampled_from(list(Variant)),

@@ -7,18 +7,22 @@ digests cover every byte that ``koethe`` writes for:
 - ``certify`` over the 6 power series spaces of the cross-validation grid
   squared x 3 quantifier shapes x 2 starting indices, at n_max = 512;
 - ``cross_validate`` over the 144 grid operators x 2 properties, at
-  n_max = 256.
+  n_max = 256;
+- the ``tame``, ``tame-condition``, ``membership`` and ``space-check``
+  tasks below, whose reports embed encoded input records (symbols, index
+  maps, windows), at n_max = 64.
 
 They are recorded on one numpy build; another build may round exp or log
 differently, and the test skips there.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from koethe import Shape
-from koethe.cli import _dumps
+from koethe.cli import ExperimentConfig, _dumps, _run_task
 from koethe.criteria import (
     COMPACTNESS,
     CONTINUITY,
@@ -36,6 +40,8 @@ from reference_kernels import same_exp_log_build
 #: recorded before the certifier and the oracle shared one scan-to-verdict path
 CERTIFY_DIGEST = "379496e9f5fd0658700b5611d0964391e1ea02c63e712e1395e5e31ebb200805"
 CROSS_DIGEST = "79888b0d93a56e558082785e1687d703464730a04c5c47d4b072ef194362bc99"
+#: recorded before the input records shared one JSON codec
+TASK_DIGEST = "4c2ec6b94a27d059614c5246b1958fc125a5364ae99819860c3db9b5ad598960"
 
 pytestmark = pytest.mark.skipif(not same_exp_log_build(),
                                 reason="this numpy build rounds exp or log differently")
@@ -78,9 +84,71 @@ def cross_digest() -> str:
     return digest.hexdigest()
 
 
+PSF_N = {"kind": "power_series_finite", "alpha": {"form": "power", "p": 1.0}}
+PSF_LOG = {"kind": "power_series_finite", "alpha": {"form": "log"}}
+PSI_N = {"kind": "power_series_infinite",
+         "alpha": {"form": "affine", "a": 1.0, "b": 0.5}}
+PSI_SQRT = {"kind": "power_series_infinite", "alpha": {"form": "power", "p": 0.5}}
+PSF_TABLE = {"kind": "power_series_finite",
+             "alpha": {"form": "table", "values": [i ** 1.5 for i in range(1, 101)]}}
+# every weight is finite, so no series here meets an infinite term
+GENERAL = {"kind": "general_koethe",
+           "weights": [[k ** (i / 16) for k in range(1, 9)] for i in range(64)]}
+S_MAPS = [{"form": "identity"}, {"form": "linear", "a": 1.5},
+          {"form": "table", "values": [1, 2, 4, 5, 7]}]
+MEMBERSHIP_SYMBOLS = [
+    {"lower": {"form": "geometric", "r": 0.5}},
+    {"upper": {"form": "explicit", "values": [1.0, -2.0, 0.5]}},
+    {"lower": {"form": "polynomial", "d": 2, "head": 3.0},
+     "upper": {"form": "exp_of_exponent", "c": -1.0,
+               "alpha": {"form": "power", "p": 0.5}, "head": -1.0}},
+]
+
+
+def digest_tasks():
+    for variant, domain, codomain in (("lower", PSI_N, PSF_N), ("upper", PSI_N, PSI_SQRT),
+                                      ("full", PSF_LOG, PSF_TABLE),
+                                      ("upper", PSF_N, PSF_LOG)):
+        for s_map in S_MAPS:
+            yield {"command": "tame", "variant": variant, "domain": domain,
+                   "codomain": codomain, "s_map": s_map,
+                   "family": {"count": 3, "seed": 11, "signed": True}}
+    for direction in ("lower", "upper"):
+        for domain, codomain in ((PSF_N, PSF_LOG), (PSI_SQRT, PSI_N), (PSF_N, PSI_N),
+                                 (GENERAL, PSF_N)):
+            for s_map in S_MAPS:
+                yield {"command": "tame-condition", "direction": direction,
+                       "domain": domain, "codomain": codomain, "s_map": s_map}
+    spaces = [PSF_N, PSF_LOG, PSI_N, PSI_SQRT, PSF_TABLE, GENERAL]
+    for symbol in MEMBERSHIP_SYMBOLS:
+        for part in ("lower", "upper"):
+            for space in spaces:
+                for target in ("space", "dual"):
+                    if part in symbol and not (target == "dual" and space is GENERAL):
+                        yield {"command": "membership", "symbol": symbol, "part": part,
+                               "space": space, "target": target}
+    for space in spaces:
+        yield {"command": "space-check", "space": space}
+
+
+def task_digest() -> str:
+    cfg = ExperimentConfig(spaces={}, symbols={}, operators={}, tasks=[],
+                           window=Window(n_max=64, k_max=5, m_max=8),
+                           out_dir=Path("."), formats=())
+    digest = hashlib.sha256()
+    for i, task in enumerate(digest_tasks()):
+        status, report, _ = _run_task(cfg, task, f"tasks[{i}]")
+        digest.update(_dumps({"status": status, "report": report}).encode())
+    return digest.hexdigest()
+
+
 def test_certify_reports_match_the_recorded_digest():
     assert certify_digest() == CERTIFY_DIGEST
 
 
 def test_cross_validation_reports_match_the_recorded_digest():
     assert cross_digest() == CROSS_DIGEST
+
+
+def test_task_reports_match_the_recorded_digest():
+    assert task_digest() == TASK_DIGEST

@@ -198,6 +198,14 @@ def test_classify_divergent_growth():
     assert classify_series(terms).classification is SeriesClass.DIVERGENT
 
 
+@pytest.mark.parametrize("terms", [[0.0, math.inf, 1.0, 2.0], [0.0, 1.0, 2.0, math.inf]],
+                         ids=["inf-early", "inf-last"])
+def test_classify_a_series_with_an_infinite_term_as_divergent(terms):
+    verdict = classify_series(np.array(terms))
+    assert verdict.classification is SeriesClass.DIVERGENT
+    assert verdict.partial_sums[-1][1] == math.inf
+
+
 def test_classify_needs_terms():
     with pytest.raises(ConfigurationError):
         classify_series(np.array([1.0]))
@@ -402,7 +410,7 @@ def test_general_spaces_are_evaluated_on_every_call(classify_calls):
 
 def test_mutating_a_returned_report_leaves_later_calls_unchanged():
     verdict = nuclearity_verdict(LINF_N, SMALL)
-    report = window_subadditivity(ALPHA_N2, SMALL)
+    report = window_subadditivity(L1_N2, SMALL)
     before = _text(verdict), _text(report)
     for mutate in (lambda: verdict.certificate.entries.clear(),
                    lambda: verdict.certificate.entries.update({1: (99, 0.0)}),
@@ -410,19 +418,19 @@ def test_mutating_a_returned_report_leaves_later_calls_unchanged():
         with contextlib.suppress(AttributeError, TypeError):
             mutate()
     assert (_text(nuclearity_verdict(LINF_N, SMALL)),
-            _text(window_subadditivity(ALPHA_N2, SMALL))) == before
+            _text(window_subadditivity(L1_N2, SMALL))) == before
 
 
 def test_concurrent_first_calls_agree():
     expected = [_text(nuclearity_verdict(LINF_N2, SMALL)),
-                _text(window_subadditivity(ALPHA_N2, SMALL))]
+                _text(window_subadditivity(L1_N2, SMALL))]
     spaces._exponent_values.cache_clear()
     results, start = [], threading.Barrier(8)
 
     def worker():
         start.wait(timeout=10)
         results.append([_text(nuclearity_verdict(LINF_N2, SMALL)),
-                        _text(window_subadditivity(ALPHA_N2, SMALL))])
+                        _text(window_subadditivity(L1_N2, SMALL))])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
