@@ -10,7 +10,10 @@ digests cover every byte that ``koethe`` writes for:
   n_max = 256;
 - the ``tame``, ``tame-condition``, ``membership`` and ``space-check``
   tasks below, whose reports embed encoded input records (symbols, index
-  maps, windows), at n_max = 64.
+  maps, windows), at n_max = 64;
+- the ``certify-continuity`` and ``certify-compactness`` tasks of full
+  operators over the grid's space pairs, finite into infinite type left
+  out, at n_max = 256: the routing of both triangular parts.
 
 They are recorded on one numpy build; another build may round exp or log
 differently, and the test skips there.
@@ -22,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from koethe import Shape
+from koethe.errors import NotWellDefinedError, UnsupportedCombinationError
 from koethe.cli import ExperimentConfig, _dumps, _run_task
 from koethe.criteria import (
     COMPACTNESS,
@@ -42,8 +46,10 @@ CERTIFY_DIGEST = "379496e9f5fd0658700b5611d0964391e1ea02c63e712e1395e5e31ebb2008
 CROSS_DIGEST = "79888b0d93a56e558082785e1687d703464730a04c5c47d4b072ef194362bc99"
 #: recorded before the input records shared one JSON codec
 TASK_DIGEST = "4c2ec6b94a27d059614c5246b1958fc125a5364ae99819860c3db9b5ad598960"
+#: recorded before the paper's rules moved into one table
+FULL_DIGEST = "1b92dac09824656f8672071b666af3349029a82507bf505f7fb0dad3e8555356"
 
-pytestmark = pytest.mark.skipif(not same_exp_log_build(),
+same_build = pytest.mark.skipif(not same_exp_log_build(),
                                 reason="this numpy build rounds exp or log differently")
 
 
@@ -131,24 +137,84 @@ def digest_tasks():
         yield {"command": "space-check", "space": space}
 
 
-def task_digest() -> str:
-    cfg = ExperimentConfig(spaces={}, symbols={}, operators={}, tasks=[],
-                           window=Window(n_max=64, k_max=5, m_max=8),
-                           out_dir=Path("."), formats=())
+def _config(window: Window) -> ExperimentConfig:
+    return ExperimentConfig(spaces={}, symbols={}, operators={}, tasks=[],
+                            window=window, out_dir=Path("."), formats=())
+
+
+def task_digest(tasks=digest_tasks, window=Window(n_max=64, k_max=5, m_max=8)) -> str:
+    cfg = _config(window)
     digest = hashlib.sha256()
-    for i, task in enumerate(digest_tasks()):
+    for i, task in enumerate(tasks()):
         status, report, _ = _run_task(cfg, task, f"tasks[{i}]")
         digest.update(_dumps({"status": status, "report": report}).encode())
     return digest.hexdigest()
 
 
+FULL_SYMBOLS = [
+    {"lower": {"form": "explicit", "values": [1.0]},
+     "upper": {"form": "explicit", "values": [1.0]}},
+    {"lower": {"form": "geometric", "r": 0.5},
+     "upper": {"form": "geometric", "r": -0.9, "head": 2.0}},
+]
+
+
+def full_tasks():
+    for domain in grid_spaces():
+        for codomain in grid_spaces():
+            if (domain.kind, codomain.kind) == ("power_series_finite",
+                                                "power_series_infinite"):
+                continue  # not well defined
+            for symbol in FULL_SYMBOLS:
+                for prop in (CONTINUITY, COMPACTNESS):
+                    yield {"command": f"certify-{prop}",
+                           "operator": {"variant": "full", "symbol": symbol,
+                                        "domain": domain.to_json(),
+                                        "codomain": codomain.to_json()}}
+
+
+@same_build
 def test_certify_reports_match_the_recorded_digest():
     assert certify_digest() == CERTIFY_DIGEST
 
 
+@same_build
 def test_cross_validation_reports_match_the_recorded_digest():
     assert cross_digest() == CROSS_DIGEST
 
 
+@same_build
 def test_task_reports_match_the_recorded_digest():
     assert task_digest() == TASK_DIGEST
+
+
+@same_build
+def test_full_operator_reports_match_the_recorded_digest():
+    assert task_digest(full_tasks, Window().with_n_max(256)) == FULL_DIGEST
+
+
+PSI_LOG = {"kind": "power_series_infinite", "alpha": {"form": "log"}}
+
+
+@pytest.mark.parametrize("variant, domain, codomain, error, message", [
+    ("lower", PSF_N, GENERAL, UnsupportedCombinationError,
+     "no rule decides a lower-triangular operator into a general Köthe space; "
+     "a power series codomain is required"),
+    ("upper", GENERAL, PSF_N, UnsupportedCombinationError,
+     "no rule decides an upper-triangular operator from a general Köthe space; "
+     "a power series domain is required"),
+    ("full", PSF_N, GENERAL, UnsupportedCombinationError,
+     "full-variant verdicts need power series spaces on both sides"),
+    ("full", PSF_LOG, PSI_LOG, NotWellDefinedError,
+     "a full Toeplitz operator is not well defined from a finite-type into an "
+     "infinite-type power series space"),
+])
+@pytest.mark.parametrize("prop", [CONTINUITY, COMPACTNESS])
+def test_refused_routes_keep_their_messages(variant, domain, codomain, error,
+                                            message, prop):
+    task = {"command": f"certify-{prop}",
+            "operator": {"variant": variant, "symbol": FULL_SYMBOLS[0],
+                         "domain": domain, "codomain": codomain}}
+    with pytest.raises(error) as exc:
+        _run_task(_config(Window(n_max=64)), task, "tasks[0]")
+    assert str(exc.value) == message
