@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -317,53 +317,58 @@ H_SUBADD_COD = "subadditivity:codomain-exponent"
 
 
 @dataclass(frozen=True)
-class Route:
+class Rule:
+    """The paper's rule for a triangular part: its route, where its weight
+    condition starts, its continuity hypotheses (compactness adds
+    nuclearity of the codomain) and the tameness index that a fixed-map
+    certificate implies, whose None multiplier is M of the rule's space."""
+
     route_id: str
-    membership: str  # "codomain_space" | "domain_dual"
     n_start: NStart
     hypotheses: tuple[str, ...]
+    implied: tuple[str, int | None]
 
 
-def _route(op: ToeplitzOperator, prop: str) -> Route:
-    dom, cod = op.domain.kind, op.codomain.kind
-    compact = prop == COMPACTNESS
-    if op.variant is Variant.LOWER:
-        if cod == POWER_SERIES_FINITE:
-            hyps = (H_NUCLEAR_COD,) if compact else ()
-            return Route("lower_to_finite", "codomain_space", NStart.ONE, hyps)
-        if cod == POWER_SERIES_INFINITE:
-            hyps = (H_SUBADD_COD, H_NUCLEAR_COD) if compact else (H_SUBADD_COD,)
-            return Route("lower_to_infinite", "codomain_space", NStart.K, hyps)
-        raise UnsupportedCombinationError(
-            "no rule decides a lower-triangular operator into a general "
-            "Köthe space; a power series codomain is required"
-        )
-    if op.variant is Variant.UPPER:
-        if dom == POWER_SERIES_INFINITE:
-            return Route("upper_from_infinite", "domain_dual", NStart.ONE,
-                         (H_NUCLEAR_COD,))
-        if dom == POWER_SERIES_FINITE:
-            hyps = (H_SUBADD_DOM, H_NUCLEAR_COD) if compact else (H_SUBADD_DOM,)
-            return Route("upper_from_finite", "domain_dual", NStart.K, hyps)
-        raise UnsupportedCombinationError(
-            "no rule decides an upper-triangular operator from a general "
-            "Köthe space; a power series domain is required"
-        )
-    # full variant routing is resolved by its triangular parts
-    if dom == POWER_SERIES_FINITE and cod == POWER_SERIES_INFINITE:
-        raise NotWellDefinedError(
-            "a full Toeplitz operator is not well defined from a finite-type "
-            "into an infinite-type power series space"
-        )
-    if dom == GENERAL_KOETHE or cod == GENERAL_KOETHE:
-        raise UnsupportedCombinationError(
-            "full-variant verdicts need power series spaces on both sides"
-        )
-    return Route(f"full:{_short(dom)}->{_short(cod)}", "both", NStart.ONE, ())
+#: the rules, keyed by (direction, kind of the rule's space): a lower part's
+#: codomain, an upper part's domain
+RULES: dict[tuple[Variant, str], Rule] = {
+    (Variant.LOWER, POWER_SERIES_FINITE):
+        Rule("lower_to_finite", NStart.ONE, (), ("S", 1)),
+    (Variant.LOWER, POWER_SERIES_INFINITE):
+        Rule("lower_to_infinite", NStart.K, (H_SUBADD_COD,), ("M*S", None)),
+    (Variant.UPPER, POWER_SERIES_INFINITE):
+        Rule("upper_from_infinite", NStart.ONE, (H_NUCLEAR_COD,), ("2S", 2)),
+    (Variant.UPPER, POWER_SERIES_FINITE):
+        Rule("upper_from_finite", NStart.K, (H_SUBADD_DOM,), ("M*S", None)),
+}
+
+#: the membership side of a direction's rules: a lower part's symbol lies in
+#: the codomain ("space"), an upper part's obeys the domain's dual bound ("dual")
+SIDES = {Variant.LOWER: "space", Variant.UPPER: "dual"}
+
+_NO_RULE = {
+    Variant.LOWER: "no rule decides a lower-triangular operator into a general "
+                   "Köthe space; a power series codomain is required",
+    Variant.UPPER: "no rule decides an upper-triangular operator from a general "
+                   "Köthe space; a power series domain is required",
+}
 
 
-def _short(kind: str) -> str:
-    return {POWER_SERIES_FINITE: "finite", POWER_SERIES_INFINITE: "infinite"}[kind]
+def _side(side: str, domain: SpaceDescriptor, codomain: SpaceDescriptor
+          ) -> tuple[Callable[..., Verdict], SpaceDescriptor]:
+    """The membership check of a side and the space it reads: the codomain
+    for "space", the domain's dual for "dual"."""
+    if side == "space":
+        return membership_in_space, codomain
+    return membership_in_dual, domain
+
+
+def _route(direction: Variant, domain: SpaceDescriptor, codomain: SpaceDescriptor
+           ) -> tuple[Rule | None, Callable[..., Verdict], SpaceDescriptor]:
+    """The rule of a triangular direction between two spaces (None where the
+    rule's space is not a power series space), its membership check and space."""
+    check, space = _side(SIDES[direction], domain, codomain)
+    return RULES.get((direction, space.kind)), check, space
 
 
 @dataclass(frozen=True)
@@ -414,32 +419,28 @@ def _hypothesis_outcome(report: Any) -> Outcome:
     raise TypeError(f"unknown hypothesis report type {type(report)!r}")
 
 
-def _evaluate_hypotheses(
-    op: ToeplitzOperator, route: Route, win: Window
-) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for name in route.hypotheses:
-        if name == H_NUCLEAR_COD:
-            out[name] = nuclearity_verdict(op.codomain, win)
-        elif name == H_SUBADD_COD:
-            out[name] = window_subadditivity(op.codomain, win)
-        elif name == H_SUBADD_DOM:
-            out[name] = window_subadditivity(op.domain, win)
-    return out
+#: hypothesis name -> its window report on the operator's spaces
+_HYPOTHESES = {
+    H_NUCLEAR_COD: lambda op, win: nuclearity_verdict(op.codomain, win),
+    H_SUBADD_COD: lambda op, win: window_subadditivity(op.codomain, win),
+    H_SUBADD_DOM: lambda op, win: window_subadditivity(op.domain, win),
+}
 
 
 def _triangular_report(op: ToeplitzOperator, prop: str, win: Window) -> OperatorReport:
-    route = _route(op, prop)
-    if route.membership == "codomain_space":
-        membership = membership_in_space(op.symbol.lower, op.codomain, win)
-    else:
-        membership = membership_in_dual(op.symbol.upper, op.domain, win)
-    shape = (Shape.EXISTS_M_FORALL_K if prop == COMPACTNESS
-             else Shape.FORALL_K_EXISTS_M)
+    rule, check, space = _route(op.variant, op.domain, op.codomain)
+    if rule is None:
+        raise UnsupportedCombinationError(_NO_RULE[op.variant])
+    membership = check(getattr(op.symbol, op.variant.value), space, win)
+    compact = prop == COMPACTNESS
+    shape = Shape.EXISTS_M_FORALL_K if compact else Shape.FORALL_K_EXISTS_M
     condition = certify(
-        weight_domination(op.domain, op.codomain, shape, route.n_start), win
+        weight_domination(op.domain, op.codomain, shape, rule.n_start), win
     )
-    hyps = _evaluate_hypotheses(op, route, win)
+    names = rule.hypotheses
+    if compact and H_NUCLEAR_COD not in names:
+        names += (H_NUCLEAR_COD,)
+    hyps = {name: _HYPOTHESES[name](op, win) for name in names}
     hyp_outcomes = [_hypothesis_outcome(r) for r in hyps.values()]
     hyps_ok = all(o is Outcome.HOLDS for o in hyp_outcomes)
 
@@ -452,7 +453,7 @@ def _triangular_report(op: ToeplitzOperator, prop: str, win: Window) -> Operator
     elif core is Outcome.FAILS_ON_WINDOW:
         overall = Outcome.FAILS_ON_WINDOW
         nuclear = hyps.get(H_NUCLEAR_COD)
-        if (prop == COMPACTNESS
+        if (compact
                 and membership.outcome is not Outcome.FAILS_ON_WINDOW
                 and nuclear is not None
                 and _hypothesis_outcome(nuclear) is not Outcome.HOLDS):
@@ -473,14 +474,27 @@ def _triangular_report(op: ToeplitzOperator, prop: str, win: Window) -> Operator
         window=win,
     )
     return OperatorReport(
-        verdict=verdict, prop=prop, route_id=route.route_id,
+        verdict=verdict, prop=prop, route_id=rule.route_id,
         membership=membership, condition=condition, hypotheses=hyps,
         window=win, notes=tuple(notes),
     )
 
 
-def _full_report(op: ToeplitzOperator, prop: str, win: Window) -> OperatorReport:
-    route = _route(op, prop)  # raises for ill-defined / unsupported pairs
+def _report(op: ToeplitzOperator, prop: str, win: Window) -> OperatorReport:
+    """The operator's report for one property; a full operator's is the
+    conjunction of its triangular parts' reports."""
+    if op.variant is not Variant.FULL:
+        return _triangular_report(op, prop, win)
+    dom, cod = op.domain.kind, op.codomain.kind
+    if dom == POWER_SERIES_FINITE and cod == POWER_SERIES_INFINITE:
+        raise NotWellDefinedError(
+            "a full Toeplitz operator is not well defined from a finite-type "
+            "into an infinite-type power series space"
+        )
+    if dom == GENERAL_KOETHE or cod == GENERAL_KOETHE:
+        raise UnsupportedCombinationError(
+            "full-variant verdicts need power series spaces on both sides"
+        )
     low = _triangular_report(lower_part(op), prop, win)
     up = _triangular_report(upper_part(op), prop, win)
     overall = conjoin(low.outcome, up.outcome)
@@ -499,7 +513,8 @@ def _full_report(op: ToeplitzOperator, prop: str, win: Window) -> OperatorReport
     )
     hyps = {**low.hypotheses, **up.hypotheses}
     return OperatorReport(
-        verdict=verdict, prop=prop, route_id=route.route_id,
+        verdict=verdict, prop=prop, route_id="full:{}->{}".format(
+            *(kind.removeprefix("power_series_") for kind in (dom, cod))),
         membership=None, condition=None, hypotheses=hyps, window=win,
         parts={"lower": low, "upper": up},
         notes=("full-variant verdict is the conjunction of its triangular parts",),
@@ -510,25 +525,20 @@ def continuity_verdict(
     op: ToeplitzOperator, window: Window | None = None
 ) -> OperatorReport:
     """Route the operator to its continuity rule and certify it."""
-    win = window or Window()
-    if op.variant is Variant.FULL:
-        return _full_report(op, CONTINUITY, win)
-    return _triangular_report(op, CONTINUITY, win)
+    return _report(op, CONTINUITY, window or Window())
 
 
 def compactness_verdict(
     op: ToeplitzOperator, window: Window | None = None
 ) -> OperatorReport:
     """Route the operator to its compactness rule and certify it."""
-    win = window or Window()
-    if op.variant is Variant.FULL:
-        return _full_report(op, COMPACTNESS, win)
-    return _triangular_report(op, COMPACTNESS, win)
+    return _report(op, COMPACTNESS, window or Window())
 
 
-def default_norm_kind(op: ToeplitzOperator) -> NormKind:
+def default_norm_kind(op: ToeplitzOperator | OperatorTemplate) -> NormKind:
     """Norm form matching the proofs behind each route: sum norms for
-    lower-triangular work, sup norms for upper-triangular work."""
+    lower-triangular work, sup norms for upper-triangular work.  Reads only
+    the variant and the codomain, so an operator template serves too."""
     if op.variant is Variant.UPPER:
         return NormKind.SUP
     if op.variant is Variant.FULL and op.codomain.kind == POWER_SERIES_INFINITE:
@@ -603,11 +613,12 @@ class FamilySpec:
 
 def _sample_family(
     family: FamilySpec,
-    constraint: str,
-    space: SpaceDescriptor,
+    side: str,
+    template: OperatorTemplate,
     win: Window,
     rng: np.random.Generator,
 ) -> list[SymbolSpec]:
+    check, space = _side(side, template.domain, template.codomain)
     out: list[SymbolSpec] = []
     attempts = 0
     max_attempts = family.count * 20
@@ -616,16 +627,14 @@ def _sample_family(
             raise ConfigurationError(
                 f"family sampling exhausted {max_attempts} attempts before "
                 f"collecting {family.count} members passing the "
-                f"{constraint} membership"
+                f"{side} membership"
             )
         attempts += 1
         r = float(rng.uniform(family.r_min, family.r_max))
         if family.signed and rng.integers(2):
             r = -r
         spec = SymbolSpec.geometric(r)
-        check = (membership_in_space(spec, space, win) if constraint == "space"
-                 else membership_in_dual(spec, space, win))
-        if check.outcome is Outcome.HOLDS:
+        if check(spec, space, win).outcome is Outcome.HOLDS:
             out.append(spec)
     return out
 
@@ -693,27 +702,21 @@ def tameness_check(
     k_max, m_max, n_max, _ = win.clip(template.codomain, template.domain)
     _check_index_map(s_map, k_max, m_max)
     rng = np.random.default_rng(family.seed)
-    if template.variant is Variant.FULL:
-        lows = _sample_family(family, "space", template.codomain, win, rng)
-        ups = _sample_family(family, "dual", template.domain, win, rng)
-        members = [(lo, up) for lo, up in zip(lows, ups)]
-    elif template.variant is Variant.LOWER:
-        kind = "space" if family.constraint in ("auto", "space") else "dual"
-        space = template.codomain if kind == "space" else template.domain
-        members = [(s, None) for s in _sample_family(family, kind, space, win, rng)]
-    else:
-        kind = "dual" if family.constraint in ("auto", "dual") else "space"
-        space = template.domain if kind == "dual" else template.codomain
-        members = [(s, None) for s in _sample_family(family, kind, space, win, rng)]
-
-    norm_kind = default_norm_kind(template.build(SymbolSpec.delta(),
-                                                 SymbolSpec.delta()))
+    # a full family draws its lower parts first; a constraint other than
+    # "auto" overrides the side of a one-sided family's rule
+    full = template.variant is Variant.FULL
+    parts = (Variant.LOWER, Variant.UPPER) if full else (template.variant,)
+    sides = [SIDES[part] if full or family.constraint == "auto"
+             else family.constraint for part in parts]
+    members = list(zip(*(_sample_family(family, side, template, win, rng)
+                         for side in sides)))
+    norm_kind = default_norm_kind(template)
     samples: list[TameSample] = []
-    for spec, second in members:
-        op = template.build(spec, second)
+    for member in members:
+        op = template.build(*member)
         status, k0, log_c = _sample_tameness(op, s_map, win, norm_kind,
                                              k_max, n_max)
-        samples.append(TameSample(spec, status, k0, log_c))
+        samples.append(TameSample(member[0], status, k0, log_c))
     outcomes = [s.status for s in samples]
     overall = conjoin(*outcomes)
     failing = next((i for i, s in enumerate(samples)
@@ -773,18 +776,12 @@ def tame_condition_certify(
     )
     implied = None
     subadd = None
-    if verdict.outcome is Outcome.HOLDS:
-        if variant_direction is Variant.LOWER:
-            if codomain.kind == POWER_SERIES_FINITE:
-                implied = ImpliedTameness("S", 1)
-            elif codomain.kind == POWER_SERIES_INFINITE:
-                subadd = window_subadditivity(codomain, win)
-                implied = ImpliedTameness("M*S", subadd.m)
-        else:
-            if domain.kind == POWER_SERIES_INFINITE:
-                implied = ImpliedTameness("2S", 2)
-            elif domain.kind == POWER_SERIES_FINITE:
-                subadd = window_subadditivity(domain, win)
-                implied = ImpliedTameness("M*S", subadd.m)
+    rule, _, space = _route(variant_direction, domain, codomain)
+    if verdict.outcome is Outcome.HOLDS and rule is not None:
+        factor, multiplier = rule.implied
+        if multiplier is None:
+            subadd = window_subadditivity(space, win)
+            multiplier = subadd.m
+        implied = ImpliedTameness(factor, multiplier)
     return TameConditionReport(verdict=verdict, implied=implied,
                                subadditivity=subadd)

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 LogValue = float
 
 LOG_ZERO = float("-inf")
-LOG_ONE = 0.0
 
 #: largest |log| for which a linear value is materialized in reports
 LINEAR_CUTOFF = 700.0

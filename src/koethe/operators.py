@@ -45,8 +45,6 @@ from .logdomain import (
     log_sum,
 )
 from .spaces import (
-    POWER_SERIES_FINITE,
-    POWER_SERIES_INFINITE,
     ExponentSequence,
     SeriesClass,
     SpaceDescriptor,
@@ -184,7 +182,9 @@ class SymbolSpec:
             else:
                 out = j * math.log(abs(self.r))
         elif self.form == "exp_of_exponent":
-            out = self.c * self.alpha.values_array(count)
+            # a log past float range is log-inf, not an error
+            with np.errstate(over="ignore"):
+                out = self.c * self.alpha.values_array(count)
         else:
             out = self.d * np.log(j + 1.0)
         if self.head is not None and count:
@@ -739,29 +739,16 @@ def membership_in_space(
                  tags=tags)
 
 
-def dual_log_bound(space: SpaceDescriptor, m: int, n_max: int) -> np.ndarray:
-    """log of the dual coefficient growth/decay envelope at index m.
-
-    Infinite type admits coefficients up to e^{m * alpha_n}; finite type
-    demands decay e^{-alpha_n / m}.  Only power series spaces carry this
-    description."""
-    if space.kind == POWER_SERIES_INFINITE:
-        return m * space.alpha.values_array(n_max)
-    if space.kind == POWER_SERIES_FINITE:
-        return -space.alpha.values_array(n_max) / m
-    raise UnsupportedCombinationError(
-        "dual coefficient bounds are only described for power series spaces"
-    )
-
-
 def membership_in_dual(
     spec: SymbolSpec, space: SpaceDescriptor, window: Window | None = None
 ) -> Verdict:
     """Does the sequence obey the dual coefficient bound of the space?
 
-    Searches m <= m_max for which sup_n (log|theta_{n-1}| - bound_m(n))
-    stabilizes between the half and full window; the stabilized sup is the
-    certificate constant."""
+    The bound at index m is the weight a(n, m): infinite type admits
+    coefficients up to e^{m * alpha_n}, finite type demands decay
+    e^{-alpha_n / m}.  Searches m <= m_max for which
+    sup_n (log|theta_{n-1}| - log a(n, m)) stabilizes between the half and
+    full window; the stabilized sup is the certificate constant."""
     win = window or Window()
     if not space.is_power_series:
         raise UnsupportedCombinationError(
@@ -774,7 +761,7 @@ def membership_in_dual(
     logs = spec.log_abs_array(n_max)
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
-        gap = logs - dual_log_bound(space, m, n_max)
+        gap = logs - weight_array(space, m, n_max)
         return float(np.max(gap[:half])), float(np.max(gap))
 
     scan = scan_forall(win, sup_pair, 1, win.m_max)

@@ -261,6 +261,34 @@ def test_membership_with_an_infinite_weight_fails(capsys):
     assert verdict["witness"]["growth_log"] == "Infinity"
 
 
+def test_dual_membership_with_an_infinite_bound_holds(capsys):
+    # m * alpha_n is past float range from m = 2 on: the bound admits anything
+    # there, and the symbol's own logs 1.05 * alpha_n stay finite
+    alpha = {"form": "table", "values": [1, 2, 3, 4, 5, 6, 7, 8, 2e307, 4e307, 6e307,
+                                         8e307, 1e308, 1.2e308, 1.4e308, 1.6e308]}
+    symbol = {"upper": {"form": "exp_of_exponent", "c": 1.05, "alpha": alpha}}
+    space = {"kind": "power_series_infinite", "alpha": alpha}
+    code = main(["symbol", "membership", "--part", "upper", "--target", "dual",
+                 "--n-max", "16", "--symbol", json.dumps(symbol),
+                 "--space", json.dumps(space)])
+    assert code == EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)["report"]["verdict"]
+    assert verdict["certificate"]["shape"] == "bound"
+    assert verdict["certificate"]["m"] == 2
+
+
+def test_membership_of_a_symbol_past_float_range_fails(capsys):
+    # c * alpha_n is past float range: the symbol's log is +inf
+    symbol = {"lower": {"form": "exp_of_exponent", "c": 1e300,
+                        "alpha": {"form": "affine", "a": 1e300, "b": 9.6}}}
+    space = {"kind": "power_series_finite", "alpha": {"form": "log"}}
+    code = main(["symbol", "membership", "--symbol", json.dumps(symbol),
+                 "--space", json.dumps(space), "--n-max", "16"])
+    assert code == EXIT_FAILS
+    verdict = json.loads(capsys.readouterr().out)["report"]["verdict"]
+    assert verdict["reason"] == "membership series diverges at k=1"
+
+
 def test_operator_certify_subcommand(capsys):
     op = {"variant": "lower", "domain": L1N, "codomain": L1N2, "symbol": GEO}
     code = main(["operator", "certify", "--operator", json.dumps(op),

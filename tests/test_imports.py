@@ -1,9 +1,11 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package imports a name that it never uses, or defines
+a top-level name that nothing reads.
 
-The test environment ships no linter, so this stdlib ``ast`` check stands
-in for one.  An imported name counts as used when the module reads it (in
-code or in a quoted annotation), lists it in ``__all__``, or when another
-file imports it from, or reads it off, this module: a re-export.
+The test environment ships no linter, so these stdlib ``ast`` checks stand
+in for one.  A name counts as used when the module reads it (in code or in
+a quoted annotation), lists it in ``__all__``, or when another file under
+``src``, ``tests`` or ``perfbench`` imports it from, or reads it off, this
+module: a re-export.
 """
 
 import ast
@@ -29,8 +31,23 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return out
 
 
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """{top-level name the module defines, dunders aside: its line}."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {name.id: node.lineno for target in targets
+                    for name in ast.walk(target) if isinstance(name, ast.Name)}
+    return {name: line for name, line in out.items() if not name.startswith("__")}
+
+
 def _names(tree: ast.AST) -> set[str]:
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Names read, not those assigned or deleted."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def _read(tree: ast.Module) -> set[str]:
@@ -88,6 +105,23 @@ def test_package_has_no_unused_imports():
                                             key=lambda item: item[1])
                    if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_package_defines_no_unread_names():
+    reexported = _reexported()
+    unread = []
+    for module, tree in MODULES.items():
+        used = _read(tree) | _exported(tree) | reexported[module]
+        unread += [f"{module}.py:{line}: {name}"
+                   for name, line in sorted(_defined(tree).items(),
+                                            key=lambda item: item[1])
+                   if name not in used]
+    assert not unread, "unread top-level names:\n" + "\n".join(unread)
+
+
+def test_the_check_sees_an_unread_definition():
+    tree = ast.parse("A = 1\nB: int = A\ndef f(): return B\nclass C: pass\n")
+    assert set(_defined(tree)) - _read(tree) == {"f", "C"}
 
 
 def test_the_check_sees_an_unused_import():
