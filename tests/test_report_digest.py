@@ -16,7 +16,8 @@ digests cover every byte that ``koethe`` writes for:
   out, at n_max = 256: the routing of both triangular parts.
 
 They are recorded on one numpy build; another build may round exp or log
-differently, and the test skips there.
+differently, and the digest tests skip there.  The messages of the four
+refused routes are pinned on every build.
 """
 
 import hashlib
@@ -25,7 +26,6 @@ from pathlib import Path
 import pytest
 
 from koethe import Shape
-from koethe.errors import NotWellDefinedError, UnsupportedCombinationError
 from koethe.cli import ExperimentConfig, _dumps, _run_task
 from koethe.criteria import (
     COMPACTNESS,
@@ -35,6 +35,7 @@ from koethe.criteria import (
     certify,
     weight_domination,
 )
+from koethe.errors import NotWellDefinedError, UnsupportedCombinationError
 from koethe.operators import Symbol, SymbolSpec, ToeplitzOperator, Variant
 from koethe.oracle import cross_validate
 from koethe.spaces import ExponentSequence, SpaceDescriptor
