@@ -129,18 +129,17 @@ def read_vector(path: str | Path) -> np.ndarray:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {str(path)!r}: {exc}") from exc
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{path}:{lineno}: not a coefficient: {line!r}"
-            ) from exc
-    return np.asarray(values, dtype=np.float64)
+    lines = [line.strip() for line in text.splitlines()]
+    try:
+        return np.asarray(list(map(float, filter(None, lines))), dtype=np.float64)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=1):  # name the bad line
+            try:
+                float(line or "0")  # blank lines are skipped
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: not a coefficient: {line!r}") from exc
+        raise
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -151,7 +150,8 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def write_vector(path: str | Path, values: Sequence[float]) -> None:
-    _write_text(path, "".join(f"{float(v)!r}\n" for v in values))
+    _write_text(path, "".join(
+        [f"{v!r}\n" for v in np.asarray(values, dtype=np.float64).tolist()]))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .spaces import (
     POWER_SERIES_INFINITE,
     SpaceDescriptor,
     SubadditivityReport,
+    _memo,
     nuclearity_verdict,
     weight_array,
     window_subadditivity,
@@ -202,28 +203,29 @@ def _gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.where(np.isneginf(lhs), -np.inf, gap)
 
 
-def _sup_pair(
-    lhs: np.ndarray, zero: np.ndarray | None, rhs: np.ndarray, n0: int, n_max: int
-) -> tuple[LogValue, LogValue]:
-    """Sups of ``lhs - rhs`` from n0 <= n_max // 2 over the half and the full
-    window, with ``-inf`` wherever ``zero`` marks a zero lhs weight (see
-    :func:`_gap`)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        gap = lhs - rhs
-    if zero is not None:
-        gap[zero] = -np.inf
-    sup_half, sup_rest = np.maximum.reduceat(gap, (n0 - 1, n_max // 2))
-    sup_half = float(sup_half)
-    return sup_half, max(sup_half, float(sup_rest))
+def _row(arr: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A weight row and whether it is wild: an infinite, NaN or huge entry
+    (where a difference may overflow) can make a gap warn or meet a zero."""
+    return arr, not np.abs(arr).max() < 2.0 ** 1022
+
+
+def _sup_pair(gap: np.ndarray, n0: int, n_max: int) -> tuple[LogValue, LogValue]:
+    """Sups of the gap from n0 <= n_max // 2 over the half and the full
+    window by one segmented max; the full one is Python's ``max`` of the two
+    segments, which drops a NaN past the half.  Certifier gaps enter
+    ``np.errstate`` only at a wild row (:func:`_row`), tameness gaps always."""
+    sup_half, sup_rest = np.maximum.reduceat(gap, (n0 - 1, n_max // 2)).tolist()
+    return sup_half, max(sup_half, sup_rest)
 
 
 def _gap_pairs(cond: QuantifierCondition, n_max: int) -> SupPair:
     """Scan evidence from the raw weight gaps of the condition.  A scan
     fetches each grading's and each witness's weight row once, on its
-    first pair, and keeps it for the scan's other pairs."""
+    first pair, and keeps it (see :func:`_row`) for the scan's other pairs;
+    the gap of two tame rows is one plain subtraction."""
     from_k = cond.n_start is NStart.K
-    lhs_rows: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    rhs_rows: dict[int, np.ndarray] = {}
+    lhs_rows: dict[int, tuple[np.ndarray, bool]] = {}
+    rhs_rows: dict[int, tuple[np.ndarray, bool]] = {}
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue] | None:
         n0 = k if from_k else 1
@@ -231,13 +233,12 @@ def _gap_pairs(cond: QuantifierCondition, n_max: int) -> SupPair:
             return None
         lhs = lhs_rows.get(k)
         if lhs is None:
-            row = weight_array(cond.lhs, k, n_max)
-            zero = np.isneginf(row)
-            lhs = lhs_rows[k] = (row, zero if zero.any() else None)
+            lhs = lhs_rows[k] = _row(weight_array(cond.lhs, k, n_max))
         rhs = rhs_rows.get(m)
         if rhs is None:
-            rhs = rhs_rows[m] = weight_array(cond.rhs, m, n_max)
-        return _sup_pair(*lhs, rhs, n0, n_max)
+            rhs = rhs_rows[m] = _row(weight_array(cond.rhs, m, n_max))
+        gap = _gap(lhs[0], rhs[0]) if lhs[1] or rhs[1] else lhs[0] - rhs[0]
+        return _sup_pair(gap, n0, n_max)
     return sup_pair
 
 
@@ -261,15 +262,23 @@ def certify(cond: QuantifierCondition, window: Window | None = None) -> Verdict:
     """Search the window for witnesses of the quantifier condition.
 
     The witness index scan is ascending and the first stabilized constant
-    is accepted, so certificates are minimal and reproducible.
-    """
+    is accepted, so certificates are minimal and reproducible.  A power
+    series lhs keeps the verdict under ``("certify", cond, window)`` among
+    the facts of its sequence at the clipped n_max (:func:`spaces._memo`);
+    a general Köthe lhs is searched on every call.  Only a pair with a wild
+    row (:func:`_row`) is subtracted under ``np.errstate``."""
     win = window or Window()
     k_max, m_max, n_max, clipped = _effective_bounds(cond, win)
     if cond.shape is Shape.FIXED_MAP:
         _check_index_map(cond.s_map, k_max, m_max)
-    return decide(cond.shape, win, _gap_pairs(cond, n_max), k_max, m_max,
-                  (n_max // 2, n_max), ("finite-window",) if clipped else (),
-                  _REASONS, k_limit=cond.lhs.k_limit, s_map=cond.s_map)
+
+    def search() -> Verdict:
+        return decide(cond.shape, win, _gap_pairs(cond, n_max), k_max, m_max,
+                      (n_max // 2, n_max), ("finite-window",) if clipped else (),
+                      _REASONS, k_limit=cond.lhs.k_limit, s_map=cond.s_map)
+    if cond.lhs.alpha is None:
+        return search()
+    return _memo(cond.lhs.alpha, n_max, ("certify", cond, win), search)
 
 
 def replay_certificate(
@@ -281,7 +290,6 @@ def replay_certificate(
     win = window or Window()
     _, _, n_max, _ = _effective_bounds(cond, win)
     cert = verdict.certificate
-    worst = -math.inf
 
     def check(k: int, m: int, log_c: LogValue) -> float:
         n0 = k if cond.n_start is NStart.K else 1
@@ -290,17 +298,14 @@ def replay_certificate(
         return float(np.max(gap[n0 - 1 : n_max])) - log_c
 
     if isinstance(cert, PointwiseCertificate):
-        for k, (m, log_c) in cert.entries.items():
-            worst = max(worst, check(k, m, log_c))
+        entries = [(k, m, c) for k, (m, c) in cert.entries.items()]
     elif isinstance(cert, UniformCertificate):
-        for k, log_c in cert.log_c.items():
-            worst = max(worst, check(k, cert.m, log_c))
+        entries = [(k, cert.m, c) for k, c in cert.log_c.items()]
     elif isinstance(cert, TameCertificate):
-        for k, log_c in cert.log_c.items():
-            worst = max(worst, check(k, cond.s_map(k), log_c))
+        entries = [(k, cond.s_map(k), c) for k, c in cert.log_c.items()]
     else:
         raise ConfigurationError("verdict carries no replayable certificate")
-    return worst
+    return max([-math.inf] + [check(*entry) for entry in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +686,10 @@ def _sample_tameness(
         return Outcome.INCONCLUSIVE, None, None
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
-        return _sup_pair(column_norm_profile(op, k, n_max, norm_kind), None,
-                         weight_array(op.domain, m, n_max), 1, n_max)
+        profile = column_norm_profile(op, k, n_max, norm_kind)
+        weights = weight_array(op.domain, m, n_max)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _sup_pair(profile - weights, 1, n_max)
 
     scan = scan_fixed(win, sup_pair, k_max, s_map)
     if scan.outcome is Outcome.HOLDS:

@@ -717,10 +717,11 @@ def membership_in_space(
     if n_max < 2:
         return inconclusive("window too short for series evidence", win)
     logs = spec.log_abs_array(n_max)
+    zero = np.isneginf(logs)
     saw_inconclusive = None
     for k in range(1, k_max + 1):
-        w = weight_array(space, k, n_max)
-        terms = np.where(np.isneginf(logs), -np.inf, logs + w)
+        # a zero entry's term is zero whatever its weight, infinite ones too
+        terms = logs + np.where(zero, 0.0, weight_array(space, k, n_max))
         verdict = classify_series(terms, win)
         if verdict.classification is SeriesClass.DIVERGENT:
             witness = FailureWitness(

@@ -159,10 +159,13 @@ def _profile_pairs(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
     """Scan evidence from the ratio curve at the last two checkpoints; the
     plateau status only reads the last doubling.  A scan fetches each
     grading's profiles and each witness's weights at both checkpoints once,
-    on its first pair, and keeps them for the scan's other pairs."""
+    on its first pair, and keeps them for the scan's other pairs.  A pair
+    subtracts them into one scan-local row and reads both sups from it."""
     half, full = pts[-2:]
-    profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    profiles: dict[int, list[np.ndarray]] = {}
     weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    gap = np.empty(half + full)
+    gap_half, gap_full = gap[:half], gap[half:]
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
         prof = profiles.get(k)
@@ -172,7 +175,9 @@ def _profile_pairs(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
         if w is None:
             w = weights[m] = (weight_array(op.domain, m, half),
                               weight_array(op.domain, m, full))
-        return float((prof[0] - w[0]).max()), float((prof[1] - w[1]).max())
+        np.subtract(prof[0], w[0], out=gap_half)
+        np.subtract(prof[1], w[1], out=gap_full)
+        return tuple(np.maximum.reduceat(gap, (0, half)).tolist())
     return sup_pair
 
 

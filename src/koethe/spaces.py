@@ -139,12 +139,12 @@ class ExponentSequence:
 
 @dataclass(frozen=True, eq=False)
 class _Exponents:
-    """alpha_1..alpha_{n_max}, and the window facts derived from them alone.
+    """alpha_1..alpha_{n_max}, and the window facts computed from them.
 
-    ``facts`` memoises reports that depend only on the sequence, the
-    truncation and the window (subadditivity constants, nuclearity
-    verdicts), so they are computed once per sequence and are dropped with
-    their ``_exponent_values`` entry.  Shared reports must be immutable.
+    ``facts`` memoises reports on the sequence at this truncation
+    (subadditivity constants, nuclearity verdicts, certified conditions
+    whose lhs it grades), so they are computed once per key and are dropped
+    with their ``_exponent_values`` entry.  Shared reports must be immutable.
     """
 
     values: np.ndarray
@@ -174,7 +174,8 @@ def _memo(seq: ExponentSequence, n_max: int, key: tuple, compute: Callable[[], A
           ) -> Any:
     """``compute()``, kept among the facts of ``seq`` truncated at ``n_max``.
 
-    A report is a pure function of its key: concurrent first calls may both
+    A report is a pure function of its key, which may name inputs besides
+    the sequence (a condition's spaces): concurrent first calls may both
     compute it, and every caller gets the one stored first."""
     facts = _exponent_values(seq, n_max).facts
     if key not in facts:

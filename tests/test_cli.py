@@ -277,6 +277,27 @@ def test_dual_membership_with_an_infinite_bound_holds(capsys):
     assert verdict["certificate"]["m"] == 2
 
 
+@pytest.mark.parametrize("values, code, outcome", [
+    # the top exponents pass float range from k = 2 on; the nonzero entries
+    # meet finite weights only
+    ([1, 2, 3, 4, 5, 6, 7, 8, 2e307, 4e307, 6e307, 8e307, 1e308, 1.2e308,
+      1.4e308, 1.6e308], EXIT_OK, "holds"),
+    # the entry at j = 2 meets weight e^{2 * 1e308}: the series is infinite
+    ([1.0, 2.0] + [1e308] * 30, EXIT_FAILS, "fails_on_window"),
+], ids=["zero-entries-only", "nonzero-entry"])
+def test_zero_symbol_entries_against_infinite_weights_do_not_warn(capsys, values,
+                                                                 code, outcome):
+    # a zero entry's term is zero whatever its weight; -inf + inf would warn,
+    # which the test filter turns into an unexpected error (exit 4)
+    symbol = {"lower": {"form": "explicit", "values": [1, 0, 1]}}
+    space = {"kind": "power_series_infinite",
+             "alpha": {"form": "table", "values": values}}
+    assert main(["symbol", "membership", "--part", "lower", "--target", "space",
+                 "--n-max", "16", "--symbol", json.dumps(symbol),
+                 "--space", json.dumps(space)]) == code
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"]["outcome"] == outcome
+
+
 def test_membership_of_a_symbol_past_float_range_fails(capsys):
     # c * alpha_n is past float range: the symbol's log is +inf
     symbol = {"lower": {"form": "exp_of_exponent", "c": 1e300,
@@ -433,6 +454,31 @@ def test_vector_io_roundtrip(tmp_path):
     path.write_text("1.0\n\nnot-a-number\n")
     with pytest.raises(Exception):
         read_vector(path)
+
+
+special_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                  -2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats() | special_floats, max_size=40),
+       as_array=st.booleans())
+def test_vector_files_round_trip_bit_for_bit(tmp_path_factory, values, as_array):
+    path = tmp_path_factory.mktemp("vector") / "v.txt"
+    write_vector(path, np.asarray(values) if as_array else values)
+    # the bytes of the per-scalar formula: repr of each float, one a line
+    assert path.read_text() == "".join(f"{float(v)!r}\n" for v in values)
+    # every NaN reads back as NaN, whose hex has no sign
+    assert [v.hex() for v in read_vector(path).tolist()] == [v.hex() for v in values]
+
+
+def test_a_bad_vector_line_is_named(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text(" 1.0\n\n  \n-inf\nnot-a-number \n2\n")
+    with pytest.raises(KoetheError, match=r"v\.txt:5: not a coefficient: 'not-a-number'$"):
+        read_vector(path)
+    path.write_text("")
+    assert read_vector(path).tolist() == []
 
 
 # -- malformed input and strict reports -------------------------------------------

@@ -1,19 +1,33 @@
-"""The certifier's and the oracle's sup-pair providers.
+"""The certifier's, the tameness check's and the oracle's sup-pair providers.
 
 A scan keeps each row it fetched for its later pairs; these tests hold the
 providers bit for bit against the per-pair references in
-``reference_kernels`` and pin how the oracle looks its profiles up.
+``reference_kernels``, hold that no numpy warning escapes a provider or a
+scan, and pin how the oracle looks its profiles up.
 """
 
+import contextlib
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+from koethe import criteria, spaces
 from koethe import operators as operators_module
-from koethe.criteria import NStart, QuantifierCondition, Shape, _gap_pairs, _sup_pair
+from koethe.cli import _dumps
+from koethe.criteria import (
+    NStart,
+    QuantifierCondition,
+    Shape,
+    SMap,
+    _gap_pairs,
+    _sample_tameness,
+    certify,
+)
 from koethe.operators import (
     NormKind,
     Symbol,
@@ -24,7 +38,7 @@ from koethe.operators import (
 )
 from koethe.oracle import _profile_pairs, oracle_compactness, ratio_curve
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
-from koethe.verdicts import Window
+from koethe.verdicts import Outcome, Scan, Window
 
 
 def hexed(pair):
@@ -59,9 +73,29 @@ general_spaces = st.integers(1, 6).flatmap(lambda cols: st.lists(
              min_size=cols, max_size=cols).map(_row),
     min_size=4, max_size=24)).map(SpaceDescriptor.general)
 
-# table exponents up to 1e308 overflow infinite-type weights to inf, so a
-# gap can read inf - inf = NaN
-condition_spaces = st.one_of(power_series(1e308), general_spaces)
+# alpha = 0 gives -0.0 weights in a finite type; alpha = inf gives +inf
+# weights in an infinite type and zero weights in a finite one, so a gap can
+# read inf - inf = NaN; the rows that hold them are the wild ones
+special_tables = st.lists(
+    st.sampled_from([-0.0, 0.0, 0.0, 0.5, 2.0, 1e308, math.inf]), min_size=4,
+    max_size=40).map(lambda vals: ExponentSequence.table(sorted(vals)))
+special_spaces = st.one_of(special_tables.map(SpaceDescriptor.power_series_finite),
+                           special_tables.map(SpaceDescriptor.power_series_infinite))
+
+# table exponents up to 1e308 overflow infinite-type weights to inf too
+condition_spaces = st.one_of(power_series(1e308), general_spaces, special_spaces)
+
+ZERO_TABLE = ExponentSequence.table([0.0] * 8)
+INF_TABLE = ExponentSequence.table([0.0, 1.0] + [math.inf] * 6)
+HUGE_TABLE = ExponentSequence.table([0.0, 1.0] + [1e308] * 6)
+
+
+@contextlib.contextmanager
+def raising():
+    """Any warning inside is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 symbol_parts = st.one_of(
     st.just(SymbolSpec.delta()),
@@ -90,6 +124,18 @@ def n_within(n: int, *spaces) -> int:
 @settings(max_examples=150, deadline=None)
 @given(lhs=condition_spaces, rhs=condition_spaces,
        n_start=st.sampled_from(list(NStart)), n=st.integers(4, 64))
+# -0.0 weights on the lhs against +0.0 ones, from n = k on
+@example(lhs=SpaceDescriptor.power_series_finite(ZERO_TABLE),
+         rhs=SpaceDescriptor.power_series_infinite(ZERO_TABLE), n_start=NStart.K, n=8)
+# +inf against +inf weights: NaN gaps past n = 2
+@example(lhs=SpaceDescriptor.power_series_infinite(INF_TABLE),
+         rhs=SpaceDescriptor.power_series_infinite(INF_TABLE), n_start=NStart.ONE, n=8)
+# finite weights whose difference overflows: 1e308 - (-1e308) at k = m = 1
+@example(lhs=SpaceDescriptor.power_series_infinite(HUGE_TABLE),
+         rhs=SpaceDescriptor.power_series_finite(HUGE_TABLE), n_start=NStart.ONE, n=8)
+# zero lhs weights against zero rhs weights
+@example(lhs=SpaceDescriptor.power_series_finite(INF_TABLE),
+         rhs=SpaceDescriptor.power_series_finite(INF_TABLE), n_start=NStart.K, n=8)
 def test_gap_pairs_match_the_per_pair_reference(lhs, rhs, n_start, n):
     n_max = n_within(n, lhs, rhs)
     cond = QuantifierCondition(lhs, rhs, Shape.FORALL_K_EXISTS_M, n_start)
@@ -101,7 +147,34 @@ def test_gap_pairs_match_the_per_pair_reference(lhs, rhs, n_start, n):
     for k, m in window + window[::-1]:
         with np.errstate(over="ignore"):  # the reference lets overflow warn
             expected = hexed(old(k, m))
-        assert hexed(new(k, m)) == expected, (k, m)
+        with raising():  # no warning escapes the provider
+            assert hexed(new(k, m)) == expected, (k, m)
+
+
+def quiet_reference_pairs(cond, n_max):
+    pairs = ref._gap_pairs(cond, n_max)
+
+    def sup_pair(k, m):
+        with np.errstate(over="ignore"):  # the reference lets overflow warn
+            return pairs(k, m)
+    return sup_pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(lhs=condition_spaces, rhs=condition_spaces, shape=st.sampled_from(list(Shape)),
+       n_start=st.sampled_from(list(NStart)), n=st.integers(4, 64))
+def test_certify_equals_a_search_over_the_reference_pairs(lhs, rhs, shape, n_start, n):
+    # S(k) = 1 stays inside a tabulated rhs with a single grading
+    s_map = SMap.table([1] * 4) if shape is Shape.FIXED_MAP else None
+    cond = QuantifierCondition(lhs, rhs, shape, n_start, s_map)
+    win = Window(k_max=4, m_max=6, n_max=n_within(n, lhs, rhs))
+    spaces._exponent_values.cache_clear()
+    with raising():  # no warning escapes the scan
+        verdict = certify(cond, win)
+    spaces._exponent_values.cache_clear()
+    with mock.patch.object(criteria, "_gap_pairs", quiet_reference_pairs):
+        expected = _dumps(certify(cond, win).to_json())
+    assert _dumps(verdict.to_json()) == expected
 
 
 operators = st.builds(operator, st.sampled_from(list(Variant)), symbol_parts,
@@ -145,15 +218,35 @@ def test_upper_pairs_and_curves_match_the_per_checkpoint_reference(op, kind, n, 
                 == [(c, hexed([v])) for c, v in ref._curve_points(op, kind, k, m, pts)])
 
 
+# wild domain weights: zero, infinite and NaN gaps against the profiles
+tameness_operators = st.builds(operator, st.sampled_from(list(Variant)), symbol_parts,
+                               symbol_parts, power_series(1e3) | special_spaces,
+                               power_series(1e3))
+
+
 @settings(max_examples=80, deadline=None)
-@given(op=operators, kind=st.sampled_from(list(NormKind)), n=st.integers(2, 64),
-       k=st.integers(1, 6), m=st.integers(1, 6))
-def test_tameness_sup_pair_matches_the_reference(op, kind, n, k, m):
+@given(op=tameness_operators, kind=st.sampled_from(list(NormKind)),
+       n=st.integers(2, 64))
+def test_tameness_sup_pair_matches_the_reference(op, kind, n):
+    # the provider that _sample_tameness hands its fixed-map scan
     n_max = n_within(n, op.domain, op.codomain)
-    profile = column_norm_profile(op, k, n_max, kind)
-    weights = weight_array(op.domain, m, n_max)
-    assert (hexed(_sup_pair(profile, None, weights, 1, n_max))
-            == hexed(ref._sup_pair(profile - weights, 1, n_max)))
+    providers = []
+
+    def capture(win, sup_pair, k_max, s_map):
+        providers.append(sup_pair)
+        return Scan(Outcome.INCONCLUSIVE)
+
+    with mock.patch.object(criteria, "scan_fixed", capture):
+        _sample_tameness(op, SMap.identity(), Window(), kind, 6, n_max)
+    [new] = providers
+    for k in range(1, 7):
+        for m in range(1, 7):
+            profile = column_norm_profile(op, k, n_max, kind)
+            weights = weight_array(op.domain, m, n_max)
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = hexed(ref._sup_pair(profile - weights, 1, n_max))
+            with raising():  # no warning escapes the provider
+                assert hexed(new(k, m)) == expected, (k, m)
 
 
 def test_oracle_looks_each_profile_up_once_through_its_module_global():
