@@ -32,6 +32,7 @@ from .errors import (
     json_fields,
     json_form,
     json_record,
+    json_report,
 )
 from .logdomain import LogValue
 from .operators import (
@@ -394,25 +395,13 @@ class OperatorReport:
     def outcome(self) -> Outcome:
         return self.verdict.outcome
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "property": self.prop,
-            "outcome": self.verdict.outcome.value,
-            "certificate": (self.verdict.certificate.to_json()
-                            if self.verdict.certificate else None),
-            "witness": (self.verdict.witness.to_json()
-                        if self.verdict.witness else None),
-            "reason": self.verdict.reason,
-            "theorem_id": self.route_id,
-            "membership": self.membership.to_json() if self.membership else None,
-            "condition": self.condition.to_json() if self.condition else None,
-            "hypothesis_reports": {
-                name: rep.to_json() for name, rep in sorted(self.hypotheses.items())
-            },
-            "parts": {name: rep.to_json() for name, rep in self.parts.items()},
-            "notes": list(self.notes),
-            "window": self.window.to_json(),
-        }
+    JSON_KEYS = {"property": "prop", "outcome": "verdict.outcome",
+                 "certificate": "verdict.certificate", "witness": "verdict.witness",
+                 "reason": "verdict.reason", "theorem_id": "route_id",
+                 "membership": "membership", "condition": "condition",
+                 "hypothesis_reports": "hypotheses", "parts": "parts",
+                 "notes": "notes", "window": "window"}
+    to_json = json_report
 
 
 def _hypothesis_outcome(report: Any) -> Outcome:
@@ -651,9 +640,8 @@ class TameSample:
     k0: int | None
     log_c: LogValue | None
 
-    def to_json(self) -> dict[str, Any]:
-        return {"symbol": self.spec.to_json(), "status": self.status.value,
-                "k0": self.k0, "log_c": self.log_c}
+    JSON_KEYS = {"symbol": "spec", "status": "status", "k0": "k0", "log_c": "log_c"}
+    to_json = json_report
 
 
 @dataclass(frozen=True)
@@ -666,14 +654,9 @@ class TamenessReport:
     def outcome(self) -> Outcome:
         return self.verdict.outcome
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "outcome": self.verdict.outcome.value,
-            "reason": self.verdict.reason,
-            "s_map": self.s_map.to_json(),
-            "samples": [s.to_json() for s in self.samples],
-            "window": self.verdict.window.to_json() if self.verdict.window else None,
-        }
+    JSON_KEYS = {"outcome": "verdict.outcome", "reason": "verdict.reason",
+                 "s_map": "s_map", "samples": "samples", "window": "verdict.window"}
+    to_json = json_report
 
 
 def _sample_tameness(
@@ -744,8 +727,7 @@ class ImpliedTameness:
     factor: str  # "S" | "2S" | "M*S"
     multiplier: int | None
 
-    def to_json(self) -> dict[str, Any]:
-        return {"factor": self.factor, "multiplier": self.multiplier}
+    to_json = json_report
 
 
 @dataclass(frozen=True)
@@ -754,13 +736,9 @@ class TameConditionReport:
     implied: ImpliedTameness | None
     subadditivity: SubadditivityReport | None
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict.to_json(),
-            "implied_tameness": self.implied.to_json() if self.implied else None,
-            "subadditivity": (self.subadditivity.to_json()
-                              if self.subadditivity else None),
-        }
+    JSON_KEYS = {"verdict": "verdict", "implied_tameness": "implied",
+                 "subadditivity": "subadditivity"}
+    to_json = json_report
 
 
 def tame_condition_certify(

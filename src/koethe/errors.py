@@ -1,13 +1,16 @@
-"""Exception hierarchy shared across the package, and the one JSON codec of
-the input records: the encoder :func:`json_record`, the field checks that
-turn malformed inline objects into configuration errors, and the tag
-dispatch :func:`json_form`."""
+"""Exception hierarchy shared across the package, and the one JSON codec:
+the encoders :func:`json_record` of the input records and
+:func:`json_report` of the reports, the field checks that turn malformed
+inline objects into configuration errors, and the tag dispatch
+:func:`json_form`."""
 
 import dataclasses
 import enum
 import math
 import numbers
-from typing import Any, Callable, Mapping
+from collections.abc import Mapping
+from operator import attrgetter
+from typing import Any, Callable
 
 
 class KoetheError(Exception):
@@ -137,20 +140,32 @@ def json_form(data: Any,
 
 
 def json_record(record: Any) -> dict[str, Any]:
-    """The JSON object of an input record: every dataclass field that is set
-    (not None), enums by value, tuples as arrays and nested records through
-    their own ``to_json``.  It round-trips through the record's
-    ``from_json``."""
-    out = {}
-    for f in dataclasses.fields(record):
-        value = getattr(record, f.name)
-        if value is not None:
-            out[f.name] = _json_value(value)
-    return out
+    """The JSON object of an input record: its :func:`json_report` without
+    the fields that are not set (None).  It round-trips through the
+    record's ``from_json``."""
+    return {key: value for key, value in json_report(record).items()
+            if value is not None}
+
+
+def json_report(report: Any) -> dict[str, Any]:
+    """The JSON object of a report: its dataclass fields, or the keys of its
+    class's ``JSON_KEYS`` table (key -> source), None written as null.  A
+    source is an attribute name, a dotted path into a nested record
+    (``"verdict.outcome"``) or a function of the report that returns the
+    key's JSON value.  Enums are written by value, tuples as arrays,
+    mappings as objects with string keys, and nested records and reports
+    through their own ``to_json``."""
+    keys = getattr(report, "JSON_KEYS", None)
+    if keys is None:
+        return {f.name: _json_value(getattr(report, f.name))
+                for f in dataclasses.fields(report)}
+    return {key: source(report) if callable(source)
+            else _json_value(attrgetter(source)(report))
+            for key, source in keys.items()}
 
 
 #: values written as they are; the type test is the cheap first check
-_PLAIN = (bool, int, float, str)
+_PLAIN = (bool, int, float, str, type(None))
 
 
 def _json_value(value: Any) -> Any:
@@ -160,4 +175,7 @@ def _json_value(value: Any) -> Any:
         return value.value
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
+    # a plain dict copy, never a report's own (possibly read-only, shared) mapping
+    if isinstance(value, Mapping):
+        return {str(k): _json_value(v) for k, v in value.items()}
     return value.to_json() if dataclasses.is_dataclass(value) else value

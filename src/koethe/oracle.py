@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, WindowError
+from .errors import ConfigurationError, WindowError, json_report
 from .logdomain import LogValue
 from .criteria import (
     COMPACTNESS,
@@ -62,13 +62,10 @@ class RatioCurve:
         """Rows of 'N,k,m,log_ratio'."""
         return [f"{n},{self.k},{self.m},{v!r}" for n, v in self.points]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "norm_kind": self.norm_kind.value,
-            "points": [{"n": n, "log_ratio": v} for n, v in self.points],
-        }
+    JSON_KEYS = {"k": "k", "m": "m", "norm_kind": "norm_kind",
+                 "points": lambda curve: [{"n": n, "log_ratio": v}
+                                          for n, v in curve.points]}
+    to_json = json_report
 
 
 CSV_HEADER = "N,k,m,log_ratio"
@@ -90,13 +87,9 @@ class CrossReport:
     oracle_verdict: Verdict
     agreement: Agreement
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "property": self.prop,
-            "agreement": self.agreement.value,
-            "theorem": self.theorem_report.to_json(),
-            "oracle": self.oracle_verdict.to_json(),
-        }
+    JSON_KEYS = {"property": "prop", "agreement": "agreement",
+                 "theorem": "theorem_report", "oracle": "oracle_verdict"}
+    to_json = json_report
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .errors import (
     WindowError,
     json_form,
     json_record,
+    json_report,
 )
 from .logdomain import LOG_ZERO, LogValue, linear_or_none, log_sum
 from .verdicts import (
@@ -46,6 +47,12 @@ from .verdicts import (
 # ---------------------------------------------------------------------------
 # exponent sequences
 # ---------------------------------------------------------------------------
+
+
+def _float(value: float) -> float:
+    """``value`` as a float, -0.0 as 0.0: records that compare equal share
+    their cached rows, so they must not differ in the sign of a zero."""
+    return float(value) + 0.0
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,11 @@ class ExponentSequence:
     @classmethod
     def affine(cls, a: float, b: float = 0.0) -> "ExponentSequence":
         """alpha_n = a*n + b."""
-        return cls(form="affine", a=float(a), b=float(b))
+        return cls(form="affine", a=_float(a), b=_float(b))
 
     @classmethod
     def table(cls, values: Sequence[float]) -> "ExponentSequence":
-        return cls(form="table", values=tuple(float(v) for v in values))
+        return cls(form="table", values=tuple(map(_float, values)))
 
     # -- evaluation --------------------------------------------------------
 
@@ -237,7 +244,7 @@ class SpaceDescriptor:
         """Tabulated weights; rows are n, columns are the grading k."""
         return cls(
             kind=GENERAL_KOETHE,
-            weights=tuple(tuple(float(v) for v in row) for row in weights),
+            weights=tuple(tuple(map(_float, row)) for row in weights),
         )
 
     # -- introspection -----------------------------------------------------
@@ -383,18 +390,13 @@ class SeriesVerdict:
     def limit(self) -> float | None:
         return None if self.limit_log is None else linear_or_none(self.limit_log)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "classification": self.classification.value,
-            "partial_sums": [
-                {"n": n, "log_sum": s, "sum": linear_or_none(s)}
-                for n, s in self.partial_sums
-            ],
-            "limit_log": self.limit_log,
-            "limit": self.limit,
-            "growth_log": self.growth_log,
-            "tail_gap_log": self.tail_gap_log,
-        }
+    JSON_KEYS = {"classification": "classification",
+                 "partial_sums": lambda series: [
+                     {"n": n, "log_sum": s, "sum": linear_or_none(s)}
+                     for n, s in series.partial_sums],
+                 "limit_log": "limit_log", "limit": "limit",
+                 "growth_log": "growth_log", "tail_gap_log": "tail_gap_log"}
+    to_json = json_report
 
 
 def _prefix_lse(terms: np.ndarray, bounds: Sequence[int]) -> list[LogValue]:
@@ -566,16 +568,10 @@ class SubadditivityReport:
     def holds(self) -> bool:
         return self.m is not None
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "m": self.m,
-            "holds": self.holds,
-            "max_ratio": self.max_ratio,
-            "witness": list(self.witness) if self.witness else None,
-            "n_max": self.n_max,
-            "m_max": self.m_max,
-            "note": self.note,
-        }
+    JSON_KEYS = {"m": "m", "holds": "holds", "max_ratio": "max_ratio",
+                 "witness": "witness", "n_max": "n_max", "m_max": "m_max",
+                 "note": "note"}
+    to_json = json_report
 
 
 def subadditivity_constant(

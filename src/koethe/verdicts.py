@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
-from .errors import ConfigurationError, json_fields, json_record
+from .errors import ConfigurationError, json_fields, json_record, json_report
 from .logdomain import LogValue, linear_or_none
 
 
@@ -264,6 +264,15 @@ def _freeze(cert: Any, name: str) -> None:
     object.__setattr__(cert, name, MappingProxyType(dict(getattr(cert, name))))
 
 
+def _constant(log_c: LogValue) -> dict[str, Any]:
+    """A stabilized constant as its JSON pair: the log and the linear value."""
+    return {"log_c": log_c, "c": linear_or_none(log_c)}
+
+
+def _constants(cert: Any) -> dict[str, dict[str, Any]]:
+    return {str(k): _constant(c) for k, c in cert.log_c.items()}
+
+
 @dataclass(frozen=True)
 class PointwiseCertificate:
     """For each grading k, a witness index and stabilized log-constant."""
@@ -273,14 +282,10 @@ class PointwiseCertificate:
     def __post_init__(self):
         _freeze(self, "entries")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "shape": "pointwise",
-            "entries": {
-                str(k): {"m": m, "log_c": c, "c": linear_or_none(c)}
-                for k, (m, c) in sorted(self.entries.items())
-            },
-        }
+    JSON_KEYS = {"shape": lambda _: "pointwise",
+                 "entries": lambda cert: {str(k): {"m": m, **_constant(c)}
+                                          for k, (m, c) in cert.entries.items()}}
+    to_json = json_report
 
 
 @dataclass(frozen=True)
@@ -293,15 +298,8 @@ class UniformCertificate:
     def __post_init__(self):
         _freeze(self, "log_c")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "shape": "uniform",
-            "m": self.m,
-            "log_c": {
-                str(k): {"log_c": c, "c": linear_or_none(c)}
-                for k, c in sorted(self.log_c.items())
-            },
-        }
+    JSON_KEYS = {"shape": lambda _: "uniform", "m": "m", "log_c": _constants}
+    to_json = json_report
 
 
 @dataclass(frozen=True)
@@ -314,15 +312,8 @@ class TameCertificate:
     def __post_init__(self):
         _freeze(self, "log_c")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "shape": "fixed_map",
-            "k0": self.k0,
-            "log_c": {
-                str(k): {"log_c": c, "c": linear_or_none(c)}
-                for k, c in sorted(self.log_c.items())
-            },
-        }
+    JSON_KEYS = {"shape": lambda _: "fixed_map", "k0": "k0", "log_c": _constants}
+    to_json = json_report
 
 
 @dataclass(frozen=True)
@@ -332,13 +323,9 @@ class BoundCertificate:
     m: int
     log_c: LogValue
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "shape": "bound",
-            "m": self.m,
-            "log_c": self.log_c,
-            "c": linear_or_none(self.log_c),
-        }
+    JSON_KEYS = {"shape": lambda _: "bound", "m": "m", "log_c": "log_c",
+                 "c": lambda cert: linear_or_none(cert.log_c)}
+    to_json = json_report
 
 
 @dataclass(frozen=True)
@@ -355,13 +342,9 @@ class CompositeCertificate:
             return None
         return max(parts)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "shape": "composite",
-            "m": self.m,
-            "lower": self.lower.to_json() if self.lower is not None else None,
-            "upper": self.upper.to_json() if self.upper is not None else None,
-        }
+    JSON_KEYS = {"shape": lambda _: "composite", "m": "m", "lower": "lower",
+                 "upper": "upper"}
+    to_json = json_report
 
 
 Certificate = (
@@ -382,13 +365,7 @@ class FailureWitness:
     n_range: tuple[int, int]
     growth_log: float
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "best_m": self.best_m,
-            "n_range": list(self.n_range),
-            "growth_log": self.growth_log,
-        }
+    to_json = json_report
 
 
 @dataclass(frozen=True)
@@ -406,15 +383,7 @@ class Verdict:
     def holds(self) -> bool:
         return self.outcome is Outcome.HOLDS
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "outcome": self.outcome.value,
-            "certificate": self.certificate.to_json() if self.certificate else None,
-            "witness": self.witness.to_json() if self.witness else None,
-            "reason": self.reason,
-            "tags": list(self.tags),
-            "window": self.window.to_json() if self.window else None,
-        }
+    to_json = json_report
 
 
 def holds(certificate: Certificate | None, window: Window, **kw) -> Verdict:

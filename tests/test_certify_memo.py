@@ -153,3 +153,27 @@ def test_concurrent_first_searches_share_one_verdict():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [[_bytes(v) for v in verdicts] for verdicts in results] == [expected] * 8
+
+
+def _zero_table_run(sign):
+    """Weights of a table of signed zeros, and the certify bytes of a
+    condition whose rhs is that table."""
+    zeros = ExponentSequence.table([sign * 0.0] * 8)
+    rhs = SpaceDescriptor.power_series_finite(zeros)
+    lhs = SpaceDescriptor.power_series_infinite(ExponentSequence.table([0.0] * 8))
+    cond = weight_domination(lhs, rhs, Shape.FORALL_K_EXISTS_M)
+    verdict = certify(cond, Window(k_max=2, m_max=2, n_max=8))
+    return spaces.weight_array(rhs, 1, 8).tobytes(), _bytes(verdict)
+
+
+def test_a_negative_zero_exponent_reads_as_zero_from_any_cache_state():
+    assert math.copysign(1.0, ExponentSequence.table([-0.0]).values[0]) == 1.0
+    assert math.copysign(1.0, ExponentSequence.affine(-0.0, -0.0).b) == 1.0
+    assert math.copysign(1.0, SpaceDescriptor.general([[-0.0, 1.0]]).weights[0][0]) == 1.0
+    spaces._exponent_values.cache_clear()
+    spaces.weight_array.cache_clear()
+    cold = _zero_table_run(-1)
+    spaces._exponent_values.cache_clear()
+    spaces.weight_array.cache_clear()
+    _zero_table_run(1)
+    assert _zero_table_run(-1) == cold

@@ -1,17 +1,21 @@
-"""The JSON codec of the input records: every record round-trips through
-the bytes that ``koethe`` writes, for every form, and the field kinds and
-form tables of the decoders name what they admit."""
+"""The JSON codec: every input record round-trips through the bytes that
+``koethe`` writes, for every form; the field kinds and form tables of the
+decoders name what they admit; and every record and report is encoded by
+one of the two encoders of ``koethe.errors``."""
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import koethe
 from koethe.cli import _dumps
 from koethe.criteria import FamilySpec, OperatorTemplate, SMap
-from koethe.errors import ConfigurationError, json_field
+from koethe.errors import ConfigurationError, json_field, json_record, json_report
 from koethe.operators import NormKind, Symbol, SymbolSpec, ToeplitzOperator, Variant
 from koethe.spaces import ExponentSequence, SpaceDescriptor
 from koethe.verdicts import Window
@@ -173,3 +177,26 @@ def test_optional_fields_keep_their_defaults():
         ExponentSequence.affine(2.0)
     assert SymbolSpec.from_json({"form": "geometric", "r": 0.5, "head": 2}) == \
         SymbolSpec.geometric(0.5).with_head(2.0)
+
+
+# -- encoders ---------------------------------------------------------------------
+
+
+def encoded_classes():
+    """Every dataclass defined in ``koethe.*`` that has a ``to_json``."""
+    for info in pkgutil.iter_modules(koethe.__path__, "koethe."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls) and hasattr(cls, "to_json")):
+                yield cls
+
+
+def test_no_record_or_report_has_a_hand_written_encoder():
+    classes = list(encoded_classes())
+    hand_written = sorted(cls.__qualname__ for cls in classes
+                          if cls.to_json not in (json_record, json_report))
+    assert not hand_written, f"encoders outside koethe.errors: {hand_written}"
+    # the walk sees the 9 input records and the 16 reports
+    assert len(classes) >= 25
+

@@ -13,7 +13,9 @@ digests cover every byte that ``koethe`` writes for:
   maps, windows), at n_max = 64;
 - the ``certify-continuity`` and ``certify-compactness`` tasks of full
   operators over the grid's space pairs, finite into infinite type left
-  out, at n_max = 256: the routing of both triangular parts.
+  out, at n_max = 256: the routing of both triangular parts;
+- the ``probe`` tasks below: ratio curves of lower, upper and full
+  operators in both norms, at n_max = 64.
 
 They are recorded on one numpy build; another build may round exp or log
 differently, and the digest tests skip there.  The messages of the four
@@ -49,6 +51,8 @@ CROSS_DIGEST = "79888b0d93a56e558082785e1687d703464730a04c5c47d4b072ef194362bc99
 TASK_DIGEST = "4c2ec6b94a27d059614c5246b1958fc125a5364ae99819860c3db9b5ad598960"
 #: recorded before the paper's rules moved into one table
 FULL_DIGEST = "1b92dac09824656f8672071b666af3349029a82507bf505f7fb0dad3e8555356"
+#: recorded before the reports shared one encoder
+PROBE_DIGEST = "e8c0a175aeb74c71d5a2789dba38eb09cea5a0cdbfa23641ef8c0286f74f0056"
 
 same_build = pytest.mark.skipif(not same_exp_log_build(),
                                 reason="this numpy build rounds exp or log differently")
@@ -174,6 +178,25 @@ def full_tasks():
                                         "codomain": codomain.to_json()}}
 
 
+# no space here has a zero weight, so no ratio is 0/0 (see CHANGES.md)
+PROBE_OPERATORS = [
+    ("lower", {"lower": {"form": "geometric", "r": 0.5}}, PSI_N, PSF_N),
+    ("lower", {"lower": {"form": "polynomial", "d": 2, "head": 3.0}}, PSF_N, PSF_LOG),
+    ("upper", {"upper": {"form": "explicit", "values": [1.0, -2.0, 0.5]}}, PSI_N, PSI_SQRT),
+    ("upper", {"upper": {"form": "geometric", "r": -0.9}}, PSF_TABLE, PSF_N),
+    ("full", MEMBERSHIP_SYMBOLS[2], PSF_LOG, PSF_TABLE),
+    ("full", FULL_SYMBOLS[1], PSI_SQRT, PSI_N),
+]
+
+
+def probe_tasks():
+    for variant, symbol, domain, codomain in PROBE_OPERATORS:
+        for norm in ("sum", "sup"):
+            yield {"command": "probe", "norm": norm, "k": [1, 2, 5], "m": [1, 3, 8],
+                   "operator": {"variant": variant, "symbol": symbol,
+                                "domain": domain, "codomain": codomain}}
+
+
 @same_build
 def test_certify_reports_match_the_recorded_digest():
     assert certify_digest() == CERTIFY_DIGEST
@@ -192,6 +215,11 @@ def test_task_reports_match_the_recorded_digest():
 @same_build
 def test_full_operator_reports_match_the_recorded_digest():
     assert task_digest(full_tasks, Window().with_n_max(256)) == FULL_DIGEST
+
+
+@same_build
+def test_probe_reports_match_the_recorded_digest():
+    assert task_digest(probe_tasks) == PROBE_DIGEST
 
 
 PSI_LOG = {"kind": "power_series_infinite", "alpha": {"form": "log"}}
