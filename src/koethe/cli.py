@@ -17,8 +17,9 @@ import json
 import math
 import sys
 import traceback
+from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -263,6 +264,13 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
 # ---------------------------------------------------------------------------
 
 
+#: the values of a task's part, target, method and property, checked by its handler
+_PARTS = ("lower", "upper")
+_TARGETS = ("space", "dual")
+_METHODS = ("fast", "dense")
+_PROPERTIES = (CONTINUITY, COMPACTNESS)
+
+
 def _space(cfg: ExperimentConfig, task, path, key: str) -> SpaceDescriptor:
     return _resolve(task.get(key), f"{path}.{key}", cfg.spaces, SpaceDescriptor,
                     "space")
@@ -305,12 +313,12 @@ def _run_space_check(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
 def _run_membership(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     symbol = _resolve(task.get("symbol"), f"{path}.symbol", cfg.symbols, Symbol,
                       "symbol")
-    part = _field(task, "part", ("lower", "upper"), path, "lower")
+    part = _field(task, "part", _PARTS, path, "lower")
     spec = symbol.lower if part == "lower" else symbol.upper
     if spec is None:
         raise ConfigurationError(f"{path}.part: symbol has no {part} part")
     space = _space(cfg, task, path, "space")
-    target = _field(task, "target", ("space", "dual"), path, "space")
+    target = _field(task, "target", _TARGETS, path, "space")
     verdict = (membership_in_space if target == "space"
                else membership_in_dual)(spec, space, cfg.window)
     return _OUTCOME_STATUS[verdict.outcome], {
@@ -364,7 +372,7 @@ def _run_apply(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     if not len(x):
         raise ConfigurationError(f"{path}.input: no coefficients in {source!r}")
     n = len(x) if n is None else n
-    method = _field(task, "method", ("fast", "dense"), path, "fast")
+    method = _field(task, "method", _METHODS, path, "fast")
     if method == "dense" and n > cfg.window.dense_cap:
         # the dense path holds n-by-n matrices
         raise ConfigurationError(
@@ -408,7 +416,7 @@ def _run_tame_condition(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
 
 def _run_cross_validate(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     op = _operator(cfg, task, path)
-    prop = _field(task, "property", (CONTINUITY, COMPACTNESS), path, COMPACTNESS)
+    prop = _field(task, "property", _PROPERTIES, path, COMPACTNESS)
     report = cross_validate(op, cfg.window, prop)
     if report.agreement is Agreement.AGREE:
         status = _STATUS_OK
@@ -483,35 +491,62 @@ def run_tasks(cfg: ExperimentConfig) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _window_from_args(args: argparse.Namespace, base: Window | None = None
-                      ) -> Window:
-    win = base or Window()
-    if getattr(args, "n_max", None):
-        win = win.with_n_max(args.n_max)
-    replacements = {}
-    if getattr(args, "k_max", None):
-        replacements["k_max"] = args.k_max
-    if getattr(args, "m_max", None):
-        replacements["m_max"] = args.m_max
-    if replacements:
-        win = dataclasses.replace(win, **replacements)
-    return win
+def _window_from_args(args: argparse.Namespace, base: Window) -> Window:
+    caps = {key: value for key in ("k_max", "m_max")
+            if (value := getattr(args, key)) is not None}
+    win = base if args.n_max is None else base.with_n_max(args.n_max)
+    return dataclasses.replace(win, **caps) if caps else win
 
 
-def _add_window_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-max", type=int, default=None)
-    parser.add_argument("--k-max", type=int, default=None)
-    parser.add_argument("--m-max", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+class _JsonArg(str):
+    """A flag value that is inline JSON or a JSON file, loaded into its task."""
 
 
-def _task_parser(sub, name: str, task: str, label: str,
-                 **kwargs: Any) -> argparse.ArgumentParser:
-    """A direct subcommand that runs one ``task`` command; ``label`` prefixes
-    its error messages where a config run names ``tasks[i]``."""
-    parser = sub.add_parser(name, **kwargs)
-    parser.set_defaults(task=task, label=label)
-    return parser
+_INT = {"type": int}
+_INTS = {"type": int, "nargs": "+"}
+_OBJECT = {"type": _JsonArg, "required": True}
+_WINDOW_FLAGS = {"--n-max": _INT, "--k-max": _INT, "--m-max": _INT}
+
+#: every direct subcommand, as README's table lists them: the task command it
+#: runs (``{field}`` filled from the flags), the flags of the task's fields and
+#: its other flags, each with its argparse options (never a default) or the
+#: values its task's handler checks it against, which --help lists.
+SUBCOMMANDS = {
+    "spaces check": ("space-check", {"--space": _OBJECT, "--checks": {"nargs": "+"}}, {}),
+    "symbol membership": ("membership", {"--symbol": _OBJECT, "--part": _PARTS,
+                                         "--space": _OBJECT, "--target": _TARGETS}, {}),
+    # --property names the task command: certify-continuity or certify-compactness
+    "operator certify": ("certify-{property}", {
+        "--operator": _OBJECT, "--property": {"choices": _PROPERTIES, "required": True}},
+        {}),
+    "operator probe": ("probe", {
+        "--operator": _OBJECT, "--k": _INTS, "--m": _INTS, "--norm": NormKind},
+        {"--out": {"help": "CSV destination"}}),
+    "operator apply": ("apply", {
+        "--operator": _OBJECT, "--input": {"required": True}, "--method": _METHODS,
+        "--n": _INT, "--out": {"dest": "output", "metavar": "OUT"}}, {}),
+    "family tame": ("tame", {
+        "--variant": Variant, "--domain": _OBJECT, "--codomain": _OBJECT,
+        "--family": {"type": _JsonArg}, "--s-map": {"type": _JsonArg}},
+        {"--seed": _INT}),  # only a tame task reads the seed
+    "cross-validate": ("cross-validate",
+                       {"--operator": _OBJECT, "--property": _PROPERTIES}, {}),
+}
+#: help of the top-level subcommands other than run
+_HELP = {"spaces": "Space-level checks", "symbol": "Symbol-level checks",
+         "operator": "Operator-level checks", "family": "Operator-family checks",
+         "cross-validate": "Theorem route versus raw oracle"}
+_FORMATS = {"json": ("json",), "csv": ("csv",), "both": ("json", "csv")}
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: Mapping[str, Any]) -> list[str]:
+    """Add ``flags`` to ``parser``; the names of the attributes they set."""
+    dests = []
+    for flag, options in flags.items():
+        if not isinstance(options, dict):  # the handler's values, listed by --help
+            options = {"metavar": "{%s}" % ",".join(options)}
+        dests.append(parser.add_argument(flag, **options).dest)
+    return dests
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,93 +556,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "between graded sequence spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     run_cmd = sub.add_parser("run", help="Execute an experiment config")
-    run_cmd.add_argument("--config", required=True)
-    run_cmd.add_argument("--out", default=None)
-    run_cmd.add_argument("--format", choices=["json", "csv", "both"], default=None)
-    _add_window_flags(run_cmd)
-
-    spaces_cmd = sub.add_parser("spaces", help="Space-level checks")
-    spaces_sub = spaces_cmd.add_subparsers(dest="subcommand", required=True)
-    check_cmd = _task_parser(spaces_sub, "check", "space-check", "spaces-check")
-    check_cmd.add_argument("--space", required=True)
-    check_cmd.add_argument("--checks", nargs="+",
-                           default=["nuclearity", "stability", "subadditivity"])
-    _add_window_flags(check_cmd)
-
-    symbol_cmd = sub.add_parser("symbol", help="Symbol-level checks")
-    symbol_sub = symbol_cmd.add_subparsers(dest="subcommand", required=True)
-    memb_cmd = _task_parser(symbol_sub, "membership", "membership", "membership")
-    memb_cmd.add_argument("--symbol", required=True)
-    memb_cmd.add_argument("--part", choices=["lower", "upper"], default="lower")
-    memb_cmd.add_argument("--space", required=True)
-    memb_cmd.add_argument("--target", choices=["space", "dual"], default="space")
-    _add_window_flags(memb_cmd)
-
-    op_cmd = sub.add_parser("operator", help="Operator-level checks")
-    op_sub = op_cmd.add_subparsers(dest="subcommand", required=True)
-    # --property picks the task command: certify-continuity or certify-compactness
-    cert_cmd = _task_parser(op_sub, "certify", "certify-{property}", "certify")
-    cert_cmd.add_argument("--operator", required=True)
-    cert_cmd.add_argument("--property", choices=[CONTINUITY, COMPACTNESS],
-                          required=True)
-    _add_window_flags(cert_cmd)
-    probe_cmd = _task_parser(op_sub, "probe", "probe", "probe")
-    probe_cmd.add_argument("--operator", required=True)
-    probe_cmd.add_argument("--k", type=int, nargs="+", default=None)
-    probe_cmd.add_argument("--m", type=int, nargs="+", default=[1])
-    probe_cmd.add_argument("--norm", choices=["sum", "sup"], default=None)
-    probe_cmd.add_argument("--out", default=None, help="CSV destination")
-    _add_window_flags(probe_cmd)
-    apply_cmd = _task_parser(op_sub, "apply", "apply", "apply")
-    apply_cmd.add_argument("--operator", required=True)
-    apply_cmd.add_argument("--input", required=True)
-    apply_cmd.add_argument("--method", choices=["fast", "dense"], default="fast")
-    apply_cmd.add_argument("--n", type=int, default=None)
-    apply_cmd.add_argument("--out", dest="output", metavar="OUT", default=None)
-    _add_window_flags(apply_cmd)
-
-    family_cmd = sub.add_parser("family", help="Operator-family checks")
-    family_sub = family_cmd.add_subparsers(dest="subcommand", required=True)
-    tame_cmd = _task_parser(family_sub, "tame", "tame", "tame")
-    tame_cmd.add_argument("--variant", choices=["lower", "upper", "full"],
-                          default="lower")
-    tame_cmd.add_argument("--domain", required=True)
-    tame_cmd.add_argument("--codomain", required=True)
-    tame_cmd.add_argument("--family", default="{}")
-    tame_cmd.add_argument("--s-map", default='{"form":"identity"}')
-    _add_window_flags(tame_cmd)
-
-    cross_cmd = _task_parser(sub, "cross-validate", "cross-validate",
-                             "cross-validate", help="Theorem route versus raw oracle")
-    cross_cmd.add_argument("--operator", required=True)
-    cross_cmd.add_argument("--property", choices=[CONTINUITY, COMPACTNESS],
-                           default=COMPACTNESS)
-    _add_window_flags(cross_cmd)
-
+    _add_flags(run_cmd, {"--config": {"required": True}, "--out": {},
+                         "--format": {"choices": _FORMATS}, **_WINDOW_FLAGS,
+                         "--seed": _INT})
+    groups = {"": sub}
+    for path, (command, fields, options) in SUBCOMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group not in groups:
+            groups[group] = sub.add_parser(group, help=_HELP[group]).add_subparsers(
+                dest="subcommand", required=True)
+        leaf = groups[group].add_parser(name, help=_HELP.get(path))
+        leaf.set_defaults(task=command, fields=_add_flags(leaf, fields))
+        _add_flags(leaf, {**options, **_WINDOW_FLAGS})
     return parser
-
-
-#: namespace fields of a direct subcommand that are not fields of its task
-_NOT_TASK_FIELDS = {"command", "subcommand", "task", "label", "out",
-                    "n_max", "k_max", "m_max", "seed"}
-#: task fields given as inline JSON or a JSON file
-_JSON_FIELDS = {"space", "symbol", "operator", "domain", "codomain", "family",
-                "s_map"}
 
 
 def _task_from_args(args: argparse.Namespace) -> dict[str, Any]:
     """The ``koethe run`` task that a direct subcommand stands for."""
-    task = {key: _load_json_arg(value) if key in _JSON_FIELDS else value
-            for key, value in vars(args).items()
-            if value is not None and key not in _NOT_TASK_FIELDS}
-    task["command"] = args.task.format(**task)
-    return task
-
-
-def _emit(payload: Any) -> None:
-    sys.stdout.write(_dumps(payload))
+    task = {dest: _load_json_arg(value) if isinstance(value, _JsonArg) else value
+            for dest in args.fields if (value := getattr(args, dest)) is not None}
+    return {**task, "command": args.task.format(**task)}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -619,33 +588,34 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code == 0 else EXIT_USAGE
 
     try:
-        _seed(args.seed, "--seed")
+        seed = _seed(getattr(args, "seed", None), "--seed")
         if args.command == "run":
             data = _load_json_arg(args.config)
             base = Path(args.config).parent if Path(args.config).exists() else None
             cfg = parse_config(data, base_dir=base)
             cfg.window = _window_from_args(args, cfg.window)
-            if args.seed is not None:
-                cfg.seed = args.seed
+            if seed is not None:
+                cfg.seed = seed
             if args.out:
                 cfg.out_dir = Path(args.out)
             if args.format:
-                cfg.formats = (("json", "csv") if args.format == "both"
-                               else (args.format,))
+                cfg.formats = _FORMATS[args.format]
             summary = run_tasks(cfg)
-            _emit(summary)
+            sys.stdout.write(_dumps(summary))
             return summary["exit_code"]
 
-        # a direct subcommand: one task, no files written but its own outputs
+        # a direct subcommand: one task, no files written but its own outputs;
+        # its errors name the task command where a config run names tasks[i]
         cfg = ExperimentConfig(spaces={}, symbols={}, operators={},
-                               window=_window_from_args(args), tasks=[],
-                               out_dir=Path("."), formats=(), seed=args.seed)
-        status, report, rows = _run_task(cfg, _task_from_args(args), args.label)
+                               window=_window_from_args(args, Window()), tasks=[],
+                               out_dir=Path("."), formats=(), seed=seed)
+        task = _task_from_args(args)
+        status, report, rows = _run_task(cfg, task, task["command"])
         if rows is None:
-            _emit({"status": status, "report": report})
+            sys.stdout.write(_dumps({"status": status, "report": report}))
         elif args.out:
             _write_text(args.out, _csv_text(rows))
-            _emit({"status": status, "csv": args.out})
+            sys.stdout.write(_dumps({"status": status, "csv": args.out}))
         else:
             sys.stdout.write(_csv_text(rows))
         return exit_code_for([status])

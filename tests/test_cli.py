@@ -670,48 +670,119 @@ def test_unexpected_exception_is_a_usage_error(via_run, tmp_path, monkeypatch,
 OP = {"variant": "lower", "domain": L1N, "codomain": L1N2, "symbol": GEO}
 OP_DELTA = {"variant": "lower", "domain": L1N, "codomain": L1N, "symbol": DELTA}
 FAMILY = {"count": 2, "seed": 1}
+TWO_SIDED = {"lower": GEO["lower"], "upper": {"form": "geometric", "r": 0.5}}
+# case -> (argv, the task it stands for, other config fields); together the
+# cases set every flag of every direct subcommand
 PARITY = {
-    "space-check": (["spaces", "check", "--space", json.dumps(L1N)],
-                    {"space": L1N}),
+    "space-check": (["spaces", "check", "--space", json.dumps(L1N),
+                     "--checks", "nuclearity", "subadditivity"],
+                    {"command": "space-check", "space": L1N,
+                     "checks": ["nuclearity", "subadditivity"]}, {}),
     "membership": (["symbol", "membership", "--symbol", json.dumps(GEO),
                     "--space", json.dumps(L1N2), "--target", "dual"],
-                   {"symbol": GEO, "space": L1N2, "target": "dual"}),
+                   {"command": "membership", "symbol": GEO, "space": L1N2,
+                    "target": "dual"}, {}),
+    "membership-upper": (["symbol", "membership", "--symbol", json.dumps(TWO_SIDED),
+                          "--part", "upper", "--space", json.dumps(L1N2)],
+                         {"command": "membership", "symbol": TWO_SIDED, "part": "upper",
+                          "space": L1N2}, {}),
     "certify-continuity": (["operator", "certify", "--operator", json.dumps(OP),
-                            "--property", "continuity"], {"operator": OP}),
+                            "--property", "continuity"],
+                           {"command": "certify-continuity", "operator": OP}, {}),
     "certify-compactness": (["operator", "certify", "--operator", json.dumps(OP),
-                             "--property", "compactness"], {"operator": OP}),
+                             "--property", "compactness"],
+                            {"command": "certify-compactness", "operator": OP}, {}),
     "probe": (["operator", "probe", "--operator", json.dumps(OP), "--k", "1", "2",
-               "--norm", "sup"], {"operator": OP, "k": [1, 2], "norm": "sup"}),
+               "--m", "1", "2", "--norm", "sup"],
+              {"command": "probe", "operator": OP, "k": [1, 2], "m": [1, 2],
+               "norm": "sup"}, {}),
+    "probe-out": (["operator", "probe", "--operator", json.dumps(OP), "--k", "2",
+                   "--out", "c.csv"], {"command": "probe", "operator": OP, "k": [2]}, {}),
     "apply": (["operator", "apply", "--operator", json.dumps(OP_DELTA),
                "--input", "x.txt", "--method", "dense"],
-              {"operator": OP_DELTA, "input": "x.txt", "method": "dense"}),
+              {"command": "apply", "operator": OP_DELTA, "input": "x.txt",
+               "method": "dense"}, {}),
+    "apply-fast-out": (["operator", "apply", "--operator", json.dumps(OP),
+                        "--input", "x.txt", "--method", "fast", "--n", "5",
+                        "--out", "y.txt"],
+                       {"command": "apply", "operator": OP, "input": "x.txt",
+                        "method": "fast", "n": 5, "output": "y.txt"}, {}),
     "tame": (["family", "tame", "--domain", json.dumps(L1N),
               "--codomain", json.dumps(L1N2), "--family", json.dumps(FAMILY)],
-             {"domain": L1N, "codomain": L1N2, "family": FAMILY}),
+             {"command": "tame", "domain": L1N, "codomain": L1N2, "family": FAMILY}, {}),
+    "tame-upper-seeded": (["family", "tame", "--variant", "upper",
+                           "--domain", json.dumps(L1N), "--codomain", json.dumps(L1N2),
+                           "--family", json.dumps(FAMILY),
+                           "--s-map", json.dumps({"form": "linear", "a": 2.0}),
+                           "--seed", "5"],
+                          {"command": "tame", "variant": "upper", "domain": L1N,
+                           "codomain": L1N2, "family": FAMILY,
+                           "s_map": {"form": "linear", "a": 2.0}}, {"seed": 5}),
     "cross-validate": (["cross-validate", "--operator", json.dumps(OP),
                         "--property", "continuity"],
-                       {"operator": OP, "property": "continuity"}),
+                       {"command": "cross-validate", "operator": OP,
+                        "property": "continuity"}, {}),
 }
 
 
-@pytest.mark.parametrize("command", sorted(PARITY))
-def test_direct_subcommand_equals_one_task_run(command, tmp_path, monkeypatch,
-                                               capsys):
+@pytest.mark.parametrize("case", sorted(PARITY))
+def test_direct_subcommand_equals_one_task_run(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_vector("x.txt", [1.0, -2.0, 0.5])
-    argv, fields = PARITY[command]
+    argv, task, config = PARITY[case]
     flags = ["--n-max", "256", "--k-max", "3", "--m-max", "8"]
     direct_code = main([*argv, *flags])
     direct_out = capsys.readouterr().out
-    config = {"tasks": [{"command": command, **fields}], "output": {"dir": "out"}}
+    if "--out" in argv:  # the output the run writes again under the same name
+        direct_file = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+    config = {**config, "tasks": [task], "output": {"dir": "out"}}
     assert run_config(tmp_path, config, flags) == direct_code
-    name = f"out/task-00-{command}"
-    if command == "probe":
+    name = f"out/task-00-{task['command']}"
+    if case == "probe":
         assert direct_out == (tmp_path / f"{name}.csv").read_text()
+    elif case == "probe-out":
+        assert json.loads(direct_out) == {"status": "ok", "csv": "c.csv"}
+        assert direct_file == (tmp_path / f"{name}.csv").read_text()
     else:
-        task = json.loads((tmp_path / f"{name}.json").read_text())
-        assert json.loads(direct_out) == {"status": task["status"],
-                                          "report": task["report"]}
+        report = json.loads((tmp_path / f"{name}.json").read_text())
+        assert json.loads(direct_out) == {"status": report["status"],
+                                          "report": report["report"]}
+    if case == "apply-fast-out":
+        assert direct_file == (tmp_path / "y.txt").read_text()
+
+
+def test_parity_cases_set_every_flag():
+    for path, (_, fields, options) in cli.SUBCOMMANDS.items():
+        words = path.split()
+        argvs = [argv for argv, _, _ in PARITY.values() if argv[:len(words)] == words]
+        assert {*fields, *options} <= {arg for argv in argvs for arg in argv}, path
+
+
+# the seed is read by tame tasks alone, so only family tame and run take --seed
+@pytest.mark.parametrize("path", [path for path in cli.SUBCOMMANDS
+                                  if path != "family tame"])
+def test_seed_is_a_usage_error_where_no_task_reads_it(path, capsys):
+    argv = next(argv for argv, _, _ in PARITY.values()
+                if argv[:len(path.split())] == path.split())
+    assert main([*argv, "--seed", "3"]) == EXIT_USAGE
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--k-max", "--m-max"])
+@pytest.mark.parametrize("via_run", [False, True], ids=["direct", "run"])
+def test_zero_window_flags_are_usage_errors(flag, via_run, tmp_path, capsys):
+    # a zero must reach Window's checks, not read as an absent flag
+    if via_run:
+        config = base_config(tasks=[{"command": "space-check", "space": "C",
+                                     "checks": ["stability"]}])
+        code = run_config(tmp_path, config, (flag, "0"))
+    else:
+        code = main(["spaces", "check", "--space", json.dumps(LINFN),
+                     "--checks", "stability", flag, "0"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: n_max must be >= 4" if flag == "--n-max"
+        else "error: k_max and m_max must be >= 1")
 
 
 FIELDS = ["kind", "alpha", "weights", "form", "p", "a", "b", "values", "r", "c",
