@@ -241,6 +241,13 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
     for i, task in enumerate(tasks):
         if not isinstance(task, Mapping) or "command" not in task:
             raise ConfigurationError(f"tasks[{i}]: needs a 'command' field")
+        command = task["command"]
+        # an unknown command is _run_task's to report, when its turn comes
+        known = TASK_FIELDS.get(command, task) if isinstance(command, str) else task
+        for key in task:
+            if key not in known:
+                raise ConfigurationError(
+                    f"tasks[{i}].{key}: unknown field of a {command!r} task")
 
     output = json_object(data.get("output", {}), "output")
     out_dir = Path(_field(output, "dir", "string", "output", "out"))
@@ -547,6 +554,25 @@ def _add_flags(parser: argparse.ArgumentParser, flags: Mapping[str, Any]) -> lis
             options = {"metavar": "{%s}" % ",".join(options)}
         dests.append(parser.add_argument(flag, **options).dest)
     return dests
+
+
+def _task_fields() -> dict[str, frozenset[str]]:
+    """The keys each task command reads: ``command`` and the dests of its
+    direct subcommand's field flags, which are the fields of the task it
+    stands for, and tame-condition's, which has no subcommand."""
+    known = {"tame-condition": {"domain", "codomain", "direction", "s_map"}}
+    for command, fields, _ in SUBCOMMANDS.values():
+        dests = set(_add_flags(argparse.ArgumentParser(), fields))
+        if "{property}" in command:  # certify spells its property in the command
+            dests.remove("property")
+            known.update((command.format(property=p), dests) for p in _PROPERTIES)
+        else:
+            known[command] = dests
+    return {command: frozenset(dests | {"command"}) for command, dests in known.items()}
+
+
+#: the keys of a config task, by its command; ``parse_config`` rejects others
+TASK_FIELDS = _task_fields()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,7 @@ from .operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
-    column_norm_profile,
+    column_norm_profiles,
     lower_part,
     membership_in_dual,
     membership_in_space,
@@ -669,7 +669,7 @@ def _sample_tameness(
         return Outcome.INCONCLUSIVE, None, None
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
-        profile = column_norm_profile(op, k, n_max, norm_kind)
+        [profile] = column_norm_profiles(op, k, (n_max,), norm_kind)
         weights = weight_array(op.domain, m, n_max)
         with np.errstate(invalid="ignore", over="ignore"):
             return _sup_pair(profile - weights, 1, n_max)

@@ -582,12 +582,14 @@ def column_norm_profile(
 
     Agrees with :func:`column_norm` up to reduction-order rounding; reports
     that need bit-stable numbers use a fixed block schedule, which this is.
-    Results are memoized: an oracle scan holds the profiles it fetched
-    itself, and the memo serves repeat scans of the same operator (the
-    other property of a cross-validation, another window's checkpoints).
-    Callers that want several truncations go through
-    :func:`column_norm_profiles`, which serves an upper operator's sup
-    profiles from one call at the largest.
+    The kernel reads the symbol, the variant and the codomain, never the
+    domain.  Results are memoized: an oracle scan holds the profiles it
+    fetched itself, and the memo serves repeat scans (the other property of
+    a cross-validation, another window's checkpoints) and every operator
+    that differs only in its domain.  Library callers go through
+    :func:`column_norm_profiles`, which looks every operator up with its
+    domain replaced by its codomain, and serves an upper operator's sup
+    profiles from one call at the largest truncation.
     """
     v = weight_array(op.codomain, k, n_trunc)
     runs = [
@@ -625,7 +627,12 @@ def column_norm_profiles(
     call, since a lower column's rows reach the truncation and a sum's
     schedule depends on it (the log N allowance, and the pairwise sum of a
     one-column block).
+
+    The memo is keyed on what the kernel reads: ``op`` is looked up with
+    its domain replaced by its codomain, so operators that differ only in
+    their domain share their profiles.
     """
+    op = dataclasses.replace(op, domain=op.codomain)
     if op.variant is Variant.UPPER and norm_kind is NormKind.SUP:
         top = column_norm_profile(op, k, truncations[-1], norm_kind)
         return [top[:n] for n in truncations]

@@ -174,9 +174,23 @@ def test_run_bad_window(tmp_path):
     assert run_config(tmp_path, base_config(window={"n_max": -5})) == EXIT_USAGE
 
 
-def test_run_unknown_command(tmp_path):
-    config = base_config(tasks=[{"command": "frobnicate"}])
+def test_run_unknown_command(tmp_path, capsys):
+    # reported as the command, not as a field the command does not know
+    config = base_config(tasks=[{"command": "frobnicate", "operator": "T"}])
     assert run_config(tmp_path, config) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: tasks[0].command: unknown command 'frobnicate'\n")
+
+
+def test_unknown_task_field_fails_before_any_task_runs(tmp_path, capsys):
+    # a misspelled field would otherwise leave the handler's default
+    config = base_config(tasks=[{"command": "certify-compactness", "operator": "T"},
+                                {"command": "cross-validate", "operator": "T",
+                                 "propery": "continuity"}])
+    assert run_config(tmp_path, config) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: tasks[1].propery: unknown field of a 'cross-validate' task\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_window_overrides(tmp_path):
@@ -563,6 +577,14 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
     (base_config(tasks=[{"command": "tame-condition", "domain": "A", "codomain": "B",
                          "direction": "down"}]),
      "tasks[0].direction: expected 'lower', 'upper' or 'full', got 'down'"),
+    (base_config(tasks=[{"command": "certify-continuity", "operator": "T",
+                         "property": "compactness"}]),
+     "tasks[0].property: unknown field of a 'certify-continuity' task"),
+    (base_config(tasks=[{"command": "tame-condition", "domain": "A", "codomain": "B",
+                         "s-map": {"form": "identity"}}]),
+     "tasks[0].s-map: unknown field of a 'tame-condition' task"),
+    (base_config(tasks=[{"command": "probe", "operator": "T", "out": "c.csv"}]),
+     "tasks[0].out: unknown field of a 'probe' task"),
 ], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
         "window-not-an-object", "probe-k-not-integers", "probe-m-not-integers",
         "apply-n-not-an-integer", "apply-input-not-a-path", "checks-not-an-array",
@@ -574,7 +596,8 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
         "s-map-table-not-integers", "polynomial-d-not-an-integer",
         "unknown-operator-variant", "operator-without-variant", "unknown-membership-part",
         "membership-target-not-a-string", "tame-variant-not-a-string",
-        "unknown-tame-condition-direction"])
+        "unknown-tame-condition-direction", "certify-property-field",
+        "tame-condition-misspelled-field", "probe-out-field"])
 def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
     code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
     assert code == EXIT_USAGE

@@ -256,13 +256,18 @@ def test_oracle_looks_each_profile_up_once_through_its_module_global():
     # looks column_norm_profile up as a global of operators
     geo = SymbolSpec.geometric(0.5)
     space = SpaceDescriptor.power_series_finite(ExponentSequence.affine(1.0))
+    other = SpaceDescriptor.power_series_infinite(ExponentSequence.power(2.0))
     lower = ToeplitzOperator(Symbol(lower=geo), Variant.LOWER, space, space)
     upper = ToeplitzOperator(Symbol(upper=geo), Variant.UPPER, space, space)
+    # the profile memo is keyed on what the kernel reads, which is not the
+    # domain, so a domain twin of lower finds every profile already there
+    twin = ToeplitzOperator(Symbol(lower=geo), Variant.LOWER, other, space)
     original = operators_module.column_norm_profile
     # an upper operator's sup profile at the half checkpoint is sliced from
     # the full one
     for op, kind, truncations in [(lower, None, {128, 256}),
-                                  (upper, NormKind.SUP, {256})]:
+                                  (upper, NormKind.SUP, {256}),
+                                  (twin, None, {128, 256})]:
         seen = []
 
         def wrapper(op, k, n_trunc, norm_kind):
@@ -277,3 +282,5 @@ def test_oracle_looks_each_profile_up_once_through_its_module_global():
         assert seen and len(seen) == lookups
         assert len(set(seen)) == len(seen)
         assert {n for _, n in seen} == truncations
+        if op is twin:
+            assert after.misses == before.misses
