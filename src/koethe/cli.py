@@ -207,11 +207,23 @@ def _seed(seed: int | None, what: str) -> int | None:
     return seed
 
 
+#: the keys of a config root
+_ROOT_KEYS = ("window", "spaces", "symbols", "operators", "tasks", "output", "seed")
+
+
+def _known_keys(data: Mapping[str, Any], keys: Sequence[str], path: str) -> None:
+    """A misspelt key would silently keep a default, so it is an error."""
+    unknown = next((key for key in data if key not in keys), None)
+    if unknown is not None:
+        raise ConfigurationError(f"{path}{unknown}: unknown config key")
+
+
 def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
                  ) -> ExperimentConfig:
     """Validate an experiment config, naming the offending path on error."""
     if not isinstance(data, Mapping):
         raise ConfigurationError("config root must be a JSON object")
+    _known_keys(data, _ROOT_KEYS, "")
     window = _decode(Window, data.get("window", {}), "window")
 
     spaces = {name: _decode(SpaceDescriptor, spec, f"spaces.{name}")
@@ -250,6 +262,7 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
                     f"tasks[{i}].{key}: unknown field of a {command!r} task")
 
     output = json_object(data.get("output", {}), "output")
+    _known_keys(output, ("dir", "formats"), "output.")
     out_dir = Path(_field(output, "dir", "string", "output", "out"))
     if base_dir is not None and not out_dir.is_absolute():
         out_dir = base_dir / out_dir

@@ -41,6 +41,7 @@ from .operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
+    column_norm_bounds,
     column_norm_profiles,
     lower_part,
     membership_in_dual,
@@ -659,20 +660,58 @@ class TamenessReport:
     to_json = json_report
 
 
+def _sup_columns(lower: np.ndarray, upper: np.ndarray, weights: np.ndarray
+                 ) -> tuple[int, int] | None:
+    """The column range [c0, c1) of every column whose gap can reach the sup
+    pair over n >= 1, given per-column profile bounds and finite weights;
+    None for all columns.
+
+    A column of the half window is kept where its upper gap reaches the
+    best lower gap of the half, any other where it reaches the best of the
+    full window; each column left out lies below the sup it could enter,
+    so the pair over the range, with -inf outside it, is the same floats.
+    A range of one column gets a neighbour, since the kernel takes no
+    one-column block of a sum inside a range."""
+    n_max = len(weights)
+    half = n_max // 2
+    with np.errstate(over="ignore"):
+        low = lower - weights
+        high = upper - weights
+    best_half = low[:half].max()
+    keep = np.empty(n_max, dtype=bool)
+    np.greater_equal(high[:half], best_half, out=keep[:half])
+    np.greater_equal(high[half:], max(best_half, low[half:].max()), out=keep[half:])
+    c0 = int(keep.argmax())
+    c1 = max(n_max - int(keep[::-1].argmax()), c0 + 2)
+    if c1 > n_max:
+        c0, c1 = n_max - 2, n_max
+    return None if c1 - c0 == n_max else (c0, c1)
+
+
 def _sample_tameness(
     op: ToeplitzOperator, s_map: SMap, win: Window, norm_kind: NormKind,
     k_max: int, n_max: int,
 ) -> tuple[Outcome, int | None, LogValue | None]:
     """Smallest k0 <= k_max with a stabilized uniform constant for all
-    k >= k0, on the clipped truncation n_max."""
+    k >= k0, on the clipped truncation n_max.
+
+    Each sup pair runs the kernel only on the columns that can attain it
+    (:func:`_sup_columns`), where the bounds of :func:`column_norm_bounds`
+    exist and no domain weight is wild (:func:`_row`); elsewhere it reads
+    the full profile.  Either way the pair has the full profile's bits."""
     if n_max < 2:
         return Outcome.INCONCLUSIVE, None, None
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
-        [profile] = column_norm_profiles(op, k, (n_max,), norm_kind)
-        weights = weight_array(op.domain, m, n_max)
+        weights, wild = _row(weight_array(op.domain, m, n_max))
+        bounds = None if wild else column_norm_bounds(op, k, n_max, norm_kind)
+        cols = None if bounds is None else _sup_columns(*bounds, weights)
+        [profile] = column_norm_profiles(op, k, (n_max,), norm_kind, cols)
+        c0, c1 = cols or (0, n_max)
+        gap = np.full(n_max, -np.inf)
         with np.errstate(invalid="ignore", over="ignore"):
-            return _sup_pair(profile - weights, 1, n_max)
+            np.subtract(profile, weights[c0:c1], out=gap[c0:c1])
+            return _sup_pair(gap, 1, n_max)
 
     scan = scan_fixed(win, sup_pair, k_max, s_map)
     if scan.outcome is Outcome.HOLDS:

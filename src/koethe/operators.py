@@ -440,15 +440,18 @@ def _run_profile(
     direction: int,
     n_trunc: int,
     norm_kind: NormKind,
+    cols: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream one triangular part's terms u_i + v_{n +/- i} over offset
-    blocks, returning per-column (scale, scaled sum); for the sup kind the
-    scale is the norm and the sum stays zero.
+    blocks, returning per-column (scale, scaled sum) of the 0-based column
+    range ``cols`` = [c0, c1), by default all of [0, n_trunc); for the sup
+    kind the scale is the norm and the sum stays zero.
 
     The walk goes down only, to rows n + i.  An upward run (direction -1,
     rows n - i) is the downward run over the weights reversed: its column
     n_trunc + 1 - n reads the terms of column n in the same offset order,
-    so reversing the result back gives every column bit for bit.
+    so reversing the result back gives every column bit for bit.  Its range
+    [c0, c1) becomes [n_trunc - c1, n_trunc - c0) before the walk.
 
     The weights sit in a copy padded with log-zero past row n_trunc, as far
     as the symbol's support reaches.  A block reads them through one strided
@@ -492,9 +495,21 @@ def _run_profile(
 
     The first block merges into a running (-inf, 0), which returns its
     (max, scaled sum) bit for bit, so it is stored as it stands.
+
+    A column range keeps the block boundaries, the skip, the cut and the
+    log(n_trunc) allowance, so where no part is +inf its columns get the
+    full range's bits: a column's skip reads only its own running scale,
+    the rows a narrower cut drops are negligible, and the columns a block
+    spans but that are not active change nothing.  The one exception is a
+    block of a sum that narrows to one active column inside a proper range:
+    numpy sums it pairwise, where the full range may have summed that
+    column in a wider block row by row.  The run then starts over on the
+    full range and returns its slice.
     """
+    c0, c1 = cols or (0, n_trunc)
     if direction < 0:
-        m, s = _run_profile(u, v[:n_trunc][::-1], +1, n_trunc, norm_kind)
+        m, s = _run_profile(u, v[:n_trunc][::-1], +1, n_trunc, norm_kind,
+                            (n_trunc - c1, n_trunc - c0))
         return np.ascontiguousarray(m[::-1]), np.ascontiguousarray(s[::-1])
     u_sufmax = _suffix_max(u)
     # offsets past the symbol's support contribute nothing; the log-zero
@@ -504,7 +519,8 @@ def _run_profile(
     # offsets below i_top reach read log-zero, in v_reach too
     pad = np.full(n_trunc + i_top, -np.inf)
     pad[:n_trunc] = v[:n_trunc]
-    v_reach = _suffix_max(pad)
+    v_reach = np.full(n_trunc + i_top, -np.inf)
+    v_reach[:n_trunc] = _suffix_max(pad[:n_trunc])
     if norm_kind is NormKind.SUM:
         allowance, skip, cut = math.log(n_trunc), NEGLIGIBLE_LOG, _ROUNDING_LOG
     else:
@@ -513,23 +529,30 @@ def _run_profile(
     finite = i_top and u_sufmax[0] < np.inf and v_reach[0] < np.inf
     small = _SEARCH_TERMS if finite else 0
 
-    m_run = np.full(n_trunc, -np.inf)
-    s_run = np.zeros(n_trunc)
-    buf = np.empty(_BLOCK * n_trunc)
+    span = c1 - c0
+    # a one-column block of a sum inside a proper range sends the run to
+    # the full range
+    lone = span < n_trunc and norm_kind is NormKind.SUM
+    m_run = np.full(span, -np.inf)
+    s_run = np.zeros(span)
+    buf = np.empty(_BLOCK * span)
     step = pad.strides[0]
     # inf - inf, where a +inf part meets log-zero or itself, is NaN by design
     with np.errstate(invalid="ignore"):
         for i0 in range(0, i_top, _BLOCK):
-            peak = u_sufmax[i0] + v_reach[i0 : i0 + n_trunc]
+            peak = u_sufmax[i0] + v_reach[i0 + c0 : i0 + c1]
             active = peak + allowance > m_run - skip
             lo = int(active.argmax())
             if not active[lo]:
                 break
-            hi = n_trunc - 1 - int(active[::-1].argmax())
-            cols = slice(lo, hi + 1)
+            hi = span - 1 - int(active[::-1].argmax())
             width = hi - lo + 1
+            if width == 1 and lone:
+                m_run, s_run = _run_profile(u, v, direction, n_trunc, norm_kind)
+                return m_run[c0:c1], s_run[c0:c1]
+            band = slice(lo, hi + 1)
             nb = min(_BLOCK, i_top - i0)
-            start = i0 + lo
+            start = i0 + c0 + lo
             if width > 1 and nb > 2 and nb * width > small:
                 head = np.maximum(u[i0] + pad[start : start + width],
                                   u[i0 + 1] + pad[start + 1 : start + 1 + width])
@@ -537,7 +560,7 @@ def _run_profile(
                 # past 2^56 the subtraction rounds: a floor that ends up less
                 # than cut - 1 below its head bounds no negligible term
                 floor[head - floor < cut - 1] = -np.inf
-                floor[~active[cols]] = np.inf
+                floor[~active[band]] = np.inf
                 # the cut lies in keep..nb: rows from nb on are known negligible
                 keep = 2
                 while keep < nb:
@@ -558,16 +581,16 @@ def _run_profile(
             np.add(u[i0 : i0 + nb, None], rows, out=terms)
             bm = terms.max(axis=0)
             if norm_kind is NormKind.SUP:
-                m_run[cols] = np.maximum(m_run[cols], bm)
+                m_run[band] = np.maximum(m_run[band], bm)
                 continue
             # exp(-inf - safe) is already 0 and safe is never -inf
             terms -= np.where(np.isneginf(bm), 0.0, bm)
             np.exp(terms, out=terms)
             bs = terms.sum(axis=0)
             if i0 == 0:
-                m_run[cols], s_run[cols] = bm, bs
+                m_run[band], s_run[band] = bm, bs
             else:
-                m_run[cols], s_run[cols] = _merge_scaled(m_run[cols], s_run[cols], bm, bs)
+                m_run[band], s_run[band] = _merge_scaled(m_run[band], s_run[band], bm, bs)
     return m_run, s_run
 
 
@@ -577,8 +600,11 @@ def column_norm_profile(
     k: int,
     n_trunc: int,
     norm_kind: NormKind = NormKind.SUM,
+    cols: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """log column norms for n = 1..n_trunc, columns truncated at row n_trunc.
+    """log column norms for n = 1..n_trunc, columns truncated at row n_trunc;
+    with ``cols`` = (c0, c1), only those of n = c0 + 1..c1, with the bits the
+    full profile has there.
 
     Agrees with :func:`column_norm` up to reduction-order rounding; reports
     that need bit-stable numbers use a fixed block schedule, which this is.
@@ -593,7 +619,7 @@ def column_norm_profile(
     """
     v = weight_array(op.codomain, k, n_trunc)
     runs = [
-        _run_profile(u, v, direction, n_trunc, norm_kind)
+        _run_profile(u, v, direction, n_trunc, norm_kind, cols)
         for u, direction in _runs(op, n_trunc, log=True)
     ]
     if norm_kind is NormKind.SUP:
@@ -616,8 +642,10 @@ def column_norm_profiles(
     k: int,
     truncations: Sequence[int],
     norm_kind: NormKind = NormKind.SUM,
+    cols: tuple[int, int] | None = None,
 ) -> list[np.ndarray]:
-    """:func:`column_norm_profile` at each of the ascending ``truncations``.
+    """:func:`column_norm_profile` at each of the ascending ``truncations``,
+    of the columns ``cols`` (see there) when given.
 
     An upper part's column n holds rows 1..n only, and a sup is the exact
     max of the same float sums u_i + v_{n-i} whatever the block schedule,
@@ -630,13 +658,61 @@ def column_norm_profiles(
 
     The memo is keyed on what the kernel reads: ``op`` is looked up with
     its domain replaced by its codomain, so operators that differ only in
-    their domain share their profiles.
+    their domain share their profiles.  A column range is part of the key.
     """
     op = dataclasses.replace(op, domain=op.codomain)
+    if cols is not None:
+        return [column_norm_profile(op, k, n, norm_kind, cols) for n in truncations]
     if op.variant is Variant.UPPER and norm_kind is NormKind.SUP:
         top = column_norm_profile(op, k, truncations[-1], norm_kind)
         return [top[:n] for n in truncations]
     return [column_norm_profile(op, k, n, norm_kind) for n in truncations]
+
+
+def _bounded(arr: np.ndarray) -> bool:
+    """No entry is +inf, NaN or 2^1022 or more in magnitude; log-zero is."""
+    return bool((np.isneginf(arr) | (np.abs(arr) < 2.0 ** 1022)).all())
+
+
+def column_norm_bounds(
+    op: ToeplitzOperator,
+    k: int,
+    n_trunc: int,
+    norm_kind: NormKind = NormKind.SUM,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-column (lower, upper) bounds on :func:`column_norm_profile` in
+    O(n_trunc), or None where a symbol log or a codomain weight is +inf,
+    NaN, or 2^1022 or more in magnitude.
+
+    The lower bound is the kernel's head, the larger of each run's first two
+    row terms: the kernel computes both for every column, and a norm is at
+    least each term it computed.  The upper bound is each run's largest
+    symbol log plus the largest weight its columns reach, plus in a sum the
+    log of the runs' supports (a column has no more terms, and each scales
+    to at most 1), plus a margin of 1.
+    Both bounds add the kernel's own operands, and rounding is monotone, so
+    they bound the profile's floats and not only the reals behind them.
+    """
+    v = weight_array(op.codomain, k, n_trunc)
+    parts = _runs(op, n_trunc, log=True)
+    if not all(_bounded(arr) for arr in [v] + [u for u, _ in parts]):
+        return None
+    lower = np.full(n_trunc, -np.inf)
+    upper = np.full(n_trunc, -np.inf)
+    terms = 0
+    for u, direction in parts:
+        np.maximum(lower, u[0] + v, out=lower)
+        # the second row: n + 1 of column n below the diagonal, n - 1 above
+        nxt, own = (slice(1, None), slice(None, -1))[::direction]
+        np.maximum(lower[own], u[1:2] + v[nxt], out=lower[own])
+        reach = _suffix_max(v) if direction > 0 else np.maximum.accumulate(v)
+        np.maximum(upper, u.max() + reach, out=upper)
+        nonzero = np.flatnonzero(u > -np.inf)
+        terms += nonzero[-1] + 1 if len(nonzero) else 0
+    if norm_kind is NormKind.SUM:
+        upper += math.log(max(terms, 1))
+    upper += 1.0
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ the oracle's sup-pair providers as they were before the scans kept their
 rows: every pair looks its rows up in the caches again and reduces each
 half of the gap by its own ``np.max``.  They return the same floats, so the
 two must agree bit for bit as well.
+
+``_sample_tameness`` is the tameness check's per-member scan as it was
+before its sup pairs ran the kernel on a column range: every pair reads
+the full profile.  ``full_profile_tameness`` puts it in place.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from unittest import mock
 
 import numpy as np
 
-from koethe import operators
-from koethe.criteria import NStart, QuantifierCondition
+from koethe import criteria, operators
+from koethe.criteria import NStart, QuantifierCondition, SMap
 from koethe.logdomain import LogValue
 from koethe.operators import (
     _BLOCK,
@@ -35,9 +39,10 @@ from koethe.operators import (
     NormKind,
     ToeplitzOperator,
     column_norm_profile,
+    column_norm_profiles,
 )
 from koethe.spaces import weight_array
-from koethe.verdicts import SupPair
+from koethe.verdicts import Outcome, SupPair, Window, scan_fixed
 
 
 #: sha256 of np.exp and np.log over a fixed grid on the build that recorded
@@ -73,8 +78,13 @@ def gather_run_profile(
     direction: int,
     n_trunc: int,
     norm_kind: NormKind,
+    cols: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clip-and-gather form of ``operators._run_profile``."""
+    """Clip-and-gather form of ``operators._run_profile``; a column range
+    is the full range's slice."""
+    if cols is not None:
+        m_run, s_run = gather_run_profile(u, v, direction, n_trunc, norm_kind)
+        return m_run[cols[0] : cols[1]], s_run[cols[0] : cols[1]]
     pad = np.full(n_trunc + 2, -np.inf)
     pad[1 : n_trunc + 1] = v[:n_trunc]
     u_sufmax = _suffix_max(u)
@@ -177,3 +187,29 @@ def _profile_pairs(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
         (_, sup_half), (_, sup_full) = _curve_points(op, kind, k, m, last)
         return sup_half, sup_full
     return sup_pair
+
+
+def _sample_tameness(
+    op: ToeplitzOperator, s_map: SMap, win: Window, norm_kind: NormKind,
+    k_max: int, n_max: int,
+) -> tuple[Outcome, int | None, LogValue | None]:
+    if n_max < 2:
+        return Outcome.INCONCLUSIVE, None, None
+
+    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
+        [profile] = column_norm_profiles(op, k, (n_max,), norm_kind)
+        weights = weight_array(op.domain, m, n_max)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _sup_pair(profile - weights, 1, n_max)
+
+    scan = scan_fixed(win, sup_pair, k_max, s_map)
+    if scan.outcome is Outcome.HOLDS:
+        return Outcome.HOLDS, min(scan.entries), max(scan.entries.values())
+    return scan.outcome, None, None
+
+
+@contextlib.contextmanager
+def full_profile_tameness():
+    """Run ``criteria.tameness_check`` on full profiles inside the block."""
+    with mock.patch.object(criteria, "_sample_tameness", _sample_tameness):
+        yield

@@ -193,6 +193,18 @@ def test_unknown_task_field_fails_before_any_task_runs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides, path", [
+    ({"windw": {"n_max": 64}}, "windw"),
+    ({"output": {"dir": "out", "format": ["json"]}}, "output.format"),
+])
+def test_unknown_config_key_fails_before_any_task_runs(overrides, path, tmp_path,
+                                                       capsys):
+    # a misspelled key would otherwise keep the default window or formats
+    assert run_config(tmp_path, base_config(**overrides)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}: unknown config key\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_window_overrides(tmp_path):
     config = base_config(tasks=[{"command": "certify-continuity",
                                  "operator": "T"}])

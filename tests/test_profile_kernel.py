@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koethe import operators
+from koethe.criteria import SMap, _sample_tameness
 from koethe.operators import (
     _BLOCK,
     _ROUNDING_LOG,
@@ -27,9 +28,11 @@ from koethe.operators import (
     Variant,
     _run_profile,
     _runs,
+    column_norm_bounds,
     column_norm_profiles,
 )
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
+from koethe.verdicts import Window
 from reference_kernels import (
     gather_kernel,
     gather_run_profile,
@@ -356,6 +359,89 @@ def test_upper_sum_profiles_are_not_sliced():
     assert short.tobytes() == uncached_profile(op, 1, 300, NormKind.SUM).tobytes()
     if same_exp_log_build():
         assert short[-1] != uncached_profile(op, 1, 600, NormKind.SUM)[299]
+
+
+every_form = symbol_parts | st.builds(
+    SymbolSpec.exp_of_exponent, st.floats(-3.0, 3.0), st.sampled_from(ALPHAS)
+).flatmap(lambda spec: heads.map(lambda h: spec if h is None else spec.with_head(h)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(variant=st.sampled_from(list(Variant)), lower=every_form, upper=every_form,
+       big=st.integers(2, 1100), norm=st.sampled_from(list(NormKind)), data=st.data())
+def test_a_column_range_has_the_full_profiles_bits(variant, lower, upper, big,
+                                                   norm, data):
+    # the range keeps the blocks, the skip, the cut and the allowance of the
+    # full range, so a run's columns are the full run's, and the profile of
+    # a range is the full profile's slice
+    if variant is Variant.FULL:
+        lower = lower if lower.values_array(1)[0] != 0.0 else lower.with_head(1.0)
+        upper = upper if upper.values_array(1)[0] != 0.0 else upper.with_head(1.0)
+    codomain = data.draw(st.sampled_from(SPACES) | general_codomains(big),
+                         label="codomain")
+    k = data.draw(st.integers(1, codomain.k_limit or 12), label="k")
+    c0 = data.draw(st.integers(0, big - 2), label="c0")
+    c1 = data.draw(st.integers(c0 + 2, big), label="c1")
+    op = make_op(variant, lower, upper, SPACES[0], codomain)
+    v = weight_array(op.codomain, k, big)
+    for u, direction in _runs(op, big, log=True):
+        (m_ranged, s_ranged), (m, s) = (_run_profile(u, v, direction, big, norm, cols)
+                                        for cols in ((c0, c1), None))
+        assert m_ranged.tobytes() == m[c0:c1].tobytes()
+        assert s_ranged.tobytes() == s[c0:c1].tobytes()
+    full = uncached_profile(op, k, big, norm)
+    ranged = operators.column_norm_profile.__wrapped__(op, k, big, norm, (c0, c1))
+    assert ranged.tobytes() == full[c0:c1].tobytes()
+    bounds = column_norm_bounds(op, k, big, norm)
+    if bounds is not None:
+        lower_bound, upper_bound = bounds
+        assert (lower_bound <= full).all() and (full <= upper_bound).all()
+
+
+def test_a_one_column_block_of_a_range_falls_back_to_the_full_profile():
+    # in the second offset block only column 1 is active (see
+    # test_one_column_block_keeps_its_rows): inside the range [0, 2) of a
+    # sum that block is one column wide, so the run starts over on the full
+    # range and returns its slice.  A sup keeps the range
+    n = _BLOCK + 44
+    tail = np.exp(-67.0 + np.array([-0.5, -0.5, -0.25, -0.5, -0.5]))
+    op = make_op(Variant.LOWER, SymbolSpec.explicit([1.0] * _BLOCK + tail.tolist()),
+                 None, SPACES[0],
+                 SpaceDescriptor.general([[math.exp(-100.0)]] * _BLOCK + [[1.0]] * 44))
+    original = operators._run_profile
+    for norm, ranges in [(NormKind.SUM, [(0, 2), None]), (NormKind.SUP, [(0, 2)])]:
+        seen = []
+
+        def spy(*args):
+            seen.append(args[5] if len(args) > 5 else None)
+            return original(*args)
+
+        with mock.patch.object(operators, "_run_profile", spy):
+            ranged = operators.column_norm_profile.__wrapped__(op, 1, n, norm, (0, 2))
+        assert seen == ranges
+        assert ranged.tobytes() == uncached_profile(op, 1, n, norm)[:2].tobytes()
+
+
+def test_an_infinite_weight_takes_the_full_profile():
+    # log weights past float range are +inf from row 3 on for k >= 2, where
+    # the kernel's terms may be NaN: there are no bounds, and a tameness sup
+    # pair reads the full profile
+    codomain = SpaceDescriptor.power_series_infinite(
+        ExponentSequence.table([1.0, 2.0] + [1e308] * 30))
+    op = make_op(Variant.LOWER, SymbolSpec.explicit([1.0, 0.0, 1.0]), None,
+                 SPACES[0], codomain)
+    for norm in NormKind:
+        assert column_norm_bounds(op, 2, 32, norm) is None
+    original = operators.column_norm_profile
+    seen = []
+
+    def wrapper(*args):
+        seen.append(args)
+        return original(*args)
+
+    with mock.patch.object(operators, "column_norm_profile", wrapper):
+        _sample_tameness(op, SMap.identity(), Window(k_max=4), NormKind.SUM, 4, 32)
+    assert seen and all(len(args) == 4 for args in seen)
 
 
 #: sha256 of the profiles below, recorded before the kernel was cut at the

@@ -1,0 +1,150 @@
+"""Tameness sup pairs run the kernel only on the columns that can attain them.
+
+``criteria._sample_tameness`` bounds every column's gap from below and above
+and reads the profile of the column range whose gaps can reach the sup
+pair.  These tests hold the pairs bit for bit, and the reports byte for
+byte, against ``reference_kernels._sample_tameness``, which reads the full
+profile for every pair.
+
+Run as a script, the pool check runs at the default window (n_max=4096)
+and exits 1 on a report that differs:
+
+    python tests/test_tameness_window.py
+"""
+
+import sys
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from koethe import criteria, operators
+from koethe.cli import _dumps
+from koethe.criteria import FamilySpec, OperatorTemplate, SMap, _sample_tameness
+from koethe.operators import NormKind, Symbol, SymbolSpec, ToeplitzOperator, Variant
+from koethe.spaces import ExponentSequence, SpaceDescriptor
+from koethe.verdicts import Outcome, Scan, Window
+
+ALPHA = ExponentSequence.affine(1.0)
+#: the template and the 16 seeds of the benchmark's tameness_family pool
+POOL_TEMPLATE = OperatorTemplate(Variant.LOWER,
+                                 SpaceDescriptor.power_series_infinite(ALPHA),
+                                 SpaceDescriptor.power_series_finite(ALPHA))
+POOL_SEEDS = range(16)
+
+
+def pool_mismatches(window: Window) -> list[int]:
+    """Seeds of the pool families whose tameness report differs from the
+    full-profile reference's."""
+    out = []
+    for seed in POOL_SEEDS:
+        family = FamilySpec(count=50, seed=seed, r_min=0.05, r_max=0.9)
+
+        def report():
+            return _dumps(criteria.tameness_check(family, SMap.identity(),
+                                                  POOL_TEMPLATE, window).to_json())
+        pruned = report()
+        with ref.full_profile_tameness():
+            full = report()
+        if pruned != full:
+            out.append(seed)
+    return out
+
+
+def test_pool_family_reports_match_the_full_profiles():
+    assert pool_mismatches(Window().with_n_max(512)) == []
+
+
+def hexed(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+def providers(sample, op, kind, n_max):
+    """The sup-pair provider that ``sample`` hands its fixed-map scan."""
+    out = []
+
+    def capture(win, sup_pair, k_max, s_map):
+        out.append(sup_pair)
+        return Scan(Outcome.INCONCLUSIVE)
+
+    with mock.patch.object(sys.modules[sample.__module__], "scan_fixed", capture):
+        sample(op, SMap.identity(), Window(), kind, 6, n_max)
+    return out
+
+
+@st.composite
+def general_spaces(draw, rows: int):
+    """A tabulated space of ``rows`` rows, log weights rising in k, with
+    some zero weights in the first of two or more gradings."""
+    cols = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logs = (rng.uniform(-30.0, 30.0, size=(rows, 1))
+            + np.cumsum(rng.uniform(0.0, 2.0, size=(rows, cols)), axis=1))
+    weights = np.exp(logs)
+    if cols > 1:
+        weights[rng.random(rows) < 0.1, 0] = 0.0
+    return SpaceDescriptor.general(weights.tolist())
+
+
+exponents = st.sampled_from([ExponentSequence.logarithmic(), ExponentSequence.power(0.5),
+                             ALPHA, ExponentSequence.power(2.0)])
+power_series = st.one_of(exponents.map(SpaceDescriptor.power_series_finite),
+                         exponents.map(SpaceDescriptor.power_series_infinite))
+parts = st.one_of(
+    st.just(SymbolSpec.delta()),
+    st.floats(-0.99, 0.99).map(SymbolSpec.geometric),
+    st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40).map(SymbolSpec.explicit),
+    st.integers(-3, 3).map(SymbolSpec.polynomial),
+    st.builds(SymbolSpec.exp_of_exponent, st.floats(-3.0, 3.0), exponents),
+).flatmap(lambda spec: st.sampled_from([None, 0.5, -2.0]).map(
+    lambda h: spec if h is None else spec.with_head(h)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(list(Variant)), lower=parts, upper=parts,
+       kind=st.sampled_from(list(NormKind)), n=st.integers(2, 1100), data=st.data())
+def test_pruned_sup_pairs_match_the_full_profiles(variant, lower, upper, kind, n, data):
+    # finite-type codomains give most columns a gap far below the sup, and
+    # zero domain weights send a pair to the full profile
+    domain = data.draw(power_series | general_spaces(n), label="domain")
+    codomain = data.draw(power_series | general_spaces(n), label="codomain")
+    if variant is Variant.FULL:
+        lower = lower if lower.values_array(1)[0] != 0.0 else lower.with_head(1.0)
+        upper = upper if upper.values_array(1)[0] != 0.0 else upper.with_head(1.0)
+    symbol = Symbol(lower=None if variant is Variant.UPPER else lower,
+                    upper=None if variant is Variant.LOWER else upper)
+    op = ToeplitzOperator(symbol, variant, domain, codomain)
+    n_max = min([n] + [s.n_limit for s in (domain, codomain) if s.n_limit is not None])
+    if n_max < 2:
+        return
+    [new] = providers(_sample_tameness, op, kind, n_max)
+    [old] = providers(ref._sample_tameness, op, kind, n_max)
+    top = min(6, codomain.k_limit or 6, domain.k_limit or 6)
+    for k in range(1, top + 1):
+        for m in (1, top):
+            assert hexed(new(k, m)) == hexed(old(k, m)), (k, m)
+
+
+def test_a_pool_member_reads_a_few_columns():
+    # into Λ₀(n) every gap of the pool's template falls with n, so each
+    # sup pair reads a short range from the first column on
+    op = POOL_TEMPLATE.build(SymbolSpec.geometric(0.5))
+    seen = []
+    original = operators.column_norm_profile
+
+    def wrapper(*args):
+        seen.append(args[4:])
+        return original(*args)
+
+    with mock.patch.object(operators, "column_norm_profile", wrapper):
+        _sample_tameness(op, SMap.identity(), Window(), NormKind.SUM, 12, 4096)
+    assert len(seen) == 12
+    assert all(len(cols) == 1 and cols[0][0] == 0 and cols[0][1] <= 8 for cols in seen)
+
+
+if __name__ == "__main__":
+    mismatched = pool_mismatches(Window())
+    print(f"pool families whose pruned tameness report differs: {mismatched}")
+    sys.exit(1 if mismatched else 0)
