@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
+import re
 import sys
 import traceback
 from collections.abc import Mapping, Sequence
@@ -60,49 +60,32 @@ EXIT_INCONCLUSIVE = 2
 EXIT_CONFLICT = 3
 EXIT_USAGE = 4
 
-_STATUS_OK = "ok"
-_STATUS_FAILS = "fails"
-_STATUS_INCONCLUSIVE = "inconclusive"
-_STATUS_CONFLICT = "conflict"
-
-_OUTCOME_STATUS = {
-    Outcome.HOLDS: _STATUS_OK,
-    Outcome.FAILS_ON_WINDOW: _STATUS_FAILS,
-    Outcome.INCONCLUSIVE: _STATUS_INCONCLUSIVE,
-}
+#: the exit code of each task status; a run exits with the largest of its
+#: tasks', so conflicts dominate, then inconclusive evidence, then failures
+_EXIT_CODES = {"ok": EXIT_OK, "fails": EXIT_FAILS,
+               "inconclusive": EXIT_INCONCLUSIVE, "conflict": EXIT_CONFLICT}
+#: a task's status, by its verdict's outcome or by its cross-check's agreement
+_OUTCOME_STATUS = {Outcome.HOLDS: "ok", Outcome.FAILS_ON_WINDOW: "fails",
+                   Outcome.INCONCLUSIVE: "inconclusive"}
+_AGREEMENT_STATUS = {Agreement.AGREE: "ok", Agreement.CONFLICT: "conflict",
+                     Agreement.ORACLE_INCONCLUSIVE: "inconclusive",
+                     Agreement.THEOREM_INCONCLUSIVE: "inconclusive"}
 
 
 def exit_code_for(statuses: Sequence[str]) -> int:
-    """Aggregate per-task statuses into the process exit code.
-
-    Conflicts dominate, then inconclusive evidence, then definite window
-    failures; only an all-clear run exits 0.
-    """
-    if _STATUS_CONFLICT in statuses:
-        return EXIT_CONFLICT
-    if _STATUS_INCONCLUSIVE in statuses:
-        return EXIT_INCONCLUSIVE
-    if _STATUS_FAILS in statuses:
-        return EXIT_FAILS
-    return EXIT_OK
+    """The process exit code of per-task statuses; 0 for an all-clear run."""
+    return max((_EXIT_CODES[status] for status in statuses), default=EXIT_OK)
 
 
-def _jsonify(obj: Any) -> Any:
-    """Plain JSON values, with non-finite floats spelled as fixed strings."""
-    if isinstance(obj, Mapping):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
-    return obj
+#: a string literal, copied whole, or a bare non-finite token outside strings
+_NON_FINITE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|(-?Infinity|NaN)')
 
 
 def _dumps(payload: Any) -> str:
-    return json.dumps(_jsonify(payload), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    if "NaN" in text or "Infinity" in text:  # spell the bare tokens as strings
+        text = _NON_FINITE.sub(lambda m: f'"{m[1]}"' if m[1] else m[0], text)
+    return text + "\n"
 
 
 def _load_json_arg(value: str) -> Any:
@@ -377,7 +360,7 @@ def _run_probe(cfg: ExperimentConfig, task, path) -> tuple[str, dict, list[str]]
     rows = [CSV_HEADER]
     for curve in curves:
         rows.extend(curve.to_csv_rows())
-    return _STATUS_OK, {"curves": [c.to_json() for c in curves]}, rows
+    return "ok", {"curves": [c.to_json() for c in curves]}, rows
 
 
 def _run_apply(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
@@ -403,7 +386,7 @@ def _run_apply(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     out_file = task.get("output")
     if out_file:
         write_vector(json_field(task, "output", "string", f"{path}.output"), y)
-    return _STATUS_OK, {
+    return "ok", {
         "method": method, "n": int(n), "overflow": overflow,
         "output": out_file, "values": None if out_file else [float(v) for v in y],
     }
@@ -438,13 +421,7 @@ def _run_cross_validate(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     op = _operator(cfg, task, path)
     prop = _field(task, "property", _PROPERTIES, path, COMPACTNESS)
     report = cross_validate(op, cfg.window, prop)
-    if report.agreement is Agreement.AGREE:
-        status = _STATUS_OK
-    elif report.agreement is Agreement.CONFLICT:
-        status = _STATUS_CONFLICT
-    else:
-        status = _STATUS_INCONCLUSIVE
-    return status, report.to_json()
+    return _AGREEMENT_STATUS[report.agreement], report.to_json()
 
 
 def _run_task(cfg: ExperimentConfig, task: Mapping[str, Any], path: str

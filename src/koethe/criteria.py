@@ -278,8 +278,6 @@ def certify(cond: QuantifierCondition, window: Window | None = None) -> Verdict:
         return decide(cond.shape, win, _gap_pairs(cond, n_max), k_max, m_max,
                       (n_max // 2, n_max), ("finite-window",) if clipped else (),
                       _REASONS, k_limit=cond.lhs.k_limit, s_map=cond.s_map)
-    if cond.lhs.alpha is None:
-        return search()
     return _memo(cond.lhs.alpha, n_max, ("certify", cond, win), search)
 
 

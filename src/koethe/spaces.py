@@ -39,6 +39,7 @@ from .verdicts import (
     FailureWitness,
     Verdict,
     Window,
+    _halvings,
     fails,
     holds,
     inconclusive,
@@ -177,13 +178,16 @@ def _exponent_values(seq: ExponentSequence, n_max: int) -> _Exponents:
     return _Exponents(vals)
 
 
-def _memo(seq: ExponentSequence, n_max: int, key: tuple, compute: Callable[[], Any]
-          ) -> Any:
-    """``compute()``, kept among the facts of ``seq`` truncated at ``n_max``.
+def _memo(seq: ExponentSequence | None, n_max: int, key: tuple,
+          compute: Callable[[], Any]) -> Any:
+    """``compute()``, kept among the facts of ``seq`` truncated at ``n_max``;
+    without a sequence (a tabulated space) it is computed on every call.
 
     A report is a pure function of its key, which may name inputs besides
     the sequence (a condition's spaces): concurrent first calls may both
     compute it, and every caller gets the one stored first."""
+    if seq is None:
+        return compute()
     facts = _exponent_values(seq, n_max).facts
     if key not in facts:
         facts.setdefault(key, compute())
@@ -423,13 +427,6 @@ def _prefix_lse(terms: np.ndarray, bounds: Sequence[int]) -> list[LogValue]:
     return out
 
 
-def _series_checkpoints(n_max: int) -> list[int]:
-    pts = [n_max]
-    while pts[-1] // 2 >= max(1, n_max // 16):
-        pts.append(pts[-1] // 2)
-    return sorted(set(pts))
-
-
 def classify_series(terms: np.ndarray, window: Window | None = None) -> SeriesVerdict:
     """Classify a nonnegative series from its log-domain terms.
 
@@ -442,7 +439,7 @@ def classify_series(terms: np.ndarray, window: Window | None = None) -> SeriesVe
     n_max = len(terms)
     if n_max < 2:
         raise ConfigurationError("series classification needs at least 2 terms")
-    bounds = _series_checkpoints(n_max)
+    bounds = _halvings(n_max, 1)
     sums = _prefix_lse(np.asarray(terms, dtype=np.float64), bounds)
     checkpoints = tuple(zip(bounds, sums))
     s_half, s_full = sums[-2], sums[-1]
@@ -502,8 +499,6 @@ def nuclearity_verdict(space: SpaceDescriptor, window: Window | None = None) -> 
     sequence and window; tabulated spaces are evaluated on every call."""
     win = window or Window()
     _, _, n_max, _ = win.clip(space)
-    if space.alpha is None:
-        return _nuclearity_scan(space, win, n_max)
     return _memo(space.alpha, n_max, ("nuclearity", space.kind, win),
                  lambda: _nuclearity_scan(space, win, n_max))
 

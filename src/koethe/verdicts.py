@@ -47,9 +47,12 @@ class PlateauStatus(str, enum.Enum):
     DRIFT = "drift"
 
 
-def _default_checkpoints(n_max: int) -> tuple[int, ...]:
+def _halvings(n_max: int, floor: int) -> tuple[int, ...]:
+    """``n_max`` and its halvings down to ``max(floor, n_max // 16)``,
+    ascending: a window's default checkpoints (floor 2) and a series'
+    partial-sum bounds (floor 1)."""
     pts = [n_max]
-    while pts[-1] // 2 >= max(2, n_max // 16):
+    while pts[-1] // 2 >= max(floor, n_max // 16):
         pts.append(pts[-1] // 2)
     return tuple(reversed(pts))
 
@@ -80,7 +83,7 @@ class Window:
 
     def __post_init__(self):
         if self.checkpoints == ():
-            object.__setattr__(self, "checkpoints", _default_checkpoints(self.n_max))
+            object.__setattr__(self, "checkpoints", _halvings(self.n_max, 2))
         if self.k_max < 1 or self.m_max < 1:
             raise ConfigurationError("k_max and m_max must be >= 1")
         if self.n_max < 4:
@@ -94,7 +97,7 @@ class Window:
             raise ConfigurationError("need 0 < plateau_tol < growth_tol")
 
     def with_n_max(self, n_max: int) -> "Window":
-        return replace(self, n_max=n_max, checkpoints=_default_checkpoints(n_max))
+        return replace(self, n_max=n_max, checkpoints=_halvings(n_max, 2))
 
     def clip(self, k_space: Any, m_space: Any = None) -> tuple[int, int, int, bool]:
         """(k_max, m_max, n_max) cut to the tabulated weights of the space
@@ -378,10 +381,6 @@ class Verdict:
     reason: str | None = None
     window: Window | None = None
     tags: tuple[str, ...] = field(default=())
-
-    @property
-    def holds(self) -> bool:
-        return self.outcome is Outcome.HOLDS
 
     to_json = json_report
 

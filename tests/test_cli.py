@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -902,3 +903,43 @@ def test_non_finite_floats_have_one_spelling():
                "finite": 0.5}
     assert json.loads(_dumps(payload), parse_constant=_reject_constant) == {
         "nan": "NaN", "inf": "Infinity", "ninf": ["-Infinity"], "finite": 0.5}
+
+
+def _jsonify(obj):
+    """The reference walk that reports were once encoded through: plain JSON
+    values, with non-finite floats spelled as fixed strings."""
+    if isinstance(obj, Mapping):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    return obj
+
+
+def _walked_dumps(payload):
+    return json.dumps(_jsonify(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+#: strings that look like the non-finite tokens, or hold quotes and escapes
+_tricky_text = st.lists(st.sampled_from(
+    ["NaN", "Infinity", "-Infinity", '"', "\\", '\\"', "a", " ", ":", ",", "\n",
+     "\u00e9"]), max_size=6).map("".join)
+_leaves = (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+           | st.integers() | st.booleans() | st.none() | _tricky_text)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_tricky_text, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_dumps_matches_the_reference_walk(payload):
+    text = _dumps(payload)
+    assert text == _walked_dumps(payload)
+    json.loads(text, parse_constant=_reject_constant)  # strict JSON
