@@ -41,7 +41,8 @@ from .operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
-    column_norm_bounds,
+    _setup,
+    _symbol_side,
     column_norm_profiles,
     lower_part,
     membership_in_dual,
@@ -686,6 +687,13 @@ def _sup_columns(lower: np.ndarray, upper: np.ndarray, weights: np.ndarray
     return None if c1 - c0 == n_max else (c0, c1)
 
 
+def _domain_row(space: SpaceDescriptor, m: int, n_max: int) -> tuple[np.ndarray, bool]:
+    """The domain weight row of witness m (:func:`_row`), kept among the
+    facts of the domain's sequence at n_max, so a family reads it once."""
+    return _memo(space.alpha, n_max, ("row", space.kind, m),
+                 lambda: _row(weight_array(space, m, n_max)))
+
+
 def _sample_tameness(
     op: ToeplitzOperator, s_map: SMap, win: Window, norm_kind: NormKind,
     k_max: int, n_max: int,
@@ -693,18 +701,27 @@ def _sample_tameness(
     """Smallest k0 <= k_max with a stabilized uniform constant for all
     k >= k0, on the clipped truncation n_max.
 
-    Each sup pair runs the kernel only on the columns that can attain it
-    (:func:`_sup_columns`), where the bounds of :func:`column_norm_bounds`
-    exist and no domain weight is wild (:func:`_row`); elsewhere it reads
-    the full profile.  Either way the pair has the full profile's bits."""
+    The member's side of the kernel set-up is built once, before the scan,
+    and each grading's side is shared by the family (:func:`operators._setup`).
+    Each sup pair bounds every column from that set-up and walks it only on
+    the columns that can attain the pair (:func:`_sup_columns`).  Where a
+    symbol log or codomain weight is unbounded, or a domain weight is wild
+    (:func:`_row`), the pair reads the full profile through
+    :func:`column_norm_profiles` instead.  Either way the pair has the full
+    profile's bits."""
     if n_max < 2:
         return Outcome.INCONCLUSIVE, None, None
+    runs = _symbol_side(op, n_max)
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
-        weights, wild = _row(weight_array(op.domain, m, n_max))
-        bounds = None if wild else column_norm_bounds(op, k, n_max, norm_kind)
-        cols = None if bounds is None else _sup_columns(*bounds, weights)
-        [profile] = column_norm_profiles(op, k, (n_max,), norm_kind, cols)
+        weights, wild = _domain_row(op.domain, m, n_max)
+        setup = None if wild else _setup(runs, op.codomain, k, n_max)
+        if setup is None:
+            cols = None
+            [profile] = column_norm_profiles(op, k, (n_max,), norm_kind)
+        else:
+            cols = _sup_columns(*setup.bounds(norm_kind), weights)
+            profile = setup.profile(norm_kind, cols)
         c0, c1 = cols or (0, n_max)
         gap = np.full(n_max, -np.inf)
         with np.errstate(invalid="ignore", over="ignore"):

@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .spaces import (
     ExponentSequence,
     SeriesClass,
     SpaceDescriptor,
+    _memo,
     classify_series,
     weight_array,
 )
@@ -434,6 +435,50 @@ def _merge_scaled(m1, s1, m2, s2):
     return m, out
 
 
+class _SymbolRun(NamedTuple):
+    """The symbol side of a run's kernel set-up (see :func:`_symbol_run`)."""
+
+    u: np.ndarray
+    direction: int
+    u_sufmax: np.ndarray
+    i_top: int
+
+
+class _WeightRun(NamedTuple):
+    """The weight side of a run's kernel set-up (see :func:`_weight_run`)."""
+
+    v: np.ndarray
+    pad: np.ndarray
+    v_reach: np.ndarray
+
+
+def _symbol_run(u: np.ndarray, direction: int, n_trunc: int) -> _SymbolRun:
+    """A run's log entries u with their suffix max and their support i_top,
+    the offsets that can contribute to a column up to n_trunc."""
+    u_sufmax = _suffix_max(u)
+    # offsets past the symbol's support contribute nothing; the log-zero
+    # entries of the suffix maxima are exactly the support's tail
+    i_top = min(len(u) - int(np.count_nonzero(np.isneginf(u_sufmax))), n_trunc)
+    return _SymbolRun(u, direction, u_sufmax, i_top)
+
+
+def _weight_run(v: np.ndarray, direction: int, n_trunc: int, reach: int
+                ) -> _WeightRun:
+    """The codomain weights v as a run in ``direction`` walks them, for
+    symbols whose support reaches at most ``reach`` offsets.
+
+    The walk goes down only (see :func:`_walk`), so an upward run reads the
+    weights reversed.  Row r of the walk sits at pad[r - 1], padded with
+    log-zero for the ``reach`` rows past n_trunc that offsets can reach;
+    v_reach is the suffix max of those n_trunc weights, followed by
+    log-zero likewise."""
+    pad = np.full(n_trunc + reach, -np.inf)
+    pad[:n_trunc] = v[:n_trunc][::direction]
+    v_reach = np.full(n_trunc + reach, -np.inf)
+    v_reach[:n_trunc] = _suffix_max(pad[:n_trunc])
+    return _WeightRun(v, pad, v_reach)
+
+
 def _run_profile(
     u: np.ndarray,
     v: np.ndarray,
@@ -447,18 +492,35 @@ def _run_profile(
     range ``cols`` = [c0, c1), by default all of [0, n_trunc); for the sup
     kind the scale is the norm and the sum stays zero.
 
+    This is the run's set-up (:func:`_symbol_run`, :func:`_weight_run`)
+    followed by its block walk (:func:`_walk`).
+    """
+    run = _symbol_run(u, direction, n_trunc)
+    weights = _weight_run(v, direction, n_trunc, run.i_top)
+    return _walk(run, weights, n_trunc, norm_kind, cols)
+
+
+def _walk(
+    run: _SymbolRun,
+    weights: _WeightRun,
+    n_trunc: int,
+    norm_kind: NormKind,
+    cols: tuple[int, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The block walk of :func:`_run_profile` over a run's set-up.
+
     The walk goes down only, to rows n + i.  An upward run (direction -1,
     rows n - i) is the downward run over the weights reversed: its column
     n_trunc + 1 - n reads the terms of column n in the same offset order,
     so reversing the result back gives every column bit for bit.  Its range
     [c0, c1) becomes [n_trunc - c1, n_trunc - c0) before the walk.
 
-    The weights sit in a copy padded with log-zero past row n_trunc, as far
-    as the symbol's support reaches.  A block reads them through one strided
-    (offset, column) view straight over that copy, rows[i, c] = pad[start +
-    i + c], so no index array and no window of the whole copy is built.  Its
-    terms are laid out (offset, column) in one contiguous buffer, so the max
-    and sum over offsets keep a fixed reduction order.
+    A block reads the padded weights through one strided (offset, column)
+    view, rows[i, c] = pad[start + i + c], so no index array and no window
+    of the whole pad is built.  Its terms are laid out (offset, column) in
+    one contiguous buffer, so the max and sum over offsets keep a fixed
+    reduction order.  The pad is read as far as the symbol's support
+    reaches, n_trunc + i_top, however far it was built.
 
     Every remaining term of a column is bounded by u_sufmax + v_reach, the
     running maxima of the symbol from the block's first offset on and of the
@@ -503,24 +565,19 @@ def _run_profile(
     spans but that are not active change nothing.  The one exception is a
     block of a sum that narrows to one active column inside a proper range:
     numpy sums it pairwise, where the full range may have summed that
-    column in a wider block row by row.  The run then starts over on the
-    full range and returns its slice.
+    column in a wider block row by row.  The walk then starts over on the
+    full range, on the same set-up, and returns its slice.
     """
     c0, c1 = cols or (0, n_trunc)
-    if direction < 0:
-        m, s = _run_profile(u, v[:n_trunc][::-1], +1, n_trunc, norm_kind,
-                            (n_trunc - c1, n_trunc - c0))
+    if run.direction < 0:
+        # reversed once the walk has freed its block buffer, so the kept
+        # profile does not pin the heap above it
+        m, s = _walk(_SymbolRun(run.u, 1, run.u_sufmax, run.i_top), weights,
+                     n_trunc, norm_kind, (n_trunc - c1, n_trunc - c0))
         return np.ascontiguousarray(m[::-1]), np.ascontiguousarray(s[::-1])
-    u_sufmax = _suffix_max(u)
-    # offsets past the symbol's support contribute nothing; the log-zero
-    # entries of the suffix maxima are exactly the support's tail
-    i_top = min(len(u) - int(np.count_nonzero(np.isneginf(u_sufmax))), n_trunc)
-    # row r of the codomain sits at pad[r - 1]; rows past n_trunc that
-    # offsets below i_top reach read log-zero, in v_reach too
-    pad = np.full(n_trunc + i_top, -np.inf)
-    pad[:n_trunc] = v[:n_trunc]
-    v_reach = np.full(n_trunc + i_top, -np.inf)
-    v_reach[:n_trunc] = _suffix_max(pad[:n_trunc])
+    u, u_sufmax, i_top = run.u, run.u_sufmax, run.i_top
+    pad = weights.pad[: n_trunc + i_top]
+    v_reach = weights.v_reach[: n_trunc + i_top]
     if norm_kind is NormKind.SUM:
         allowance, skip, cut = math.log(n_trunc), NEGLIGIBLE_LOG, _ROUNDING_LOG
     else:
@@ -530,7 +587,7 @@ def _run_profile(
     small = _SEARCH_TERMS if finite else 0
 
     span = c1 - c0
-    # a one-column block of a sum inside a proper range sends the run to
+    # a one-column block of a sum inside a proper range sends the walk to
     # the full range
     lone = span < n_trunc and norm_kind is NormKind.SUM
     m_run = np.full(span, -np.inf)
@@ -548,7 +605,7 @@ def _run_profile(
             hi = span - 1 - int(active[::-1].argmax())
             width = hi - lo + 1
             if width == 1 and lone:
-                m_run, s_run = _run_profile(u, v, direction, n_trunc, norm_kind)
+                m_run, s_run = _walk(run, weights, n_trunc, norm_kind)
                 return m_run[c0:c1], s_run[c0:c1]
             band = slice(lo, hi + 1)
             nb = min(_BLOCK, i_top - i0)
@@ -594,6 +651,24 @@ def _run_profile(
     return m_run, s_run
 
 
+def _norms(runs: list[tuple[np.ndarray, np.ndarray]], norm_kind: NormKind
+           ) -> np.ndarray:
+    """The read-only log column norms of the runs' (scale, scaled sum)."""
+    if norm_kind is NormKind.SUP:
+        out = runs[0][0]
+        for m, _ in runs[1:]:
+            out = np.maximum(out, m)
+        out.flags.writeable = False
+        return out
+    m, s = runs[0]
+    for m2, s2 in runs[1:]:
+        m, s = _merge_scaled(m, s, m2, s2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(s > 0.0, m + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
+    out.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=1024)
 def column_norm_profile(
     op: ToeplitzOperator,
@@ -615,26 +690,14 @@ def column_norm_profile(
     that differs only in its domain.  Library callers go through
     :func:`column_norm_profiles`, which looks every operator up with its
     domain replaced by its codomain, and serves an upper operator's sup
-    profiles from one call at the largest truncation.
+    profiles from one call at the largest truncation.  The oracle, the
+    ratio curves and the tameness sup pairs that cannot be bounded read it
+    there; a bounded tameness sup pair walks its own set-up
+    (:class:`_Setup`) and never reaches the memo.
     """
     v = weight_array(op.codomain, k, n_trunc)
-    runs = [
-        _run_profile(u, v, direction, n_trunc, norm_kind, cols)
-        for u, direction in _runs(op, n_trunc, log=True)
-    ]
-    if norm_kind is NormKind.SUP:
-        out = runs[0][0]
-        for m, _ in runs[1:]:
-            out = np.maximum(out, m)
-        out.flags.writeable = False
-        return out
-    m, s = runs[0]
-    for m2, s2 in runs[1:]:
-        m, s = _merge_scaled(m, s, m2, s2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s > 0.0, m + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
-    out.flags.writeable = False
-    return out
+    return _norms([_run_profile(u, v, direction, n_trunc, norm_kind, cols)
+                   for u, direction in _runs(op, n_trunc, log=True)], norm_kind)
 
 
 def column_norm_profiles(
@@ -674,6 +737,87 @@ def _bounded(arr: np.ndarray) -> bool:
     return bool((np.isneginf(arr) | (np.abs(arr) < 2.0 ** 1022)).all())
 
 
+def _symbol_side(op: ToeplitzOperator, n_trunc: int) -> list[_SymbolRun] | None:
+    """The symbol side of ``op``'s kernel set-up at n_trunc, one run per
+    triangular part (:func:`_runs`, :func:`_symbol_run`), or None where a
+    symbol log is +inf, NaN, or 2^1022 or more in magnitude."""
+    parts = _runs(op, n_trunc, log=True)
+    if not all(_bounded(u) for u, _ in parts):
+        return None
+    return [_symbol_run(u, direction, n_trunc) for u, direction in parts]
+
+
+def _weight_side(codomain: SpaceDescriptor, k: int, n_trunc: int, direction: int
+                 ) -> _WeightRun | None:
+    """The weight side of a kernel set-up: grading k of ``codomain`` as a
+    run in ``direction`` walks it, padded for any support
+    (:func:`_weight_run`), or None where a weight is +inf, NaN, or 2^1022 or
+    more in magnitude.  Kept among the facts of the codomain's sequence
+    (:func:`spaces._memo`), so every operator into the codomain shares it;
+    an upward one is built only when an upper part asks for it."""
+    def build() -> _WeightRun | None:
+        v = weight_array(codomain, k, n_trunc)
+        if not _bounded(v):
+            return None
+        weights = _weight_run(v, direction, n_trunc, n_trunc)
+        # shared by every member of a family
+        weights.pad.flags.writeable = weights.v_reach.flags.writeable = False
+        return weights
+    return _memo(codomain.alpha, n_trunc,
+                 ("kernel weights", codomain.kind, k, direction), build)
+
+
+class _Setup(NamedTuple):
+    """The kernel set-up of an operator at grading k, run by run, where its
+    symbol logs and codomain weights are bounded (:func:`_setup`).  The
+    bounds and the walk both read it."""
+
+    runs: list[_SymbolRun]
+    weights: list[_WeightRun]
+    n_trunc: int
+
+    def bounds(self, norm_kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
+        """See :func:`column_norm_bounds`."""
+        n_trunc = self.n_trunc
+        lower = np.full(n_trunc, -np.inf)
+        upper = np.full(n_trunc, -np.inf)
+        terms = 0
+        for run, weights in zip(self.runs, self.weights):
+            u, v = run.u, weights.v
+            np.maximum(lower, u[0] + v, out=lower)
+            # the second row: n + 1 of column n below the diagonal, n - 1 above
+            nxt, own = (slice(1, None), slice(None, -1))[::run.direction]
+            np.maximum(lower[own], u[1:2] + v[nxt], out=lower[own])
+            # the largest weight from each column's first row on, in the
+            # run's direction: v_reach is in walk order
+            reach = weights.v_reach[:n_trunc][::run.direction]
+            np.maximum(upper, run.u_sufmax[0] + reach, out=upper)
+            terms += run.i_top
+        if norm_kind is NormKind.SUM:
+            upper += math.log(max(terms, 1))
+        upper += 1.0
+        return lower, upper
+
+    def profile(self, norm_kind: NormKind, cols: tuple[int, int] | None
+                ) -> np.ndarray:
+        """The profile of :func:`column_norm_profile` (of ``cols`` when
+        given), walked on this set-up."""
+        return _norms([_walk(run, weights, self.n_trunc, norm_kind, cols)
+                       for run, weights in zip(self.runs, self.weights)], norm_kind)
+
+
+def _setup(runs: list[_SymbolRun] | None, codomain: SpaceDescriptor, k: int,
+           n_trunc: int) -> _Setup | None:
+    """The kernel set-up of the symbol runs ``runs`` (:func:`_symbol_side`)
+    into grading k of ``codomain``; None where either side is unbounded."""
+    if runs is None:
+        return None
+    weights = [_weight_side(codomain, k, n_trunc, run.direction) for run in runs]
+    if any(w is None for w in weights):
+        return None
+    return _Setup(runs, weights, n_trunc)
+
+
 def column_norm_bounds(
     op: ToeplitzOperator,
     k: int,
@@ -692,27 +836,13 @@ def column_norm_bounds(
     to at most 1), plus a margin of 1.
     Both bounds add the kernel's own operands, and rounding is monotone, so
     they bound the profile's floats and not only the reals behind them.
+
+    The bounds read the walk's set-up (:class:`_Setup`): the symbol's
+    suffix max and support, and the weights' suffix max, so the tameness
+    check computes them once per member and once per grading for both.
     """
-    v = weight_array(op.codomain, k, n_trunc)
-    parts = _runs(op, n_trunc, log=True)
-    if not all(_bounded(arr) for arr in [v] + [u for u, _ in parts]):
-        return None
-    lower = np.full(n_trunc, -np.inf)
-    upper = np.full(n_trunc, -np.inf)
-    terms = 0
-    for u, direction in parts:
-        np.maximum(lower, u[0] + v, out=lower)
-        # the second row: n + 1 of column n below the diagonal, n - 1 above
-        nxt, own = (slice(1, None), slice(None, -1))[::direction]
-        np.maximum(lower[own], u[1:2] + v[nxt], out=lower[own])
-        reach = _suffix_max(v) if direction > 0 else np.maximum.accumulate(v)
-        np.maximum(upper, u.max() + reach, out=upper)
-        nonzero = np.flatnonzero(u > -np.inf)
-        terms += nonzero[-1] + 1 if len(nonzero) else 0
-    if norm_kind is NormKind.SUM:
-        upper += math.log(max(terms, 1))
-    upper += 1.0
-    return lower, upper
+    setup = _setup(_symbol_side(op, n_trunc), op.codomain, k, n_trunc)
+    return None if setup is None else setup.bounds(norm_kind)
 
 
 # ---------------------------------------------------------------------------

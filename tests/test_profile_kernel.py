@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koethe import operators
+from koethe import operators, spaces
 from koethe.criteria import SMap, _sample_tameness
 from koethe.operators import (
     _BLOCK,
@@ -28,6 +28,11 @@ from koethe.operators import (
     Variant,
     _run_profile,
     _runs,
+    _setup,
+    _symbol_run,
+    _symbol_side,
+    _walk,
+    _weight_run,
     column_norm_bounds,
     column_norm_profiles,
 )
@@ -398,27 +403,150 @@ def test_a_column_range_has_the_full_profiles_bits(variant, lower, upper, big,
         assert (lower_bound <= full).all() and (full <= upper_bound).all()
 
 
+def assert_shared_walks_match(specs, v, n, norm, cols):
+    """The walk of every part in ``specs``, each way, on one weight set-up
+    per direction built for any support (as the tameness check keeps it,
+    and read by each member as far as its own support reaches) has the bits
+    of :func:`_run_profile`, which builds its set-up for that member alone;
+    no walk writes to the shared set-up."""
+    shared = {direction: _weight_run(v, direction, n, n) for direction in (1, -1)}
+
+    def state():
+        return {d: (w.pad.tobytes(), w.v_reach.tobytes()) for d, w in shared.items()}
+
+    before = state()
+    for spec in specs:
+        u = spec.log_abs_array(n)
+        for direction, weights in shared.items():
+            m, s = _walk(_symbol_run(u, direction, n), weights, n, norm, cols)
+            m_ref, s_ref = _run_profile(u, v, direction, n, norm, cols)
+            assert m.tobytes() == m_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+    assert state() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(list(Variant)), lower=every_form, upper=every_form,
+       others=st.lists(every_form, max_size=3), big=st.integers(2, 1100),
+       norm=st.sampled_from(list(NormKind)), data=st.data())
+def test_walks_on_a_shared_set_up_have_the_kernels_bits(variant, lower, upper, others,
+                                                         big, norm, data):
+    # the tameness check builds each grading's weight side once for every
+    # member and direction, and each member's symbol side once for every
+    # grading; the bounds and the ranged profile both read that set-up
+    if variant is Variant.FULL:
+        lower = lower if lower.values_array(1)[0] != 0.0 else lower.with_head(1.0)
+        upper = upper if upper.values_array(1)[0] != 0.0 else upper.with_head(1.0)
+    codomain = data.draw(st.sampled_from(SPACES) | general_codomains(big),
+                         label="codomain")
+    k = data.draw(st.integers(1, codomain.k_limit or 12), label="k")
+    c0 = data.draw(st.integers(0, big - 1), label="c0")
+    cols = data.draw(st.none() | st.tuples(st.just(c0), st.integers(c0 + 1, big)),
+                     label="cols")
+    v = weight_array(codomain, k, big)
+    assert_shared_walks_match([lower, upper, *others], v, big, norm, cols)
+    op = make_op(variant, lower, upper, SPACES[0], codomain)
+    setup = _setup(_symbol_side(op, big), codomain, k, big)
+    if setup is None:
+        assert column_norm_bounds(op, k, big, norm) is None
+        return
+    profile = operators.column_norm_profile.__wrapped__(op, k, big, norm, cols)
+    assert setup.profile(norm, cols).tobytes() == profile.tobytes()
+    lower_bound, upper_bound = setup.bounds(norm)
+    expected = column_norm_bounds(op, k, big, norm)
+    assert lower_bound.tobytes() == expected[0].tobytes()
+    assert upper_bound.tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_shared_walks_of_a_finite_support(norm):
+    # an explicit symbol stops at offset 3 of 300, so a member reads the
+    # pad built for any support only up to row n + 3
+    n = 300
+    spec = SymbolSpec.explicit([1.0, -0.5, 0.25])
+    assert _symbol_run(spec.log_abs_array(n), 1, n).i_top == 3
+    v = weight_array(SPACES[1], 4, n)
+    for cols in (None, (0, 5), (290, 300), (100, 101)):
+        assert_shared_walks_match([spec, SymbolSpec.geometric(0.5)], v, n, norm, cols)
+
+
+def test_shared_walks_restart_a_one_column_block():
+    # the one-column block of test_a_one_column_block_of_a_range_falls_back_
+    # to_the_full_profile, walked on a shared set-up
+    n = _BLOCK + 44
+    tail = np.exp(-67.0 + np.array([-0.5, -0.5, -0.25, -0.5, -0.5]))
+    spec = SymbolSpec.explicit([1.0] * _BLOCK + tail.tolist())
+    codomain = SpaceDescriptor.general([[math.exp(-100.0)]] * _BLOCK + [[1.0]] * 44)
+    original = operators._walk
+    seen = []
+
+    def spy(*args):
+        seen.append(args[4] if len(args) > 4 else None)
+        return original(*args)
+
+    with mock.patch.object(operators, "_walk", spy):
+        assert_shared_walks_match([spec], weight_array(codomain, 1, n), n,
+                                  NormKind.SUM, (0, 2))
+    assert None in seen
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_shared_walks_with_an_infinite_part(norm):
+    # +inf weights (log weights past float range from row 3 on at k = 2)
+    # and +inf symbol logs make NaN terms possible, so every block of the
+    # walk is searched
+    n = 32
+    table = ExponentSequence.table([1.0, 2.0] + [1e308] * 30)
+    v = weight_array(SpaceDescriptor.power_series_infinite(table), 2, n)
+    assert _weight_run(v, 1, n, n).v_reach[0] == np.inf
+    specs = [SymbolSpec.explicit([1.0, 0.0, 1.0]), SymbolSpec.geometric(0.5),
+             SymbolSpec.exp_of_exponent(2.0, table)]
+    for cols in (None, (0, 2), (3, 20)):
+        assert_shared_walks_match(specs, v, n, norm, cols)
+        assert_shared_walks_match(specs, weight_array(SPACES[1], 2, n), n, norm, cols)
+
+
+def test_weight_sides_are_kept_per_space_kind_and_direction():
+    # Λ₀(n^0.5) and Λ∞(n^0.5) keep their weight sides among the facts of one
+    # sequence, as do a grading's downward and upward sides: each must get
+    # its own, whichever was built first
+    n = 300
+    op = make_op(Variant.FULL, SymbolSpec.geometric(0.5), SymbolSpec.geometric(-0.5),
+                 SPACES[0], SPACES[0])
+    for codomains in [(SPACES[0], SPACES[4]), (SPACES[4], SPACES[0])]:
+        spaces._exponent_values.cache_clear()
+        for codomain in codomains:
+            for norm in NormKind:
+                setup = _setup(_symbol_side(op, n), codomain, 2, n)
+                profile = uncached_profile(
+                    ToeplitzOperator(op.symbol, op.variant, codomain, codomain),
+                    2, n, norm)
+                assert setup.profile(norm, None).tobytes() == profile.tobytes()
+
+
 def test_a_one_column_block_of_a_range_falls_back_to_the_full_profile():
     # in the second offset block only column 1 is active (see
     # test_one_column_block_keeps_its_rows): inside the range [0, 2) of a
-    # sum that block is one column wide, so the run starts over on the full
-    # range and returns its slice.  A sup keeps the range
+    # sum that block is one column wide, so the walk starts over on the full
+    # range, on the set-up it was given, and returns its slice.  A sup keeps
+    # the range
     n = _BLOCK + 44
     tail = np.exp(-67.0 + np.array([-0.5, -0.5, -0.25, -0.5, -0.5]))
     op = make_op(Variant.LOWER, SymbolSpec.explicit([1.0] * _BLOCK + tail.tolist()),
                  None, SPACES[0],
                  SpaceDescriptor.general([[math.exp(-100.0)]] * _BLOCK + [[1.0]] * 44))
-    original = operators._run_profile
+    original = operators._walk
     for norm, ranges in [(NormKind.SUM, [(0, 2), None]), (NormKind.SUP, [(0, 2)])]:
         seen = []
 
         def spy(*args):
-            seen.append(args[5] if len(args) > 5 else None)
+            seen.append((args[4] if len(args) > 4 else None, args[:2]))
             return original(*args)
 
-        with mock.patch.object(operators, "_run_profile", spy):
+        with mock.patch.object(operators, "_walk", spy):
             ranged = operators.column_norm_profile.__wrapped__(op, 1, n, norm, (0, 2))
-        assert seen == ranges
+        assert [cols for cols, _ in seen] == ranges
+        assert all(setup[0] is seen[0][1][0] and setup[1] is seen[0][1][1]
+                   for _, setup in seen)
         assert ranged.tobytes() == uncached_profile(op, 1, n, norm)[:2].tobytes()
 
 

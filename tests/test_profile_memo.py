@@ -4,7 +4,9 @@ The kernel reads an operator's symbol, variant and codomain, never its
 domain, so ``column_norm_profiles`` looks every operator up with its domain
 replaced by its codomain: operators that differ only in their domain share
 one memo entry.  These tests hold that sharing to one miss, to the bits of
-an uncached reference run, and to byte-identical reports.
+an uncached reference run, and to byte-identical reports.  Bounded
+tameness sup pairs walk the kernel on a set-up of their own and leave the
+memo alone; the others read it like the oracle.
 """
 
 from unittest import mock
@@ -15,7 +17,14 @@ import reference_kernels as ref
 from koethe import spaces
 from koethe import operators as operators_module
 from koethe.cli import _dumps
-from koethe.criteria import COMPACTNESS, CONTINUITY, SMap, _sample_tameness
+from koethe.criteria import (
+    COMPACTNESS,
+    CONTINUITY,
+    FamilySpec,
+    OperatorTemplate,
+    SMap,
+    tameness_check,
+)
 from koethe.operators import (
     NormKind,
     Symbol,
@@ -68,35 +77,56 @@ def test_operators_differing_only_in_domain_share_one_profile(variant, kind):
     assert first.tobytes() == second.tobytes() == reference.tobytes()
 
 
-def test_tameness_samples_read_the_shared_profiles():
-    # _sample_tameness looks its profiles up through column_norm_profiles,
-    # on the codomain twin, so a domain twin of an operator the oracle
-    # already read shares its key.  A sup pair may read a column range of
-    # the profile instead (into Λ₀(n) it does), a key of its own, so the
-    # memo is held to a repeat sample of the same member
-    spec = SymbolSpec.geometric(0.1875)
+def _family_report(template, window):
+    family = FamilySpec(count=3, seed=5, r_min=0.05, r_max=0.9)
+    return _dumps(tameness_check(family, SMap.identity(), template, window).to_json())
+
+
+def test_a_bounded_family_leaves_the_profile_memo_alone():
+    # bounded sup pairs walk the kernel on their own set-up, on a column
+    # range (Λ∞(n) into Λ₀(n)) or on all columns (Λ∞(n^0.5) into itself),
+    # so the profile memo is neither read nor filled
+    window = Window(k_max=4).with_n_max(128)
+    original = operators_module._walk
+    for domain, codomain, ranged in [(SPACES[1], SPACES[0], True),
+                                     (SPACES[5], SPACES[5], False)]:
+        template = OperatorTemplate(Variant.LOWER, domain, codomain)
+        walked = []
+
+        def spy(*args):
+            walked.append(args[4] is not None)
+            return original(*args)
+
+        before = operators_module.column_norm_profile.cache_info()
+        with mock.patch.object(operators_module, "_walk", spy):
+            _family_report(template, window)
+        assert operators_module.column_norm_profile.cache_info() == before
+        assert len(walked) == 3 * 4 and set(walked) == {ranged}
+
+
+def test_a_wild_domain_family_reads_the_shared_profiles():
+    # a domain weight of 2^1022 or more is wild at every witness, so every
+    # sup pair reads the full profile through column_norm_profiles, on the
+    # codomain twin; a repeat family makes no miss
+    wild = SpaceDescriptor.power_series_infinite(
+        ExponentSequence.table([1.0, 2.0] + [1e308] * 126))
+    template = OperatorTemplate(Variant.LOWER, wild, SPACES[0])
+    window = Window(k_max=4).with_n_max(128)
     original = operators_module.column_norm_profile
-    for codomain, ranged in [(SPACES[1], False), (SPACES[0], True)]:
-        ops = [ToeplitzOperator(Symbol(lower=spec), Variant.LOWER, domain, codomain)
-               for domain in (SPACES[2], SPACES[4])]
-        for k in range(1, 5):
-            column_norm_profiles(ops[0], k, (128,), NormKind.SUM)
-        seen = []
+    seen = []
 
-        def wrapper(op, k, n_trunc, norm_kind, *cols):
-            seen.append((op.domain, cols))
-            return original(op, k, n_trunc, norm_kind, *cols)
+    def wrapper(op, k, n_trunc, norm_kind, *cols):
+        seen.append((op.domain, cols))
+        return original(op, k, n_trunc, norm_kind, *cols)
 
-        with mock.patch.object(operators_module, "column_norm_profile", wrapper):
-            sample = _sample_tameness(ops[1], SMap.identity(), Window(k_max=4),
-                                      NormKind.SUM, 4, 128)
-            before = original.cache_info().misses
-            again = _sample_tameness(ops[1], SMap.identity(), Window(k_max=4),
-                                     NormKind.SUM, 4, 128)
-            assert seen and original.cache_info().misses == before
-        assert again == sample
-        assert {domain for domain, _ in seen} == {codomain}
-        assert any(cols for _, cols in seen) == ranged
+    with mock.patch.object(operators_module, "column_norm_profile", wrapper):
+        first = _family_report(template, window)
+        assert len(seen) == 3 * 4
+        before = original.cache_info().misses
+        again = _family_report(template, window)
+        assert original.cache_info().misses == before
+    assert again == first
+    assert set(seen) == {(SPACES[0], ())}
 
 
 def _grid_reports(cold: bool) -> list[bytes]:

@@ -1,13 +1,13 @@
 """Tameness sup pairs run the kernel only on the columns that can attain them.
 
 ``criteria._sample_tameness`` bounds every column's gap from below and above
-and reads the profile of the column range whose gaps can reach the sup
+and walks the kernel on the column range whose gaps can reach the sup
 pair.  These tests hold the pairs bit for bit, and the reports byte for
 byte, against ``reference_kernels._sample_tameness``, which reads the full
 profile for every pair.
 
-Run as a script, the pool check runs at the default window (n_max=4096)
-and exits 1 on a report that differs:
+Run as a script, the report check of every family in ``POOLS`` runs at
+the default window (n_max=4096) and exits 1 on a report that differs:
 
     python tests/test_tameness_window.py
 """
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from koethe import criteria, operators
+from koethe import criteria, operators, spaces
 from koethe.cli import _dumps
 from koethe.criteria import FamilySpec, OperatorTemplate, SMap, _sample_tameness
 from koethe.operators import NormKind, Symbol, SymbolSpec, ToeplitzOperator, Variant
@@ -33,23 +33,37 @@ POOL_TEMPLATE = OperatorTemplate(Variant.LOWER,
                                  SpaceDescriptor.power_series_infinite(ALPHA),
                                  SpaceDescriptor.power_series_finite(ALPHA))
 POOL_SEEDS = range(16)
+#: template -> seeds of the checked families: the pool's (sum norm, one
+#: downward run), an upper one (sup norm, one upward run on the reversed
+#: weights) and a full one (sum norm, two runs merged); every sup pair of
+#: the three walks a proper column range
+POOLS = {
+    "lower": (POOL_TEMPLATE, POOL_SEEDS),
+    "upper": (OperatorTemplate(Variant.UPPER, POOL_TEMPLATE.domain,
+                               POOL_TEMPLATE.codomain), range(2)),
+    "full": (OperatorTemplate(Variant.FULL, POOL_TEMPLATE.domain,
+                              POOL_TEMPLATE.codomain), range(2)),
+}
 
 
-def pool_mismatches(window: Window) -> list[int]:
-    """Seeds of the pool families whose tameness report differs from the
-    full-profile reference's."""
+def pool_family(seed: int, count: int = 50) -> FamilySpec:
+    return FamilySpec(count=count, seed=seed, r_min=0.05, r_max=0.9)
+
+
+def pool_mismatches(window: Window) -> list[tuple[str, int]]:
+    """(template, seed) of the checked families whose tameness report
+    differs from the full-profile reference's."""
     out = []
-    for seed in POOL_SEEDS:
-        family = FamilySpec(count=50, seed=seed, r_min=0.05, r_max=0.9)
-
-        def report():
-            return _dumps(criteria.tameness_check(family, SMap.identity(),
-                                                  POOL_TEMPLATE, window).to_json())
-        pruned = report()
-        with ref.full_profile_tameness():
-            full = report()
-        if pruned != full:
-            out.append(seed)
+    for name, (template, seeds) in POOLS.items():
+        for seed in seeds:
+            def report():
+                return _dumps(criteria.tameness_check(
+                    pool_family(seed), SMap.identity(), template, window).to_json())
+            pruned = report()
+            with ref.full_profile_tameness():
+                full = report()
+            if pruned != full:
+                out.append((name, seed))
     return out
 
 
@@ -127,24 +141,57 @@ def test_pruned_sup_pairs_match_the_full_profiles(variant, lower, upper, kind, n
             assert hexed(new(k, m)) == hexed(old(k, m)), (k, m)
 
 
-def test_a_pool_member_reads_a_few_columns():
-    # into Λ₀(n) every gap of the pool's template falls with n, so each
-    # sup pair reads a short range from the first column on
-    op = POOL_TEMPLATE.build(SymbolSpec.geometric(0.5))
+def walked_ranges(run):
+    """The column ranges that ``run()`` walks the kernel on, in order."""
     seen = []
-    original = operators.column_norm_profile
+    original = operators._walk
 
-    def wrapper(*args):
-        seen.append(args[4:])
+    def spy(*args):
+        seen.append(args[4] if len(args) > 4 else None)
         return original(*args)
 
-    with mock.patch.object(operators, "column_norm_profile", wrapper):
-        _sample_tameness(op, SMap.identity(), Window(), NormKind.SUM, 12, 4096)
+    with mock.patch.object(operators, "_walk", spy):
+        run()
+    return seen
+
+
+def test_a_pool_member_walks_a_few_columns():
+    # into Λ₀(n) every gap of the pool's template falls with n, so each
+    # sup pair walks a short range from the first column on
+    op = POOL_TEMPLATE.build(SymbolSpec.geometric(0.5))
+    seen = walked_ranges(lambda: _sample_tameness(op, SMap.identity(), Window(),
+                                                  NormKind.SUM, 12, 4096))
     assert len(seen) == 12
-    assert all(len(cols) == 1 and cols[0][0] == 0 and cols[0][1] <= 8 for cols in seen)
+    assert all(cols is not None and cols[0] == 0 and cols[1] <= 8 for cols in seen)
+
+
+def test_set_up_is_built_once_per_member_and_per_grading():
+    # the symbol side once per member; the weight side once per grading
+    # and direction of the family, the upward one only for an upper part
+    window = Window().with_n_max(512)
+    for name, directions in [("lower", [1]), ("upper", [-1]), ("full", [1, -1])]:
+        template = POOLS[name][0]
+        spaces._exponent_values.cache_clear()
+        members, weights = [], []
+        symbol_side, weight_run = criteria._symbol_side, operators._weight_run
+
+        def count_members(op, n_trunc):
+            members.append(op)
+            return symbol_side(op, n_trunc)
+
+        def count_weights(v, direction, n_trunc, reach):
+            weights.append(direction)
+            return weight_run(v, direction, n_trunc, reach)
+
+        with mock.patch.object(criteria, "_symbol_side", count_members), \
+                mock.patch.object(operators, "_weight_run", count_weights):
+            report = criteria.tameness_check(pool_family(0, 5), SMap.identity(),
+                                             template, window)
+        assert len(members) == len(report.samples) == 5
+        assert sorted(weights) == sorted(directions * window.k_max)
 
 
 if __name__ == "__main__":
     mismatched = pool_mismatches(Window())
-    print(f"pool families whose pruned tameness report differs: {mismatched}")
+    print(f"families whose pruned tameness report differs: {mismatched}")
     sys.exit(1 if mismatched else 0)
