@@ -41,9 +41,9 @@ from .operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
+    _bounded,
     _setup,
     _symbol_side,
-    column_norm_profiles,
     lower_part,
     membership_in_dual,
     membership_in_space,
@@ -703,25 +703,22 @@ def _sample_tameness(
 
     The member's side of the kernel set-up is built once, before the scan,
     and each grading's side is shared by the family (:func:`operators._setup`).
-    Each sup pair bounds every column from that set-up and walks it only on
-    the columns that can attain the pair (:func:`_sup_columns`).  Where a
-    symbol log or codomain weight is unbounded, or a domain weight is wild
-    (:func:`_row`), the pair reads the full profile through
-    :func:`column_norm_profiles` instead.  Either way the pair has the full
-    profile's bits."""
+    Each sup pair walks that set-up: where its symbol logs and codomain
+    weights are bounded and the domain row is tame (:func:`_row`), only on
+    the columns that can attain the pair, from bounds read off the same
+    set-up (:func:`_sup_columns`), and on all columns otherwise.  Either way
+    the pair has the full profile's bits."""
     if n_max < 2:
         return Outcome.INCONCLUSIVE, None, None
     runs = _symbol_side(op, n_max)
+    bounded = all(_bounded(run.u) for run in runs)
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
         weights, wild = _domain_row(op.domain, m, n_max)
-        setup = None if wild else _setup(runs, op.codomain, k, n_max)
-        if setup is None:
-            cols = None
-            [profile] = column_norm_profiles(op, k, (n_max,), norm_kind)
-        else:
-            cols = _sup_columns(*setup.bounds(norm_kind), weights)
-            profile = setup.profile(norm_kind, cols)
+        setup = _setup(runs, bounded, op.codomain, k, n_max)
+        bounds = None if wild else setup.bounds(norm_kind)
+        cols = None if bounds is None else _sup_columns(*bounds, weights)
+        profile = setup.profile(norm_kind, cols)
         c0, c1 = cols or (0, n_max)
         gap = np.full(n_max, -np.inf)
         with np.errstate(invalid="ignore", over="ignore"):

@@ -74,7 +74,7 @@ _ROUNDING_LOG = 40.0
 _BLOCK = 256
 
 #: a block of at most this many terms is evaluated whole: the binary search
-#: for its cut costs more than the rows it would save (see `_run_profile`)
+#: for its cut costs more than the rows it would save (see `_walk`)
 _SEARCH_TERMS = 4096
 
 
@@ -479,27 +479,6 @@ def _weight_run(v: np.ndarray, direction: int, n_trunc: int, reach: int
     return _WeightRun(v, pad, v_reach)
 
 
-def _run_profile(
-    u: np.ndarray,
-    v: np.ndarray,
-    direction: int,
-    n_trunc: int,
-    norm_kind: NormKind,
-    cols: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stream one triangular part's terms u_i + v_{n +/- i} over offset
-    blocks, returning per-column (scale, scaled sum) of the 0-based column
-    range ``cols`` = [c0, c1), by default all of [0, n_trunc); for the sup
-    kind the scale is the norm and the sum stays zero.
-
-    This is the run's set-up (:func:`_symbol_run`, :func:`_weight_run`)
-    followed by its block walk (:func:`_walk`).
-    """
-    run = _symbol_run(u, direction, n_trunc)
-    weights = _weight_run(v, direction, n_trunc, run.i_top)
-    return _walk(run, weights, n_trunc, norm_kind, cols)
-
-
 def _walk(
     run: _SymbolRun,
     weights: _WeightRun,
@@ -507,7 +486,11 @@ def _walk(
     norm_kind: NormKind,
     cols: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The block walk of :func:`_run_profile` over a run's set-up.
+    """Stream one triangular part's terms u_i + v_{n +/- i} over offset
+    blocks on its set-up (:func:`_symbol_run`, :func:`_weight_run`),
+    returning per-column (scale, scaled sum) of the 0-based column range
+    ``cols`` = [c0, c1), by default all of [0, n_trunc); for the sup kind
+    the scale is the norm and the sum stays zero.
 
     The walk goes down only, to rows n + i.  An upward run (direction -1,
     rows n - i) is the downward run over the weights reversed: its column
@@ -669,6 +652,103 @@ def _norms(runs: list[tuple[np.ndarray, np.ndarray]], norm_kind: NormKind
     return out
 
 
+def _bounded(arr: np.ndarray) -> bool:
+    """No entry is +inf, NaN or 2^1022 or more in magnitude; log-zero is."""
+    return bool((np.isneginf(arr) | (np.abs(arr) < 2.0 ** 1022)).all())
+
+
+class _Setup(NamedTuple):
+    """The kernel set-up of an operator at grading k, run by run: the symbol
+    side (:func:`_symbol_side`) and a weight side per run.  Every walk of
+    the kernel reads one.  ``bounded`` holds where every symbol log and
+    codomain weight is known to be bounded (:func:`_bounded`); only the
+    tameness check, which reads the bounds, finds that out (:func:`_setup`).
+    """
+
+    runs: list[_SymbolRun]
+    weights: list[_WeightRun]
+    n_trunc: int
+    bounded: bool
+
+    def bounds(self, norm_kind: NormKind) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per-column (lower, upper) bounds on the profile in O(n_trunc), or
+        None where the set-up is not ``bounded``.
+
+        The lower bound is the kernel's head, the larger of each run's first
+        two row terms: the kernel computes both for every column, and a norm
+        is at least each term it computed.  The upper bound is each run's
+        largest symbol log plus the largest weight its columns reach, plus in
+        a sum the log of the runs' supports (a column has no more terms, and
+        each scales to at most 1), plus a margin of 1.  Both bounds add the
+        kernel's own operands, and rounding is monotone, so they bound the
+        profile's floats and not only the reals behind them.
+        """
+        if not self.bounded:
+            return None
+        n_trunc = self.n_trunc
+        lower = np.full(n_trunc, -np.inf)
+        upper = np.full(n_trunc, -np.inf)
+        terms = 0
+        for run, weights in zip(self.runs, self.weights):
+            u, v = run.u, weights.v
+            np.maximum(lower, u[0] + v, out=lower)
+            # the second row: n + 1 of column n below the diagonal, n - 1 above
+            nxt, own = (slice(1, None), slice(None, -1))[::run.direction]
+            np.maximum(lower[own], u[1:2] + v[nxt], out=lower[own])
+            # the largest weight from each column's first row on, in the
+            # run's direction: v_reach is in walk order
+            reach = weights.v_reach[:n_trunc][::run.direction]
+            np.maximum(upper, run.u_sufmax[0] + reach, out=upper)
+            terms += run.i_top
+        if norm_kind is NormKind.SUM:
+            upper += math.log(max(terms, 1))
+        upper += 1.0
+        return lower, upper
+
+    def profile(self, norm_kind: NormKind, cols: tuple[int, int] | None
+                ) -> np.ndarray:
+        """The profile of :func:`column_norm_profile` (of ``cols`` when
+        given), walked on this set-up."""
+        return _norms([_walk(run, weights, self.n_trunc, norm_kind, cols)
+                       for run, weights in zip(self.runs, self.weights)], norm_kind)
+
+
+def _symbol_side(op: ToeplitzOperator, n_trunc: int) -> list[_SymbolRun]:
+    """The symbol side of ``op``'s kernel set-up at n_trunc, one run per
+    triangular part (:func:`_runs`, :func:`_symbol_run`)."""
+    return [_symbol_run(u, direction, n_trunc)
+            for u, direction in _runs(op, n_trunc, log=True)]
+
+
+def _weight_side(codomain: SpaceDescriptor, k: int, n_trunc: int, direction: int
+                 ) -> tuple[_WeightRun, bool]:
+    """The weight side of a kernel set-up shared by a family: grading k of
+    ``codomain`` as a run in ``direction`` walks it, padded for any support
+    (:func:`_weight_run`), and whether its weights are :func:`_bounded`.
+    Kept among the facts of the codomain's sequence (:func:`spaces._memo`),
+    so every operator into the codomain shares it; an upward one is built
+    only when an upper part asks for it."""
+    def build() -> tuple[_WeightRun, bool]:
+        v = weight_array(codomain, k, n_trunc)
+        weights = _weight_run(v, direction, n_trunc, n_trunc)
+        # shared by every member of a family
+        weights.pad.flags.writeable = weights.v_reach.flags.writeable = False
+        return weights, _bounded(v)
+    return _memo(codomain.alpha, n_trunc,
+                 ("kernel weights", codomain.kind, k, direction), build)
+
+
+def _setup(runs: list[_SymbolRun], bounded: bool, codomain: SpaceDescriptor,
+           k: int, n_trunc: int) -> _Setup:
+    """The kernel set-up of the symbol runs ``runs`` (:func:`_symbol_side`)
+    into grading k of ``codomain`` on the family's weight sides
+    (:func:`_weight_side`); bounded where the runs are (``bounded``) and
+    every weight side is."""
+    sides = [_weight_side(codomain, k, n_trunc, run.direction) for run in runs]
+    return _Setup(runs, [weights for weights, _ in sides], n_trunc,
+                  bounded and all(ok for _, ok in sides))
+
+
 @lru_cache(maxsize=1024)
 def column_norm_profile(
     op: ToeplitzOperator,
@@ -684,20 +764,22 @@ def column_norm_profile(
     Agrees with :func:`column_norm` up to reduction-order rounding; reports
     that need bit-stable numbers use a fixed block schedule, which this is.
     The kernel reads the symbol, the variant and the codomain, never the
-    domain.  Results are memoized: an oracle scan holds the profiles it
-    fetched itself, and the memo serves repeat scans (the other property of
-    a cross-validation, another window's checkpoints) and every operator
-    that differs only in its domain.  Library callers go through
-    :func:`column_norm_profiles`, which looks every operator up with its
-    domain replaced by its codomain, and serves an upper operator's sup
-    profiles from one call at the largest truncation.  The oracle, the
-    ratio curves and the tameness sup pairs that cannot be bounded read it
-    there; a bounded tameness sup pair walks its own set-up
-    (:class:`_Setup`) and never reaches the memo.
+    domain.  Each call walks a set-up of its own (:class:`_Setup`), its
+    weights padded to each run's support, and keeps none of it.  Results
+    are memoized: an oracle scan holds the profiles it fetched itself, and
+    the memo serves repeat scans (the other property of a cross-validation,
+    another window's checkpoints) and every operator that differs only in
+    its domain.  Library callers go through :func:`column_norm_profiles`,
+    which looks every operator up with its domain replaced by its codomain,
+    and serves an upper operator's sup profiles from one call at the
+    largest truncation.  The oracle and the ratio curves read it there;
+    the tameness sup pairs walk the set-up of their member (:func:`_setup`)
+    and never reach the memo.
     """
+    runs = _symbol_side(op, n_trunc)
     v = weight_array(op.codomain, k, n_trunc)
-    return _norms([_run_profile(u, v, direction, n_trunc, norm_kind, cols)
-                   for u, direction in _runs(op, n_trunc, log=True)], norm_kind)
+    weights = [_weight_run(v, run.direction, n_trunc, run.i_top) for run in runs]
+    return _Setup(runs, weights, n_trunc, bounded=False).profile(norm_kind, cols)
 
 
 def column_norm_profiles(
@@ -730,119 +812,6 @@ def column_norm_profiles(
         top = column_norm_profile(op, k, truncations[-1], norm_kind)
         return [top[:n] for n in truncations]
     return [column_norm_profile(op, k, n, norm_kind) for n in truncations]
-
-
-def _bounded(arr: np.ndarray) -> bool:
-    """No entry is +inf, NaN or 2^1022 or more in magnitude; log-zero is."""
-    return bool((np.isneginf(arr) | (np.abs(arr) < 2.0 ** 1022)).all())
-
-
-def _symbol_side(op: ToeplitzOperator, n_trunc: int) -> list[_SymbolRun] | None:
-    """The symbol side of ``op``'s kernel set-up at n_trunc, one run per
-    triangular part (:func:`_runs`, :func:`_symbol_run`), or None where a
-    symbol log is +inf, NaN, or 2^1022 or more in magnitude."""
-    parts = _runs(op, n_trunc, log=True)
-    if not all(_bounded(u) for u, _ in parts):
-        return None
-    return [_symbol_run(u, direction, n_trunc) for u, direction in parts]
-
-
-def _weight_side(codomain: SpaceDescriptor, k: int, n_trunc: int, direction: int
-                 ) -> _WeightRun | None:
-    """The weight side of a kernel set-up: grading k of ``codomain`` as a
-    run in ``direction`` walks it, padded for any support
-    (:func:`_weight_run`), or None where a weight is +inf, NaN, or 2^1022 or
-    more in magnitude.  Kept among the facts of the codomain's sequence
-    (:func:`spaces._memo`), so every operator into the codomain shares it;
-    an upward one is built only when an upper part asks for it."""
-    def build() -> _WeightRun | None:
-        v = weight_array(codomain, k, n_trunc)
-        if not _bounded(v):
-            return None
-        weights = _weight_run(v, direction, n_trunc, n_trunc)
-        # shared by every member of a family
-        weights.pad.flags.writeable = weights.v_reach.flags.writeable = False
-        return weights
-    return _memo(codomain.alpha, n_trunc,
-                 ("kernel weights", codomain.kind, k, direction), build)
-
-
-class _Setup(NamedTuple):
-    """The kernel set-up of an operator at grading k, run by run, where its
-    symbol logs and codomain weights are bounded (:func:`_setup`).  The
-    bounds and the walk both read it."""
-
-    runs: list[_SymbolRun]
-    weights: list[_WeightRun]
-    n_trunc: int
-
-    def bounds(self, norm_kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
-        """See :func:`column_norm_bounds`."""
-        n_trunc = self.n_trunc
-        lower = np.full(n_trunc, -np.inf)
-        upper = np.full(n_trunc, -np.inf)
-        terms = 0
-        for run, weights in zip(self.runs, self.weights):
-            u, v = run.u, weights.v
-            np.maximum(lower, u[0] + v, out=lower)
-            # the second row: n + 1 of column n below the diagonal, n - 1 above
-            nxt, own = (slice(1, None), slice(None, -1))[::run.direction]
-            np.maximum(lower[own], u[1:2] + v[nxt], out=lower[own])
-            # the largest weight from each column's first row on, in the
-            # run's direction: v_reach is in walk order
-            reach = weights.v_reach[:n_trunc][::run.direction]
-            np.maximum(upper, run.u_sufmax[0] + reach, out=upper)
-            terms += run.i_top
-        if norm_kind is NormKind.SUM:
-            upper += math.log(max(terms, 1))
-        upper += 1.0
-        return lower, upper
-
-    def profile(self, norm_kind: NormKind, cols: tuple[int, int] | None
-                ) -> np.ndarray:
-        """The profile of :func:`column_norm_profile` (of ``cols`` when
-        given), walked on this set-up."""
-        return _norms([_walk(run, weights, self.n_trunc, norm_kind, cols)
-                       for run, weights in zip(self.runs, self.weights)], norm_kind)
-
-
-def _setup(runs: list[_SymbolRun] | None, codomain: SpaceDescriptor, k: int,
-           n_trunc: int) -> _Setup | None:
-    """The kernel set-up of the symbol runs ``runs`` (:func:`_symbol_side`)
-    into grading k of ``codomain``; None where either side is unbounded."""
-    if runs is None:
-        return None
-    weights = [_weight_side(codomain, k, n_trunc, run.direction) for run in runs]
-    if any(w is None for w in weights):
-        return None
-    return _Setup(runs, weights, n_trunc)
-
-
-def column_norm_bounds(
-    op: ToeplitzOperator,
-    k: int,
-    n_trunc: int,
-    norm_kind: NormKind = NormKind.SUM,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-column (lower, upper) bounds on :func:`column_norm_profile` in
-    O(n_trunc), or None where a symbol log or a codomain weight is +inf,
-    NaN, or 2^1022 or more in magnitude.
-
-    The lower bound is the kernel's head, the larger of each run's first two
-    row terms: the kernel computes both for every column, and a norm is at
-    least each term it computed.  The upper bound is each run's largest
-    symbol log plus the largest weight its columns reach, plus in a sum the
-    log of the runs' supports (a column has no more terms, and each scales
-    to at most 1), plus a margin of 1.
-    Both bounds add the kernel's own operands, and rounding is monotone, so
-    they bound the profile's floats and not only the reals behind them.
-
-    The bounds read the walk's set-up (:class:`_Setup`): the symbol's
-    suffix max and support, and the weights' suffix max, so the tameness
-    check computes them once per member and once per grading for both.
-    """
-    setup = _setup(_symbol_side(op, n_trunc), op.codomain, k, n_trunc)
-    return None if setup is None else setup.bounds(norm_kind)
 
 
 # ---------------------------------------------------------------------------

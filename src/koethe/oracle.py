@@ -132,8 +132,8 @@ def ratio_curve(
 ) -> RatioCurve:
     """Running sup of the column-norm ratio along the checkpoint schedule.
 
-    Checkpoints must ascend; the curve is nondecreasing because both the
-    sup range and the column truncation grow with the checkpoint.
+    Checkpoints must be >= 1 and ascend; the curve is nondecreasing because
+    both the sup range and the column truncation grow with the checkpoint.
     """
     win = window or Window()
     kind = norm_kind or default_norm_kind(op)
@@ -141,8 +141,8 @@ def ratio_curve(
            _effective_checkpoints(win, win.clip(op.codomain, op.domain)[2]))
     if pts is None:
         raise ConfigurationError("window too short for a ratio curve")
-    if list(pts) != sorted(set(pts)):
-        raise ConfigurationError("checkpoints must be strictly ascending")
+    if list(pts) != sorted(set(pts)) or pts[0] < 1:
+        raise ConfigurationError("checkpoints must be >= 1 and strictly ascending")
     return RatioCurve(k=k, m=m, norm_kind=kind,
                       points=tuple(_curve_points(op, kind, k, m, pts)))
 

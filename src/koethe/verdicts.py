@@ -89,12 +89,16 @@ class Window:
         if self.n_max < 4:
             raise ConfigurationError("n_max must be >= 4")
         cps = self.checkpoints
-        if len(cps) < 2 or list(cps) != sorted(set(cps)) or cps[-1] != self.n_max:
+        if (len(cps) < 2 or list(cps) != sorted(set(cps)) or cps[0] < 1
+                or cps[-1] != self.n_max):
             raise ConfigurationError(
-                "checkpoints must be strictly ascending and end at n_max"
+                "checkpoints must be >= 1, strictly ascending and end at n_max"
             )
         if self.plateau_tol <= 0 or self.growth_tol <= self.plateau_tol:
             raise ConfigurationError("need 0 < plateau_tol < growth_tol")
+        # a fraction of a series' total
+        if not 0 < self.series_tail_rel < 1:
+            raise ConfigurationError("need 0 < series_tail_rel < 1")
 
     def with_n_max(self, n_max: int) -> "Window":
         return replace(self, n_max=n_max, checkpoints=_halvings(n_max, 2))

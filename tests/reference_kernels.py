@@ -1,10 +1,11 @@
 """Reference implementations that the tests hold fast paths against.
 
 ``gather_run_profile`` is the column-norm kernel as it was before the
-window-view rewrite of :func:`koethe.operators._run_profile`: per offset
-block it builds a clipped index array into the padded codomain weights and
-gathers through it.  It computes the same terms in the same (offset, column)
-layout, so the two kernels must agree bit for bit.
+window-view rewrite of the block walk :func:`koethe.operators._walk`: per
+offset block it builds a clipped index array into the padded codomain
+weights and gathers through it.  It computes the same terms in the same
+(offset, column) layout, so the two kernels must agree bit for bit.
+``gather_kernel`` puts it in the walk's place.
 
 ``same_exp_log_build`` tells whether numpy rounds exp and log as on the
 build that recorded the tests' byte digests.
@@ -80,8 +81,9 @@ def gather_run_profile(
     norm_kind: NormKind,
     cols: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clip-and-gather form of ``operators._run_profile``; a column range
-    is the full range's slice."""
+    """Clip-and-gather form of one run's walk (``operators._walk``) on the
+    log entries u and codomain weights v; a column range is the full
+    range's slice."""
     if cols is not None:
         m_run, s_run = gather_run_profile(u, v, direction, n_trunc, norm_kind)
         return m_run[cols[0] : cols[1]], s_run[cols[0] : cols[1]]
@@ -122,10 +124,16 @@ def gather_run_profile(
     return m_run, s_run
 
 
+def _gather_walk(run, weights, n_trunc: int, norm_kind: NormKind,
+                 cols: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``operators._walk``'s signature over :func:`gather_run_profile`."""
+    return gather_run_profile(run.u, weights.v, run.direction, n_trunc, norm_kind, cols)
+
+
 @contextlib.contextmanager
 def gather_kernel():
-    """Run ``column_norm_profile`` on the reference kernel inside the block."""
-    with mock.patch.object(operators, "_run_profile", gather_run_profile):
+    """Walk every kernel set-up on the reference kernel inside the block."""
+    with mock.patch.object(operators, "_walk", _gather_walk):
         yield
 
 

@@ -598,6 +598,16 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
      "tasks[0].s-map: unknown field of a 'tame-condition' task"),
     (base_config(tasks=[{"command": "probe", "operator": "T", "out": "c.csv"}]),
      "tasks[0].out: unknown field of a 'probe' task"),
+    (base_config(window={"n_max": 64, "checkpoints": [0, 64]},
+                 tasks=[{"command": "cross-validate", "operator": "T"}]),
+     "window: checkpoints must be >= 1"),
+    (base_config(window={"n_max": 64, "checkpoints": [-8, 64]},
+                 tasks=[{"command": "cross-validate", "operator": "T"}]),
+     "window: checkpoints must be >= 1"),
+    (base_config(window={"series_tail_rel": 0},
+                 tasks=[{"command": "space-check", "space": "A",
+                         "checks": ["nuclearity"]}]),
+     "window: need 0 < series_tail_rel < 1"),
 ], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
         "window-not-an-object", "probe-k-not-integers", "probe-m-not-integers",
         "apply-n-not-an-integer", "apply-input-not-a-path", "checks-not-an-array",
@@ -610,7 +620,8 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
         "unknown-operator-variant", "operator-without-variant", "unknown-membership-part",
         "membership-target-not-a-string", "tame-variant-not-a-string",
         "unknown-tame-condition-direction", "certify-property-field",
-        "tame-condition-misspelled-field", "probe-out-field"])
+        "tame-condition-misspelled-field", "probe-out-field", "window-checkpoint-zero",
+        "window-checkpoint-negative", "window-series-tail-rel-zero"])
 def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
     code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
     assert code == EXIT_USAGE

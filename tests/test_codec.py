@@ -97,7 +97,9 @@ def windows(draw):
     win = Window(k_max=draw(st.integers(1, 100)), m_max=draw(st.integers(1, 100)),
                  n_max=n_max, l_slack=draw(st.integers()),
                  subadd_m_max=draw(st.integers()), plateau_tol=plateau,
-                 growth_tol=growth, series_tail_rel=draw(finite),
+                 growth_tol=growth,
+                 series_tail_rel=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                exclude_max=True)),
                  series_growth_tol=draw(finite), dense_cap=draw(st.integers()))
     if checkpoints is not None:
         win = dataclasses.replace(win, checkpoints=(*sorted(checkpoints), n_max))

@@ -78,6 +78,12 @@ def test_curve_checkpoints_must_ascend():
         ratio_curve(IDENTITY, 1, 1, checkpoints=(512, 256), window=WIN)
 
 
+@pytest.mark.parametrize("checkpoints", [(0, 4), (-8, 4)])
+def test_curve_checkpoints_below_one_are_rejected(checkpoints):
+    with pytest.raises(ConfigurationError, match="checkpoints must be >= 1"):
+        ratio_curve(IDENTITY, 1, 1, checkpoints=checkpoints)
+
+
 def test_curve_csv_rows():
     curve = ratio_curve(IDENTITY, 1, 1, checkpoints=(256, 512), window=WIN)
     assert CSV_HEADER == "N,k,m,log_ratio"

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koethe import operators, spaces
-from koethe.criteria import SMap, _sample_tameness
 from koethe.operators import (
     _BLOCK,
     _ROUNDING_LOG,
@@ -26,18 +25,17 @@ from koethe.operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
-    _run_profile,
+    _bounded,
     _runs,
     _setup,
     _symbol_run,
     _symbol_side,
     _walk,
     _weight_run,
-    column_norm_bounds,
     column_norm_profiles,
 )
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
-from koethe.verdicts import Window
+import reference_kernels
 from reference_kernels import (
     gather_kernel,
     gather_run_profile,
@@ -61,9 +59,22 @@ def make_op(variant, lower, upper, domain, codomain):
     return ToeplitzOperator(sym, variant, domain, codomain)
 
 
+def run_profile(u, v, direction, n_trunc, norm, cols=None):
+    """One run's walk on a set-up built for that run alone, its weights
+    padded to its own support, as ``column_norm_profile`` builds it."""
+    run = _symbol_run(u, direction, n_trunc)
+    return _walk(run, _weight_run(v, direction, n_trunc, run.i_top), n_trunc, norm, cols)
+
+
+def member_setup(op, k, n_trunc):
+    """``op``'s kernel set-up at grading k as the tameness check builds it."""
+    runs = _symbol_side(op, n_trunc)
+    return _setup(runs, all(_bounded(run.u) for run in runs), op.codomain, k, n_trunc)
+
+
 def assert_raw_kernels_agree(u, v, direction, norm):
     n = len(v)
-    m_new, s_new = _run_profile(u, v, direction, n, norm)
+    m_new, s_new = run_profile(u, v, direction, n, norm)
     m_ref, s_ref = gather_run_profile(u, v, direction, n, norm)
     assert np.array_equal(m_new, m_ref)
     assert np.array_equal(s_new, s_ref)
@@ -77,6 +88,28 @@ def assert_kernels_agree(op, k, n, norm):
     with gather_kernel():
         reference = uncached_profile(op, k, n, norm)
     assert np.array_equal(profile, reference)
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_profiles_under_gather_kernel_come_from_the_reference(norm):
+    # gather_kernel replaces the walk that column_norm_profile drives, so
+    # each run of a profile computed inside it is gather_run_profile's: a
+    # shifted reference shifts the profile
+    op = make_op(Variant.FULL, SymbolSpec.geometric(0.5), SymbolSpec.geometric(-0.25),
+                 SPACES[0], SPACES[1])
+    directions = []
+
+    def shifted(u, v, direction, *args):
+        directions.append(direction)
+        m, s = gather_run_profile(u, v, direction, *args)
+        return m + 1.0, s
+
+    with gather_kernel():
+        reference = uncached_profile(op, 3, 300, norm)
+        with mock.patch.object(reference_kernels, "gather_run_profile", shifted):
+            moved = uncached_profile(op, 3, 300, norm)
+    assert directions == [1, -1]
+    assert np.allclose(moved, reference + 1.0, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [7, _BLOCK, 300, 2 * _BLOCK + 100])
@@ -104,8 +137,8 @@ def test_kernels_agree_on_slow_upper_symbol_past_two_blocks(norm):
         v = weight_array(op.codomain, k, n)
         cut = u.copy()
         cut[3 * _BLOCK:] = -np.inf
-        full_m, _ = _run_profile(u, v, direction, n, norm)
-        cut_m, _ = _run_profile(cut, v, direction, n, norm)
+        full_m, _ = run_profile(u, v, direction, n, norm)
+        cut_m, _ = run_profile(cut, v, direction, n, norm)
         assert not np.array_equal(full_m, cut_m)  # blocks past 3*_BLOCK count
 
 
@@ -140,11 +173,11 @@ class _RowCounter:
 
 
 def evaluated_rows(monkeypatch, u, v, direction, norm):
-    """Offset rows ``_run_profile`` evaluates over all its blocks."""
+    """Offset rows a run's walk evaluates over all its blocks."""
     counter = _RowCounter()
     with monkeypatch.context() as patch:
         patch.setattr(operators, "np", counter)
-        _run_profile(u, v, direction, len(v), norm)
+        run_profile(u, v, direction, len(v), norm)
     return counter.rows
 
 
@@ -168,8 +201,8 @@ def test_sum_cut_at_the_rounding_horizon(monkeypatch, direction, tail):
     # a tail past 2^-53 moves the sum, one at the horizon does not
     without = u.copy()
     without[40] = -500.0
-    _, s = _run_profile(u, v, direction, n, NormKind.SUM)
-    _, s_without = _run_profile(without, v, direction, n, NormKind.SUM)
+    _, s = run_profile(u, v, direction, n, NormKind.SUM)
+    _, s_without = run_profile(without, v, direction, n, NormKind.SUM)
     assert np.array_equal(s, s_without) == (tail < -36.0)
 
 
@@ -274,11 +307,11 @@ def test_kernels_agree_on_random_operators(variant, lower, upper, domain,
 
 
 def searched_and_whole(u, v, direction, norm):
-    """``_run_profile`` as it stands, and with every block searched for its cut."""
+    """A run's walk as it stands, and with every block searched for its cut."""
     n = len(v)
-    whole = _run_profile(u, v, direction, n, norm)
+    whole = run_profile(u, v, direction, n, norm)
     with mock.patch.object(operators, "_SEARCH_TERMS", 0):
-        searched = _run_profile(u, v, direction, n, norm)
+        searched = run_profile(u, v, direction, n, norm)
     return searched, whole
 
 
@@ -390,14 +423,14 @@ def test_a_column_range_has_the_full_profiles_bits(variant, lower, upper, big,
     op = make_op(variant, lower, upper, SPACES[0], codomain)
     v = weight_array(op.codomain, k, big)
     for u, direction in _runs(op, big, log=True):
-        (m_ranged, s_ranged), (m, s) = (_run_profile(u, v, direction, big, norm, cols)
+        (m_ranged, s_ranged), (m, s) = (run_profile(u, v, direction, big, norm, cols)
                                         for cols in ((c0, c1), None))
         assert m_ranged.tobytes() == m[c0:c1].tobytes()
         assert s_ranged.tobytes() == s[c0:c1].tobytes()
     full = uncached_profile(op, k, big, norm)
     ranged = operators.column_norm_profile.__wrapped__(op, k, big, norm, (c0, c1))
     assert ranged.tobytes() == full[c0:c1].tobytes()
-    bounds = column_norm_bounds(op, k, big, norm)
+    bounds = member_setup(op, k, big).bounds(norm)
     if bounds is not None:
         lower_bound, upper_bound = bounds
         assert (lower_bound <= full).all() and (full <= upper_bound).all()
@@ -407,7 +440,7 @@ def assert_shared_walks_match(specs, v, n, norm, cols):
     """The walk of every part in ``specs``, each way, on one weight set-up
     per direction built for any support (as the tameness check keeps it,
     and read by each member as far as its own support reaches) has the bits
-    of :func:`_run_profile`, which builds its set-up for that member alone;
+    of :func:`run_profile`, which builds its set-up for that member alone;
     no walk writes to the shared set-up."""
     shared = {direction: _weight_run(v, direction, n, n) for direction in (1, -1)}
 
@@ -419,7 +452,7 @@ def assert_shared_walks_match(specs, v, n, norm, cols):
         u = spec.log_abs_array(n)
         for direction, weights in shared.items():
             m, s = _walk(_symbol_run(u, direction, n), weights, n, norm, cols)
-            m_ref, s_ref = _run_profile(u, v, direction, n, norm, cols)
+            m_ref, s_ref = run_profile(u, v, direction, n, norm, cols)
             assert m.tobytes() == m_ref.tobytes() and s.tobytes() == s_ref.tobytes()
     assert state() == before
 
@@ -432,7 +465,8 @@ def test_walks_on_a_shared_set_up_have_the_kernels_bits(variant, lower, upper, o
                                                          big, norm, data):
     # the tameness check builds each grading's weight side once for every
     # member and direction, and each member's symbol side once for every
-    # grading; the bounds and the ranged profile both read that set-up
+    # grading; the bounds and the ranged profile both read that set-up, and
+    # the bounds exist where every symbol log and weight is bounded
     if variant is Variant.FULL:
         lower = lower if lower.values_array(1)[0] != 0.0 else lower.with_head(1.0)
         upper = upper if upper.values_array(1)[0] != 0.0 else upper.with_head(1.0)
@@ -445,16 +479,11 @@ def test_walks_on_a_shared_set_up_have_the_kernels_bits(variant, lower, upper, o
     v = weight_array(codomain, k, big)
     assert_shared_walks_match([lower, upper, *others], v, big, norm, cols)
     op = make_op(variant, lower, upper, SPACES[0], codomain)
-    setup = _setup(_symbol_side(op, big), codomain, k, big)
-    if setup is None:
-        assert column_norm_bounds(op, k, big, norm) is None
-        return
+    setup = member_setup(op, k, big)
     profile = operators.column_norm_profile.__wrapped__(op, k, big, norm, cols)
     assert setup.profile(norm, cols).tobytes() == profile.tobytes()
-    lower_bound, upper_bound = setup.bounds(norm)
-    expected = column_norm_bounds(op, k, big, norm)
-    assert lower_bound.tobytes() == expected[0].tobytes()
-    assert upper_bound.tobytes() == expected[1].tobytes()
+    bounded = _bounded(v) and all(_bounded(u) for u, _ in _runs(op, big, log=True))
+    assert (setup.bounds(norm) is not None) == bounded
 
 
 @pytest.mark.parametrize("norm", list(NormKind))
@@ -515,12 +544,11 @@ def test_weight_sides_are_kept_per_space_kind_and_direction():
     for codomains in [(SPACES[0], SPACES[4]), (SPACES[4], SPACES[0])]:
         spaces._exponent_values.cache_clear()
         for codomain in codomains:
+            twin = ToeplitzOperator(op.symbol, op.variant, codomain, codomain)
             for norm in NormKind:
-                setup = _setup(_symbol_side(op, n), codomain, 2, n)
-                profile = uncached_profile(
-                    ToeplitzOperator(op.symbol, op.variant, codomain, codomain),
-                    2, n, norm)
-                assert setup.profile(norm, None).tobytes() == profile.tobytes()
+                profile = uncached_profile(twin, 2, n, norm)
+                assert member_setup(twin, 2, n).profile(norm, None).tobytes() \
+                    == profile.tobytes()
 
 
 def test_a_one_column_block_of_a_range_falls_back_to_the_full_profile():
@@ -548,28 +576,6 @@ def test_a_one_column_block_of_a_range_falls_back_to_the_full_profile():
         assert all(setup[0] is seen[0][1][0] and setup[1] is seen[0][1][1]
                    for _, setup in seen)
         assert ranged.tobytes() == uncached_profile(op, 1, n, norm)[:2].tobytes()
-
-
-def test_an_infinite_weight_takes_the_full_profile():
-    # log weights past float range are +inf from row 3 on for k >= 2, where
-    # the kernel's terms may be NaN: there are no bounds, and a tameness sup
-    # pair reads the full profile
-    codomain = SpaceDescriptor.power_series_infinite(
-        ExponentSequence.table([1.0, 2.0] + [1e308] * 30))
-    op = make_op(Variant.LOWER, SymbolSpec.explicit([1.0, 0.0, 1.0]), None,
-                 SPACES[0], codomain)
-    for norm in NormKind:
-        assert column_norm_bounds(op, 2, 32, norm) is None
-    original = operators.column_norm_profile
-    seen = []
-
-    def wrapper(*args):
-        seen.append(args)
-        return original(*args)
-
-    with mock.patch.object(operators, "column_norm_profile", wrapper):
-        _sample_tameness(op, SMap.identity(), Window(k_max=4), NormKind.SUM, 4, 32)
-    assert seen and all(len(args) == 4 for args in seen)
 
 
 #: sha256 of the profiles below, recorded before the kernel was cut at the

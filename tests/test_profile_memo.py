@@ -4,9 +4,8 @@ The kernel reads an operator's symbol, variant and codomain, never its
 domain, so ``column_norm_profiles`` looks every operator up with its domain
 replaced by its codomain: operators that differ only in their domain share
 one memo entry.  These tests hold that sharing to one miss, to the bits of
-an uncached reference run, and to byte-identical reports.  Bounded
-tameness sup pairs walk the kernel on a set-up of their own and leave the
-memo alone; the others read it like the oracle.
+an uncached reference run, and to byte-identical reports.  Tameness sup
+pairs walk the kernel on their member's set-up and leave the memo alone.
 """
 
 from unittest import mock
@@ -104,29 +103,28 @@ def test_a_bounded_family_leaves_the_profile_memo_alone():
         assert len(walked) == 3 * 4 and set(walked) == {ranged}
 
 
-def test_a_wild_domain_family_reads_the_shared_profiles():
+def test_a_wild_domain_family_walks_all_columns_of_its_set_ups():
     # a domain weight of 2^1022 or more is wild at every witness, so every
-    # sup pair reads the full profile through column_norm_profiles, on the
-    # codomain twin; a repeat family makes no miss
+    # sup pair walks all columns of its member's set-up, leaves the profile
+    # memo alone, and reports what the full profiles give
     wild = SpaceDescriptor.power_series_infinite(
         ExponentSequence.table([1.0, 2.0] + [1e308] * 126))
     template = OperatorTemplate(Variant.LOWER, wild, SPACES[0])
     window = Window(k_max=4).with_n_max(128)
-    original = operators_module.column_norm_profile
-    seen = []
+    original = operators_module._walk
+    walked = []
 
-    def wrapper(op, k, n_trunc, norm_kind, *cols):
-        seen.append((op.domain, cols))
-        return original(op, k, n_trunc, norm_kind, *cols)
+    def spy(*args):
+        walked.append(args[4] if len(args) > 4 else None)
+        return original(*args)
 
-    with mock.patch.object(operators_module, "column_norm_profile", wrapper):
-        first = _family_report(template, window)
-        assert len(seen) == 3 * 4
-        before = original.cache_info().misses
-        again = _family_report(template, window)
-        assert original.cache_info().misses == before
-    assert again == first
-    assert set(seen) == {(SPACES[0], ())}
+    before = operators_module.column_norm_profile.cache_info()
+    with mock.patch.object(operators_module, "_walk", spy):
+        report = _family_report(template, window)
+    assert operators_module.column_norm_profile.cache_info() == before
+    assert walked == [None] * (3 * 4)
+    with ref.full_profile_tameness():
+        assert _family_report(template, window) == report
 
 
 def _grid_reports(cold: bool) -> list[bytes]:
@@ -155,3 +153,27 @@ def test_shared_profiles_leave_every_report_byte_unchanged():
     in_sequence = _grid_reports(cold=False)
     assert len(in_sequence) == 2 * 2 * 6 * 6 * 2
     assert _grid_reports(cold=True) == in_sequence
+
+
+def test_memoised_profiles_keep_no_weight_side():
+    # a memoised profile pads its weights to each run's own support and
+    # keeps none of them; only the tameness check keeps a grading's weight
+    # side among the facts of its codomain's sequence, for its family
+    window = Window().with_n_max(64)
+    codomain = SPACES[1]
+
+    def kept():
+        return [key for n in range(1, 65)
+                for key in spaces._exponent_values(codomain.alpha, n).facts
+                if key[:1] == ("kernel weights",)]
+
+    _cold()
+    for symbol in (Symbol(lower=SymbolSpec.geometric(0.5)),
+                   Symbol(upper=SymbolSpec.geometric(0.5))):
+        variant = Variant.LOWER if symbol.upper is None else Variant.UPPER
+        op = ToeplitzOperator(symbol, variant, SPACES[0], codomain)
+        for prop in (CONTINUITY, COMPACTNESS):
+            cross_validate(op, window, prop)
+    assert _misses() > 0 and kept() == []
+    operators_module._weight_side(codomain, 1, 64, -1)
+    assert kept() == [("kernel weights", codomain.kind, 1, -1)]

@@ -2,9 +2,10 @@
 
 ``criteria._sample_tameness`` bounds every column's gap from below and above
 and walks the kernel on the column range whose gaps can reach the sup
-pair.  These tests hold the pairs bit for bit, and the reports byte for
-byte, against ``reference_kernels._sample_tameness``, which reads the full
-profile for every pair.
+pair; where there are no bounds, or the domain row is wild, it walks every
+column of the same set-up.  These tests hold the pairs bit for bit, and the
+reports byte for byte, against ``reference_kernels._sample_tameness``,
+which reads the full profile for every pair.
 
 Run as a script, the report check of every family in ``POOLS`` runs at
 the default window (n_max=4096) and exits 1 on a report that differs:
@@ -33,16 +34,21 @@ POOL_TEMPLATE = OperatorTemplate(Variant.LOWER,
                                  SpaceDescriptor.power_series_infinite(ALPHA),
                                  SpaceDescriptor.power_series_finite(ALPHA))
 POOL_SEEDS = range(16)
+#: Λ∞ of a table past 2^1022 from its third entry on: wild at every witness
+WILD = SpaceDescriptor.power_series_infinite(
+    ExponentSequence.table([1.0, 2.0] + [1e308] * 4094))
 #: template -> seeds of the checked families: the pool's (sum norm, one
 #: downward run), an upper one (sup norm, one upward run on the reversed
-#: weights) and a full one (sum norm, two runs merged); every sup pair of
-#: the three walks a proper column range
+#: weights) and a full one (sum norm, two runs merged), every sup pair of
+#: which walks a proper column range; and a lower one from the wild domain,
+#: every sup pair of which walks all columns
 POOLS = {
     "lower": (POOL_TEMPLATE, POOL_SEEDS),
     "upper": (OperatorTemplate(Variant.UPPER, POOL_TEMPLATE.domain,
                                POOL_TEMPLATE.codomain), range(2)),
     "full": (OperatorTemplate(Variant.FULL, POOL_TEMPLATE.domain,
                               POOL_TEMPLATE.codomain), range(2)),
+    "wild": (OperatorTemplate(Variant.LOWER, WILD, POOL_TEMPLATE.codomain), range(1)),
 }
 
 
@@ -163,6 +169,28 @@ def test_a_pool_member_walks_a_few_columns():
                                                   NormKind.SUM, 12, 4096))
     assert len(seen) == 12
     assert all(cols is not None and cols[0] == 0 and cols[1] <= 8 for cols in seen)
+
+
+def test_an_infinite_weight_walks_all_columns_of_the_members_set_up():
+    # log weights past float range are +inf from row 3 on for k >= 2, where
+    # the kernel's terms may be NaN: those gradings' set-ups have no bounds,
+    # so their sup pairs walk every column, never reach the profile memo,
+    # and have the full profiles' bits
+    codomain = SpaceDescriptor.power_series_infinite(
+        ExponentSequence.table([1.0, 2.0] + [1e308] * 30))
+    op = ToeplitzOperator(Symbol(lower=SymbolSpec.explicit([1.0, 0.0, 1.0])),
+                          Variant.LOWER, POOL_TEMPLATE.codomain, codomain)
+    memo = operators.column_norm_profile
+    for kind in NormKind:
+        [new] = providers(_sample_tameness, op, kind, 32)
+        [old] = providers(ref._sample_tameness, op, kind, 32)
+        for k in range(1, 5):
+            for m in (1, 4):
+                pair, before = [], memo.cache_info()
+                seen = walked_ranges(lambda: pair.append(new(k, m)))
+                assert memo.cache_info() == before
+                assert k == 1 or seen == [None]
+                assert hexed(pair[0]) == hexed(old(k, m)), (k, m)
 
 
 def test_set_up_is_built_once_per_member_and_per_grading():
