@@ -337,22 +337,29 @@ def _run_certify(cfg: ExperimentConfig, task, path) -> tuple[str, dict]:
     return _OUTCOME_STATUS[report.outcome], report.to_json()
 
 
-def _gradings(task, key: str, default: list[int], path: str) -> list[int]:
-    """A grading index or an array of them at ``task[key]``, as a list."""
+def _gradings(task, key: str, default: list[int], path: str,
+              limit: int | None) -> list[int]:
+    """A grading index or an array of them at ``task[key]``, as a list; each
+    is at least 1, and at most ``limit``, the last grading that the space it
+    grades tabulates, if it is a table."""
     value = task.get(key, default)
     values = list(json_field({key: [value] if isinstance(value, int) else value},
                              key, "integers", f"{path}.{key}"))
     if min(values, default=1) < 1:
         raise ConfigurationError(
             f"{path}.{key}: grading index must be >= 1, got {min(values)}")
+    if limit is not None and max(values, default=1) > limit:
+        raise ConfigurationError(
+            f"{path}.{key}: grading index must be <= {limit}, the last one "
+            f"its space tabulates, got {max(values)}")
     return values
 
 
 def _run_probe(cfg: ExperimentConfig, task, path) -> tuple[str, dict, list[str]]:
     op = _operator(cfg, task, path)
     k_max = cfg.window.clip(op.codomain, op.domain)[0]
-    ks = _gradings(task, "k", list(range(1, k_max + 1)), path)
-    ms = _gradings(task, "m", [1], path)
+    ks = _gradings(task, "k", list(range(1, k_max + 1)), path, op.codomain.k_limit)
+    ms = _gradings(task, "m", [1], path, op.domain.k_limit)
     # a null or empty norm leaves the route's default, as an absent one does
     kind = _field(task, "norm", NormKind, path) if task.get("norm") else None
     curves = [ratio_curve(op, k, m, norm_kind=kind, window=cfg.window)

@@ -705,10 +705,11 @@ class _Setup(NamedTuple):
         upper += 1.0
         return lower, upper
 
-    def profile(self, norm_kind: NormKind, cols: tuple[int, int] | None
+    def profile(self, norm_kind: NormKind, cols: tuple[int, int] | None = None
                 ) -> np.ndarray:
-        """The profile of :func:`column_norm_profile` (of ``cols`` when
-        given), walked on this set-up."""
+        """The profile of :func:`column_norm_profile`, walked on this set-up;
+        with ``cols`` = (c0, c1), only its columns n = c0 + 1..c1, with the
+        bits the full profile has there."""
         return _norms([_walk(run, weights, self.n_trunc, norm_kind, cols)
                        for run, weights in zip(self.runs, self.weights)], norm_kind)
 
@@ -755,11 +756,8 @@ def column_norm_profile(
     k: int,
     n_trunc: int,
     norm_kind: NormKind = NormKind.SUM,
-    cols: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """log column norms for n = 1..n_trunc, columns truncated at row n_trunc;
-    with ``cols`` = (c0, c1), only those of n = c0 + 1..c1, with the bits the
-    full profile has there.
+    """log column norms for n = 1..n_trunc, columns truncated at row n_trunc.
 
     Agrees with :func:`column_norm` up to reduction-order rounding; reports
     that need bit-stable numbers use a fixed block schedule, which this is.
@@ -779,7 +777,7 @@ def column_norm_profile(
     runs = _symbol_side(op, n_trunc)
     v = weight_array(op.codomain, k, n_trunc)
     weights = [_weight_run(v, run.direction, n_trunc, run.i_top) for run in runs]
-    return _Setup(runs, weights, n_trunc, bounded=False).profile(norm_kind, cols)
+    return _Setup(runs, weights, n_trunc, bounded=False).profile(norm_kind)
 
 
 def column_norm_profiles(
@@ -787,10 +785,8 @@ def column_norm_profiles(
     k: int,
     truncations: Sequence[int],
     norm_kind: NormKind = NormKind.SUM,
-    cols: tuple[int, int] | None = None,
 ) -> list[np.ndarray]:
-    """:func:`column_norm_profile` at each of the ascending ``truncations``,
-    of the columns ``cols`` (see there) when given.
+    """:func:`column_norm_profile` at each of the ascending ``truncations``.
 
     An upper part's column n holds rows 1..n only, and a sup is the exact
     max of the same float sums u_i + v_{n-i} whatever the block schedule,
@@ -803,11 +799,9 @@ def column_norm_profiles(
 
     The memo is keyed on what the kernel reads: ``op`` is looked up with
     its domain replaced by its codomain, so operators that differ only in
-    their domain share their profiles.  A column range is part of the key.
+    their domain share their profiles.
     """
     op = dataclasses.replace(op, domain=op.codomain)
-    if cols is not None:
-        return [column_norm_profile(op, k, n, norm_kind, cols) for n in truncations]
     if op.variant is Variant.UPPER and norm_kind is NormKind.SUP:
         top = column_norm_profile(op, k, truncations[-1], norm_kind)
         return [top[:n] for n in truncations]

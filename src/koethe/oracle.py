@@ -16,8 +16,9 @@ trichotomy and thresholds as the certificate search.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,15 +39,7 @@ from .operators import (
     column_norm_profiles,
 )
 from .spaces import nuclearity_verdict, weight_array
-from .verdicts import (
-    Outcome,
-    Shape,
-    SupPair,
-    Verdict,
-    Window,
-    decide,
-    inconclusive,
-)
+from .verdicts import Outcome, Shape, Verdict, Window, decide, inconclusive
 
 
 @dataclass(frozen=True)
@@ -110,68 +103,57 @@ def _effective_checkpoints(window: Window, n_max: int) -> tuple[int, ...] | None
     return tuple(pts)
 
 
-def _curve_points(
-    op: ToeplitzOperator,
-    norm_kind: NormKind,
-    k: int,
-    m: int,
-    checkpoints: Sequence[int],
-) -> list[tuple[int, LogValue]]:
-    profiles = column_norm_profiles(op, k, checkpoints, norm_kind)
-    return [(n_c, float(np.max(profile - weight_array(op.domain, m, n_c))))
-            for n_c, profile in zip(checkpoints, profiles)]
-
-
 def ratio_curve(
     op: ToeplitzOperator,
     k: int,
     m: int,
-    checkpoints: Sequence[int] | None = None,
     norm_kind: NormKind | None = None,
     window: Window | None = None,
 ) -> RatioCurve:
-    """Running sup of the column-norm ratio along the checkpoint schedule.
+    """Running sup of the column-norm ratio along the window's checkpoint
+    schedule, cut at the clipped truncation as the oracle cuts it.
 
-    Checkpoints must be >= 1 and ascend; the curve is nondecreasing because
-    both the sup range and the column truncation grow with the checkpoint.
+    The curve is nondecreasing because both the sup range and the column
+    truncation grow with the checkpoint.
     """
     win = window or Window()
     kind = norm_kind or default_norm_kind(op)
-    pts = (tuple(checkpoints) if checkpoints else
-           _effective_checkpoints(win, win.clip(op.codomain, op.domain)[2]))
+    pts = _effective_checkpoints(win, win.clip(op.codomain, op.domain)[2])
     if pts is None:
         raise ConfigurationError("window too short for a ratio curve")
-    if list(pts) != sorted(set(pts)) or pts[0] < 1:
-        raise ConfigurationError("checkpoints must be >= 1 and strictly ascending")
     return RatioCurve(k=k, m=m, norm_kind=kind,
-                      points=tuple(_curve_points(op, kind, k, m, pts)))
+                      points=tuple(zip(pts, _ratio_sups(op, kind, pts)(k, m))))
 
 
-def _profile_pairs(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
-                   ) -> SupPair:
-    """Scan evidence from the ratio curve at the last two checkpoints; the
-    plateau status only reads the last doubling.  A scan fetches each
-    grading's profiles and each witness's weights at both checkpoints once,
-    on its first pair, and keeps them for the scan's other pairs.  A pair
-    subtracts them into one scan-local row and reads both sups from it."""
-    half, full = pts[-2:]
+def _ratio_sups(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
+                ) -> Callable[[int, int], tuple[LogValue, ...]]:
+    """The sup of log(||T e_n||_k / ||e_n||_m) over n <= N, at truncation N,
+    for each checkpoint N of ``pts``: a ratio curve's points, or with the
+    last two checkpoints an oracle scan's sup pair (the plateau status only
+    reads the last doubling).  A provider fetches each grading's profiles
+    and each witness's weights at every checkpoint once, on the first call
+    that reads them, and keeps them for its other calls.  A call subtracts
+    them into one provider-local row, a segment per checkpoint, and reads
+    every sup from it.  The profiles and weights are kept as fetched, not
+    copied into one row each: most of a scan's weight rows serve one call."""
+    bounds = (0, *itertools.accumulate(pts))
+    starts = np.array(bounds[:-1])
     profiles: dict[int, list[np.ndarray]] = {}
-    weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    gap = np.empty(half + full)
-    gap_half, gap_full = gap[:half], gap[half:]
+    weights: dict[int, list[np.ndarray]] = {}
+    gap = np.empty(bounds[-1])
+    segments = [gap[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
+    def sups(k: int, m: int) -> tuple[LogValue, ...]:
         prof = profiles.get(k)
         if prof is None:
-            prof = profiles[k] = column_norm_profiles(op, k, (half, full), kind)
+            prof = profiles[k] = column_norm_profiles(op, k, pts, kind)
         w = weights.get(m)
         if w is None:
-            w = weights[m] = (weight_array(op.domain, m, half),
-                              weight_array(op.domain, m, full))
-        np.subtract(prof[0], w[0], out=gap_half)
-        np.subtract(prof[1], w[1], out=gap_full)
-        return tuple(np.maximum.reduceat(gap, (0, half)).tolist())
-    return sup_pair
+            w = weights[m] = [weight_array(op.domain, m, n) for n in pts]
+        for profile, weight, segment in zip(prof, w, segments):
+            np.subtract(profile, weight, segment)
+        return tuple(np.maximum.reduceat(gap, starts).tolist())
+    return sups
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +174,11 @@ _REASONS = {
 }
 
 
-def _oracle(
-    op: ToeplitzOperator, shape: Shape, window: Window | None,
-    norm_kind: NormKind | None,
-) -> Verdict:
+def _oracle(op: ToeplitzOperator, shape: Shape, window: Window | None) -> Verdict:
     """Scan the ratio curves at the last checkpoint doubling under ``shape``,
-    with k and m cut to the operator's tabulated spaces."""
+    with k and m cut to the operator's tabulated spaces, in the operator's
+    default norm."""
     win = window or Window()
-    kind = norm_kind or default_norm_kind(op)
     k_max, m_max, n_max, clipped = win.clip(op.codomain, op.domain)
     pts = _effective_checkpoints(win, n_max)
     if pts is None:
@@ -210,24 +189,17 @@ def _oracle(
         nuclear = nuclearity_verdict(op.codomain, win).outcome
         tags.append("nuclearity:holds" if nuclear is Outcome.HOLDS
                     else f"hypothesis-unverified:nuclearity-{nuclear.value}")
-    return decide(shape, win, _profile_pairs(op, kind, pts), k_max, m_max,
-                  pts[-2:], tuple(tags), _REASONS, k_limit=op.codomain.k_limit)
+    last = pts[-2:]
+    return decide(shape, win, _ratio_sups(op, default_norm_kind(op), last), k_max,
+                  m_max, last, tuple(tags), _REASONS, k_limit=op.codomain.k_limit)
 
 
-def oracle_continuity(
-    op: ToeplitzOperator,
-    window: Window | None = None,
-    norm_kind: NormKind | None = None,
-) -> Verdict:
+def oracle_continuity(op: ToeplitzOperator, window: Window | None = None) -> Verdict:
     """For each grading k, hunt a witness m whose ratio curve plateaus."""
-    return _oracle(op, Shape.FORALL_K_EXISTS_M, window, norm_kind)
+    return _oracle(op, Shape.FORALL_K_EXISTS_M, window)
 
 
-def oracle_compactness(
-    op: ToeplitzOperator,
-    window: Window | None = None,
-    norm_kind: NormKind | None = None,
-) -> Verdict:
+def oracle_compactness(op: ToeplitzOperator, window: Window | None = None) -> Verdict:
     """Hunt a single witness m whose ratio curves plateau for every grading.
 
     Each candidate m is probed against gradings beyond itself, since those
@@ -235,7 +207,7 @@ def oracle_compactness(
     hypothesis behind the compactness reading of the ratio criterion) is
     checked and attached as a tag.
     """
-    return _oracle(op, Shape.EXISTS_M_FORALL_K, window, norm_kind)
+    return _oracle(op, Shape.EXISTS_M_FORALL_K, window)
 
 
 # ---------------------------------------------------------------------------

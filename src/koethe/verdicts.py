@@ -99,6 +99,11 @@ class Window:
         # a fraction of a series' total
         if not 0 < self.series_tail_rel < 1:
             raise ConfigurationError("need 0 < series_tail_rel < 1")
+        if not self.series_growth_tol > 0:
+            raise ConfigurationError("need series_growth_tol > 0")
+        for name, least in (("l_slack", 0), ("subadd_m_max", 1), ("dense_cap", 1)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}")
 
     def with_n_max(self, n_max: int) -> "Window":
         return replace(self, n_max=n_max, checkpoints=_halvings(n_max, 2))

@@ -153,9 +153,9 @@ def test_criterion_3_full_finite_to_infinite_ill_defined(tmp_path):
         # the raw oracle on the lower part alone keeps growing for every m
         lower = ToeplitzOperator(Symbol(lower=SymbolSpec.delta()),
                                  Variant.LOWER, L1_N, LINF_N)
+        last = Window(n_max=2048, checkpoints=(1024, 2048))
         for m in range(1, 49):
-            pts = dict(ratio_curve(lower, 1, m, checkpoints=(1024, 2048),
-                                   window=WIN).points)
+            pts = dict(ratio_curve(lower, 1, m, window=last).points)
             assert pts[2048] - pts[1024] >= 1.0
 
 

@@ -511,6 +511,11 @@ def test_a_bad_vector_line_is_named(tmp_path):
 # -- malformed input and strict reports -------------------------------------------
 
 OP_LINE = {"variant": "lower", "domain": L1N, "codomain": L1N, "symbol": DELTA}
+# three gradings of 16 rows, on each side of an operator
+TABLE_16x3 = {"kind": "general_koethe", "weights": [[1.0, 2.0, 3.0]] * 16}
+TABLE_OP = {"variant": "lower", "domain": TABLE_16x3, "codomain": TABLE_16x3,
+            "symbol": GEO}
+TABLE_OP_REFS = {"variant": "lower", "domain": "G", "codomain": "G", "symbol": "geo"}
 
 @pytest.mark.parametrize("argv", [
     ["operator", "certify", "--property", "continuity", "--operator",
@@ -608,6 +613,27 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
                  tasks=[{"command": "space-check", "space": "A",
                          "checks": ["nuclearity"]}]),
      "window: need 0 < series_tail_rel < 1"),
+    (base_config(window={"l_slack": -100},
+                 tasks=[{"command": "space-check", "space": "A",
+                         "checks": ["nuclearity"]}]),
+     "window: l_slack must be >= 0"),
+    (base_config(window={"subadd_m_max": 0},
+                 tasks=[{"command": "space-check", "space": "A"}]),
+     "window: subadd_m_max must be >= 1"),
+    (base_config(window={"series_growth_tol": -1},
+                 tasks=[{"command": "space-check", "space": "A"}]),
+     "window: need series_growth_tol > 0"),
+    (base_config(window={"dense_cap": 0},
+                 tasks=[{"command": "space-check", "space": "A"}]),
+     "window: dense_cap must be >= 1"),
+    (["operator", "probe", "--operator", json.dumps(TABLE_OP), "--n-max", "16",
+      "--k", "1", "--m", "5"], "probe.m: grading index must be <= 3, "),
+    (base_config(spaces={"A": L1N, "G": TABLE_16x3}, operators={"U": TABLE_OP_REFS},
+                 tasks=[{"command": "probe", "operator": "U", "k": [1, 4]}]),
+     "tasks[0].k: grading index must be <= 3, "),
+    (base_config(spaces={"A": L1N, "G": TABLE_16x3}, operators={"U": TABLE_OP_REFS},
+                 tasks=[{"command": "probe", "operator": "U", "m": 4}]),
+     "tasks[0].m: grading index must be <= 3, "),
 ], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
         "window-not-an-object", "probe-k-not-integers", "probe-m-not-integers",
         "apply-n-not-an-integer", "apply-input-not-a-path", "checks-not-an-array",
@@ -621,7 +647,11 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
         "membership-target-not-a-string", "tame-variant-not-a-string",
         "unknown-tame-condition-direction", "certify-property-field",
         "tame-condition-misspelled-field", "probe-out-field", "window-checkpoint-zero",
-        "window-checkpoint-negative", "window-series-tail-rel-zero"])
+        "window-checkpoint-negative", "window-series-tail-rel-zero",
+        "window-l-slack-negative", "window-subadd-m-max-zero",
+        "window-series-growth-tol-negative", "window-dense-cap-zero",
+        "direct-probe-m-past-the-table", "probe-task-k-past-the-table",
+        "probe-task-m-past-the-table"])
 def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
     code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
     assert code == EXIT_USAGE

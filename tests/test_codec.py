@@ -95,12 +95,13 @@ def windows(draw):
     checkpoints = draw(st.none() | st.lists(st.integers(1, n_max - 1), min_size=1,
                                             max_size=4, unique=True))
     win = Window(k_max=draw(st.integers(1, 100)), m_max=draw(st.integers(1, 100)),
-                 n_max=n_max, l_slack=draw(st.integers()),
-                 subadd_m_max=draw(st.integers()), plateau_tol=plateau,
+                 n_max=n_max, l_slack=draw(st.integers(min_value=0)),
+                 subadd_m_max=draw(st.integers(min_value=1)), plateau_tol=plateau,
                  growth_tol=growth,
                  series_tail_rel=draw(st.floats(0.0, 1.0, exclude_min=True,
                                                 exclude_max=True)),
-                 series_growth_tol=draw(finite), dense_cap=draw(st.integers()))
+                 series_growth_tol=draw(st.floats(0.0, 1e150, exclude_min=True)),
+                 dense_cap=draw(st.integers(min_value=1)))
     if checkpoints is not None:
         win = dataclasses.replace(win, checkpoints=(*sorted(checkpoints), n_max))
     return win

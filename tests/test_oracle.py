@@ -73,19 +73,31 @@ def test_curve_nonincreasing_in_witness_index():
         assert b <= a + 1e-12
 
 
-def test_curve_checkpoints_must_ascend():
-    with pytest.raises(ConfigurationError):
-        ratio_curve(IDENTITY, 1, 1, checkpoints=(512, 256), window=WIN)
+def test_curve_reads_its_checkpoints_from_its_window():
+    win = Window(n_max=512, checkpoints=(8, 64, 256, 512))
+    assert [n for n, _ in ratio_curve(DECAY_OP, 2, 1, window=win).points] == [
+        8, 64, 256, 512]
+    # cut at the truncation of a tabulated domain, as the oracle cuts it
+    table = SpaceDescriptor.general([[1.0, 2.0, 3.0]] * 100)
+    op = ToeplitzOperator(DECAY_OP.symbol, Variant.LOWER, table, L1_N)
+    assert [n for n, _ in ratio_curve(op, 2, 1, window=win).points] == [8, 64, 100]
+
+
+# a ratio curve's schedule is its window's, checked where the window is built
+@pytest.mark.parametrize("checkpoints", [(256, 128, 512), (256, 256, 512)])
+def test_window_checkpoints_must_ascend(checkpoints):
+    with pytest.raises(ConfigurationError, match="strictly ascending"):
+        Window(n_max=512, checkpoints=checkpoints)
 
 
 @pytest.mark.parametrize("checkpoints", [(0, 4), (-8, 4)])
-def test_curve_checkpoints_below_one_are_rejected(checkpoints):
+def test_window_checkpoints_below_one_are_rejected(checkpoints):
     with pytest.raises(ConfigurationError, match="checkpoints must be >= 1"):
-        ratio_curve(IDENTITY, 1, 1, checkpoints=checkpoints)
+        Window(n_max=4, checkpoints=checkpoints)
 
 
 def test_curve_csv_rows():
-    curve = ratio_curve(IDENTITY, 1, 1, checkpoints=(256, 512), window=WIN)
+    curve = ratio_curve(IDENTITY, 1, 1, window=Window(n_max=512, checkpoints=(256, 512)))
     assert CSV_HEADER == "N,k,m,log_ratio"
     assert curve.to_csv_rows() == ["256,1,1,0.0", "512,1,1,0.0"]
 

@@ -428,9 +428,9 @@ def test_a_column_range_has_the_full_profiles_bits(variant, lower, upper, big,
         assert m_ranged.tobytes() == m[c0:c1].tobytes()
         assert s_ranged.tobytes() == s[c0:c1].tobytes()
     full = uncached_profile(op, k, big, norm)
-    ranged = operators.column_norm_profile.__wrapped__(op, k, big, norm, (c0, c1))
-    assert ranged.tobytes() == full[c0:c1].tobytes()
-    bounds = member_setup(op, k, big).bounds(norm)
+    setup = member_setup(op, k, big)
+    assert setup.profile(norm, (c0, c1)).tobytes() == full[c0:c1].tobytes()
+    bounds = setup.bounds(norm)
     if bounds is not None:
         lower_bound, upper_bound = bounds
         assert (lower_bound <= full).all() and (full <= upper_bound).all()
@@ -480,7 +480,7 @@ def test_walks_on_a_shared_set_up_have_the_kernels_bits(variant, lower, upper, o
     assert_shared_walks_match([lower, upper, *others], v, big, norm, cols)
     op = make_op(variant, lower, upper, SPACES[0], codomain)
     setup = member_setup(op, k, big)
-    profile = operators.column_norm_profile.__wrapped__(op, k, big, norm, cols)
+    profile = operators.column_norm_profile(op, k, big, norm)[slice(*cols or (0, big))]
     assert setup.profile(norm, cols).tobytes() == profile.tobytes()
     bounded = _bounded(v) and all(_bounded(u) for u, _ in _runs(op, big, log=True))
     assert (setup.bounds(norm) is not None) == bounded
@@ -571,7 +571,7 @@ def test_a_one_column_block_of_a_range_falls_back_to_the_full_profile():
             return original(*args)
 
         with mock.patch.object(operators, "_walk", spy):
-            ranged = operators.column_norm_profile.__wrapped__(op, 1, n, norm, (0, 2))
+            ranged = member_setup(op, 1, n).profile(norm, (0, 2))
         assert [cols for cols, _ in seen] == ranges
         assert all(setup[0] is seen[0][1][0] and setup[1] is seen[0][1][1]
                    for _, setup in seen)

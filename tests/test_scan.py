@@ -98,10 +98,9 @@ def test_oracle_reports_m_max_and_the_smallest_curve_growth():
     assert verdict.outcome is Outcome.FAILS_ON_WINDOW
     witness = verdict.witness
     assert witness.best_m == win.m_max
-    pts = win.checkpoints[-2:]
     moves = []
     for m in range(1, win.m_max + 1):
-        (_, half), (_, full) = ratio_curve(op, witness.k, m, pts, window=win).points
+        (_, half), (_, full) = ratio_curve(op, witness.k, m, window=win).points[-2:]
         moves.append(full - half)
     assert witness.growth_log == min(moves)
 

@@ -36,7 +36,7 @@ from koethe.operators import (
     Variant,
     column_norm_profile,
 )
-from koethe.oracle import _profile_pairs, oracle_compactness, ratio_curve
+from koethe.oracle import _ratio_sups, oracle_compactness, ratio_curve
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
 from koethe.verdicts import Outcome, Scan, Window
 
@@ -187,33 +187,35 @@ operators = st.builds(operator, st.sampled_from(list(Variant)), symbol_parts,
 def test_profile_pairs_match_the_per_pair_reference(op, kind, n, data):
     full = n_within(n, op.domain, op.codomain)
     pts = (data.draw(st.integers(1, full - 1)), full)
-    new, old = _profile_pairs(op, kind, pts), ref._profile_pairs(op, kind, pts)
+    new, old = _ratio_sups(op, kind, pts), ref._profile_pairs(op, kind, pts)
     window = [(k, m) for k in range(1, 5) for m in range(1, 5)]
     for k, m in window + window[::-1]:
         assert hexed(new(k, m)) == hexed(old(k, m)), (k, m)
 
 
 # tabulated codomains put zero weights and few gradings under the columns
-upper_operators = st.builds(operator, st.just(Variant.UPPER), symbol_parts,
+curve_operators = st.builds(operator, st.sampled_from(list(Variant)), symbol_parts,
                             symbol_parts, power_series(1e3),
                             power_series(1e3) | general_spaces)
 
 
 @settings(max_examples=80, deadline=None)
-@given(op=upper_operators, kind=st.sampled_from(list(NormKind)),
+@given(op=curve_operators, kind=st.sampled_from(list(NormKind)),
        n=st.integers(4, 600), data=st.data())
 def test_upper_pairs_and_curves_match_the_per_checkpoint_reference(op, kind, n, data):
     # an upper sup profile at a smaller checkpoint is sliced from the largest
-    # one; the references call the kernel at every checkpoint
+    # one; the references call the kernel at every checkpoint.  Every
+    # variant's curve and scan pairs come from the one provider
     full = n_within(n, op.domain, op.codomain)
     pts = sorted(set(data.draw(st.lists(st.integers(1, full - 1), min_size=1,
                                         max_size=4)))) + [full]
-    new, old = _profile_pairs(op, kind, pts), ref._profile_pairs(op, kind, pts)
+    win = Window(n_max=full, checkpoints=tuple(pts))
+    new, old = _ratio_sups(op, kind, pts[-2:]), ref._profile_pairs(op, kind, pts)
     window = [(k, m) for k in range(1, min(4, op.codomain.k_limit or 4) + 1)
               for m in range(1, 5)]
     for k, m in window + window[::-1]:
         assert hexed(new(k, m)) == hexed(old(k, m)), (k, m)
-        curve = ratio_curve(op, k, m, pts, kind)
+        curve = ratio_curve(op, k, m, kind, win)
         assert ([(c, hexed([v])) for c, v in curve.points]
                 == [(c, hexed([v])) for c, v in ref._curve_points(op, kind, k, m, pts)])
 
@@ -265,9 +267,8 @@ def test_oracle_looks_each_profile_up_once_through_its_module_global():
     original = operators_module.column_norm_profile
     # an upper operator's sup profile at the half checkpoint is sliced from
     # the full one
-    for op, kind, truncations in [(lower, None, {128, 256}),
-                                  (upper, NormKind.SUP, {256}),
-                                  (twin, None, {128, 256})]:
+    # the oracle reads an upper operator's sup profiles, its default norm
+    for op, truncations in [(lower, {128, 256}), (upper, {256}), (twin, {128, 256})]:
         seen = []
 
         def wrapper(op, k, n_trunc, norm_kind):
@@ -276,7 +277,7 @@ def test_oracle_looks_each_profile_up_once_through_its_module_global():
 
         before = original.cache_info()
         with mock.patch.object(operators_module, "column_norm_profile", wrapper):
-            oracle_compactness(op, Window(n_max=256, k_max=4, m_max=8), kind)
+            oracle_compactness(op, Window(n_max=256, k_max=4, m_max=8))
         after = original.cache_info()
         lookups = (after.hits - before.hits) + (after.misses - before.misses)
         assert seen and len(seen) == lookups
