@@ -362,8 +362,11 @@ def _run_probe(cfg: ExperimentConfig, task, path) -> tuple[str, dict, list[str]]
     ms = _gradings(task, "m", [1], path, op.domain.k_limit)
     # a null or empty norm leaves the route's default, as an absent one does
     kind = _field(task, "norm", NormKind, path) if task.get("norm") else None
-    curves = [ratio_curve(op, k, m, norm_kind=kind, window=cfg.window)
-              for k in ks for m in ms]
+    try:
+        curves = [ratio_curve(op, k, m, norm_kind=kind, window=cfg.window)
+                  for k in ks for m in ms]
+    except ConfigurationError as exc:  # a window that the operator's spaces clip
+        raise ConfigurationError(f"{path}.operator: {exc}") from exc
     rows = [CSV_HEADER]
     for curve in curves:
         rows.extend(curve.to_csv_rows())

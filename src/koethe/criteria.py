@@ -34,7 +34,7 @@ from .errors import (
     json_record,
     json_report,
 )
-from .logdomain import LogValue
+from .logdomain import LogValue, log_ratio
 from .operators import (
     NormKind,
     Symbol,
@@ -198,14 +198,6 @@ def _check_index_map(s_map: SMap, k_max: int, m_max: int) -> None:
         )
 
 
-def _gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # zero lhs weight satisfies any bound; zero rhs weight under a nonzero
-    # lhs cannot be dominated at any constant; a gap past float range is +-inf
-    with np.errstate(invalid="ignore", over="ignore"):
-        gap = lhs - rhs
-    return np.where(np.isneginf(lhs), -np.inf, gap)
-
-
 def _row(arr: np.ndarray) -> tuple[np.ndarray, bool]:
     """A weight row and whether it is wild: an infinite, NaN or huge entry
     (where a difference may overflow) can make a gap warn or meet a zero."""
@@ -215,8 +207,9 @@ def _row(arr: np.ndarray) -> tuple[np.ndarray, bool]:
 def _sup_pair(gap: np.ndarray, n0: int, n_max: int) -> tuple[LogValue, LogValue]:
     """Sups of the gap from n0 <= n_max // 2 over the half and the full
     window by one segmented max; the full one is Python's ``max`` of the two
-    segments, which drops a NaN past the half.  Certifier gaps enter
-    ``np.errstate`` only at a wild row (:func:`_row`), tameness gaps always."""
+    segments, which drops a NaN past the half.  Certifier gaps go through
+    :func:`logdomain.log_ratio` only at a wild row (:func:`_row`); tameness
+    gaps are subtracted under ``np.errstate``."""
     sup_half, sup_rest = np.maximum.reduceat(gap, (n0 - 1, n_max // 2)).tolist()
     return sup_half, max(sup_half, sup_rest)
 
@@ -240,7 +233,7 @@ def _gap_pairs(cond: QuantifierCondition, n_max: int) -> SupPair:
         rhs = rhs_rows.get(m)
         if rhs is None:
             rhs = rhs_rows[m] = _row(weight_array(cond.rhs, m, n_max))
-        gap = _gap(lhs[0], rhs[0]) if lhs[1] or rhs[1] else lhs[0] - rhs[0]
+        gap = log_ratio(lhs[0], rhs[0]) if lhs[1] or rhs[1] else lhs[0] - rhs[0]
         return _sup_pair(gap, n0, n_max)
     return sup_pair
 
@@ -269,7 +262,7 @@ def certify(cond: QuantifierCondition, window: Window | None = None) -> Verdict:
     series lhs keeps the verdict under ``("certify", cond, window)`` among
     the facts of its sequence at the clipped n_max (:func:`spaces._memo`);
     a general Köthe lhs is searched on every call.  Only a pair with a wild
-    row (:func:`_row`) is subtracted under ``np.errstate``."""
+    row (:func:`_row`) is read through :func:`logdomain.log_ratio`."""
     win = window or Window()
     k_max, m_max, n_max, clipped = _effective_bounds(cond, win)
     if cond.shape is Shape.FIXED_MAP:
@@ -294,8 +287,8 @@ def replay_certificate(
 
     def check(k: int, m: int, log_c: LogValue) -> float:
         n0 = k if cond.n_start is NStart.K else 1
-        gap = _gap(weight_array(cond.lhs, k, n_max),
-                   weight_array(cond.rhs, m, n_max))
+        gap = log_ratio(weight_array(cond.lhs, k, n_max),
+                        weight_array(cond.rhs, m, n_max))
         return float(np.max(gap[n0 - 1 : n_max])) - log_c
 
     if isinstance(cert, PointwiseCertificate):
@@ -348,10 +341,6 @@ RULES: dict[tuple[Variant, str], Rule] = {
         Rule("upper_from_finite", NStart.K, (H_SUBADD_DOM,), ("M*S", None)),
 }
 
-#: the membership side of a direction's rules: a lower part's symbol lies in
-#: the codomain ("space"), an upper part's obeys the domain's dual bound ("dual")
-SIDES = {Variant.LOWER: "space", Variant.UPPER: "dual"}
-
 _NO_RULE = {
     Variant.LOWER: "no rule decides a lower-triangular operator into a general "
                    "Köthe space; a power series codomain is required",
@@ -360,11 +349,12 @@ _NO_RULE = {
 }
 
 
-def _side(side: str, domain: SpaceDescriptor, codomain: SpaceDescriptor
+def _side(direction: Variant, domain: SpaceDescriptor, codomain: SpaceDescriptor
           ) -> tuple[Callable[..., Verdict], SpaceDescriptor]:
-    """The membership check of a side and the space it reads: the codomain
-    for "space", the domain's dual for "dual"."""
-    if side == "space":
+    """The membership check of a triangular direction's rules and the space
+    it reads: a lower part's symbol lies in the codomain, an upper part's
+    obeys the domain's dual bound."""
+    if direction is Variant.LOWER:
         return membership_in_space, codomain
     return membership_in_dual, domain
 
@@ -373,7 +363,7 @@ def _route(direction: Variant, domain: SpaceDescriptor, codomain: SpaceDescripto
            ) -> tuple[Rule | None, Callable[..., Verdict], SpaceDescriptor]:
     """The rule of a triangular direction between two spaces (None where the
     rule's space is not a power series space), its membership check and space."""
-    check, space = _side(SIDES[direction], domain, codomain)
+    check, space = _side(direction, domain, codomain)
     return RULES.get((direction, space.kind)), check, space
 
 
@@ -570,9 +560,8 @@ class OperatorTemplate:
 class FamilySpec:
     """Named random family of one-sided symbols.
 
-    Samples must pass the membership constraint of the operator route they
-    feed ("auto": codomain space for lower parts, domain dual for upper
-    parts); offenders are resampled a bounded number of times.
+    Samples must pass the membership check of the rule of the part they
+    feed (:func:`_side`); offenders are resampled a bounded number of times.
     """
 
     sampler: str = "geometric"
@@ -581,7 +570,6 @@ class FamilySpec:
     r_min: float = 0.05
     r_max: float = 0.9
     signed: bool = False
-    constraint: str = "auto"
 
     def __post_init__(self):
         if self.sampler != "geometric":
@@ -592,27 +580,24 @@ class FamilySpec:
             raise ConfigurationError("family seed must be >= 0")
         if not 0.0 <= self.r_min <= self.r_max:
             raise ConfigurationError("need 0 <= r_min <= r_max")
-        if self.constraint not in ("auto", "space", "dual"):
-            raise ConfigurationError(f"unknown constraint {self.constraint!r}")
 
     to_json = json_record
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "FamilySpec":
         kinds = {"sampler": "string", "count": "integer", "seed": "integer",
-                 "r_min": "number", "r_max": "number", "signed": "boolean",
-                 "constraint": "string"}
+                 "r_min": "number", "r_max": "number", "signed": "boolean"}
         return cls(**json_fields(data, kinds, "family"))
 
 
 def _sample_family(
     family: FamilySpec,
-    side: str,
+    direction: Variant,
     template: OperatorTemplate,
     win: Window,
     rng: np.random.Generator,
 ) -> list[SymbolSpec]:
-    check, space = _side(side, template.domain, template.codomain)
+    check, space = _side(direction, template.domain, template.codomain)
     out: list[SymbolSpec] = []
     attempts = 0
     max_attempts = family.count * 20
@@ -621,7 +606,7 @@ def _sample_family(
             raise ConfigurationError(
                 f"family sampling exhausted {max_attempts} attempts before "
                 f"collecting {family.count} members passing the "
-                f"{side} membership"
+                f"{direction.value} part's membership"
             )
         attempts += 1
         r = float(rng.uniform(family.r_min, family.r_max))
@@ -743,14 +728,11 @@ def tameness_check(
     k_max, m_max, n_max, _ = win.clip(template.codomain, template.domain)
     _check_index_map(s_map, k_max, m_max)
     rng = np.random.default_rng(family.seed)
-    # a full family draws its lower parts first; a constraint other than
-    # "auto" overrides the side of a one-sided family's rule
-    full = template.variant is Variant.FULL
-    parts = (Variant.LOWER, Variant.UPPER) if full else (template.variant,)
-    sides = [SIDES[part] if full or family.constraint == "auto"
-             else family.constraint for part in parts]
-    members = list(zip(*(_sample_family(family, side, template, win, rng)
-                         for side in sides)))
+    # a full family draws its lower parts first
+    parts = ((Variant.LOWER, Variant.UPPER) if template.variant is Variant.FULL
+             else (template.variant,))
+    members = list(zip(*(_sample_family(family, part, template, win, rng)
+                         for part in parts)))
     norm_kind = default_norm_kind(template)
     samples: list[TameSample] = []
     for member in members:

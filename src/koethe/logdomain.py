@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 LogValue = float
 
 LOG_ZERO = float("-inf")
@@ -60,6 +62,15 @@ def log_sub(a: LogValue, b: LogValue) -> LogValue:
     if a == b:
         return LOG_ZERO
     return a + math.log1p(-math.exp(b - a))
+
+
+def log_ratio(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """log(e^lhs / e^rhs) entrywise: a zero lhs (-inf) gives -inf against
+    any rhs, since it meets every bound; a nonzero lhs over a zero rhs gives
+    +inf; a result past float range is +-inf, with no warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        ratio = lhs - rhs
+    return np.where(np.isneginf(lhs), -np.inf, ratio)
 
 
 def log_sum(terms: Sequence[LogValue] | Iterable[LogValue]) -> LogValue:

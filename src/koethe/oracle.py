@@ -131,15 +131,14 @@ def _ratio_sups(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
     for each checkpoint N of ``pts``: a ratio curve's points, or with the
     last two checkpoints an oracle scan's sup pair (the plateau status only
     reads the last doubling).  A provider fetches each grading's profiles
-    and each witness's weights at every checkpoint once, on the first call
-    that reads them, and keeps them for its other calls.  A call subtracts
-    them into one provider-local row, a segment per checkpoint, and reads
-    every sup from it.  The profiles and weights are kept as fetched, not
-    copied into one row each: most of a scan's weight rows serve one call."""
+    at every checkpoint, and each witness's weights at the top one, on the
+    first call that reads them, and keeps them as fetched for its other
+    calls.  A call subtracts them into one provider-local row, a segment per
+    checkpoint, a weight prefix each, as ``weight_array`` is prefix-stable."""
     bounds = (0, *itertools.accumulate(pts))
     starts = np.array(bounds[:-1])
     profiles: dict[int, list[np.ndarray]] = {}
-    weights: dict[int, list[np.ndarray]] = {}
+    weights: dict[int, np.ndarray] = {}
     gap = np.empty(bounds[-1])
     segments = [gap[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -149,9 +148,9 @@ def _ratio_sups(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]
             prof = profiles[k] = column_norm_profiles(op, k, pts, kind)
         w = weights.get(m)
         if w is None:
-            w = weights[m] = [weight_array(op.domain, m, n) for n in pts]
-        for profile, weight, segment in zip(prof, w, segments):
-            np.subtract(profile, weight, segment)
+            w = weights[m] = weight_array(op.domain, m, pts[-1])
+        for profile, segment in zip(prof, segments):
+            np.subtract(profile, w[:len(segment)], segment)
         return tuple(np.maximum.reduceat(gap, starts).tolist())
     return sups
 

@@ -33,7 +33,7 @@ from .errors import (
     json_record,
     json_report,
 )
-from .logdomain import LOG_ZERO, LogValue, linear_or_none, log_sum
+from .logdomain import LOG_ZERO, LogValue, linear_or_none, log_ratio, log_sum
 from .verdicts import (
     PointwiseCertificate,
     FailureWitness,
@@ -480,17 +480,13 @@ def gp_probe(
     """Partial sums of sum_n a(n,k)/a(n,l), the nuclearity ratio series.
 
     The Grothendieck-Pietsch criterion asks this to be finite for some
-    l > k; zero weights contribute zero terms (monotonicity in k forces the
-    numerator to vanish with the denominator).
+    l > k; zero weights contribute zero terms (:func:`logdomain.log_ratio`;
+    monotonicity in k forces the numerator to vanish with the denominator).
     """
     if l <= k:
         raise ConfigurationError(f"gp_probe needs l > k, got k={k} l={l}")
-    num = weight_array(space, k, n_max)
-    den = weight_array(space, l, n_max)
-    with np.errstate(invalid="ignore"):
-        terms = num - den
-    terms = np.where(num == LOG_ZERO, LOG_ZERO, terms)
-    return classify_series(terms, window)
+    return classify_series(log_ratio(weight_array(space, k, n_max),
+                                     weight_array(space, l, n_max)), window)
 
 
 def nuclearity_verdict(space: SpaceDescriptor, window: Window | None = None) -> Verdict:

@@ -516,6 +516,8 @@ TABLE_16x3 = {"kind": "general_koethe", "weights": [[1.0, 2.0, 3.0]] * 16}
 TABLE_OP = {"variant": "lower", "domain": TABLE_16x3, "codomain": TABLE_16x3,
             "symbol": GEO}
 TABLE_OP_REFS = {"variant": "lower", "domain": "G", "codomain": "G", "symbol": "geo"}
+TABLE_3x3 = {"kind": "general_koethe", "weights": [[1.0, 2.0, 3.0]] * 3}
+TABLE3_OP = {**TABLE_OP, "domain": TABLE_3x3, "codomain": TABLE_3x3}
 
 @pytest.mark.parametrize("argv", [
     ["operator", "certify", "--property", "continuity", "--operator",
@@ -535,6 +537,19 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
       "--family", "[1]"], "tame.family: family: expected a JSON object"),
     (["family", "tame", "--domain", json.dumps(L1N), "--codomain", json.dumps(L1N2),
       "--family", json.dumps({"seed": -1})], "tame.family: family seed must be >= 0"),
+    # a family is sampled on its part's rule side; no field overrides it
+    (["family", "tame", "--domain", json.dumps(L1N), "--codomain", json.dumps(L1N2),
+      "--family", json.dumps({"constraint": "space"})],
+     "tame.family: unknown family fields: ['constraint']"),
+    (base_config(tasks=[{"command": "tame", "domain": "A", "codomain": "B",
+                         "family": {"count": 2, "constraint": "auto"}}]),
+     "tasks[0].family: unknown family fields: ['constraint']"),
+    # no geometric symbol obeys the dual bound of Λ₀(n²) on this window
+    (["family", "tame", "--variant", "upper", "--domain", json.dumps(L1N2),
+      "--codomain", json.dumps(L1N), "--family", json.dumps({"count": 2}),
+      "--n-max", "256"],
+     "family sampling exhausted 40 attempts before collecting 2 members passing "
+     "the upper part's membership"),
     (base_config(tasks=[{"command": "probe", "operator": "T", "norm": "max"}]),
      "tasks[0].norm: expected 'sum' or 'sup'"),
     (base_config(window=5), "window: window: expected a JSON object"),
@@ -634,7 +649,15 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
     (base_config(spaces={"A": L1N, "G": TABLE_16x3}, operators={"U": TABLE_OP_REFS},
                  tasks=[{"command": "probe", "operator": "U", "m": 4}]),
      "tasks[0].m: grading index must be <= 3, "),
-], ids=["family-not-an-object", "negative-family-seed", "unknown-probe-norm",
+    # three table rows leave no checkpoint doubling for a ratio curve
+    (["operator", "probe", "--operator", json.dumps(TABLE3_OP), "--k", "1", "--m", "1"],
+     "probe.operator: window too short for a ratio curve"),
+    (base_config(spaces={"A": L1N, "G": TABLE_3x3}, operators={"U": TABLE_OP_REFS},
+                 tasks=[{"command": "probe", "operator": "U", "k": 1, "m": 1}]),
+     "tasks[0].operator: window too short for a ratio curve"),
+], ids=["family-not-an-object", "negative-family-seed", "family-constraint-field",
+        "tame-task-family-constraint-field", "upper-family-sampling-exhausted",
+        "unknown-probe-norm",
         "window-not-an-object", "probe-k-not-integers", "probe-m-not-integers",
         "apply-n-not-an-integer", "apply-input-not-a-path", "checks-not-an-array",
         "unknown-cross-validate-property", "spaces-not-an-object",
@@ -651,7 +674,8 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
         "window-l-slack-negative", "window-subadd-m-max-zero",
         "window-series-growth-tol-negative", "window-dense-cap-zero",
         "direct-probe-m-past-the-table", "probe-task-k-past-the-table",
-        "probe-task-m-past-the-table"])
+        "probe-task-m-past-the-table", "direct-probe-window-too-short",
+        "probe-task-window-too-short"])
 def test_malformed_task_fields_are_usage_errors(argv, message, tmp_path, capsys):
     code = run_config(tmp_path, argv) if isinstance(argv, dict) else main(argv)
     assert code == EXIT_USAGE
@@ -843,6 +867,67 @@ def test_seed_is_a_usage_error_where_no_task_reads_it(path, capsys):
                 if argv[:len(path.split())] == path.split())
     assert main([*argv, "--seed", "3"]) == EXIT_USAGE
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_run_seed_overrides_the_config_seed(tmp_path, capsys):
+    task = {"command": "tame", "domain": L1N, "codomain": L1N2, "family": FAMILY}
+    config = {"seed": 1, "tasks": [task], "output": {"dir": "out"}}
+    flags = ["--n-max", "256", "--k-max", "3", "--m-max", "8"]
+    assert main(["family", "tame", "--domain", json.dumps(L1N), "--codomain",
+                 json.dumps(L1N2), "--family", json.dumps(FAMILY), "--seed", "5",
+                 *flags]) == EXIT_OK
+    direct = json.loads(capsys.readouterr().out)["report"]
+    reports = {}
+    for seed in (5, 6):
+        assert run_config(tmp_path, config, [*flags, "--seed", str(seed)]) == EXIT_OK
+        text = (tmp_path / "out" / "task-00-tame.json").read_text()
+        reports[seed] = json.loads(text)["report"]
+    assert reports[5] == direct
+    assert reports[6] != direct
+
+
+@pytest.mark.parametrize("fmt, names", [
+    ("json", {"task-00-probe.json", "task-01-space-check.json", "summary.json"}),
+    ("csv", {"task-00-probe.csv"}),
+    ("both", {"task-00-probe.json", "task-00-probe.csv", "task-01-space-check.json",
+              "summary.json"}),
+])
+def test_run_format_writes_its_file_set(fmt, names, tmp_path, capsys):
+    config = base_config(tasks=[{"command": "probe", "operator": "T", "k": 1},
+                                {"command": "space-check", "space": "A",
+                                 "checks": ["stability"]}])
+    assert run_config(tmp_path, config, ["--format", fmt, "--n-max", "64"]) == EXIT_OK
+    assert {path.name for path in (tmp_path / "out").iterdir()} == names
+    assert json.loads(capsys.readouterr().out)["exit_code"] == EXIT_OK
+
+
+# a known window artefact: lower delta from Λ∞(log n) into Λ∞(√n) fails
+# continuity, but the oracle's running sup reads a plateau below n_max 1024
+CLASS_A = {"variant": "lower", "symbol": DELTA,
+           "domain": {"kind": "power_series_infinite", "alpha": {"form": "log"}},
+           "codomain": {"kind": "power_series_infinite",
+                        "alpha": {"form": "power", "p": 0.5}}}
+
+
+def test_a_theorem_oracle_conflict_exits_3(tmp_path, capsys):
+    """The conflict code end to end, on the class A window artefact; a fix
+    of the oracle's plateau reading that settles the class flips this test
+    on purpose, and the conflict then needs another witness."""
+    argv = ["cross-validate", "--operator", json.dumps(CLASS_A),
+            "--property", "continuity"]
+    assert main([*argv, "--n-max", "256"]) == EXIT_CONFLICT
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "conflict"
+    assert payload["report"]["agreement"] == "conflict"
+    assert main([*argv, "--n-max", "1024"]) == EXIT_OK
+    capsys.readouterr()
+    config = {"window": {"n_max": 256}, "output": {"dir": "out"},
+              "tasks": [{"command": "cross-validate", "operator": CLASS_A,
+                         "property": "continuity"}]}
+    assert run_config(tmp_path, config) == EXIT_CONFLICT
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["exit_code"] == EXIT_CONFLICT
+    assert summary["tasks"][0]["status"] == "conflict"
 
 
 @pytest.mark.parametrize("flag", ["--n-max", "--k-max", "--m-max"])

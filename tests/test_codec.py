@@ -81,8 +81,7 @@ s_maps = st.one_of(
 families = st.builds(
     lambda bounds, **kw: FamilySpec(r_min=min(bounds), r_max=max(bounds), **kw),
     st.tuples(nonneg, nonneg), count=st.integers(1, 10**6),
-    seed=st.integers(0, 2**64), signed=st.booleans(),
-    constraint=st.sampled_from(["auto", "space", "dual"]))
+    seed=st.integers(0, 2**64), signed=st.booleans())
 
 templates = st.builds(OperatorTemplate, st.sampled_from(list(Variant)), spaces, spaces)
 

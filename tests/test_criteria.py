@@ -1,5 +1,6 @@
 """Certificate search, theorem routing, tameness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from koethe.errors import (
 )
 from koethe.operators import Symbol, SymbolSpec, ToeplitzOperator, Variant
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
-from koethe.verdicts import Outcome, Window
+from koethe.verdicts import Outcome, TameCertificate, Window
 
 ALPHA_N = ExponentSequence.affine(1.0)
 ALPHA_N2 = ExponentSequence.power(2.0)
@@ -126,6 +127,19 @@ def test_certificate_replay_never_violates(shape):
         verdict = certify(cond, WIN)
         if verdict.outcome is Outcome.HOLDS:
             assert replay_certificate(cond, verdict, WIN) <= 1e-9
+
+
+def test_fixed_map_certificate_replays_against_raw_weights():
+    cond = weight_domination(L1_N, L1_N, Shape.FIXED_MAP, s_map=SMap.identity())
+    win = Window().with_n_max(256)
+    verdict = certify(cond, win)
+    cert = verdict.certificate
+    assert isinstance(cert, TameCertificate)
+    assert replay_certificate(cond, verdict, win) == 0.0
+    lowered = {**cert.log_c, 3: cert.log_c[3] - 0.5}
+    forged = dataclasses.replace(
+        verdict, certificate=dataclasses.replace(cert, log_c=lowered))
+    assert replay_certificate(cond, forged, win) == 0.5
 
 
 def test_certify_fixed_map_needs_map():

@@ -1,7 +1,9 @@
 """Log-domain arithmetic invariants."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from koethe.logdomain import (
     log_add,
     log_from_linear,
     log_max,
+    log_ratio,
     log_sub,
     log_sum,
 )
@@ -84,3 +87,28 @@ def test_linear_materialization_cutoff():
     assert linear_or_none(800.0) is None
     assert linear_or_none(-800.0) is None
     assert linear_or_none(5.0) == pytest.approx(math.exp(5.0))
+
+
+def test_log_ratio_of_a_zero_lhs_is_zero():
+    # a zero magnitude meets every bound, a zero and an infinite one too
+    rhs = np.array([3.5, -2.0, LOG_ZERO, math.inf])
+    assert np.isneginf(log_ratio(np.full(4, LOG_ZERO), rhs)).all()
+
+
+def test_log_ratio_of_a_nonzero_lhs_over_zero_is_infinite():
+    lhs = np.array([0.0, -700.0, 1e308])
+    assert np.isposinf(log_ratio(lhs, np.full(3, LOG_ZERO))).all()
+
+
+def test_log_ratio_past_float_range_is_infinite_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_ratio(np.array([1.7e308, -1.7e308]), np.array([-1.7e308, 1.7e308]))
+    assert out.tolist() == [math.inf, -math.inf]
+
+
+@given(st.lists(st.tuples(st.floats(-1e307, 1e307), st.floats(-1e307, 1e307)),
+                min_size=1, max_size=32))
+def test_log_ratio_is_subtraction_on_finite_rows(pairs):
+    lhs, rhs = np.array(pairs).T
+    assert log_ratio(lhs, rhs).tobytes() == (lhs - rhs).tobytes()
