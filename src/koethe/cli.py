@@ -88,21 +88,23 @@ def _dumps(payload: Any) -> str:
     return text + "\n"
 
 
-def _load_json_arg(value: str) -> Any:
-    """Inline JSON, or a path to a JSON file (also via an @ prefix)."""
+def _load_json_arg(value: str) -> tuple[Any, Path | None]:
+    """Inline JSON, or a path to a JSON file (also via an @ prefix), with
+    the file it was read from (None for inline JSON)."""
     text = value
     candidate = value[1:] if value.startswith("@") else value
     try:
         is_file = Path(candidate).exists()
     except OSError:  # inline JSON can exceed filename limits
         is_file = False
-    if value.startswith("@") or is_file:
+    path = Path(candidate) if value.startswith("@") or is_file else None
+    if path is not None:
         try:
-            text = Path(candidate).read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read {candidate!r}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text), path
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid JSON in {value!r}: {exc}") from exc
 
@@ -600,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _task_from_args(args: argparse.Namespace) -> dict[str, Any]:
     """The ``koethe run`` task that a direct subcommand stands for."""
-    task = {dest: _load_json_arg(value) if isinstance(value, _JsonArg) else value
+    task = {dest: _load_json_arg(value)[0] if isinstance(value, _JsonArg) else value
             for dest in args.fields if (value := getattr(args, dest)) is not None}
     return {**task, "command": args.task.format(**task)}
 
@@ -616,9 +618,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         seed = _seed(getattr(args, "seed", None), "--seed")
         if args.command == "run":
-            data = _load_json_arg(args.config)
-            base = Path(args.config).parent if Path(args.config).exists() else None
-            cfg = parse_config(data, base_dir=base)
+            data, path = _load_json_arg(args.config)
+            cfg = parse_config(data, base_dir=None if path is None else path.parent)
             cfg.window = _window_from_args(args, cfg.window)
             if seed is not None:
                 cfg.seed = seed

@@ -653,9 +653,7 @@ def _sup_columns(lower: np.ndarray, upper: np.ndarray, weights: np.ndarray
     A column of the half window is kept where its upper gap reaches the
     best lower gap of the half, any other where it reaches the best of the
     full window; each column left out lies below the sup it could enter,
-    so the pair over the range, with -inf outside it, is the same floats.
-    A range of one column gets a neighbour, since the kernel takes no
-    one-column block of a sum inside a range."""
+    so the pair over the range, with -inf outside it, is the same floats."""
     n_max = len(weights)
     half = n_max // 2
     with np.errstate(over="ignore"):
@@ -666,9 +664,7 @@ def _sup_columns(lower: np.ndarray, upper: np.ndarray, weights: np.ndarray
     np.greater_equal(high[:half], best_half, out=keep[:half])
     np.greater_equal(high[half:], max(best_half, low[half:].max()), out=keep[half:])
     c0 = int(keep.argmax())
-    c1 = max(n_max - int(keep[::-1].argmax()), c0 + 2)
-    if c1 > n_max:
-        c0, c1 = n_max - 2, n_max
+    c1 = n_max - int(keep[::-1].argmax())
     return None if c1 - c0 == n_max else (c0, c1)
 
 

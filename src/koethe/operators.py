@@ -501,9 +501,12 @@ def _walk(
     A block reads the padded weights through one strided (offset, column)
     view, rows[i, c] = pad[start + i + c], so no index array and no window
     of the whole pad is built.  Its terms are laid out (offset, column) in
-    one contiguous buffer, so the max and sum over offsets keep a fixed
-    reduction order.  The pad is read as far as the symbol's support
-    reaches, n_trunc + i_top, however far it was built.
+    one contiguous buffer at least two columns wide, a lone active column
+    beside a log-zero companion whose results are dropped, so numpy reduces
+    every block over its offsets row by row, and a column's max and sum
+    read only its own terms in the fixed offset-block schedule.  The pad is
+    read as far as the symbol's support reaches, n_trunc + i_top, however
+    far it was built.
 
     Every remaining term of a column is bounded by u_sufmax + v_reach, the
     running maxima of the symbol from the block's first offset on and of the
@@ -523,14 +526,13 @@ def _walk(
     term at that floor need not be negligible.  The cut is exact, not merely
     close.  The block
     max is at least either of the first two terms, so a dropped term never
-    exceeds it, and a max does not move, ties included.  numpy sums the rows
-    of a block of two or more columns in order, so a dropped term meets a
-    partial sum that already holds the max row's 1.  Half an ulp of a float
-    of at least 1 is at least 2^-53, so a scaled term below e^-40 rounds
-    away, and so does each further one against the unchanged sum.  The
-    inactive columns in the block contribute less than 2^-53 against their
-    running sum, or nothing to their running max, cut or not.  A one-column
-    block is summed pairwise, so it keeps all rows.
+    exceeds it, and a max does not move, ties included.  The rows of a
+    block are summed in order, so a dropped term meets a partial sum that
+    already holds the max row's 1.  Half an ulp of a float of at least 1 is
+    at least 2^-53, so a scaled term below e^-40 rounds away, and so does
+    each further one against the unchanged sum.  The inactive columns in
+    the block contribute less than 2^-53 against their running sum, or
+    nothing to their running max, cut or not.
 
     A block of at most _SEARCH_TERMS terms is not searched and keeps all its
     rows: the cut is exact, so the rows it would drop move no bit, and on so
@@ -545,11 +547,7 @@ def _walk(
     log(n_trunc) allowance, so where no part is +inf its columns get the
     full range's bits: a column's skip reads only its own running scale,
     the rows a narrower cut drops are negligible, and the columns a block
-    spans but that are not active change nothing.  The one exception is a
-    block of a sum that narrows to one active column inside a proper range:
-    numpy sums it pairwise, where the full range may have summed that
-    column in a wider block row by row.  The walk then starts over on the
-    full range, on the same set-up, and returns its slice.
+    spans but that are not active change nothing.
     """
     c0, c1 = cols or (0, n_trunc)
     if run.direction < 0:
@@ -570,12 +568,9 @@ def _walk(
     small = _SEARCH_TERMS if finite else 0
 
     span = c1 - c0
-    # a one-column block of a sum inside a proper range sends the walk to
-    # the full range
-    lone = span < n_trunc and norm_kind is NormKind.SUM
     m_run = np.full(span, -np.inf)
     s_run = np.zeros(span)
-    buf = np.empty(_BLOCK * span)
+    buf = np.empty(_BLOCK * max(span, 2))
     step = pad.strides[0]
     # inf - inf, where a +inf part meets log-zero or itself, is NaN by design
     with np.errstate(invalid="ignore"):
@@ -587,13 +582,10 @@ def _walk(
                 break
             hi = span - 1 - int(active[::-1].argmax())
             width = hi - lo + 1
-            if width == 1 and lone:
-                m_run, s_run = _walk(run, weights, n_trunc, norm_kind)
-                return m_run[c0:c1], s_run[c0:c1]
             band = slice(lo, hi + 1)
             nb = min(_BLOCK, i_top - i0)
             start = i0 + c0 + lo
-            if width > 1 and nb > 2 and nb * width > small:
+            if nb > 2 and nb * width > small:
                 head = np.maximum(u[i0] + pad[start : start + width],
                                   u[i0 + 1] + pad[start + 1 : start + 1 + width])
                 floor = head - cut
@@ -617,16 +609,18 @@ def _walk(
             # reaches from column lo + c, as a view over the padded weights
             rows = np.ndarray((nb, width), buffer=pad, offset=start * step,
                               strides=(step, step))
-            terms = buf[: nb * width].reshape(nb, width)
-            np.add(u[i0 : i0 + nb, None], rows, out=terms)
+            # a lone column's log-zero companion, whose results are dropped
+            terms = buf[: nb * max(width, 2)].reshape(nb, -1)
+            terms[:, width:] = -np.inf
+            np.add(u[i0 : i0 + nb, None], rows, out=terms[:, :width])
             bm = terms.max(axis=0)
             if norm_kind is NormKind.SUP:
-                m_run[band] = np.maximum(m_run[band], bm)
+                m_run[band] = np.maximum(m_run[band], bm[:width])
                 continue
             # exp(-inf - safe) is already 0 and safe is never -inf
             terms -= np.where(np.isneginf(bm), 0.0, bm)
             np.exp(terms, out=terms)
-            bs = terms.sum(axis=0)
+            bm, bs = bm[:width], terms.sum(axis=0)[:width]
             if i0 == 0:
                 m_run[band], s_run[band] = bm, bs
             else:
@@ -769,7 +763,7 @@ def column_norm_profile(
     another window's checkpoints) and every operator that differs only in
     its domain.  Library callers go through :func:`column_norm_profiles`,
     which looks every operator up with its domain replaced by its codomain,
-    and serves an upper operator's sup profiles from one call at the
+    and serves an upper operator's profiles from one call at the
     largest truncation.  The oracle and the ratio curves read it there;
     the tameness sup pairs walk the set-up of their member (:func:`_setup`)
     and never reach the memo.
@@ -788,21 +782,21 @@ def column_norm_profiles(
 ) -> list[np.ndarray]:
     """:func:`column_norm_profile` at each of the ascending ``truncations``.
 
-    An upper part's column n holds rows 1..n only, and a sup is the exact
-    max of the same float sums u_i + v_{n-i} whatever the block schedule,
-    so an upper operator's sup profile at truncation N is the first N
-    entries of its profile at any larger truncation: one kernel call at the
-    largest truncation serves them all.  Every other profile gets its own
-    call, since a lower column's rows reach the truncation and a sum's
-    schedule depends on it (the log N allowance, and the pairwise sum of a
-    one-column block).
+    An upper part's column n holds rows 1..n only, the same float terms
+    u_i + v_{n-i} at every truncation, and the walk reduces each column's
+    own terms in one offset-block schedule (:func:`_walk`); the blocks that
+    a larger log N allowance walks and a smaller one skips round away.  So
+    an upper operator's profile at truncation N, in either norm, is the
+    first N entries of its profile at any larger truncation: one kernel
+    call at the largest truncation serves them all.  A lower column's rows
+    reach the truncation, so every other profile gets its own call.
 
     The memo is keyed on what the kernel reads: ``op`` is looked up with
     its domain replaced by its codomain, so operators that differ only in
     their domain share their profiles.
     """
     op = dataclasses.replace(op, domain=op.codomain)
-    if op.variant is Variant.UPPER and norm_kind is NormKind.SUP:
+    if op.variant is Variant.UPPER:
         top = column_norm_profile(op, k, truncations[-1], norm_kind)
         return [top[:n] for n in truncations]
     return [column_norm_profile(op, k, n, norm_kind) for n in truncations]

@@ -4,7 +4,8 @@
 window-view rewrite of the block walk :func:`koethe.operators._walk`: per
 offset block it builds a clipped index array into the padded codomain
 weights and gathers through it.  It computes the same terms in the same
-(offset, column) layout, so the two kernels must agree bit for bit.
+(offset, column) layout, a lone active column beside a log-zero companion
+as in the walk, so the two kernels must agree bit for bit.
 ``gather_kernel`` puts it in the walk's place.
 
 ``same_exp_log_build`` tells whether numpy rounds exp and log as on the
@@ -111,14 +112,19 @@ def gather_run_profile(
         i_idx = np.arange(i0, min(i0 + _BLOCK, i_top))
         j = np.clip(n_idx[None, :] + direction * i_idx[:, None], 0, n_trunc + 1)
         terms = u[i_idx][:, None] + pad[j]
+        width = hi - lo + 1
+        if width == 1:
+            # a log-zero companion, so numpy sums this block row by row too
+            terms = np.column_stack([terms, np.full(len(i_idx), -np.inf)])
         bm = terms.max(axis=0)
         if norm_kind is NormKind.SUP:
-            m_run[lo : hi + 1] = np.maximum(m_run[lo : hi + 1], bm)
+            m_run[lo : hi + 1] = np.maximum(m_run[lo : hi + 1], bm[:width])
             continue
         safe = np.where(np.isneginf(bm), 0.0, bm)
         with np.errstate(invalid="ignore"):
             bs = np.where(np.isneginf(terms), 0.0, np.exp(terms - safe)).sum(axis=0)
-        m_new, s_new = _merge_scaled(m_run[lo : hi + 1], s_run[lo : hi + 1], bm, bs)
+        m_new, s_new = _merge_scaled(m_run[lo : hi + 1], s_run[lo : hi + 1],
+                                     bm[:width], bs[:width])
         m_run[lo : hi + 1] = m_new
         s_run[lo : hi + 1] = s_new
     return m_run, s_run

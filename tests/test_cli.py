@@ -474,6 +474,35 @@ def test_inline_json_longer_than_filename_limit(capsys):
     assert code == EXIT_OK
 
 
+def test_inline_config_longer_than_filename_limit(tmp_path, monkeypatch, capsys):
+    # an inline config of 256 bytes or more names no file: it is read once,
+    # inline, and the run exits by its verdict
+    monkeypatch.chdir(tmp_path)
+    op = {"variant": "lower", "domain": L1N, "codomain": L1N2,
+          "symbol": {"lower": {"form": "geometric", "r": 0.5}}}
+    config = {"window": {"n_max": 64}, "operators": {"T": op},
+              "tasks": [{"command": "cross-validate", "operator": "T",
+                         "property": "continuity"}], "output": {"dir": "out"}}
+    assert len(json.dumps(config)) >= 300
+    assert main(["run", "--config", json.dumps(config)]) < EXIT_USAGE
+    assert "error" not in capsys.readouterr().err
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("prefix", ["", "@"])
+def test_config_output_dir_is_relative_to_the_config_file(tmp_path, monkeypatch,
+                                                           prefix):
+    # whichever spelling names the config file, a relative output.dir is
+    # resolved against the file's directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "cfg.json").write_text(json.dumps(base_config(
+        window={"n_max": 64}, output={"dir": "o"})))
+    assert main(["run", "--config", f"{prefix}d/cfg.json"]) < EXIT_USAGE
+    assert (tmp_path / "d" / "o" / "summary.json").exists()
+    assert not (tmp_path / "o").exists()
+
+
 def test_vector_io_roundtrip(tmp_path):
     path = tmp_path / "v.txt"
     write_vector(path, [0.5, -1.25, 0.0])

@@ -144,9 +144,11 @@ def test_kernels_agree_on_slow_upper_symbol_past_two_blocks(norm):
 
 @pytest.mark.parametrize("norm", list(NormKind))
 def test_one_column_block_keeps_its_rows(norm):
-    # only column 1 is active in the second block (rows 257..300); its five
-    # comparable terms end in a cliff, and numpy sums a one-column block
-    # pairwise, so cutting it to five rows would move the sum's last bit
+    # only column 1 is active in the second block (rows 257..300), and its
+    # five comparable terms end in a cliff.  The block is too small to be
+    # searched, so it keeps its rows; searched, it is cut after those five,
+    # and as it is summed row by row beside its log-zero companion, like any
+    # wider block, no bit moves
     n = _BLOCK + 44
     v = np.zeros(n)
     v[:_BLOCK] = -100.0
@@ -154,6 +156,8 @@ def test_one_column_block_keeps_its_rows(norm):
     u[:_BLOCK] = 0.0
     u[_BLOCK : _BLOCK + 5] = -67.0 + np.array([-0.5, -0.5, -0.25, -0.5, -0.5])
     assert_raw_kernels_agree(u, v, 1, norm)
+    (m_cut, s_cut), (m, s) = searched_and_whole(u, v, 1, norm)
+    assert m.tobytes() == m_cut.tobytes() and s.tobytes() == s_cut.tobytes()
 
 
 class _RowCounter:
@@ -384,19 +388,28 @@ def test_upper_sup_profile_is_a_prefix_of_a_longer_one(upper, big, data):
     assert sliced.tobytes() == short.tobytes() and len(top) == big
 
 
-def test_upper_sum_profiles_are_not_sliced():
-    # a sum's schedule depends on the truncation: at 300 only column 300 is
-    # active in the second offset block, which sums its rows pairwise; at
-    # 600 the new columns 301.. join that block, whose rows are summed in
-    # order, and column 300 comes out one ulp apart
+def test_upper_profiles_are_sliced_in_both_norms():
+    # at 300 only column 300 is active in the second offset block; at 600
+    # the new columns 301.. join that block.  Either way its rows are summed
+    # in order, so column 300 has the same bits, and one kernel call at 600
+    # serves both truncations
     tail = np.exp(-67.0 + np.random.default_rng(28).uniform(-0.6, 0.0, 8))
     op = make_op(Variant.UPPER, None,
                  SymbolSpec.explicit([1.0] * _BLOCK + tail.tolist()), SPACES[0],
                  SpaceDescriptor.general([[1.0]] * 44 + [[math.exp(-100.0)]] * 556))
-    short, _ = column_norm_profiles(op, 1, (300, 600), NormKind.SUM)
-    assert short.tobytes() == uncached_profile(op, 1, 300, NormKind.SUM).tobytes()
-    if same_exp_log_build():
-        assert short[-1] != uncached_profile(op, 1, 600, NormKind.SUM)[299]
+    original = operators.column_norm_profile
+    for norm in NormKind:
+        calls = []
+
+        def spy(op, k, n_trunc, norm_kind):
+            calls.append(n_trunc)
+            return original(op, k, n_trunc, norm_kind)
+
+        with mock.patch.object(operators, "column_norm_profile", spy):
+            short, top = column_norm_profiles(op, 1, (300, 600), norm)
+        assert calls == [600] and len(top) == 600
+        assert short.tobytes() == uncached_profile(op, 1, 300, norm).tobytes()
+        assert short.tobytes() == uncached_profile(op, 1, 600, norm)[:300].tobytes()
 
 
 every_form = symbol_parts | st.builds(
@@ -411,15 +424,15 @@ def test_a_column_range_has_the_full_profiles_bits(variant, lower, upper, big,
                                                    norm, data):
     # the range keeps the blocks, the skip, the cut and the allowance of the
     # full range, so a run's columns are the full run's, and the profile of
-    # a range is the full profile's slice
+    # a range, even of one column, is the full profile's slice
     if variant is Variant.FULL:
         lower = lower if lower.values_array(1)[0] != 0.0 else lower.with_head(1.0)
         upper = upper if upper.values_array(1)[0] != 0.0 else upper.with_head(1.0)
     codomain = data.draw(st.sampled_from(SPACES) | general_codomains(big),
                          label="codomain")
     k = data.draw(st.integers(1, codomain.k_limit or 12), label="k")
-    c0 = data.draw(st.integers(0, big - 2), label="c0")
-    c1 = data.draw(st.integers(c0 + 2, big), label="c1")
+    c0 = data.draw(st.integers(0, big - 1), label="c0")
+    c1 = data.draw(st.integers(c0 + 1, big), label="c1")
     op = make_op(variant, lower, upper, SPACES[0], codomain)
     v = weight_array(op.codomain, k, big)
     for u, direction in _runs(op, big, log=True):
@@ -498,13 +511,15 @@ def test_shared_walks_of_a_finite_support(norm):
         assert_shared_walks_match([spec, SymbolSpec.geometric(0.5)], v, n, norm, cols)
 
 
-def test_shared_walks_restart_a_one_column_block():
-    # the one-column block of test_a_one_column_block_of_a_range_falls_back_
-    # to_the_full_profile, walked on a shared set-up
+def test_shared_walks_keep_a_one_column_block_in_its_range():
+    # the one-column block of test_a_one_column_block_of_a_range_keeps_the_
+    # range, walked each way on a shared set-up: no walk widens to the full
+    # range, and the range has the bits of the full walk's slice
     n = _BLOCK + 44
     tail = np.exp(-67.0 + np.array([-0.5, -0.5, -0.25, -0.5, -0.5]))
     spec = SymbolSpec.explicit([1.0] * _BLOCK + tail.tolist())
-    codomain = SpaceDescriptor.general([[math.exp(-100.0)]] * _BLOCK + [[1.0]] * 44)
+    v = weight_array(
+        SpaceDescriptor.general([[math.exp(-100.0)]] * _BLOCK + [[1.0]] * 44), 1, n)
     original = operators._walk
     seen = []
 
@@ -513,9 +528,13 @@ def test_shared_walks_restart_a_one_column_block():
         return original(*args)
 
     with mock.patch.object(operators, "_walk", spy):
-        assert_shared_walks_match([spec], weight_array(codomain, 1, n), n,
-                                  NormKind.SUM, (0, 2))
-    assert None in seen
+        assert_shared_walks_match([spec], v, n, NormKind.SUM, (0, 2))
+    assert seen and None not in seen
+    u = spec.log_abs_array(n)
+    for direction in (1, -1):
+        (m, s), (m_full, s_full) = (run_profile(u, v, direction, n, NormKind.SUM, cols)
+                                    for cols in ((0, 2), None))
+        assert m.tobytes() == m_full[:2].tobytes() and s.tobytes() == s_full[:2].tobytes()
 
 
 @pytest.mark.parametrize("norm", list(NormKind))
@@ -551,30 +570,30 @@ def test_weight_sides_are_kept_per_space_kind_and_direction():
                     == profile.tobytes()
 
 
-def test_a_one_column_block_of_a_range_falls_back_to_the_full_profile():
+def test_a_one_column_block_of_a_range_keeps_the_range():
     # in the second offset block only column 1 is active (see
-    # test_one_column_block_keeps_its_rows): inside the range [0, 2) of a
-    # sum that block is one column wide, so the walk starts over on the full
-    # range, on the set-up it was given, and returns its slice.  A sup keeps
-    # the range
+    # test_one_column_block_keeps_its_rows): inside the range [0, 2) that
+    # block is one column wide, and it is summed row by row like the full
+    # range's, so the walk keeps the range, on the set-up it was given, and
+    # has the full profile's bits
     n = _BLOCK + 44
     tail = np.exp(-67.0 + np.array([-0.5, -0.5, -0.25, -0.5, -0.5]))
     op = make_op(Variant.LOWER, SymbolSpec.explicit([1.0] * _BLOCK + tail.tolist()),
                  None, SPACES[0],
                  SpaceDescriptor.general([[math.exp(-100.0)]] * _BLOCK + [[1.0]] * 44))
+    setup = member_setup(op, 1, n)
     original = operators._walk
-    for norm, ranges in [(NormKind.SUM, [(0, 2), None]), (NormKind.SUP, [(0, 2)])]:
+    for norm in NormKind:
         seen = []
 
         def spy(*args):
-            seen.append((args[4] if len(args) > 4 else None, args[:2]))
+            seen.append(args)
             return original(*args)
 
         with mock.patch.object(operators, "_walk", spy):
-            ranged = member_setup(op, 1, n).profile(norm, (0, 2))
-        assert [cols for cols, _ in seen] == ranges
-        assert all(setup[0] is seen[0][1][0] and setup[1] is seen[0][1][1]
-                   for _, setup in seen)
+            ranged = setup.profile(norm, (0, 2))
+        [(run, weights, _, _, cols)] = seen
+        assert cols == (0, 2) and run is setup.runs[0] and weights is setup.weights[0]
         assert ranged.tobytes() == uncached_profile(op, 1, n, norm)[:2].tobytes()
 
 

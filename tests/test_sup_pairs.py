@@ -203,9 +203,10 @@ curve_operators = st.builds(operator, st.sampled_from(list(Variant)), symbol_par
 @given(op=curve_operators, kind=st.sampled_from(list(NormKind)),
        n=st.integers(4, 600), data=st.data())
 def test_upper_pairs_and_curves_match_the_per_checkpoint_reference(op, kind, n, data):
-    # an upper sup profile at a smaller checkpoint is sliced from the largest
-    # one; the references call the kernel at every checkpoint.  Every
-    # variant's curve and scan pairs come from the one provider
+    # an upper profile at a smaller checkpoint is sliced from the largest
+    # one, in either norm; the references call the kernel at every
+    # checkpoint.  Every variant's curve and scan pairs come from the one
+    # provider
     full = n_within(n, op.domain, op.codomain)
     pts = sorted(set(data.draw(st.lists(st.integers(1, full - 1), min_size=1,
                                         max_size=4)))) + [full]
