@@ -67,6 +67,8 @@ _KINDS = {
     "rows": ("an array of arrays of finite numbers",
              lambda v: isinstance(v, (list, tuple)) and all(map(_is_numbers, v))),
     "integer": ("an integer", _is_integer),
+    "float_integer": ("an integer within float range",
+                      lambda v: _is_integer(v) and _is_number(v)),
     "integers": ("an array of integers",
                  lambda v: isinstance(v, (list, tuple)) and all(map(_is_integer, v))),
     "boolean": ("a boolean", lambda v: isinstance(v, bool)),

@@ -48,8 +48,8 @@ from .spaces import (
     ExponentSequence,
     SeriesClass,
     SpaceDescriptor,
+    _classify_rows,
     _memo,
-    classify_series,
     weight_array,
 )
 from .verdicts import (
@@ -204,7 +204,7 @@ class SymbolSpec:
             "geometric": (cls.geometric, {"r": "number"}),
             "exp_of_exponent": (cls.exp_of_exponent, {"c": "number",
                                                       "alpha": ExponentSequence}),
-            "polynomial": (cls.polynomial, {"d": "integer"}),
+            "polynomial": (cls.polynomial, {"d": "float_integer"}),
         }, what)
         if "head" in data:
             spec = spec.with_head(json_field(data, "head", "number", what))
@@ -881,18 +881,23 @@ def membership_in_space(
     spec: SymbolSpec, space: SpaceDescriptor, window: Window | None = None
 ) -> Verdict:
     """Does the one-sided sequence lie in the space?  Evidence per grading k:
-    the series sum_j |theta_j| a(j+1, k) is classified on the window."""
+    the series sum_j |theta_j| a(j+1, k) is classified on the window.  The
+    terms of all gradings fill one ``(k_max, n_max)`` block, row k - 1 for
+    grading k, which one series pass classifies; the first divergent
+    grading decides, else the last inconclusive one."""
     win = window or Window()
     k_max, _, n_max, _ = win.clip(space)
     if n_max < 2:
         return inconclusive("window too short for series evidence", win)
     logs = spec.log_abs_array(n_max)
-    zero = np.isneginf(logs)
-    saw_inconclusive = None
+    terms = np.empty((k_max, n_max))
     for k in range(1, k_max + 1):
-        # a zero entry's term is zero whatever its weight, infinite ones too
-        terms = logs + np.where(zero, 0.0, weight_array(space, k, n_max))
-        verdict = classify_series(terms, win)
+        terms[k - 1] = weight_array(space, k, n_max)
+    # a zero entry's term is zero whatever its weight, infinite ones too
+    terms[:, np.isneginf(logs)] = 0.0
+    terms += logs
+    saw_inconclusive = None
+    for k, verdict in enumerate(_classify_rows(terms, win), 1):
         if verdict.classification is SeriesClass.DIVERGENT:
             witness = FailureWitness(
                 k=k, best_m=None, n_range=(n_max // 2, n_max),

@@ -405,27 +405,55 @@ class SeriesVerdict:
     to_json = json_report
 
 
-def _prefix_lse(terms: np.ndarray, bounds: Sequence[int]) -> list[LogValue]:
-    """Log partial sums at each bound; scaled segment sums, fixed order.  An
-    infinite term makes its partial sum and every later one infinite."""
-    out: list[LogValue] = []
-    run_m, run_s = LOG_ZERO, 0.0
+#: np.exp rounds every argument below this to +0.0 (the least subnormal is
+#: e^-744.44, and half of it e^-745.13), so the series pass writes that zero
+#: itself instead of evaluating it
+_EXP_UNDERFLOW = -746.0
+
+
+def _prefix_lse(block: np.ndarray, bounds: Sequence[int]) -> list[list[LogValue]]:
+    """Log partial sums of every row of a ``(rows, n)`` block at each bound.
+
+    The pass takes one halving segment at a time across all rows: one row
+    max, one in-place subtraction of it, one ``np.exp`` and one
+    ``sum(axis=1)``.  That sum reduces each row's segment pairwise, in the
+    order of a 1-D ``np.sum``, and this order defines the bits;
+    ``np.add.reduceat`` is not pairwise and moves them.  Arguments below
+    ``_EXP_UNDERFLOW`` are not evaluated but written +0.0, the value exp
+    gives them.  The subnormal band above is evaluated: zeroing it would
+    not be exact under pairwise summation.  Each row's running sum then
+    merges its segment sum as a scalar, with ``math.exp``.  An infinite
+    term makes its partial sum and every later one infinite.  Overwrites
+    ``block``."""
+    rows = len(block)
+    run_m, run_s = [LOG_ZERO] * rows, [0.0] * rows
+    out: list[list[LogValue]] = [[] for _ in range(rows)]
     prev = 0
-    for b in bounds:
-        seg = terms[prev:b]
-        prev = b
-        if seg.size:
-            seg_m = float(np.max(seg))
-            if seg_m == math.inf:
-                # a later finite segment adds seg_s * exp(-inf) = 0
-                run_m, run_s = math.inf, 1.0
-            elif seg_m > LOG_ZERO:
-                seg_s = float(np.sum(np.exp(seg - seg_m)))
-                if seg_m > run_m:
-                    run_s = run_s * math.exp(run_m - seg_m) if run_s else 0.0
-                    run_m = seg_m
-                run_s += seg_s * math.exp(seg_m - run_m)
-        out.append(run_m + math.log(run_s) if run_s > 0.0 else LOG_ZERO)
+    # a row whose segment max is infinite or NaN meets inf - inf here, and
+    # its segment sum is never read; a finite max subtracts as it always did
+    with np.errstate(invalid="ignore"):
+        for b in bounds:
+            seg = block[:, prev:b]
+            prev = b
+            seg_max = seg.max(axis=1)
+            seg -= seg_max[:, None]
+            low = seg < _EXP_UNDERFLOW
+            np.exp(seg, out=seg, where=~low)
+            np.copyto(seg, 0.0, where=low)
+            seg_sums = seg.sum(axis=1)
+            for r, (seg_m, seg_s) in enumerate(zip(seg_max.tolist(),
+                                                  seg_sums.tolist())):
+                m, s = run_m[r], run_s[r]
+                if seg_m == math.inf:
+                    # a later finite segment adds seg_s * exp(-inf) = 0
+                    m, s = math.inf, 1.0
+                elif seg_m > LOG_ZERO:
+                    if seg_m > m:
+                        s = s * math.exp(m - seg_m) if s else 0.0
+                        m = seg_m
+                    s += seg_s * math.exp(seg_m - m)
+                run_m[r], run_s[r] = m, s
+                out[r].append(m + math.log(s) if s > 0.0 else LOG_ZERO)
     return out
 
 
@@ -435,16 +463,30 @@ def classify_series(terms: np.ndarray, window: Window | None = None) -> SeriesVe
     Convergence demands the last half-window contribute at most
     ``series_tail_rel`` of the total; divergence demands the log partial sum
     move at least ``series_growth_tol`` over the last doubling.  Neither is
-    an asymptotic proof.
+    an asymptotic proof.  A series is the one-row case of the series pass
+    (:func:`_classify_rows`), which overwrites its block, so it runs on a
+    copy of ``terms``.
     """
+    return _classify_rows(np.array(terms, dtype=np.float64, ndmin=2), window)[0]
+
+
+def _classify_rows(block: np.ndarray, window: Window | None = None
+                   ) -> list[SeriesVerdict]:
+    """:func:`classify_series` of every row of a ``(rows, n)`` block of log
+    terms, row r holding the terms of series r, in one :func:`_prefix_lse`
+    pass.  Overwrites ``block``."""
     win = window or Window()
-    n_max = len(terms)
+    n_max = block.shape[1]
     if n_max < 2:
         raise ConfigurationError("series classification needs at least 2 terms")
     bounds = _halvings(n_max, 1)
-    sums = _prefix_lse(np.asarray(terms, dtype=np.float64), bounds)
-    checkpoints = tuple(zip(bounds, sums))
-    s_half, s_full = sums[-2], sums[-1]
+    return [_series_verdict(tuple(zip(bounds, sums)), win)
+            for sums in _prefix_lse(block, bounds)]
+
+
+def _series_verdict(checkpoints: tuple[tuple[int, LogValue], ...],
+                    win: Window) -> SeriesVerdict:
+    s_half, s_full = checkpoints[-2][1], checkpoints[-1][1]
 
     if s_full == math.inf:
         return SeriesVerdict(checkpoints, SeriesClass.DIVERGENT, None, math.inf, 0.0)

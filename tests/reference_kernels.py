@@ -20,6 +20,12 @@ two must agree bit for bit as well.
 ``_sample_tameness`` is the tameness check's per-member scan as it was
 before its sup pairs ran the kernel on a column range: every pair reads
 the full profile.  ``full_profile_tameness`` puts it in place.
+
+``_prefix_lse``, ``classify_series`` and ``membership_in_space`` are the
+series classification and the membership check as they were before the
+series pass took a block of rows: one series per call, one 1-D ``np.sum``
+per halving segment, and one ``classify_series`` call per grading.  The
+rows pass must give every row these partial sums, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,17 +40,35 @@ import numpy as np
 
 from koethe import criteria, operators
 from koethe.criteria import NStart, QuantifierCondition, SMap
-from koethe.logdomain import LogValue
+from koethe.errors import ConfigurationError
+from koethe.logdomain import LOG_ZERO, LogValue
 from koethe.operators import (
     _BLOCK,
     NEGLIGIBLE_LOG,
     NormKind,
+    SymbolSpec,
     ToeplitzOperator,
     column_norm_profile,
     column_norm_profiles,
 )
-from koethe.spaces import weight_array
-from koethe.verdicts import Outcome, SupPair, Window, scan_fixed
+from koethe.spaces import (
+    SeriesClass,
+    SeriesVerdict,
+    SpaceDescriptor,
+    weight_array,
+)
+from koethe.verdicts import (
+    FailureWitness,
+    Outcome,
+    SupPair,
+    Verdict,
+    Window,
+    _halvings,
+    fails,
+    holds,
+    inconclusive,
+    scan_fixed,
+)
 
 
 #: sha256 of np.exp and np.log over a fixed grid on the build that recorded
@@ -227,3 +251,102 @@ def full_profile_tameness():
     """Run ``criteria.tameness_check`` on full profiles inside the block."""
     with mock.patch.object(criteria, "_sample_tameness", _sample_tameness):
         yield
+
+
+# verbatim copies of the series classification and the membership check
+# before the series pass took a block of rows
+def _prefix_lse(terms: np.ndarray, bounds: Sequence[int]) -> list[LogValue]:
+    """Log partial sums at each bound; scaled segment sums, fixed order.  An
+    infinite term makes its partial sum and every later one infinite."""
+    out: list[LogValue] = []
+    run_m, run_s = LOG_ZERO, 0.0
+    prev = 0
+    for b in bounds:
+        seg = terms[prev:b]
+        prev = b
+        if seg.size:
+            seg_m = float(np.max(seg))
+            if seg_m == math.inf:
+                # a later finite segment adds seg_s * exp(-inf) = 0
+                run_m, run_s = math.inf, 1.0
+            elif seg_m > LOG_ZERO:
+                seg_s = float(np.sum(np.exp(seg - seg_m)))
+                if seg_m > run_m:
+                    run_s = run_s * math.exp(run_m - seg_m) if run_s else 0.0
+                    run_m = seg_m
+                run_s += seg_s * math.exp(seg_m - run_m)
+        out.append(run_m + math.log(run_s) if run_s > 0.0 else LOG_ZERO)
+    return out
+
+
+def classify_series(terms: np.ndarray, window: Window | None = None) -> SeriesVerdict:
+    """Classify a nonnegative series from its log-domain terms.
+
+    Convergence demands the last half-window contribute at most
+    ``series_tail_rel`` of the total; divergence demands the log partial sum
+    move at least ``series_growth_tol`` over the last doubling.  Neither is
+    an asymptotic proof.
+    """
+    win = window or Window()
+    n_max = len(terms)
+    if n_max < 2:
+        raise ConfigurationError("series classification needs at least 2 terms")
+    bounds = _halvings(n_max, 1)
+    sums = _prefix_lse(np.asarray(terms, dtype=np.float64), bounds)
+    checkpoints = tuple(zip(bounds, sums))
+    s_half, s_full = sums[-2], sums[-1]
+
+    if s_full == math.inf:
+        return SeriesVerdict(checkpoints, SeriesClass.DIVERGENT, None, math.inf, 0.0)
+    if s_full == LOG_ZERO:
+        return SeriesVerdict(checkpoints, SeriesClass.CONVERGENT, LOG_ZERO,
+                             0.0, math.inf)
+
+    growth = s_full - s_half if s_half > LOG_ZERO else math.inf
+    if s_full == s_half:
+        tail_gap = math.inf
+    else:
+        increment = s_full + math.log1p(-math.exp(s_half - s_full))
+        tail_gap = s_full - increment
+
+    if tail_gap >= -math.log(win.series_tail_rel):
+        cls = SeriesClass.CONVERGENT
+    elif growth >= win.series_growth_tol:
+        cls = SeriesClass.DIVERGENT
+    else:
+        cls = SeriesClass.INCONCLUSIVE
+    limit = s_full if cls is SeriesClass.CONVERGENT else None
+    return SeriesVerdict(checkpoints, cls, limit, growth, tail_gap)
+
+
+def membership_in_space(
+    spec: SymbolSpec, space: SpaceDescriptor, window: Window | None = None
+) -> Verdict:
+    """Does the one-sided sequence lie in the space?  Evidence per grading k:
+    the series sum_j |theta_j| a(j+1, k) is classified on the window."""
+    win = window or Window()
+    k_max, _, n_max, _ = win.clip(space)
+    if n_max < 2:
+        return inconclusive("window too short for series evidence", win)
+    logs = spec.log_abs_array(n_max)
+    zero = np.isneginf(logs)
+    saw_inconclusive = None
+    for k in range(1, k_max + 1):
+        # a zero entry's term is zero whatever its weight, infinite ones too
+        terms = logs + np.where(zero, 0.0, weight_array(space, k, n_max))
+        verdict = classify_series(terms, win)
+        if verdict.classification is SeriesClass.DIVERGENT:
+            witness = FailureWitness(
+                k=k, best_m=None, n_range=(n_max // 2, n_max),
+                growth_log=verdict.growth_log,
+            )
+            return fails(witness, win, reason=f"membership series diverges at k={k}")
+        if verdict.classification is SeriesClass.INCONCLUSIVE:
+            saw_inconclusive = k
+    if saw_inconclusive is not None:
+        return inconclusive(
+            f"membership series undecided at k={saw_inconclusive}", win
+        )
+    tags = ("finite-window",) if space.finite_window else ()
+    return holds(None, win, reason="membership series convergent for every k",
+                 tags=tags)

@@ -622,6 +622,13 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
      "tasks[0].s_map: index map: field 'values' must be an array of integers"),
     (base_config(symbols={"geo": {"lower": {"form": "polynomial", "d": 1.5}}}),
      "symbols.geo: symbol part: field 'd' must be an integer"),
+    # a degree that does not convert to a float is refused, not evaluated
+    (["symbol", "membership", "--symbol",
+      json.dumps({"lower": {"form": "polynomial", "d": 10**400}}),
+      "--space", json.dumps(L1N), "--n-max", "64"],
+     "membership.symbol: symbol part: field 'd' must be an integer within float range"),
+    (base_config(symbols={"geo": {"lower": {"form": "polynomial", "d": -10**400}}}),
+     "symbols.geo: symbol part: field 'd' must be an integer within float range"),
     (base_config(operators={"T": {"variant": "x", "domain": "A", "codomain": "B",
                                   "symbol": "geo"}}),
      "operators.T.variant: expected 'lower', 'upper' or 'full', got 'x'"),
@@ -695,6 +702,7 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
         "config-seed-a-string", "config-seed-negative", "direct-seed-negative",
         "run-seed-negative", "direct-apply-n-negative", "apply-task-n-zero",
         "s-map-table-not-integers", "polynomial-d-not-an-integer",
+        "direct-polynomial-d-past-float-range", "polynomial-d-past-float-range",
         "unknown-operator-variant", "operator-without-variant", "unknown-membership-part",
         "membership-target-not-a-string", "tame-variant-not-a-string",
         "unknown-tame-condition-direction", "certify-property-field",
