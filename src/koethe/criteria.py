@@ -41,9 +41,9 @@ from .operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
-    _bounded,
     _setup,
     _symbol_side,
+    _weight_side,
     lower_part,
     membership_in_dual,
     membership_in_space,
@@ -644,35 +644,94 @@ class TamenessReport:
     to_json = json_report
 
 
-def _sup_columns(lower: np.ndarray, upper: np.ndarray, weights: np.ndarray
-                 ) -> tuple[int, int] | None:
+#: below this magnitude, symbol logs and weights let a tameness sup pair
+#: choose its columns (:func:`_range_facts`)
+_TAME_LOG = 2.0 ** 40
+
+
+def _tame(arr: np.ndarray) -> bool:
+    """Every entry is log-zero or below _TAME_LOG in magnitude."""
+    return bool((np.isneginf(arr) | (np.abs(arr) < _TAME_LOG)).all())
+
+
+def _range_facts(domain: SpaceDescriptor, codomain: SpaceDescriptor, k: int, m: int,
+                 direction: int, n_max: int
+                 ) -> tuple[list[list[float]], np.ndarray, np.ndarray] | None:
+    """The weight facts from which the tameness sup pairs of grading k and
+    witness m choose their columns (:func:`_pair_columns`) for a run in
+    ``direction``, kept among the facts of the domain's sequence at n_max
+    (:func:`spaces._memo`), so a family builds them once.
+
+    A pair reads its member through four scalars per run: u[0], u[1],
+    u_sufmax[0] and i_top.  Column n's log norm is at least u[0] + v and
+    u[1] + the weight of its second row (n + 1 below the diagonal, n - 1
+    above), and at most u_sufmax[0] + reach, the largest weight from its
+    first row on, plus log(Σ i_top) in a sum.  With v the codomain weights
+    and w the domain row, the facts are the half and rest maxima of v - w
+    and of the second row's weights minus w, and h = reach - w as its prefix
+    max and its negated suffix max per segment, where ``searchsorted``
+    finds the first and the last column at which h reaches a threshold.
+
+    The facts add u[0] to v - w where the kernel adds u[0] + v and the gap
+    subtracts w.  So they exist only where v is log-zero or below 2^40 in
+    magnitude and w is finite and below 2^40 (None otherwise), and a pair
+    reads them only where its symbol logs are tame likewise.  Every sum is
+    then below 2^43 in magnitude and rounds by at most 2^-11; the few such
+    roundings that part a pair's thresholds from the real bounds, the
+    kernel's own included, stay below 2^-8, and the upper bound's margin of
+    1 covers them: no column that attains the pair is left out."""
+    def build() -> tuple[list[list[float]], np.ndarray, np.ndarray] | None:
+        v = weight_array(codomain, k, n_max)
+        w = weight_array(domain, m, n_max)
+        if not (_tame(v) and np.abs(w).max() < _TAME_LOG):
+            return None
+        nxt, own = (slice(1, None), slice(None, -1))[::direction]
+        second = np.full(n_max, -np.inf)
+        second[own] = v[nxt]
+        half = n_max // 2
+        heads = np.maximum.reduceat(np.stack([v - w, second - w]), (0, half), axis=1)
+        # v_reach is in walk order
+        h = _weight_side(codomain, k, n_max, direction).v_reach[:n_max][::direction] - w
+        first, last = np.empty(n_max), np.empty(n_max)
+        for seg in (slice(0, half), slice(half, n_max)):
+            first[seg] = np.maximum.accumulate(h[seg])
+            last[seg] = -np.maximum.accumulate(h[seg][::-1])[::-1]
+        first.flags.writeable = last.flags.writeable = False
+        return heads.tolist(), first, last
+    return _memo(domain.alpha, n_max,
+                 ("range facts", domain.kind, m, codomain, k, direction), build)
+
+
+def _pair_columns(scalars: list[tuple[float, float, float]], facts: list[tuple],
+                  slack: float, n_max: int) -> tuple[int, int] | None:
     """The column range [c0, c1) of every column whose gap can reach the sup
-    pair over n >= 1, given per-column profile bounds and finite weights;
-    None for all columns.
-
-    A column of the half window is kept where its upper gap reaches the
-    best lower gap of the half, any other where it reaches the best of the
-    full window; each column left out lies below the sup it could enter,
-    so the pair over the range, with -inf outside it, is the same floats."""
-    n_max = len(weights)
+    pair over n >= 1, from each run's (u[0], u[1], u_sufmax[0]) and facts
+    (:func:`_range_facts`), where ``slack`` is log(Σ i_top) in a sum, plus
+    the margin of 1; None for all columns.  A column of the half window is
+    kept where its upper gap reaches the best lower gap of the half, any
+    other where it reaches the best of the full window."""
     half = n_max // 2
-    with np.errstate(over="ignore"):
-        low = lower - weights
-        high = upper - weights
-    best_half = low[:half].max()
-    keep = np.empty(n_max, dtype=bool)
-    np.greater_equal(high[:half], best_half, out=keep[:half])
-    np.greater_equal(high[half:], max(best_half, low[half:].max()), out=keep[half:])
-    c0 = int(keep.argmax())
-    c1 = n_max - int(keep[::-1].argmax())
-    return None if c1 - c0 == n_max else (c0, c1)
-
-
-def _domain_row(space: SpaceDescriptor, m: int, n_max: int) -> tuple[np.ndarray, bool]:
-    """The domain weight row of witness m (:func:`_row`), kept among the
-    facts of the domain's sequence at n_max, so a family reads it once."""
-    return _memo(space.alpha, n_max, ("row", space.kind, m),
-                 lambda: _row(weight_array(space, m, n_max)))
+    best_half = best_rest = -math.inf
+    for (u0, u1, _), ((g0_half, g0_rest), (g1_half, g1_rest)) in zip(
+            scalars, (heads for heads, _, _ in facts)):
+        best_half = max(best_half, u0 + g0_half, u1 + g1_half)
+        best_rest = max(best_rest, u0 + g0_rest, u1 + g1_rest)
+    if best_half == -math.inf:
+        return None
+    best_full = max(best_half, best_rest)
+    c0, c1 = n_max, 0
+    for (_, _, top), (_, first, last) in zip(scalars, facts):
+        if top == -math.inf:
+            continue
+        t_half, t_full = best_half - top - slack, best_full - top - slack
+        i = int(first[:half].searchsorted(t_half))
+        if i == half:
+            i += int(first[half:].searchsorted(t_full))
+        j = half + int(last[half:].searchsorted(-t_full, "right"))
+        if j == half:
+            j = int(last[:half].searchsorted(-t_half, "right"))
+        c0, c1 = min(c0, i), max(c1, j)
+    return (c0, c1) if 0 < c1 - c0 < n_max else None
 
 
 def _sample_tameness(
@@ -684,27 +743,36 @@ def _sample_tameness(
 
     The member's side of the kernel set-up is built once, before the scan,
     and each grading's side is shared by the family (:func:`operators._setup`).
-    Each sup pair walks that set-up: where its symbol logs and codomain
-    weights are bounded and the domain row is tame (:func:`_row`), only on
-    the columns that can attain the pair, from bounds read off the same
-    set-up (:func:`_sup_columns`), and on all columns otherwise.  Either way
-    the pair has the full profile's bits."""
+    Each sup pair walks that set-up: where its symbol logs are tame and
+    the family has range facts for its weights (:func:`_range_facts`), only
+    on the columns that can attain the pair (:func:`_pair_columns`), and on
+    all columns otherwise.  Either way the pair has the full profile's bits."""
     if n_max < 2:
         return Outcome.INCONCLUSIVE, None, None
     runs = _symbol_side(op, n_max)
-    bounded = all(_bounded(run.u) for run in runs)
+    scalars = [(float(run.u[0]), float(run.u[1]), float(run.u_sufmax[0]))
+               for run in runs]
+    tame = all(_tame(run.u) for run in runs)
+    terms = sum(run.i_top for run in runs)
+    slack = (math.log(max(terms, 1)) if norm_kind is NormKind.SUM else 0.0) + 1.0
+    half = n_max // 2
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
-        weights, wild = _domain_row(op.domain, m, n_max)
-        setup = _setup(runs, bounded, op.codomain, k, n_max)
-        bounds = None if wild else setup.bounds(norm_kind)
-        cols = None if bounds is None else _sup_columns(*bounds, weights)
-        profile = setup.profile(norm_kind, cols)
-        c0, c1 = cols or (0, n_max)
-        gap = np.full(n_max, -np.inf)
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.subtract(profile, weights[c0:c1], out=gap[c0:c1])
-            return _sup_pair(gap, 1, n_max)
+        facts = [_range_facts(op.domain, op.codomain, k, m, run.direction, n_max)
+                 for run in runs] if tame else None
+        cols = (None if facts is None or None in facts
+                else _pair_columns(scalars, facts, slack, n_max))
+        profile = _setup(runs, op.codomain, k, n_max).profile(norm_kind, cols)
+        weights = weight_array(op.domain, m, n_max)
+        if cols is None:
+            with np.errstate(invalid="ignore", over="ignore"):
+                return _sup_pair(profile - weights, 1, n_max)
+        c0, c1 = cols
+        gap = profile - weights[c0:c1]
+        split = min(max(half - c0, 0), c1 - c0)
+        sup_half, sup_rest = (float(part.max(initial=-np.inf))
+                              for part in (gap[:split], gap[split:]))
+        return sup_half, max(sup_half, sup_rest)
 
     scan = scan_fixed(win, sup_pair, k_max, s_map)
     if scan.outcome is Outcome.HOLDS:

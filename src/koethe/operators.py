@@ -120,6 +120,8 @@ class SymbolSpec:
         elif self.form == "polynomial":
             if self.d is None:
                 raise InvariantError("polynomial form needs a degree d")
+            # the decoder's check and message, so the record round-trips
+            json_field({"d": self.d}, "d", "float_integer", "symbol part")
         else:
             raise InvariantError(f"unknown symbol form {self.form!r}")
 
@@ -646,58 +648,14 @@ def _norms(runs: list[tuple[np.ndarray, np.ndarray]], norm_kind: NormKind
     return out
 
 
-def _bounded(arr: np.ndarray) -> bool:
-    """No entry is +inf, NaN or 2^1022 or more in magnitude; log-zero is."""
-    return bool((np.isneginf(arr) | (np.abs(arr) < 2.0 ** 1022)).all())
-
-
 class _Setup(NamedTuple):
     """The kernel set-up of an operator at grading k, run by run: the symbol
     side (:func:`_symbol_side`) and a weight side per run.  Every walk of
-    the kernel reads one.  ``bounded`` holds where every symbol log and
-    codomain weight is known to be bounded (:func:`_bounded`); only the
-    tameness check, which reads the bounds, finds that out (:func:`_setup`).
-    """
+    the kernel reads one."""
 
     runs: list[_SymbolRun]
     weights: list[_WeightRun]
     n_trunc: int
-    bounded: bool
-
-    def bounds(self, norm_kind: NormKind) -> tuple[np.ndarray, np.ndarray] | None:
-        """Per-column (lower, upper) bounds on the profile in O(n_trunc), or
-        None where the set-up is not ``bounded``.
-
-        The lower bound is the kernel's head, the larger of each run's first
-        two row terms: the kernel computes both for every column, and a norm
-        is at least each term it computed.  The upper bound is each run's
-        largest symbol log plus the largest weight its columns reach, plus in
-        a sum the log of the runs' supports (a column has no more terms, and
-        each scales to at most 1), plus a margin of 1.  Both bounds add the
-        kernel's own operands, and rounding is monotone, so they bound the
-        profile's floats and not only the reals behind them.
-        """
-        if not self.bounded:
-            return None
-        n_trunc = self.n_trunc
-        lower = np.full(n_trunc, -np.inf)
-        upper = np.full(n_trunc, -np.inf)
-        terms = 0
-        for run, weights in zip(self.runs, self.weights):
-            u, v = run.u, weights.v
-            np.maximum(lower, u[0] + v, out=lower)
-            # the second row: n + 1 of column n below the diagonal, n - 1 above
-            nxt, own = (slice(1, None), slice(None, -1))[::run.direction]
-            np.maximum(lower[own], u[1:2] + v[nxt], out=lower[own])
-            # the largest weight from each column's first row on, in the
-            # run's direction: v_reach is in walk order
-            reach = weights.v_reach[:n_trunc][::run.direction]
-            np.maximum(upper, run.u_sufmax[0] + reach, out=upper)
-            terms += run.i_top
-        if norm_kind is NormKind.SUM:
-            upper += math.log(max(terms, 1))
-        upper += 1.0
-        return lower, upper
 
     def profile(self, norm_kind: NormKind, cols: tuple[int, int] | None = None
                 ) -> np.ndarray:
@@ -716,32 +674,29 @@ def _symbol_side(op: ToeplitzOperator, n_trunc: int) -> list[_SymbolRun]:
 
 
 def _weight_side(codomain: SpaceDescriptor, k: int, n_trunc: int, direction: int
-                 ) -> tuple[_WeightRun, bool]:
+                 ) -> _WeightRun:
     """The weight side of a kernel set-up shared by a family: grading k of
     ``codomain`` as a run in ``direction`` walks it, padded for any support
-    (:func:`_weight_run`), and whether its weights are :func:`_bounded`.
-    Kept among the facts of the codomain's sequence (:func:`spaces._memo`),
-    so every operator into the codomain shares it; an upward one is built
-    only when an upper part asks for it."""
-    def build() -> tuple[_WeightRun, bool]:
-        v = weight_array(codomain, k, n_trunc)
-        weights = _weight_run(v, direction, n_trunc, n_trunc)
+    (:func:`_weight_run`).  Kept among the facts of the codomain's sequence
+    (:func:`spaces._memo`), so every operator into the codomain shares it;
+    an upward one is built only when an upper part asks for it."""
+    def build() -> _WeightRun:
+        weights = _weight_run(weight_array(codomain, k, n_trunc), direction,
+                              n_trunc, n_trunc)
         # shared by every member of a family
         weights.pad.flags.writeable = weights.v_reach.flags.writeable = False
-        return weights, _bounded(v)
+        return weights
     return _memo(codomain.alpha, n_trunc,
                  ("kernel weights", codomain.kind, k, direction), build)
 
 
-def _setup(runs: list[_SymbolRun], bounded: bool, codomain: SpaceDescriptor,
-           k: int, n_trunc: int) -> _Setup:
+def _setup(runs: list[_SymbolRun], codomain: SpaceDescriptor, k: int, n_trunc: int
+           ) -> _Setup:
     """The kernel set-up of the symbol runs ``runs`` (:func:`_symbol_side`)
     into grading k of ``codomain`` on the family's weight sides
-    (:func:`_weight_side`); bounded where the runs are (``bounded``) and
-    every weight side is."""
-    sides = [_weight_side(codomain, k, n_trunc, run.direction) for run in runs]
-    return _Setup(runs, [weights for weights, _ in sides], n_trunc,
-                  bounded and all(ok for _, ok in sides))
+    (:func:`_weight_side`)."""
+    return _Setup(runs, [_weight_side(codomain, k, n_trunc, run.direction)
+                         for run in runs], n_trunc)
 
 
 @lru_cache(maxsize=1024)
@@ -771,7 +726,7 @@ def column_norm_profile(
     runs = _symbol_side(op, n_trunc)
     v = weight_array(op.codomain, k, n_trunc)
     weights = [_weight_run(v, run.direction, n_trunc, run.i_top) for run in runs]
-    return _Setup(runs, weights, n_trunc, bounded=False).profile(norm_kind)
+    return _Setup(runs, weights, n_trunc).profile(norm_kind)
 
 
 def column_norm_profiles(

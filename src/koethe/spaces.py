@@ -151,7 +151,7 @@ class _Exponents:
 
     ``facts`` memoises reports on the sequence at this truncation
     (subadditivity constants, nuclearity verdicts, certified conditions
-    whose lhs it grades, and the tameness check's weight rows and kernel
+    whose lhs it grades, and the tameness check's range facts and kernel
     weight sides of the spaces it grades), so they are computed once per key
     and are dropped with their ``_exponent_values`` entry.  Shared reports
     must be immutable.

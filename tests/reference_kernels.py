@@ -21,6 +21,12 @@ two must agree bit for bit as well.
 before its sup pairs ran the kernel on a column range: every pair reads
 the full profile.  ``full_profile_tameness`` puts it in place.
 
+``BoundedSetup.bounds`` and ``_sup_columns`` are the per-column profile
+bounds and the column range of a tameness sup pair as they were before
+the pairs chose their columns from facts that a family shares: O(n) passes
+per pair.  ``sup_columns`` gives that range, which the tameness pool
+families must still walk exactly.
+
 ``_prefix_lse``, ``classify_series`` and ``membership_in_space`` are the
 series classification and the membership check as they were before the
 series pass took a block of rows: one series per call, one 1-D ``np.sum``
@@ -33,7 +39,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from unittest import mock
 
 import numpy as np
@@ -251,6 +257,103 @@ def full_profile_tameness():
     """Run ``criteria.tameness_check`` on full profiles inside the block."""
     with mock.patch.object(criteria, "_sample_tameness", _sample_tameness):
         yield
+
+
+# verbatim copies of the per-column profile bounds and the column range
+# that a tameness sup pair read off them, in O(n) per pair, before the
+# pairs chose their columns from facts that a family shares; ``bounds`` was
+# a method of the kernel set-up, which carried the ``bounded`` flag then
+def _bounded(arr: np.ndarray) -> bool:
+    """No entry is +inf, NaN or 2^1022 or more in magnitude; log-zero is."""
+    return bool((np.isneginf(arr) | (np.abs(arr) < 2.0 ** 1022)).all())
+
+
+class BoundedSetup(NamedTuple):
+    """A kernel set-up (``operators._Setup``) with its ``bounded`` flag."""
+
+    runs: list
+    weights: list
+    n_trunc: int
+    bounded: bool
+
+    def bounds(self, norm_kind: NormKind) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per-column (lower, upper) bounds on the profile in O(n_trunc), or
+        None where the set-up is not ``bounded``.
+
+        The lower bound is the kernel's head, the larger of each run's first
+        two row terms: the kernel computes both for every column, and a norm
+        is at least each term it computed.  The upper bound is each run's
+        largest symbol log plus the largest weight its columns reach, plus in
+        a sum the log of the runs' supports (a column has no more terms, and
+        each scales to at most 1), plus a margin of 1.  Both bounds add the
+        kernel's own operands, and rounding is monotone, so they bound the
+        profile's floats and not only the reals behind them.
+        """
+        if not self.bounded:
+            return None
+        n_trunc = self.n_trunc
+        lower = np.full(n_trunc, -np.inf)
+        upper = np.full(n_trunc, -np.inf)
+        terms = 0
+        for run, weights in zip(self.runs, self.weights):
+            u, v = run.u, weights.v
+            np.maximum(lower, u[0] + v, out=lower)
+            # the second row: n + 1 of column n below the diagonal, n - 1 above
+            nxt, own = (slice(1, None), slice(None, -1))[::run.direction]
+            np.maximum(lower[own], u[1:2] + v[nxt], out=lower[own])
+            # the largest weight from each column's first row on, in the
+            # run's direction: v_reach is in walk order
+            reach = weights.v_reach[:n_trunc][::run.direction]
+            np.maximum(upper, run.u_sufmax[0] + reach, out=upper)
+            terms += run.i_top
+        if norm_kind is NormKind.SUM:
+            upper += math.log(max(terms, 1))
+        upper += 1.0
+        return lower, upper
+
+
+def _sup_columns(lower: np.ndarray, upper: np.ndarray, weights: np.ndarray
+                 ) -> tuple[int, int] | None:
+    """The column range [c0, c1) of every column whose gap can reach the sup
+    pair over n >= 1, given per-column profile bounds and finite weights;
+    None for all columns.
+
+    A column of the half window is kept where its upper gap reaches the
+    best lower gap of the half, any other where it reaches the best of the
+    full window; each column left out lies below the sup it could enter,
+    so the pair over the range, with -inf outside it, is the same floats."""
+    n_max = len(weights)
+    half = n_max // 2
+    with np.errstate(over="ignore"):
+        low = lower - weights
+        high = upper - weights
+    best_half = low[:half].max()
+    keep = np.empty(n_max, dtype=bool)
+    np.greater_equal(high[:half], best_half, out=keep[:half])
+    np.greater_equal(high[half:], max(best_half, low[half:].max()), out=keep[half:])
+    c0 = int(keep.argmax())
+    c1 = n_max - int(keep[::-1].argmax())
+    return None if c1 - c0 == n_max else (c0, c1)
+
+
+def bounded_setup(op: ToeplitzOperator, k: int, n_trunc: int) -> BoundedSetup:
+    """``op``'s kernel set-up at grading k, bounded where every symbol log
+    and codomain weight is."""
+    runs = operators._symbol_side(op, n_trunc)
+    bounded = (all(_bounded(run.u) for run in runs)
+               and _bounded(weight_array(op.codomain, k, n_trunc)))
+    return BoundedSetup(*operators._setup(runs, op.codomain, k, n_trunc), bounded)
+
+
+def sup_columns(op: ToeplitzOperator, k: int, m: int, n_max: int, norm_kind: NormKind
+                ) -> tuple[int, int] | None:
+    """The column range that a tameness sup pair walked on these bounds:
+    None, all columns, where the set-up is not bounded or the domain row
+    is wild (an entry infinite, NaN or 2^1022 or more in magnitude)."""
+    weights = weight_array(op.domain, m, n_max)
+    bounds = (None if not np.abs(weights).max() < 2.0 ** 1022
+              else bounded_setup(op, k, n_max).bounds(norm_kind))
+    return None if bounds is None else _sup_columns(*bounds, weights)
 
 
 # verbatim copies of the series classification and the membership check

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import json
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,19 @@ def test_input_records_round_trip_through_their_report_bytes(record):
     back = type(record).from_json(json.loads(text))
     assert back == record
     assert _dumps(back.to_json()) == text
+
+
+@pytest.mark.parametrize("d", [10**400, -10**400], ids=["1e400", "-1e400"])
+def test_the_constructor_refuses_a_degree_that_the_decoder_refuses(d):
+    # built through the Python API, such a degree would neither round-trip
+    # nor evaluate; one within float range does both
+    message = re.escape("symbol part: field 'd' must be an integer within float range")
+    with pytest.raises(ConfigurationError, match=message):
+        SymbolSpec.polynomial(d)
+    with pytest.raises(ConfigurationError, match=message):
+        SymbolSpec.from_json({"form": "polynomial", "d": d})
+    spec = SymbolSpec.polynomial(d // 10**100)
+    assert SymbolSpec.from_json(json.loads(_dumps(spec.to_json()))) == spec
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,7 +25,6 @@ from koethe.operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
-    _bounded,
     _runs,
     _setup,
     _symbol_run,
@@ -68,8 +67,7 @@ def run_profile(u, v, direction, n_trunc, norm, cols=None):
 
 def member_setup(op, k, n_trunc):
     """``op``'s kernel set-up at grading k as the tameness check builds it."""
-    runs = _symbol_side(op, n_trunc)
-    return _setup(runs, all(_bounded(run.u) for run in runs), op.codomain, k, n_trunc)
+    return _setup(_symbol_side(op, n_trunc), op.codomain, k, n_trunc)
 
 
 def assert_raw_kernels_agree(u, v, direction, norm):
@@ -443,7 +441,7 @@ def test_a_column_range_has_the_full_profiles_bits(variant, lower, upper, big,
     full = uncached_profile(op, k, big, norm)
     setup = member_setup(op, k, big)
     assert setup.profile(norm, (c0, c1)).tobytes() == full[c0:c1].tobytes()
-    bounds = setup.bounds(norm)
+    bounds = reference_kernels.bounded_setup(op, k, big).bounds(norm)
     if bounds is not None:
         lower_bound, upper_bound = bounds
         assert (lower_bound <= full).all() and (full <= upper_bound).all()
@@ -478,8 +476,8 @@ def test_walks_on_a_shared_set_up_have_the_kernels_bits(variant, lower, upper, o
                                                          big, norm, data):
     # the tameness check builds each grading's weight side once for every
     # member and direction, and each member's symbol side once for every
-    # grading; the bounds and the ranged profile both read that set-up, and
-    # the bounds exist where every symbol log and weight is bounded
+    # grading; the ranged profile and the reference bounds both read that
+    # set-up, and the bounds exist where every symbol log and weight is bounded
     if variant is Variant.FULL:
         lower = lower if lower.values_array(1)[0] != 0.0 else lower.with_head(1.0)
         upper = upper if upper.values_array(1)[0] != 0.0 else upper.with_head(1.0)
@@ -495,8 +493,9 @@ def test_walks_on_a_shared_set_up_have_the_kernels_bits(variant, lower, upper, o
     setup = member_setup(op, k, big)
     profile = operators.column_norm_profile(op, k, big, norm)[slice(*cols or (0, big))]
     assert setup.profile(norm, cols).tobytes() == profile.tobytes()
-    bounded = _bounded(v) and all(_bounded(u) for u, _ in _runs(op, big, log=True))
-    assert (setup.bounds(norm) is not None) == bounded
+    bounded = reference_kernels._bounded(v) and all(
+        reference_kernels._bounded(u) for u, _ in _runs(op, big, log=True))
+    assert (reference_kernels.bounded_setup(op, k, big).bounds(norm) is not None) == bounded
 
 
 @pytest.mark.parametrize("norm", list(NormKind))
