@@ -42,6 +42,7 @@ from .operators import (
     ToeplitzOperator,
     Variant,
     _setup,
+    _SymbolRun,
     _symbol_side,
     _weight_side,
     lower_part,
@@ -72,7 +73,7 @@ from .verdicts import (
     Window,
     conjoin,
     decide,
-    scan_fixed,
+    scan_fixed_lockstep,
 )
 
 
@@ -702,25 +703,30 @@ def _range_facts(domain: SpaceDescriptor, codomain: SpaceDescriptor, k: int, m: 
                  ("range facts", domain.kind, m, codomain, k, direction), build)
 
 
-def _pair_columns(scalars: list[tuple[float, float, float]], facts: list[tuple],
-                  slack: float, n_max: int) -> tuple[int, int] | None:
+def _pair_columns(runs: list[_SymbolRun], facts: list[tuple], norm_kind: NormKind,
+                  n_max: int) -> tuple[int, int] | None:
     """The column range [c0, c1) of every column whose gap can reach the sup
-    pair over n >= 1, from each run's (u[0], u[1], u_sufmax[0]) and facts
-    (:func:`_range_facts`), where ``slack`` is log(Σ i_top) in a sum, plus
-    the margin of 1; None for all columns.  A column of the half window is
-    kept where its upper gap reaches the best lower gap of the half, any
-    other where it reaches the best of the full window."""
+    pair over n >= 1 of a member with symbol runs ``runs``, from each run's
+    u[0], u[1] and u_sufmax[0] and facts (:func:`_range_facts`), with a
+    slack of log(Σ i_top) in a sum, plus the margin of 1; None for all
+    columns.  A column of the half window is kept where its upper gap
+    reaches the best lower gap of the half, any other where it reaches the
+    best of the full window."""
+    terms = sum(run.i_top for run in runs)
+    slack = (math.log(max(terms, 1)) if norm_kind is NormKind.SUM else 0.0) + 1.0
     half = n_max // 2
     best_half = best_rest = -math.inf
-    for (u0, u1, _), ((g0_half, g0_rest), (g1_half, g1_rest)) in zip(
-            scalars, (heads for heads, _, _ in facts)):
+    for run, ((g0_half, g0_rest), (g1_half, g1_rest)) in zip(
+            runs, (heads for heads, _, _ in facts)):
+        u0, u1 = float(run.u[0]), float(run.u[1])
         best_half = max(best_half, u0 + g0_half, u1 + g1_half)
         best_rest = max(best_rest, u0 + g0_rest, u1 + g1_rest)
     if best_half == -math.inf:
         return None
     best_full = max(best_half, best_rest)
     c0, c1 = n_max, 0
-    for (_, _, top), (_, first, last) in zip(scalars, facts):
+    for run, (_, first, last) in zip(runs, facts):
+        top = float(run.u_sufmax[0])
         if top == -math.inf:
             continue
         t_half, t_full = best_half - top - slack, best_full - top - slack
@@ -734,50 +740,70 @@ def _pair_columns(scalars: list[tuple[float, float, float]], facts: list[tuple],
     return (c0, c1) if 0 < c1 - c0 < n_max else None
 
 
-def _sample_tameness(
-    op: ToeplitzOperator, s_map: SMap, win: Window, norm_kind: NormKind,
-    k_max: int, n_max: int,
-) -> tuple[Outcome, int | None, LogValue | None]:
-    """Smallest k0 <= k_max with a stabilized uniform constant for all
-    k >= k0, on the clipped truncation n_max.
+#: the most members whose scans run in lock-step: it bounds the memory that
+#: their symbol sides and stacked walks hold at once
+_GROUP = 16
 
-    The member's side of the kernel set-up is built once, before the scan,
+
+def _sample_tameness(
+    ops: Sequence[ToeplitzOperator], s_map: SMap, win: Window, norm_kind: NormKind,
+    k_max: int, n_max: int,
+) -> list[tuple[Outcome, int | None, LogValue | None]]:
+    """For each of at most _GROUP members of a family: the smallest
+    k0 <= k_max with a stabilized uniform constant for all k >= k0, on the
+    clipped truncation n_max.
+
+    The members' scans run in lock-step (:func:`verdicts.scan_fixed_lockstep`).
+    A member's side of the kernel set-up is built once, before the scans,
     and each grading's side is shared by the family (:func:`operators._setup`).
-    Each sup pair walks that set-up: where its symbol logs are tame and
-    the family has range facts for its weights (:func:`_range_facts`), only
-    on the columns that can attain the pair (:func:`_pair_columns`), and on
-    all columns otherwise.  Either way the pair has the full profile's bits."""
+    Where a member's symbol logs are tame and the family has range facts
+    for the weights (:func:`_range_facts`), its pair reads only the columns
+    that can attain it (:func:`_pair_columns`), and at each grading such
+    members walk the kernel in one stack, on the union of their ranges,
+    unless that block would be wider than one member's all-columns walk;
+    then each walks alone on its own range.  Every other member walks
+    alone, on all columns.  Either way each pair has the full profile's
+    bits (:func:`operators._walk`)."""
     if n_max < 2:
-        return Outcome.INCONCLUSIVE, None, None
-    runs = _symbol_side(op, n_max)
-    scalars = [(float(run.u[0]), float(run.u[1]), float(run.u_sufmax[0]))
-               for run in runs]
-    tame = all(_tame(run.u) for run in runs)
-    terms = sum(run.i_top for run in runs)
-    slack = (math.log(max(terms, 1)) if norm_kind is NormKind.SUM else 0.0) + 1.0
+        return [(Outcome.INCONCLUSIVE, None, None)] * len(ops)
+    domain, codomain = ops[0].domain, ops[0].codomain
+    sides = [_symbol_side(op, n_max) for op in ops]
+    tame = [all(_tame(run.u) for run in runs) for runs in sides]
     half = n_max // 2
 
-    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
-        facts = [_range_facts(op.domain, op.codomain, k, m, run.direction, n_max)
-                 for run in runs] if tame else None
-        cols = (None if facts is None or None in facts
-                else _pair_columns(scalars, facts, slack, n_max))
-        profile = _setup(runs, op.codomain, k, n_max).profile(norm_kind, cols)
-        weights = weight_array(op.domain, m, n_max)
-        if cols is None:
-            with np.errstate(invalid="ignore", over="ignore"):
-                return _sup_pair(profile - weights, 1, n_max)
-        c0, c1 = cols
-        gap = profile - weights[c0:c1]
-        split = min(max(half - c0, 0), c1 - c0)
-        sup_half, sup_rest = (float(part.max(initial=-np.inf))
-                              for part in (gap[:split], gap[split:]))
-        return sup_half, max(sup_half, sup_rest)
+    def sup_pairs(k: int, m: int, live: list[int]) -> list[tuple[LogValue, LogValue]]:
+        facts = ([_range_facts(domain, codomain, k, m, run.direction, n_max)
+                  for run in sides[0]] if any(tame[i] for i in live) else [None])
+        cols = {i: _pair_columns(sides[i], facts, norm_kind, n_max)
+                if tame[i] and None not in facts else None for i in live}
+        weights = weight_array(domain, m, n_max)
+        ranged = [i for i in live if cols[i] is not None]
+        walks = [([i], None) for i in live if cols[i] is None]
+        if ranged:
+            union = (min(cols[i][0] for i in ranged), max(cols[i][1] for i in ranged))
+            # no stack's block is wider than one member's all-columns walk
+            walks += ([(ranged, union)] if len(ranged) * (union[1] - union[0]) <= n_max
+                      else [([i], cols[i]) for i in ranged])
+        pairs = {}
+        for stack, span in walks:
+            profiles = _setup([sides[i] for i in stack], codomain, k, n_max).profile(
+                norm_kind, span)
+            for i, profile in zip(stack, profiles):
+                if span is None:
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        pairs[i] = _sup_pair(profile - weights, 1, n_max)
+                    continue
+                c0, c1 = cols[i]
+                gap = profile[c0 - span[0] : c1 - span[0]] - weights[c0:c1]
+                split = min(max(half - c0, 0), c1 - c0)
+                sup_half, sup_rest = (float(part.max(initial=-np.inf))
+                                      for part in (gap[:split], gap[split:]))
+                pairs[i] = sup_half, max(sup_half, sup_rest)
+        return [pairs[i] for i in live]
 
-    scan = scan_fixed(win, sup_pair, k_max, s_map)
-    if scan.outcome is Outcome.HOLDS:
-        return Outcome.HOLDS, min(scan.entries), max(scan.entries.values())
-    return scan.outcome, None, None
+    return [(Outcome.HOLDS, min(scan.entries), max(scan.entries.values()))
+            if scan.outcome is Outcome.HOLDS else (scan.outcome, None, None)
+            for scan in scan_fixed_lockstep(win, sup_pairs, len(ops), k_max, s_map)]
 
 
 def tameness_check(
@@ -798,12 +824,12 @@ def tameness_check(
     members = list(zip(*(_sample_family(family, part, template, win, rng)
                          for part in parts)))
     norm_kind = default_norm_kind(template)
-    samples: list[TameSample] = []
-    for member in members:
-        op = template.build(*member)
-        status, k0, log_c = _sample_tameness(op, s_map, win, norm_kind,
-                                             k_max, n_max)
-        samples.append(TameSample(member[0], status, k0, log_c))
+    ops = [template.build(*member) for member in members]
+    results = [result for g in range(0, len(ops), _GROUP)
+               for result in _sample_tameness(ops[g : g + _GROUP], s_map, win,
+                                              norm_kind, k_max, n_max)]
+    samples = [TameSample(member[0], *result)
+               for member, result in zip(members, results)]
     outcomes = [s.status for s in samples]
     overall = conjoin(*outcomes)
     failing = next((i for i, s in enumerate(samples)

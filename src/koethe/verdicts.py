@@ -255,19 +255,50 @@ def scan_fixed(
     """m fixed by the index map, m = S(k): the run of plateaus reaching down
     from k_max, whose bottom is the threshold k0 = min(entries).  The scan
     walks down and stops at the first grading that does not plateau; with
-    no plateau at k_max it fails only on growth there."""
-    entries: dict[int, LogValue] = {}
+    no plateau at k_max it fails only on growth there.  It is the one-scan
+    case of :func:`scan_fixed_lockstep`."""
+    [scan] = scan_fixed_lockstep(win, lambda k, m, live: [sup_pair(k, m)], 1,
+                                 k_max, s_map)
+    return scan
+
+
+#: the sup pairs of several scans at grading k and witness m: one pair (or
+#: None) for each scan index in ``live``, in that order
+SupPairs = Callable[[int, int, "list[int]"],
+                    "list[tuple[LogValue, LogValue] | None]"]
+
+
+def scan_fixed_lockstep(
+    win: Window, sup_pairs: SupPairs, count: int, k_max: int,
+    s_map: Callable[[int], int],
+) -> list[Scan]:
+    """``count`` scans of :func:`scan_fixed` in lock-step: at each grading,
+    from k_max down, one call of ``sup_pairs`` gives the pairs of the scans
+    still running, and each stops by its own pairs, so it asks for the
+    pairs that it asks for alone."""
+    entries: list[dict[int, LogValue]] = [{} for _ in range(count)]
+    # the status and pair of the grading where each scan stopped
+    stops: list = [None] * count
+    live = list(range(count))
     for k in range(k_max, 0, -1):
-        pair = sup_pair(k, s_map(k))
-        status = _status(win, pair)
-        if status is not PlateauStatus.PLATEAU:
+        if not live:
             break
-        entries[k] = pair[1]
-    if entries:
-        return Scan(Outcome.HOLDS, dict(sorted(entries.items())))
-    if status is PlateauStatus.GROWTH:
-        return Scan(Outcome.FAILS_ON_WINDOW, k=k_max, growth=pair[1] - pair[0])
-    return Scan(Outcome.INCONCLUSIVE, k=k_max)
+        for i, pair in zip(live, sup_pairs(k, s_map(k), live)):
+            status = _status(win, pair)
+            if status is PlateauStatus.PLATEAU:
+                entries[i][k] = pair[1]
+            else:
+                stops[i] = status, pair
+        live = [i for i in live if stops[i] is None]
+
+    def scan(found: dict[int, LogValue], stop) -> Scan:
+        if found:
+            return Scan(Outcome.HOLDS, dict(sorted(found.items())))
+        status, pair = stop
+        if status is PlateauStatus.GROWTH:
+            return Scan(Outcome.FAILS_ON_WINDOW, k=k_max, growth=pair[1] - pair[0])
+        return Scan(Outcome.INCONCLUSIVE, k=k_max)
+    return [scan(found, stop) for found, stop in zip(entries, stops)]
 
 
 def _freeze(cert: Any, name: str) -> None:

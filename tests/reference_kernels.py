@@ -160,10 +160,13 @@ def gather_run_profile(
     return m_run, s_run
 
 
-def _gather_walk(run, weights, n_trunc: int, norm_kind: NormKind,
+def _gather_walk(runs, weights, n_trunc: int, norm_kind: NormKind,
                  cols: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``operators._walk``'s signature over :func:`gather_run_profile`."""
-    return gather_run_profile(run.u, weights.v, run.direction, n_trunc, norm_kind, cols)
+    """``operators._walk``'s signature over :func:`gather_run_profile`, one
+    member of the stack at a time."""
+    walks = [gather_run_profile(run.u, weights.v, run.direction, n_trunc, norm_kind, cols)
+             for run in runs]
+    return np.stack([m for m, _ in walks]), np.stack([s for _, s in walks])
 
 
 @contextlib.contextmanager
@@ -254,8 +257,11 @@ def _sample_tameness(
 
 @contextlib.contextmanager
 def full_profile_tameness():
-    """Run ``criteria.tameness_check`` on full profiles inside the block."""
-    with mock.patch.object(criteria, "_sample_tameness", _sample_tameness):
+    """Run ``criteria.tameness_check`` on full profiles inside the block, one
+    member after the other."""
+    def sample(ops, *args):
+        return [_sample_tameness(op, *args) for op in ops]
+    with mock.patch.object(criteria, "_sample_tameness", sample):
         yield
 
 
@@ -342,7 +348,8 @@ def bounded_setup(op: ToeplitzOperator, k: int, n_trunc: int) -> BoundedSetup:
     runs = operators._symbol_side(op, n_trunc)
     bounded = (all(_bounded(run.u) for run in runs)
                and _bounded(weight_array(op.codomain, k, n_trunc)))
-    return BoundedSetup(*operators._setup(runs, op.codomain, k, n_trunc), bounded)
+    setup = operators._setup([runs], op.codomain, k, n_trunc)
+    return BoundedSetup([run for [run] in setup.runs], setup.weights, n_trunc, bounded)
 
 
 def sup_columns(op: ToeplitzOperator, k: int, m: int, n_max: int, norm_kind: NormKind

@@ -82,9 +82,10 @@ def _family_report(template, window):
 
 
 def test_a_bounded_family_leaves_the_profile_memo_alone():
-    # bounded sup pairs walk the kernel on their own set-up, on a column
-    # range (Λ∞(n) into Λ₀(n)) or on all columns (Λ∞(n^0.5) into itself),
-    # so the profile memo is neither read nor filled
+    # bounded sup pairs walk the kernel on their members' set-ups, on a
+    # column range (Λ∞(n) into Λ₀(n), the members in one stack) or on all
+    # columns (Λ∞(n^0.5) into itself, each member alone), so the profile
+    # memo is neither read nor filled
     window = Window(k_max=4).with_n_max(128)
     original = operators_module._walk
     for domain, codomain, ranged in [(SPACES[1], SPACES[0], True),
@@ -93,7 +94,8 @@ def test_a_bounded_family_leaves_the_profile_memo_alone():
         walked = []
 
         def spy(*args):
-            walked.append(args[4] is not None)
+            # one entry per member of the stack walked
+            walked.extend([args[4] is not None] * len(args[0]))
             return original(*args)
 
         before = operators_module.column_norm_profile.cache_info()

@@ -231,17 +231,22 @@ tameness_operators = st.builds(operator, st.sampled_from(list(Variant)), symbol_
 @given(op=tameness_operators, kind=st.sampled_from(list(NormKind)),
        n=st.integers(2, 64))
 def test_tameness_sup_pair_matches_the_reference(op, kind, n):
-    # the provider that _sample_tameness hands its fixed-map scan
+    # the provider that _sample_tameness hands its lock-step scans, for op
+    # alone
     n_max = n_within(n, op.domain, op.codomain)
     providers = []
 
-    def capture(win, sup_pair, k_max, s_map):
-        providers.append(sup_pair)
-        return Scan(Outcome.INCONCLUSIVE)
+    def capture(win, sup_pairs, count, k_max, s_map):
+        providers.append(sup_pairs)
+        return [Scan(Outcome.INCONCLUSIVE)] * count
 
-    with mock.patch.object(criteria, "scan_fixed", capture):
-        _sample_tameness(op, SMap.identity(), Window(), kind, 6, n_max)
-    [new] = providers
+    with mock.patch.object(criteria, "scan_fixed_lockstep", capture):
+        _sample_tameness([op], SMap.identity(), Window(), kind, 6, n_max)
+    [pairs] = providers
+
+    def new(k, m):
+        [pair] = pairs(k, m, [0])
+        return pair
     for k in range(1, 7):
         for m in range(1, 7):
             profile = column_norm_profile(op, k, n_max, kind)

@@ -1,14 +1,18 @@
-"""Tameness sup pairs run the kernel only on the columns that can attain them.
+"""Tameness sup pairs run the kernel only on the columns that can attain them,
+and a family's members walk it in lock-step.
 
 ``criteria._sample_tameness`` chooses the column range whose gaps can reach
-the sup pair from a few scalars of the member and weight facts that the
-family shares (``criteria._range_facts``), and walks the kernel on it;
-where the weights or the symbol are not tame, it walks every column of the
-same set-up.  These tests hold the pairs bit for bit, and the reports byte
-for byte, against ``reference_kernels._sample_tameness``, which reads the
-full profile for every pair; the ranges against those of the per-pair
-bounds in ``reference_kernels.sup_columns``; and every range against the
-columns where the full profile's gap attains the pair.
+the sup pair from the member's symbol runs and weight facts that the
+family shares (``criteria._range_facts``); where the weights or the symbol
+are not tame, it walks every column of the same set-up.  The scans of up
+to ``criteria._GROUP`` members run in lock-step, and at each grading the
+members with a range walk the kernel together, on the union of their
+ranges.  These tests hold the pairs bit for bit, and the reports byte for
+byte, against ``reference_kernels._sample_tameness``, which reads the full
+profile for every pair; the lock-step pairs against each member's walk
+alone; the ranges against those of the per-pair bounds in
+``reference_kernels.sup_columns``; and every range against the columns
+where the full profile's gap attains the pair.
 
 Run as a script, the report check of every family in ``POOLS`` runs at
 the default window (n_max=4096) and exits 1 on a report that differs:
@@ -17,6 +21,8 @@ the default window (n_max=4096) and exits 1 on a report that differs:
 """
 
 import sys
+import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -28,11 +34,14 @@ from koethe import criteria, operators, spaces
 from koethe.cli import _dumps
 from koethe.criteria import FamilySpec, OperatorTemplate, SMap, _sample_tameness
 from koethe.operators import (
+    _BLOCK,
     NormKind,
     Symbol,
     SymbolSpec,
     ToeplitzOperator,
     Variant,
+    _setup,
+    _symbol_side,
     column_norm_profiles,
 )
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
@@ -104,51 +113,86 @@ def profile_ranges(run):
 
 def pair_ranges(template, seed: int, window: Window):
     """The column range that each sup pair of a pool family's tameness
-    check walks, and the one the reference bounds give it, in order."""
-    expected = []
-    sample, scan = criteria._sample_tameness, criteria.scan_fixed
+    check reads (None: all columns), and the one the reference bounds give
+    it, both keyed by (member, k)."""
+    read, expected, owners = {}, {}, {}
+    sample, lockstep = criteria._sample_tameness, criteria.scan_fixed_lockstep
+    side, choose = criteria._symbol_side, criteria._pair_columns
+    grading = []
 
-    def member(op, s_map, win, kind, k_max, n_max):
-        def scan_pairs(win, sup_pair, k_max, s_map):
-            def pair(k, m):
-                expected.append(ref.sup_columns(op, k, m, n_max, kind))
-                return sup_pair(k, m)
-            return scan(win, pair, k_max, s_map)
-        with mock.patch.object(criteria, "scan_fixed", scan_pairs):
-            return sample(op, s_map, win, kind, k_max, n_max)
+    def symbol_side(op, n_max):
+        runs = side(op, n_max)
+        owners[id(runs)] = op
+        return runs
 
-    with mock.patch.object(criteria, "_sample_tameness", member):
-        walked = profile_ranges(lambda: criteria.tameness_check(
-            pool_family(seed), SMap.identity(), template, window))
-    return walked, expected
+    def pair_columns(runs, facts, kind, n_max):
+        cols = choose(runs, facts, kind, n_max)
+        read[owners[id(runs)], grading[-1]] = cols
+        return cols
+
+    def group(ops, s_map, win, kind, k_max, n_max):
+        def scans(win, sup_pairs, count, k_max, s_map):
+            def pairs(k, m, live):
+                grading.append(k)
+                for i in live:
+                    expected[ops[i], k] = ref.sup_columns(ops[i], k, m, n_max, kind)
+                    read.setdefault((ops[i], k), None)
+                return sup_pairs(k, m, live)
+            return lockstep(win, pairs, count, k_max, s_map)
+        with mock.patch.object(criteria, "scan_fixed_lockstep", scans):
+            return sample(ops, s_map, win, kind, k_max, n_max)
+
+    with mock.patch.object(criteria, "_sample_tameness", group), \
+            mock.patch.object(criteria, "_symbol_side", symbol_side), \
+            mock.patch.object(criteria, "_pair_columns", pair_columns):
+        criteria.tameness_check(pool_family(seed), SMap.identity(), template, window)
+    return read, expected
 
 
 def test_pool_families_walk_the_reference_bounds_ranges():
-    # the ranges from the family's facts are those of the per-pair bounds;
-    # the wild domain walks all columns at every pair, the other families
-    # at none
+    # the ranges from the family's facts are those of the per-pair bounds,
+    # member by member and grading by grading; the wild domain reads all
+    # columns at every pair, the other families at none
     for name, (template, seeds) in POOLS.items():
         for seed in seeds:
-            walked, expected = pair_ranges(template, seed, Window().with_n_max(512))
-            assert walked and walked == expected, (name, seed)
-            assert (None in walked) == (name == "wild") == (set(walked) == {None})
+            read, expected = pair_ranges(template, seed, Window().with_n_max(512))
+            assert read and read == expected, (name, seed)
+            ranges = set(read.values())
+            assert (None in ranges) == (name == "wild") == (ranges == {None})
 
 
 def hexed(pair):
     return tuple(float(v).hex() for v in pair)
 
 
-def providers(sample, op, kind, n_max):
-    """The sup-pair provider that ``sample`` hands its fixed-map scan."""
+def provider(op, kind, n_max):
+    """The sup-pair provider of ``op`` alone: the one-member case of the
+    provider that ``criteria._sample_tameness`` hands its lock-step scans."""
+    out = []
+
+    def capture(win, sup_pairs, count, k_max, s_map):
+        out.append(sup_pairs)
+        return [Scan(Outcome.INCONCLUSIVE)] * count
+
+    with mock.patch.object(criteria, "scan_fixed_lockstep", capture):
+        _sample_tameness([op], SMap.identity(), Window(), kind, 6, n_max)
+    [sup_pairs] = out
+    return lambda k, m: sup_pairs(k, m, [0])[0]
+
+
+def reference_provider(op, kind, n_max):
+    """The sup-pair provider that ``reference_kernels._sample_tameness``
+    hands its fixed-map scan."""
     out = []
 
     def capture(win, sup_pair, k_max, s_map):
         out.append(sup_pair)
         return Scan(Outcome.INCONCLUSIVE)
 
-    with mock.patch.object(sys.modules[sample.__module__], "scan_fixed", capture):
-        sample(op, SMap.identity(), Window(), kind, 6, n_max)
-    return out
+    with mock.patch.object(ref, "scan_fixed", capture):
+        ref._sample_tameness(op, SMap.identity(), Window(), kind, 6, n_max)
+    [sup_pair] = out
+    return sup_pair
 
 
 @st.composite
@@ -196,8 +240,8 @@ def test_pruned_sup_pairs_match_the_full_profiles(variant, lower, upper, kind, n
     n_max = min([n] + [s.n_limit for s in (domain, codomain) if s.n_limit is not None])
     if n_max < 2:
         return
-    [new] = providers(_sample_tameness, op, kind, n_max)
-    [old] = providers(ref._sample_tameness, op, kind, n_max)
+    new = provider(op, kind, n_max)
+    old = reference_provider(op, kind, n_max)
     top = min(6, codomain.k_limit or 6, domain.k_limit or 6)
     for k in range(1, top + 1):
         for m in (1, top):
@@ -250,7 +294,7 @@ def test_a_pair_range_holds_every_column_that_attains_the_pair(variant, lower, u
     n_max = min([n] + [s.n_limit for s in (domain, codomain) if s.n_limit is not None])
     if n_max < 2:
         return
-    [pair] = providers(_sample_tameness, op, kind, n_max)
+    pair = provider(op, kind, n_max)
     half = n_max // 2
     top = min(6, codomain.k_limit or 6, domain.k_limit or 6)
     for k in range(1, top + 1):
@@ -273,8 +317,8 @@ def test_a_zero_domain_weight_walks_all_columns():
     op = ToeplitzOperator(Symbol(lower=SymbolSpec.geometric(0.5)), Variant.LOWER,
                           domain, POOL_TEMPLATE.codomain)
     for kind in NormKind:
-        [new] = providers(_sample_tameness, op, kind, 64)
-        [old] = providers(ref._sample_tameness, op, kind, 64)
+        new = provider(op, kind, 64)
+        old = reference_provider(op, kind, 64)
         for k in range(1, 5):
             for m in (1, 2):
                 pair = []
@@ -301,7 +345,7 @@ def test_a_pool_member_walks_a_few_columns():
     # into Λ₀(n) every gap of the pool's template falls with n, so each
     # sup pair walks a short range from the first column on
     op = POOL_TEMPLATE.build(SymbolSpec.geometric(0.5))
-    seen = walked_ranges(lambda: _sample_tameness(op, SMap.identity(), Window(),
+    seen = walked_ranges(lambda: _sample_tameness([op], SMap.identity(), Window(),
                                                   NormKind.SUM, 12, 4096))
     assert len(seen) == 12
     assert all(cols is not None and cols[0] == 0 and cols[1] <= 8 for cols in seen)
@@ -318,8 +362,8 @@ def test_an_infinite_weight_walks_all_columns_of_the_members_set_up():
                           Variant.LOWER, POOL_TEMPLATE.codomain, codomain)
     memo = operators.column_norm_profile
     for kind in NormKind:
-        [new] = providers(_sample_tameness, op, kind, 32)
-        [old] = providers(ref._sample_tameness, op, kind, 32)
+        new = provider(op, kind, 32)
+        old = reference_provider(op, kind, 32)
         for k in range(1, 5):
             for m in (1, 4):
                 pair, before = [], memo.cache_info()
@@ -337,35 +381,200 @@ def test_set_up_is_built_once_per_member_and_per_grading():
     for name, directions in [("lower", [1]), ("upper", [-1]), ("full", [1, -1])]:
         template = POOLS[name][0]
         spaces._exponent_values.cache_clear()
-        members, weights, facts = [], [], []
-        symbol_side, weight_run = criteria._symbol_side, operators._weight_run
-        memo = criteria._memo
+        members, built = Counter(), Counter()
+        symbol_side, memo = criteria._symbol_side, spaces._memo
 
         def count_members(op, n_trunc):
-            members.append(op)
+            members[op] += 1
             return symbol_side(op, n_trunc)
 
-        def count_weights(v, direction, n_trunc, reach):
-            weights.append(direction)
-            return weight_run(v, direction, n_trunc, reach)
-
-        def count_facts(seq, n_max, key, compute):
+        def count_builds(seq, n_max, key, compute):
             def build():
-                facts.append(key)
+                built[key] += 1
                 return compute()
             return memo(seq, n_max, key, build)
 
         with mock.patch.object(criteria, "_symbol_side", count_members), \
-                mock.patch.object(operators, "_weight_run", count_weights), \
-                mock.patch.object(criteria, "_memo", count_facts):
+                mock.patch.object(operators, "_memo", count_builds), \
+                mock.patch.object(criteria, "_memo", count_builds):
             report = criteria.tameness_check(pool_family(0, 5), SMap.identity(),
                                              template, window)
-        assert len(members) == len(report.samples) == 5
-        assert sorted(weights) == sorted(directions * window.k_max)
+        assert len(report.samples) == 5 and list(members.values()) == [1] * 5
+        grid = [(k, d) for k in range(1, window.k_max + 1) for d in directions]
+        assert Counter(key for key in built.elements() if key[0] == "kernel weights") \
+            == Counter(("kernel weights", template.codomain.kind, k, d) for k, d in grid)
         # with identity S the witness of grading k is k
-        assert sorted(facts) == sorted(
-            ("range facts", template.domain.kind, k, template.codomain, k, direction)
-            for k in range(1, window.k_max + 1) for direction in directions)
+        assert Counter(key for key in built.elements() if key[0] == "range facts") \
+            == Counter(("range facts", template.domain.kind, k, template.codomain, k, d)
+                       for k, d in grid)
+
+
+def requested_pairs(run, group: int):
+    """Run ``run()`` with at most ``group`` members per lock-step scan, and
+    return its result and every sup pair the scans requested, in float.hex,
+    as (member, k, m, pair) with the members numbered in family order."""
+    pairs, first = [], [0]
+    lockstep = criteria.scan_fixed_lockstep
+
+    def scans(win, sup_pairs, count, k_max, s_map):
+        base = first[0]
+        first[0] += count
+
+        def record(k, m, live):
+            out = sup_pairs(k, m, live)
+            pairs.extend((base + i, k, m, hexed(pair)) for i, pair in zip(live, out))
+            return out
+        return lockstep(win, record, count, k_max, s_map)
+
+    with mock.patch.object(criteria, "_GROUP", group), \
+            mock.patch.object(criteria, "scan_fixed_lockstep", scans):
+        result = run()
+    return result, sorted(pairs)
+
+
+def hexed_samples(report):
+    return [(s.status, s.k0, None if s.log_c is None else s.log_c.hex())
+            for s in report.samples]
+
+
+#: Λ∞ of a table past 2^1022 from its third entry on, long enough for the
+#: drawn windows
+SHORT_WILD = SpaceDescriptor.power_series_infinite(
+    ExponentSequence.table([1.0, 2.0] + [1e308] * 598))
+#: (domain, codomain): from Λ₀(n) into itself the upper parts of ratio r
+#: stop near k = 1 / log(1/r), so the members' scans stop apart
+space_pairs = st.one_of(
+    st.just((POOL_TEMPLATE.codomain, POOL_TEMPLATE.codomain)),
+    st.tuples(power_series, power_series),
+    st.tuples(st.just(SHORT_WILD), power_series),
+)
+#: family members: i_top = 1, wide geometric supports, a finite support,
+#: and symbol logs past 2^40, which walk alone
+member_parts = st.one_of(
+    st.just(SymbolSpec.geometric(0.0)),
+    st.floats(-0.97, 0.97).map(SymbolSpec.geometric),
+    st.just(SymbolSpec.explicit([1.0, -0.5, 0.25])),
+    st.just(SymbolSpec.polynomial(-(2**40))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(list(Variant)), count=st.integers(1, 40),
+       spaces_=space_pairs, n=st.integers(4, 600), k_max=st.integers(1, 8),
+       data=st.data())
+def test_lockstep_scans_match_one_member_walks(variant, count, spaces_, n, k_max, data):
+    # every member's pairs, status, k0 and log_c are those of its walks
+    # alone, and the scans request the pairs that they request alone; the
+    # families of more than _GROUP members run in several groups
+    parts = [data.draw(st.lists(member_parts, min_size=count, max_size=count), label=part)
+             for part in ("lower", "upper")]
+    template = OperatorTemplate(variant, *spaces_)
+    drawn = {Variant.LOWER: parts[0], Variant.UPPER: parts[1]}
+
+    def family(family, part, *_):
+        return drawn[part]
+
+    window = Window(k_max=k_max).with_n_max(n)
+    with mock.patch.object(criteria, "_sample_family", family):
+        reports = [requested_pairs(lambda: criteria.tameness_check(
+            FamilySpec(count=count), SMap.identity(), template, window), group)
+            for group in (criteria._GROUP, 1)]
+    (together, pairs), (alone, pairs_alone) = reports
+    assert pairs == pairs_alone
+    assert hexed_samples(together) == hexed_samples(alone)
+    assert _dumps(together.to_json()) == _dumps(alone.to_json())
+
+
+def test_lockstep_scans_stop_at_each_members_own_grading():
+    # an upper family from Λ₀(n) into Λ₀(n) whose scans stop at k = 3, 12,
+    # 1, 12, 2 and 2: each member asks for its own gradings, from 12 down
+    # to its stop, in one lock-step group, as it does alone
+    finite = SpaceDescriptor.power_series_finite(ALPHA)
+    template = OperatorTemplate(Variant.UPPER, finite, finite)
+    family = FamilySpec(count=6, seed=1, r_min=0.5, r_max=0.95)
+    window = Window().with_n_max(512)
+    runs = [requested_pairs(lambda: criteria.tameness_check(
+        family, SMap.identity(), template, window), group)
+        for group in (criteria._GROUP, 1)]
+    (report, pairs), (alone, pairs_alone) = runs
+    assert [s.k0 for s in report.samples] == [4, None, 2, None, 3, 3]
+    stops = [3, 12, 1, 12, 2, 2]
+    assert [(i, k, m) for i, k, m, _ in pairs] == sorted(
+        (i, k, k) for i, stop in enumerate(stops) for k in range(stop, 13))
+    assert pairs == pairs_alone and hexed_samples(report) == hexed_samples(alone)
+
+
+def test_members_with_wide_ranges_walk_alone_on_their_own_ranges():
+    # from Λ∞(√n) into Λ∞(log n) the ranges reach over half of 256 columns:
+    # a stack on their union would be wider than one member's all-columns
+    # walk, so each member walks alone, on its own range, with its own bits
+    template = OperatorTemplate(Variant.LOWER,
+                                SpaceDescriptor.power_series_infinite(
+                                    ExponentSequence.power(0.5)),
+                                SpaceDescriptor.power_series_infinite(
+                                    ExponentSequence.logarithmic()))
+    family, window = pool_family(1, 16), Window(k_max=4).with_n_max(256)
+    walks = []
+    original = operators._walk
+
+    def spy(*args):
+        walks.append((len(args[0]), args[4] if len(args) > 4 else None))
+        return original(*args)
+
+    with mock.patch.object(operators, "_walk", spy):
+        report, pairs = requested_pairs(lambda: criteria.tameness_check(
+            family, SMap.identity(), template, window), criteria._GROUP)
+    alone, pairs_alone = requested_pairs(lambda: criteria.tameness_check(
+        family, SMap.identity(), template, window), 1)
+    assert any(size == 1 and cols is not None and cols[1] - cols[0] > 16
+               for size, cols in walks)
+    assert pairs == pairs_alone and hexed_samples(report) == hexed_samples(alone)
+
+
+def test_a_stack_of_one_column_ranges_has_each_members_bits():
+    # each member on the one-column range of column 1, at n = 4096 and
+    # k >= 10, where the walk reaches a second offset block: the stack's
+    # (offset, member) blocks must be summed row by row, as each member's
+    # own (offset, column) block is; an offset-fastest layout would sum
+    # them pairwise and move the last bit
+    ops = [POOL_TEMPLATE.build(SymbolSpec.geometric(r))
+           for r in np.linspace(0.86, 0.9, 16)]
+    sides = [_symbol_side(op, 4096) for op in ops]
+    block_rows = operators._block_rows
+
+    def spy(runs, i0, nb):
+        starts.append(i0)
+        return block_rows(runs, i0, nb)
+
+    for k in (10, 11, 12):
+        starts = []
+        with mock.patch.object(operators, "_block_rows", spy):
+            stack = _setup(sides, POOL_TEMPLATE.codomain, k, 4096).profile(
+                NormKind.SUM, (0, 1))
+        assert _BLOCK in starts
+        for side, row in zip(sides, stack):
+            [alone] = _setup([side], POOL_TEMPLATE.codomain, k, 4096).profile(
+                NormKind.SUM, (0, 1))
+            assert row.tobytes() == alone.tobytes(), k
+
+
+def test_a_pool_family_stays_within_its_memory_bound():
+    # at most _GROUP members are in flight, each with its symbol side: once
+    # the process has run a family, one pool family at the default window
+    # on fresh sequence facts allocates at most 5 MiB at its peak (2.5 MiB
+    # with one member in flight, 3.7 MiB with 16, 6.4 MiB with all 50)
+    def family():
+        spaces._exponent_values.cache_clear()
+        criteria.tameness_check(pool_family(0), SMap.identity(), POOL_TEMPLATE, Window())
+
+    family()
+    tracemalloc.start()
+    try:
+        family()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 if __name__ == "__main__":
