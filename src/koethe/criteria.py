@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .operators import (
     ToeplitzOperator,
     Variant,
     _setup,
+    _stack,
     _SymbolRun,
     _symbol_side,
     _weight_side,
@@ -703,30 +705,25 @@ def _range_facts(domain: SpaceDescriptor, codomain: SpaceDescriptor, k: int, m: 
                  ("range facts", domain.kind, m, codomain, k, direction), build)
 
 
-def _pair_columns(runs: list[_SymbolRun], facts: list[tuple], norm_kind: NormKind,
-                  n_max: int) -> tuple[int, int] | None:
+def _pair_columns(scalars: list[tuple[float, float, float]], facts: list[tuple],
+                  slack: float, n_max: int) -> tuple[int, int] | None:
     """The column range [c0, c1) of every column whose gap can reach the sup
-    pair over n >= 1 of a member with symbol runs ``runs``, from each run's
-    u[0], u[1] and u_sufmax[0] and facts (:func:`_range_facts`), with a
-    slack of log(Σ i_top) in a sum, plus the margin of 1; None for all
-    columns.  A column of the half window is kept where its upper gap
-    reaches the best lower gap of the half, any other where it reaches the
-    best of the full window."""
-    terms = sum(run.i_top for run in runs)
-    slack = (math.log(max(terms, 1)) if norm_kind is NormKind.SUM else 0.0) + 1.0
+    pair over n >= 1, from each run's (u[0], u[1], u_sufmax[0]) and facts
+    (:func:`_range_facts`), where ``slack`` is log(Σ i_top) in a sum, plus
+    the margin of 1; None for all columns.  A column of the half window is
+    kept where its upper gap reaches the best lower gap of the half, any
+    other where it reaches the best of the full window."""
     half = n_max // 2
     best_half = best_rest = -math.inf
-    for run, ((g0_half, g0_rest), (g1_half, g1_rest)) in zip(
-            runs, (heads for heads, _, _ in facts)):
-        u0, u1 = float(run.u[0]), float(run.u[1])
+    for (u0, u1, _), ((g0_half, g0_rest), (g1_half, g1_rest)) in zip(
+            scalars, (heads for heads, _, _ in facts)):
         best_half = max(best_half, u0 + g0_half, u1 + g1_half)
         best_rest = max(best_rest, u0 + g0_rest, u1 + g1_rest)
     if best_half == -math.inf:
         return None
     best_full = max(best_half, best_rest)
     c0, c1 = n_max, 0
-    for run, (_, first, last) in zip(runs, facts):
-        top = float(run.u_sufmax[0])
+    for (_, _, top), (_, first, last) in zip(scalars, facts):
         if top == -math.inf:
             continue
         t_half, t_full = best_half - top - slack, best_full - top - slack
@@ -769,12 +766,23 @@ def _sample_tameness(
     domain, codomain = ops[0].domain, ops[0].codomain
     sides = [_symbol_side(op, n_max) for op in ops]
     tame = [all(_tame(run.u) for run in runs) for runs in sides]
+    # each member's (u[0], u[1], u_sufmax[0]) per run, and its slack
+    scalars = [[(float(run.u[0, 0]), float(run.u[0, 1]), float(run.u_sufmax[0]))
+                for run in runs] for runs in sides]
+    slacks = [(math.log(max(sum(run.i_top for run in runs), 1))
+               if norm_kind is NormKind.SUM else 0.0) + 1.0 for runs in sides]
     half = n_max // 2
+
+    @lru_cache(maxsize=1)
+    def stacked(members: tuple[int, ...]) -> list[_SymbolRun]:
+        """The members' symbol sides as one stack, kept while the next
+        grading walks the same members."""
+        return _stack([sides[i] for i in members])
 
     def sup_pairs(k: int, m: int, live: list[int]) -> list[tuple[LogValue, LogValue]]:
         facts = ([_range_facts(domain, codomain, k, m, run.direction, n_max)
                   for run in sides[0]] if any(tame[i] for i in live) else [None])
-        cols = {i: _pair_columns(sides[i], facts, norm_kind, n_max)
+        cols = {i: _pair_columns(scalars[i], facts, slacks[i], n_max)
                 if tame[i] and None not in facts else None for i in live}
         weights = weight_array(domain, m, n_max)
         ranged = [i for i in live if cols[i] is not None]
@@ -786,7 +794,7 @@ def _sample_tameness(
                       else [([i], cols[i]) for i in ranged])
         pairs = {}
         for stack, span in walks:
-            profiles = _setup([sides[i] for i in stack], codomain, k, n_max).profile(
+            profiles = _setup(stacked(tuple(stack)), codomain, k, n_max).profile(
                 norm_kind, span)
             for i, profile in zip(stack, profiles):
                 if span is None:

@@ -425,12 +425,17 @@ def _runs(op: ToeplitzOperator, count: int, log: bool
 
 
 def _suffix_max(arr: np.ndarray) -> np.ndarray:
+    """The max of ``arr`` from each entry on.  A nonincreasing array longer
+    than a block is its own, and checking that costs less than the running
+    max; it is returned as it stands."""
+    if len(arr) > _BLOCK and (arr[1:] <= arr[:-1]).all():
+        return arr
     return np.maximum.accumulate(arr[::-1])[::-1]
 
 
 def _merge_scaled(m1, s1, m2, s2):
     m = np.maximum(m1, m2)
-    safe = np.where(np.isneginf(m), 0.0, m)
+    safe = np.where(m == -np.inf, 0.0, m)
     with np.errstate(invalid="ignore"):
         out = s1 * np.exp(m1 - safe)
         out += s2 * np.exp(m2 - safe)
@@ -438,7 +443,10 @@ def _merge_scaled(m1, s1, m2, s2):
 
 
 class _SymbolRun(NamedTuple):
-    """The symbol side of a run's kernel set-up (see :func:`_symbol_run`)."""
+    """The symbol side of a stack of runs in one direction, the runs of one
+    triangular part of its members (see :func:`_symbol_run`, :func:`_stack`):
+    their log entries u, a row per member, the largest of their suffix
+    maxima, and their widest support."""
 
     u: np.ndarray
     direction: int
@@ -455,13 +463,23 @@ class _WeightRun(NamedTuple):
 
 
 def _symbol_run(u: np.ndarray, direction: int, n_trunc: int) -> _SymbolRun:
-    """A run's log entries u with their suffix max and their support i_top,
-    the offsets that can contribute to a column up to n_trunc."""
+    """A run's log entries u, as a stack of one, with their suffix max and
+    their support i_top, the offsets that can contribute to a column up to
+    n_trunc."""
     u_sufmax = _suffix_max(u)
     # offsets past the symbol's support contribute nothing; the log-zero
     # entries of the suffix maxima are exactly the support's tail
-    i_top = min(len(u) - int(np.count_nonzero(np.isneginf(u_sufmax))), n_trunc)
-    return _SymbolRun(u, direction, u_sufmax, i_top)
+    i_top = min(len(u) - int(np.count_nonzero(u_sufmax == -np.inf)), n_trunc)
+    return _SymbolRun(u[None], direction, u_sufmax, i_top)
+
+
+def _stack(sides: Sequence[list[_SymbolRun]]) -> list[_SymbolRun]:
+    """The symbol sides of several members (:func:`_symbol_side`, each with
+    the same parts at the same truncation) as one, a stack per part."""
+    return [_SymbolRun(np.concatenate([run.u for run in part]), part[0].direction,
+                       reduce(np.maximum, [run.u_sufmax for run in part]),
+                       max([run.i_top for run in part]))
+            for part in zip(*sides)]
 
 
 def _weight_run(v: np.ndarray, direction: int, n_trunc: int, reach: int
@@ -481,30 +499,21 @@ def _weight_run(v: np.ndarray, direction: int, n_trunc: int, reach: int
     return _WeightRun(v, pad, v_reach)
 
 
-def _block_rows(runs: Sequence[_SymbolRun], i0: int, nb: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets i0..i0 + nb - 1 of the members' symbol logs and of their
-    suffix maxima: views of a lone member's, a row per member of a stack's."""
-    if len(runs) == 1:
-        return runs[0].u[i0 : i0 + nb], runs[0].u_sufmax[i0 : i0 + nb]
-    return (np.array([run.u[i0 : i0 + nb] for run in runs]),
-            np.array([run.u_sufmax[i0 : i0 + nb] for run in runs]))
-
-
 def _walk(
-    runs: Sequence[_SymbolRun],
+    run: _SymbolRun,
     weights: _WeightRun,
     n_trunc: int,
     norm_kind: NormKind,
     cols: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream a stack of triangular parts' terms u_i + v_{n +/- i} over
-    offset blocks: the symbol runs ``runs`` (:func:`_symbol_run`), one per
-    member, all in one direction, on one weight side (:func:`_weight_run`).
-    Returns per member and column (scale, scaled sum), each of shape
-    (members, columns), over the 0-based column range ``cols`` = [c0, c1),
-    by default all of [0, n_trunc); for the sup kind the scale is the norm
-    and the sum stays zero.  A single operator walks a one-member stack.
+    offset blocks on its set-up: the members' symbol runs in one direction
+    (:func:`_symbol_run`, :func:`_stack`) on one weight side
+    (:func:`_weight_run`).  Returns per member and column (scale, scaled
+    sum), each of shape (members, columns), over the 0-based column range
+    ``cols`` = [c0, c1), by default all of [0, n_trunc); for the sup kind
+    the scale is the norm and the sum stays zero.  A single operator walks
+    a stack of one.
 
     The walk goes down only, to rows n + i.  An upward run (direction -1,
     rows n - i) is the downward run over the weights reversed: its column
@@ -515,31 +524,31 @@ def _walk(
     A block reads the padded weights through one strided (offset, column)
     view, rows[i, c] = pad[start + i + c], so no index array and no window
     of the whole pad is built.  Its terms are written (offset, member x
-    column), (offset, column) for a lone member, into one preallocated
-    C-contiguous buffer at least two columns wide, a lone active column
-    beside a log-zero companion whose results are dropped, so numpy
-    reduces every block over its offsets row by row,
+    column) into one preallocated C-contiguous buffer at least two columns
+    wide, a lone active column beside a log-zero companion whose results
+    are dropped, so numpy reduces every block over its offsets row by row,
     and a column's max and sum read only its own terms in the fixed
     offset-block schedule.  The layout is part of the result: a broadcast
     add without ``out`` lays a stack's terms out offset-fastest, and numpy
     then sums them pairwise, which moves the last bit.  The pad is read as
     far as the stack's support reaches, n_trunc + i_top, however far it was
-    built; a member whose support ends earlier reads log-zero entries
-    there, whose terms are exact zeros in a sum and nothing in a sup.
+    built.
 
     Every remaining term of a column is bounded by u_sufmax + v_reach, the
-    running maxima of the symbol from the block's first offset on and of the
-    weights from the block's first row on; both are nonincreasing in the
-    offset.  A block is skipped for columns whose bound sits NEGLIGIBLE_LOG
-    below their running scale (with a log(n) allowance for the many terms)
-    in a sum, or at or below their running max in a sup, so rapidly
-    decaying symbols cost a short band.
+    running maxima of the symbol from the block's first offset on (the
+    largest of the members') and of the weights from the block's first row
+    on; both are nonincreasing in the offset.  A block is skipped for
+    columns whose bound sits NEGLIGIBLE_LOG below the smallest of the
+    members' running scales (with a log(n) allowance for the many terms) in
+    a sum, or at or below it in a sup, so rapidly decaying symbols cost a
+    short band.
 
     Each block is then cut before its first row whose bound lies, in every
     active column, _ROUNDING_LOG or more below the larger of the block's
     first two row terms in a sum, or not above it in a sup; a binary search
-    finds that row.  Two rows, because a full operator's upper run holds
-    log-zero at offset 0.  A column whose first terms are so large that
+    finds that row.  The first two terms are those of the members' smallest
+    first two symbol logs.  Two rows, because a full operator's upper run
+    holds log-zero at offset 0.  A column whose first terms are so large that
     subtracting _ROUNDING_LOG rounds to a floor less than _ROUNDING_LOG - 1
     below them (a float past 2^56 has an ulp of 16 or more) cuts no row: a
     term at that floor need not be negligible.  The cut is exact, not merely
@@ -558,7 +567,7 @@ def _walk(
     few terms the search costs more than it saves.  The one exception is a
     term that is NaN, where a +inf part meets a log-zero one: the cut decides
     whether it enters, so a run with a +inf part searches every block, and
-    walks in a stack of its own.
+    walks in a stack of its own, whose bounds are its own.
 
     The first block merges into a running (-inf, 0), which returns its
     (max, scaled sum) bit for bit, so it is stored as it stands.
@@ -568,18 +577,22 @@ def _walk(
     full range's bits: a column's skip reads only its own running scale,
     the rows a narrower cut drops are negligible, and the columns a block
     spans but that are not active change nothing.  For the same reasons a
-    member of a stack gets the bits of its own walk: the blocks, rows and
-    columns that only the other members need are, for it, inactive columns
-    or rows past its cut or its support.
+    member of a stack gets the bits of its own walk.  The stack's bounds
+    are at least as loose as the member's own: its suffix maxima are no
+    smaller, and its scales and first two terms no larger.  So the stack
+    skips or cuts nothing that the member's own walk keeps, and the
+    blocks, rows and columns that it keeps besides are, for the member,
+    inactive columns, rows past its own cut, or rows past its support,
+    whose log-zero terms are exact zeros in a sum and nothing in a sup.
     """
     c0, c1 = cols or (0, n_trunc)
-    if runs[0].direction < 0:
+    if run.direction < 0:
         # reversed once the walk has freed its block buffer, so the kept
         # profile does not pin the heap above it
-        m, s = _walk([_SymbolRun(run.u, 1, run.u_sufmax, run.i_top) for run in runs],
-                     weights, n_trunc, norm_kind, (n_trunc - c1, n_trunc - c0))
+        m, s = _walk(_SymbolRun(run.u, 1, run.u_sufmax, run.i_top), weights,
+                     n_trunc, norm_kind, (n_trunc - c1, n_trunc - c0))
         return np.ascontiguousarray(m[:, ::-1]), np.ascontiguousarray(s[:, ::-1])
-    i_top = max([run.i_top for run in runs])
+    u, u_sufmax, i_top = run.u, run.u_sufmax, run.i_top
     pad = weights.pad[: n_trunc + i_top]
     v_reach = weights.v_reach[: n_trunc + i_top]
     if norm_kind is NormKind.SUM:
@@ -587,86 +600,74 @@ def _walk(
     else:
         allowance = skip = cut = 0.0
     # with a +inf part a term can be NaN, and then the cut is part of the result
-    finite = (i_top and v_reach[0] < np.inf
-              and max([run.u_sufmax[0] for run in runs]) < np.inf)
+    finite = i_top and u_sufmax[0] < np.inf and v_reach[0] < np.inf
     small = _SEARCH_TERMS if finite else 0
 
-    members, span = len(runs), c1 - c0
-    # a lone member walks without the member axis, so numpy keeps to its
-    # one-dimensional loops; a stack's per-offset values are (members, 1)
-    # columns
-    lead = () if members == 1 else (members,)
-
-    def at(arr: np.ndarray, j: int):
-        return arr[..., j : j + 1] if lead else arr[j]
-
-    m_out, s_out = np.full((members, span), -np.inf), np.zeros((members, span))
-    m_run, s_run = (m_out, s_out) if lead else (m_out[0], s_out[0])
+    members, span = len(u), c1 - c0
+    m_run, s_run = np.full((members, span), -np.inf), np.zeros((members, span))
     buf = np.empty(_BLOCK * max(members * span, 2))
     step = pad.strides[0]
     # inf - inf, where a +inf part meets log-zero or itself, is NaN by design
     with np.errstate(invalid="ignore"):
         for i0 in range(0, i_top, _BLOCK):
-            nb = min(_BLOCK, i_top - i0)
-            # the block's symbol logs and their bounds, a row per member of a stack
-            u, u_sufmax = _block_rows(runs, i0, nb)
-            peak = at(u_sufmax, 0) + v_reach[i0 + c0 : i0 + c1]
-            active = peak + allowance > m_run - skip
-            spanned = active.any(axis=0) if lead else active
-            lo = int(spanned.argmax())
-            if not spanned[lo]:
+            peak = u_sufmax[i0] + v_reach[i0 + c0 : i0 + c1]
+            active = peak + allowance > np.minimum.reduce(m_run) - skip
+            lo = int(active.argmax())
+            if not active[lo]:
                 break
-            hi = span - 1 - int(spanned[::-1].argmax())
+            hi = span - 1 - int(active[::-1].argmax())
             width = hi - lo + 1
             band = slice(lo, hi + 1)
+            nb = min(_BLOCK, i_top - i0)
             start = i0 + c0 + lo
             if nb > 2 and nb * members * width > small:
-                head = np.maximum(at(u, 0) + pad[start : start + width],
-                                  at(u, 1) + pad[start + 1 : start + 1 + width])
+                first = np.minimum.reduce(u[:, i0 : i0 + 2])
+                head = np.maximum(first[0] + pad[start : start + width],
+                                  first[1] + pad[start + 1 : start + 1 + width])
                 floor = head - cut
                 # past 2^56 the subtraction rounds: a floor that ends up less
                 # than cut - 1 below its head bounds no negligible term
                 floor[head - floor < cut - 1] = -np.inf
-                floor[~active[..., band]] = np.inf
+                floor[~active[band]] = np.inf
                 # the cut lies in keep..nb: rows from nb on are known negligible
                 keep = 2
                 while keep < nb:
                     mid = (keep + nb) // 2
                     s = start + mid
-                    if (at(u_sufmax, mid) + v_reach[s : s + width] <= floor).all():
+                    if (u_sufmax[i0 + mid] + v_reach[s : s + width] <= floor).all():
                         nb = mid
                     else:
                         keep = mid + 1
             if start + width + nb - 1 > len(pad):
                 raise InvariantError(
                     f"weights {start}..{start + width + nb - 2} outside the padding")
-            # rows[i, c] = pad[start + i + c]: the weight that offset i0 + i
+            # rows[i, 0, c] = pad[start + i + c]: the weight that offset i0 + i
             # reaches from column lo + c, as a view over the padded weights
-            # (with a unit member axis for a stack)
-            rows = np.ndarray((nb,) + (1,) * len(lead) + (width,), buffer=pad,
-                              offset=start * step, strides=(step,) * (2 + len(lead)))
+            rows = np.ndarray((nb, 1, width), buffer=pad, offset=start * step,
+                              strides=(step, step, step))
             # a lone column's log-zero companion, whose results are dropped
-            size, shape = members * width, lead + (width,)
+            size = members * width
             terms = buf[: nb * max(size, 2)].reshape(nb, -1)
             if size == 1:
                 terms[:, 1] = -np.inf
-            np.add(u[..., :nb].T[..., None], rows,
-                   out=terms[:, :size].reshape((nb,) + shape))
+            np.add(u[:, i0 : i0 + nb].T[:, :, None], rows,
+                   out=terms[:, :size].reshape(nb, members, width))
             bm = terms.max(axis=0)
             if norm_kind is NormKind.SUP:
-                m_run[..., band] = np.maximum(m_run[..., band],
-                                              bm[:size].reshape(shape))
+                m_run[:, band] = np.maximum(m_run[:, band],
+                                            bm[:size].reshape(members, width))
                 continue
             # exp(-inf - safe) is already 0 and safe is never -inf
-            terms -= np.where(np.isneginf(bm), 0.0, bm)
+            terms -= np.where(bm == -np.inf, 0.0, bm)
             np.exp(terms, out=terms)
-            bm, bs = bm[:size].reshape(shape), terms.sum(axis=0)[:size].reshape(shape)
+            bm = bm[:size].reshape(members, width)
+            bs = terms.sum(axis=0)[:size].reshape(members, width)
             if i0 == 0:
-                m_run[..., band], s_run[..., band] = bm, bs
+                m_run[:, band], s_run[:, band] = bm, bs
             else:
-                m_run[..., band], s_run[..., band] = _merge_scaled(
-                    m_run[..., band], s_run[..., band], bm, bs)
-    return m_out, s_out
+                m_run[:, band], s_run[:, band] = _merge_scaled(
+                    m_run[:, band], s_run[:, band], bm, bs)
+    return m_run, s_run
 
 
 def _norms(runs: list[tuple[np.ndarray, np.ndarray]], norm_kind: NormKind
@@ -689,10 +690,11 @@ def _norms(runs: list[tuple[np.ndarray, np.ndarray]], norm_kind: NormKind
 
 class _Setup(NamedTuple):
     """The kernel set-up of a stack of operators at grading k, part by part:
-    per triangular part, the members' symbol runs (:func:`_symbol_side`)
-    and the weight side they share.  Every walk of the kernel reads one."""
+    the stack of the members' symbol runs (:func:`_symbol_side`,
+    :func:`_stack`) and its weight side.  Every walk of the kernel reads
+    one."""
 
-    runs: list[list[_SymbolRun]]
+    runs: list[_SymbolRun]
     weights: list[_WeightRun]
     n_trunc: int
 
@@ -702,8 +704,8 @@ class _Setup(NamedTuple):
         row each, walked on this set-up; with ``cols`` = (c0, c1), only
         their columns n = c0 + 1..c1, with the bits the full profile has
         there."""
-        return _norms([_walk(runs, weights, self.n_trunc, norm_kind, cols)
-                       for runs, weights in zip(self.runs, self.weights)], norm_kind)
+        return _norms([_walk(run, weights, self.n_trunc, norm_kind, cols)
+                       for run, weights in zip(self.runs, self.weights)], norm_kind)
 
 
 def _symbol_side(op: ToeplitzOperator, n_trunc: int) -> list[_SymbolRun]:
@@ -730,14 +732,13 @@ def _weight_side(codomain: SpaceDescriptor, k: int, n_trunc: int, direction: int
                  ("kernel weights", codomain.kind, k, direction), build)
 
 
-def _setup(members: list[list[_SymbolRun]], codomain: SpaceDescriptor, k: int,
-           n_trunc: int) -> _Setup:
-    """The kernel set-up of the members' symbol runs (:func:`_symbol_side`,
-    one list per member, every member with the same parts) into grading k
-    of ``codomain`` on the family's weight sides (:func:`_weight_side`)."""
-    runs = [list(part) for part in zip(*members)]
-    return _Setup(runs, [_weight_side(codomain, k, n_trunc, part[0].direction)
-                         for part in runs], n_trunc)
+def _setup(runs: list[_SymbolRun], codomain: SpaceDescriptor, k: int, n_trunc: int
+           ) -> _Setup:
+    """The kernel set-up of the symbol runs ``runs`` (:func:`_symbol_side`,
+    or :func:`_stack` for several members) into grading k of ``codomain``
+    on the family's weight sides (:func:`_weight_side`)."""
+    return _Setup(runs, [_weight_side(codomain, k, n_trunc, run.direction)
+                         for run in runs], n_trunc)
 
 
 @lru_cache(maxsize=1024)
@@ -752,9 +753,8 @@ def column_norm_profile(
     Agrees with :func:`column_norm` up to reduction-order rounding; reports
     that need bit-stable numbers use a fixed block schedule, which this is.
     The kernel reads the symbol, the variant and the codomain, never the
-    domain.  Each call walks a set-up of its own (:class:`_Setup`), a stack
-    of one, its weights padded to each run's support, and keeps none of
-    it.  Results
+    domain.  Each call walks a set-up of its own (:class:`_Setup`), its
+    weights padded to each run's support, and keeps none of it.  Results
     are memoized: an oracle scan holds the profiles it fetched itself, and
     the memo serves repeat scans (the other property of a cross-validation,
     another window's checkpoints) and every operator that differs only in
@@ -768,7 +768,7 @@ def column_norm_profile(
     runs = _symbol_side(op, n_trunc)
     v = weight_array(op.codomain, k, n_trunc)
     weights = [_weight_run(v, run.direction, n_trunc, run.i_top) for run in runs]
-    [profile] = _Setup([[run] for run in runs], weights, n_trunc).profile(norm_kind)
+    [profile] = _Setup(runs, weights, n_trunc).profile(norm_kind)
     return profile
 
 

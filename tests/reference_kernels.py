@@ -160,12 +160,12 @@ def gather_run_profile(
     return m_run, s_run
 
 
-def _gather_walk(runs, weights, n_trunc: int, norm_kind: NormKind,
+def _gather_walk(run, weights, n_trunc: int, norm_kind: NormKind,
                  cols: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``operators._walk``'s signature over :func:`gather_run_profile`, one
     member of the stack at a time."""
-    walks = [gather_run_profile(run.u, weights.v, run.direction, n_trunc, norm_kind, cols)
-             for run in runs]
+    walks = [gather_run_profile(u, weights.v, run.direction, n_trunc, norm_kind, cols)
+             for u in run.u]
     return np.stack([m for m, _ in walks]), np.stack([s for _, s in walks])
 
 
@@ -348,8 +348,10 @@ def bounded_setup(op: ToeplitzOperator, k: int, n_trunc: int) -> BoundedSetup:
     runs = operators._symbol_side(op, n_trunc)
     bounded = (all(_bounded(run.u) for run in runs)
                and _bounded(weight_array(op.codomain, k, n_trunc)))
-    setup = operators._setup([runs], op.codomain, k, n_trunc)
-    return BoundedSetup([run for [run] in setup.runs], setup.weights, n_trunc, bounded)
+    setup = operators._setup(runs, op.codomain, k, n_trunc)
+    # each stack of one as its member's run
+    return BoundedSetup([run._replace(u=run.u[0]) for run in setup.runs], setup.weights,
+                        n_trunc, bounded)
 
 
 def sup_columns(op: ToeplitzOperator, k: int, m: int, n_max: int, norm_kind: NormKind

@@ -62,15 +62,14 @@ def run_profile(u, v, direction, n_trunc, norm, cols=None):
     """One run's walk on a set-up built for that run alone, its weights
     padded to its own support, as ``column_norm_profile`` builds it."""
     run = _symbol_run(u, direction, n_trunc)
-    (m,), (s,) = _walk([run], _weight_run(v, direction, n_trunc, run.i_top), n_trunc,
+    (m,), (s,) = _walk(run, _weight_run(v, direction, n_trunc, run.i_top), n_trunc,
                        norm, cols)
     return m, s
 
 
 def member_setup(op, k, n_trunc):
-    """``op``'s kernel set-up at grading k as the tameness check builds it,
-    for ``op`` alone."""
-    return _setup([_symbol_side(op, n_trunc)], op.codomain, k, n_trunc)
+    """``op``'s kernel set-up at grading k as the tameness check builds it."""
+    return _setup(_symbol_side(op, n_trunc), op.codomain, k, n_trunc)
 
 
 def assert_raw_kernels_agree(u, v, direction, norm):
@@ -465,7 +464,7 @@ def assert_shared_walks_match(specs, v, n, norm, cols):
     for spec in specs:
         u = spec.log_abs_array(n)
         for direction, weights in shared.items():
-            (m,), (s,) = _walk([_symbol_run(u, direction, n)], weights, n, norm, cols)
+            (m,), (s,) = _walk(_symbol_run(u, direction, n), weights, n, norm, cols)
             m_ref, s_ref = run_profile(u, v, direction, n, norm, cols)
             assert m.tobytes() == m_ref.tobytes() and s.tobytes() == s_ref.tobytes()
     assert state() == before
@@ -594,8 +593,8 @@ def test_a_one_column_block_of_a_range_keeps_the_range():
 
         with mock.patch.object(operators, "_walk", spy):
             ranged = setup.profile(norm, (0, 2))
-        [(runs, weights, _, _, cols)] = seen
-        assert cols == (0, 2) and runs is setup.runs[0] and weights is setup.weights[0]
+        [(run, weights, _, _, cols)] = seen
+        assert cols == (0, 2) and run is setup.runs[0] and weights is setup.weights[0]
         assert ranged.tobytes() == uncached_profile(op, 1, n, norm)[:2].tobytes()
 
 

@@ -95,7 +95,7 @@ def test_a_bounded_family_leaves_the_profile_memo_alone():
 
         def spy(*args):
             # one entry per member of the stack walked
-            walked.extend([args[4] is not None] * len(args[0]))
+            walked.extend([args[4] is not None] * len(args[0].u))
             return original(*args)
 
         before = operators_module.column_norm_profile.cache_info()

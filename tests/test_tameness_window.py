@@ -20,6 +20,7 @@ the default window (n_max=4096) and exits 1 on a report that differs:
     python tests/test_tameness_window.py
 """
 
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -34,13 +35,13 @@ from koethe import criteria, operators, spaces
 from koethe.cli import _dumps
 from koethe.criteria import FamilySpec, OperatorTemplate, SMap, _sample_tameness
 from koethe.operators import (
-    _BLOCK,
     NormKind,
     Symbol,
     SymbolSpec,
     ToeplitzOperator,
     Variant,
     _setup,
+    _stack,
     _symbol_side,
     column_norm_profiles,
 )
@@ -115,35 +116,31 @@ def pair_ranges(template, seed: int, window: Window):
     """The column range that each sup pair of a pool family's tameness
     check reads (None: all columns), and the one the reference bounds give
     it, both keyed by (member, k)."""
-    read, expected, owners = {}, {}, {}
-    sample, lockstep = criteria._sample_tameness, criteria.scan_fixed_lockstep
-    side, choose = criteria._symbol_side, criteria._pair_columns
-    grading = []
+    read, expected = {}, {}
+    sample, lockstep, choose = (criteria._sample_tameness, criteria.scan_fixed_lockstep,
+                                criteria._pair_columns)
+    chosen = []
 
-    def symbol_side(op, n_max):
-        runs = side(op, n_max)
-        owners[id(runs)] = op
-        return runs
-
-    def pair_columns(runs, facts, kind, n_max):
-        cols = choose(runs, facts, kind, n_max)
-        read[owners[id(runs)], grading[-1]] = cols
-        return cols
+    def pair_columns(*args):
+        chosen.append(choose(*args))
+        return chosen[-1]
 
     def group(ops, s_map, win, kind, k_max, n_max):
         def scans(win, sup_pairs, count, k_max, s_map):
             def pairs(k, m, live):
-                grading.append(k)
-                for i in live:
+                chosen.clear()
+                out = sup_pairs(k, m, live)
+                # the live members choose their ranges in turn, all or none
+                assert len(chosen) in (0, len(live))
+                for i, cols in zip(live, chosen or [None] * len(live)):
+                    read[ops[i], k] = cols
                     expected[ops[i], k] = ref.sup_columns(ops[i], k, m, n_max, kind)
-                    read.setdefault((ops[i], k), None)
-                return sup_pairs(k, m, live)
+                return out
             return lockstep(win, pairs, count, k_max, s_map)
         with mock.patch.object(criteria, "scan_fixed_lockstep", scans):
             return sample(ops, s_map, win, kind, k_max, n_max)
 
     with mock.patch.object(criteria, "_sample_tameness", group), \
-            mock.patch.object(criteria, "_symbol_side", symbol_side), \
             mock.patch.object(criteria, "_pair_columns", pair_columns):
         criteria.tameness_check(pool_family(seed), SMap.identity(), template, window)
     return read, expected
@@ -518,7 +515,7 @@ def test_members_with_wide_ranges_walk_alone_on_their_own_ranges():
     original = operators._walk
 
     def spy(*args):
-        walks.append((len(args[0]), args[4] if len(args) > 4 else None))
+        walks.append((len(args[0].u), args[4] if len(args) > 4 else None))
         return original(*args)
 
     with mock.patch.object(operators, "_walk", spy):
@@ -540,29 +537,54 @@ def test_a_stack_of_one_column_ranges_has_each_members_bits():
     ops = [POOL_TEMPLATE.build(SymbolSpec.geometric(r))
            for r in np.linspace(0.86, 0.9, 16)]
     sides = [_symbol_side(op, 4096) for op in ops]
-    block_rows = operators._block_rows
 
-    def spy(runs, i0, nb):
-        starts.append(i0)
-        return block_rows(runs, i0, nb)
+    class Blocks:
+        """numpy as the kernel sees it, counting the blocks whose terms it
+        writes (each by one ``np.add(..., out=)``)."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def add(self, *args, out=None, **kwargs):
+            self.count += out is not None
+            return np.add(*args, out=out, **kwargs)
 
     for k in (10, 11, 12):
-        starts = []
-        with mock.patch.object(operators, "_block_rows", spy):
-            stack = _setup(sides, POOL_TEMPLATE.codomain, k, 4096).profile(
+        blocks = Blocks()
+        blocks.count = 0
+        with mock.patch.object(operators, "np", blocks):
+            stack = _setup(_stack(sides), POOL_TEMPLATE.codomain, k, 4096).profile(
                 NormKind.SUM, (0, 1))
-        assert _BLOCK in starts
+        assert blocks.count >= 2
         for side, row in zip(sides, stack):
-            [alone] = _setup([side], POOL_TEMPLATE.codomain, k, 4096).profile(
+            [alone] = _setup(side, POOL_TEMPLATE.codomain, k, 4096).profile(
                 NormKind.SUM, (0, 1))
             assert row.tobytes() == alone.tobytes(), k
+
+
+def test_a_stack_keeps_the_bits_of_members_with_far_apart_bounds():
+    # a stack skips and cuts by the loosest of its members' bounds: member
+    # 0's first two terms lie 200 above member 1's and its running scale
+    # about 100 above, so bounds taken from member 0 would cut member 1's
+    # rows from offset 2 on and skip its second block
+    n = 300
+    codomain = SpaceDescriptor.general([[1.0]] * n)
+    specs = [SymbolSpec.explicit([1.0, 1.0]),
+             SymbolSpec.explicit([math.exp(-200.0)] * 2 + [math.exp(-100.0)] * (n - 2))]
+    sides = [_symbol_side(ToeplitzOperator(Symbol(lower=spec), Variant.LOWER,
+                                           codomain, codomain), n) for spec in specs]
+    for norm in NormKind:
+        stack = _setup(_stack(sides), codomain, 1, n).profile(norm)
+        for side, row in zip(sides, stack):
+            [alone] = _setup(side, codomain, 1, n).profile(norm)
+            assert row.tobytes() == alone.tobytes(), norm
 
 
 def test_a_pool_family_stays_within_its_memory_bound():
     # at most _GROUP members are in flight, each with its symbol side: once
     # the process has run a family, one pool family at the default window
     # on fresh sequence facts allocates at most 5 MiB at its peak (2.5 MiB
-    # with one member in flight, 3.7 MiB with 16, 6.4 MiB with all 50)
+    # with one member in flight, 3.6 MiB with 16, 6.2 MiB with all 50)
     def family():
         spaces._exponent_values.cache_clear()
         criteria.tameness_check(pool_family(0), SMap.identity(), POOL_TEMPLATE, Window())
