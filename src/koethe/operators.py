@@ -48,8 +48,10 @@ from .spaces import (
     ExponentSequence,
     SeriesClass,
     SpaceDescriptor,
+    _ROUNDING_LOG,
     _classify_rows,
     _memo,
+    _settled_rows,
     weight_array,
 )
 from .verdicts import (
@@ -66,10 +68,6 @@ from .verdicts import (
 
 #: relative log-mass below which a column tail cannot move any report
 NEGLIGIBLE_LOG = 60.0
-
-#: a scaled term below e^-40 ~ 4.2e-18, 26x below 2^-53, rounds away when it
-#: is added to a partial sum of at least 1
-_ROUNDING_LOG = 40.0
 
 _BLOCK = 256
 
@@ -882,7 +880,8 @@ def membership_in_space(
     the series sum_j |theta_j| a(j+1, k) is classified on the window.  The
     terms of all gradings fill one ``(k_max, n_max)`` block, row k - 1 for
     grading k, which one series pass classifies; the first divergent
-    grading decides, else the last inconclusive one."""
+    grading decides, else the last inconclusive one.  A grading that
+    :func:`spaces._settled_rows` settles as convergent skips the pass."""
     win = window or Window()
     k_max, _, n_max, _ = win.clip(space)
     if n_max < 2:
@@ -894,8 +893,11 @@ def membership_in_space(
     # a zero entry's term is zero whatever its weight, infinite ones too
     terms[:, np.isneginf(logs)] = 0.0
     terms += logs
+    settled = _settled_rows(terms)
+    open_rows = terms[~settled] if settled.any() else terms
+    verdicts = _classify_rows(open_rows, win) if len(open_rows) else []
     saw_inconclusive = None
-    for k, verdict in enumerate(_classify_rows(terms, win), 1):
+    for k, verdict in zip((np.flatnonzero(~settled) + 1).tolist(), verdicts):
         if verdict.classification is SeriesClass.DIVERGENT:
             witness = FailureWitness(
                 k=k, best_m=None, n_range=(n_max // 2, n_max),

@@ -410,6 +410,11 @@ class SeriesVerdict:
 #: itself instead of evaluating it
 _EXP_UNDERFLOW = -746.0
 
+#: a scaled term below e^-40 ~ 4.2e-18, 26x below 2^-53, rounds away when it
+#: is added to a partial sum of at least 1: the column-norm kernel cuts a
+#: block's rows there, and :func:`_settled_rows` settles a series' tail there
+_ROUNDING_LOG = 40.0
+
 
 def _prefix_lse(block: np.ndarray, bounds: Sequence[int]) -> list[list[LogValue]]:
     """Log partial sums of every row of a ``(rows, n)`` block at each bound.
@@ -482,6 +487,19 @@ def _classify_rows(block: np.ndarray, window: Window | None = None
     bounds = _halvings(n_max, 1)
     return [_series_verdict(tuple(zip(bounds, sums)), win)
             for sums in _prefix_lse(block, bounds)]
+
+
+def _settled_rows(block: np.ndarray) -> np.ndarray:
+    """Rows of a ``(rows, n)`` block of log terms that :func:`_classify_rows`
+    classifies convergent with equal last two partial sums, read from the
+    maxima h of ``[0, n // 2)`` and t of ``[n // 2, n)``: the pass's last
+    merge adds at most (n - n // 2) exp(t - h) to a running sum of at least
+    1, which rounds away where h is finite and t - h is below the cut."""
+    n, half = block.shape[1], block.shape[1] // 2
+    head, tail = np.maximum.reduceat(block, (0, half), axis=1).T
+    cut = -(_ROUNDING_LOG + math.log(n - half))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.isfinite(head) & (tail - head < cut)
 
 
 def _series_verdict(checkpoints: tuple[tuple[int, LogValue], ...],

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from koethe import operators, spaces
 from koethe.operators import (
     _BLOCK,
-    _ROUNDING_LOG,
     NEGLIGIBLE_LOG,
     NormKind,
     Symbol,
@@ -33,7 +32,7 @@ from koethe.operators import (
     _weight_run,
     column_norm_profiles,
 )
-from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
+from koethe.spaces import _ROUNDING_LOG, ExponentSequence, SpaceDescriptor, weight_array
 import reference_kernels
 from reference_kernels import (
     gather_kernel,
