@@ -630,9 +630,9 @@ class SubadditivityReport:
 def subadditivity_constant(
     seq: ExponentSequence, n_max: int, m_max: int = 64
 ) -> SubadditivityReport:
-    """Brute-force minimal M with alpha_s <= M(alpha_{s-t} + alpha_t)
-    over all 1 <= t < s <= n_max; computed once per sequence, n_max and
-    m_max."""
+    """Minimal M with alpha_s <= M(alpha_{s-t} + alpha_t) over all
+    1 <= t < s <= n_max, from one sweep over t (:func:`_subadditivity_scan`);
+    computed once per sequence, n_max and m_max."""
     if n_max < 2:
         raise ConfigurationError("subadditivity check needs n_max >= 2")
     return _memo(seq, n_max, ("subadditivity", m_max),
@@ -640,28 +640,45 @@ def subadditivity_constant(
 
 
 def _subadditivity_scan(a: np.ndarray, m_max: int) -> SubadditivityReport:
+    """The row-by-row scan over every pair (t, s), as one sweep over t:
+    for t <= n/2 the denominators of rows 2t..n are one slice, folded into
+    each row's least denominator, about n^2/4 adds and minima in all.
+
+    Exact, bit for bit.  Float addition commutes, so a row's denominators
+    are symmetric in t <-> s - t, and its first zero, first NaN ratio and
+    first largest ratio lie at t <= s/2.  Rounded division is monotone, so
+    for a_s > 0 the row's largest ratio is fl(a_s / dmin), overflow
+    included.  The row scan keeps the first row to beat its best with
+    ``>``, at that row's first argmax.  A row with a NaN ratio (a NaN
+    entry, or +inf a_s over a +inf denominator, tracked in ``dmax`` when a
+    holds +inf) never beats it, nor does one whose denominators are all
+    zero.  A denominator is 0 only where a_t is, as entries are
+    nonnegative; ``infeasible`` is the first row with a_s > 0 and a zero
+    denominator, at its first zero."""
     n_max = len(a)
-    best_ratio = 0.0
-    best_pair: tuple[int, int] | None = None
-    infeasible: tuple[int, int] | None = None
-    for s in range(2, n_max + 1):
-        top = a[s - 1]
-        denom = a[s - 2 :: -1][: s - 1] + a[: s - 1]
-        if top > 0.0:
-            zero = denom == 0.0
-            if zero.any() and infeasible is None:
-                t = int(np.flatnonzero(zero)[0]) + 1
-                infeasible = (t, s)
-            with np.errstate(divide="ignore", over="ignore"):
-                ratios = np.where(zero, -np.inf, top / np.where(zero, 1.0, denom))
-            i = int(np.argmax(ratios))
-            if ratios[i] > best_ratio:
-                best_ratio = float(ratios[i])
-                best_pair = (i + 1, s)
-    if infeasible is not None:
-        return SubadditivityReport(None, math.inf, infeasible, n_max, m_max)
-    if best_ratio == 0.0:
+    dmin, dmax, buf = np.full(n_max, np.inf), np.zeros(n_max), np.empty(n_max)
+    zero_t, inf_rows = np.zeros(n_max, dtype=np.intp), np.isposinf(a).any()
+    for t in range(1, n_max // 2 + 1):
+        d = np.add(a[t - 1 : n_max - t], a[t - 1], out=buf[: n_max - 2 * t + 1])
+        np.minimum(dmin[2 * t - 1 :], d, out=dmin[2 * t - 1 :])
+        if inf_rows:
+            np.maximum(dmax[2 * t - 1 :], d, out=dmax[2 * t - 1 :])
+        if a[t - 1] == 0.0:
+            z = zero_t[2 * t - 1 :]
+            z[(d == 0.0) & (z == 0)] = t
+    infeasible = np.flatnonzero((a > 0.0) & (zero_t > 0))
+    if infeasible.size:
+        s = int(infeasible[0]) + 1
+        return SubadditivityReport(None, math.inf, (int(zero_t[s - 1]), s), n_max, m_max)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = a / dmin
+    ratio[~(a > 0.0) | np.isnan(ratio) | (np.isposinf(a) & np.isposinf(dmax))] = -np.inf
+    s = int(np.argmax(ratio)) + 1
+    best_ratio = float(ratio[s - 1])
+    if not best_ratio > 0.0:
         return SubadditivityReport(1, 0.0, None, n_max, m_max)
+    with np.errstate(over="ignore"):
+        best_pair = (int(np.argmax(a[s - 1] / (a[s - 2 :: -1][: s - 1] + a[: s - 1]))) + 1, s)
     # a ratio over a subnormal denominator overflows to inf, which has no ceil
     m = max(1, math.ceil(best_ratio - 1e-9)) if math.isfinite(best_ratio) else None
     if m is None or m > m_max:

@@ -32,6 +32,10 @@ series classification and the membership check as they were before the
 series pass took a block of rows: one series per call, one 1-D ``np.sum``
 per halving segment, and one ``classify_series`` call per grading.  The
 rows pass must give every row these partial sums, bit for bit.
+
+``subadditivity_scan`` is the subadditivity constant's scan as it was
+before it swept the half rows: a brute force over every pair (t, s), each
+row in turn.  The sweep must give the same report.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from koethe.spaces import (
     SeriesClass,
     SeriesVerdict,
     SpaceDescriptor,
+    SubadditivityReport,
     weight_array,
 )
 from koethe.verdicts import (
@@ -462,3 +467,34 @@ def membership_in_space(
     tags = ("finite-window",) if space.finite_window else ()
     return holds(None, win, reason="membership series convergent for every k",
                  tags=tags)
+
+
+# verbatim copy of the subadditivity scan before it swept the half rows
+def subadditivity_scan(a: np.ndarray, m_max: int) -> SubadditivityReport:
+    n_max = len(a)
+    best_ratio = 0.0
+    best_pair: tuple[int, int] | None = None
+    infeasible: tuple[int, int] | None = None
+    for s in range(2, n_max + 1):
+        top = a[s - 1]
+        denom = a[s - 2 :: -1][: s - 1] + a[: s - 1]
+        if top > 0.0:
+            zero = denom == 0.0
+            if zero.any() and infeasible is None:
+                t = int(np.flatnonzero(zero)[0]) + 1
+                infeasible = (t, s)
+            with np.errstate(divide="ignore", over="ignore"):
+                ratios = np.where(zero, -np.inf, top / np.where(zero, 1.0, denom))
+            i = int(np.argmax(ratios))
+            if ratios[i] > best_ratio:
+                best_ratio = float(ratios[i])
+                best_pair = (i + 1, s)
+    if infeasible is not None:
+        return SubadditivityReport(None, math.inf, infeasible, n_max, m_max)
+    if best_ratio == 0.0:
+        return SubadditivityReport(1, 0.0, None, n_max, m_max)
+    # a ratio over a subnormal denominator overflows to inf, which has no ceil
+    m = max(1, math.ceil(best_ratio - 1e-9)) if math.isfinite(best_ratio) else None
+    if m is None or m > m_max:
+        return SubadditivityReport(None, best_ratio, best_pair, n_max, m_max)
+    return SubadditivityReport(m, best_ratio, best_pair, n_max, m_max)
