@@ -42,9 +42,8 @@ from .operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
-    _setup,
+    _profiles,
     _stack,
-    _SymbolRun,
     _symbol_side,
     _weight_side,
     lower_part,
@@ -210,9 +209,8 @@ def _row(arr: np.ndarray) -> tuple[np.ndarray, bool]:
 def _sup_pair(gap: np.ndarray, n0: int, n_max: int) -> tuple[LogValue, LogValue]:
     """Sups of the gap from n0 <= n_max // 2 over the half and the full
     window by one segmented max; the full one is Python's ``max`` of the two
-    segments, which drops a NaN past the half.  Certifier gaps go through
-    :func:`logdomain.log_ratio` only at a wild row (:func:`_row`); tameness
-    gaps are subtracted under ``np.errstate``."""
+    segments, which drops a NaN past the half.  Gaps go through
+    :func:`logdomain.log_ratio` only at a wild row (:func:`_row`)."""
     sup_half, sup_rest = np.maximum.reduceat(gap, (n0 - 1, n_max // 2)).tolist()
     return sup_half, max(sup_half, sup_rest)
 
@@ -751,16 +749,18 @@ def _sample_tameness(
     clipped truncation n_max.
 
     The members' scans run in lock-step (:func:`verdicts.scan_fixed_lockstep`).
-    A member's side of the kernel set-up is built once, before the scans,
-    and each grading's side is shared by the family (:func:`operators._setup`).
-    Where a member's symbol logs are tame and the family has range facts
-    for the weights (:func:`_range_facts`), its pair reads only the columns
-    that can attain it (:func:`_pair_columns`), and at each grading such
-    members walk the kernel in one stack, on the union of their ranges,
-    unless that block would be wider than one member's all-columns walk;
-    then each walks alone on its own range.  Every other member walks
-    alone, on all columns.  Either way each pair has the full profile's
-    bits (:func:`operators._walk`)."""
+    A member's symbol side is built once, before the scans, and each
+    grading's weight sides are shared by the family
+    (:func:`operators._weight_side`); every walk is a
+    :func:`operators._profiles` call on them.  Where a member's symbol logs
+    are tame and the family has range facts for the weights
+    (:func:`_range_facts`), its pair reads only the columns that can attain
+    it (:func:`_pair_columns`), and at each grading such members walk the
+    kernel in one stack, on the union of their ranges, unless that block
+    would be wider than one member's all-columns walk; then each walks
+    alone on its own range.  Every other member walks alone, on all
+    columns, and reads the range (0, n_max).  Either way each pair has the
+    full profile's bits (:func:`operators._walk`)."""
     if n_max < 2:
         return [(Outcome.INCONCLUSIVE, None, None)] * len(ops)
     domain, codomain = ops[0].domain, ops[0].codomain
@@ -774,7 +774,7 @@ def _sample_tameness(
     half = n_max // 2
 
     @lru_cache(maxsize=1)
-    def stacked(members: tuple[int, ...]) -> list[_SymbolRun]:
+    def stacked(members: tuple[int, ...]) -> list:
         """The members' symbol sides as one stack, kept while the next
         grading walks the same members."""
         return _stack([sides[i] for i in members])
@@ -785,6 +785,8 @@ def _sample_tameness(
         cols = {i: _pair_columns(scalars[i], facts, slacks[i], n_max)
                 if tame[i] and None not in facts else None for i in live}
         weights = weight_array(domain, m, n_max)
+        weight_sides = [_weight_side(codomain, k, n_max, run.direction)
+                        for run in sides[0]]
         ranged = [i for i in live if cols[i] is not None]
         walks = [([i], None) for i in live if cols[i] is None]
         if ranged:
@@ -794,19 +796,18 @@ def _sample_tameness(
                       else [([i], cols[i]) for i in ranged])
         pairs = {}
         for stack, span in walks:
-            profiles = _setup(stacked(tuple(stack)), codomain, k, n_max).profile(
-                norm_kind, span)
-            for i, profile in zip(stack, profiles):
-                if span is None:
-                    with np.errstate(invalid="ignore", over="ignore"):
-                        pairs[i] = _sup_pair(profile - weights, 1, n_max)
-                    continue
-                c0, c1 = cols[i]
-                gap = profile[c0 - span[0] : c1 - span[0]] - weights[c0:c1]
-                split = min(max(half - c0, 0), c1 - c0)
-                sup_half, sup_rest = (float(part.max(initial=-np.inf))
-                                      for part in (gap[:split], gap[split:]))
-                pairs[i] = sup_half, max(sup_half, sup_rest)
+            profiles = _profiles(stacked(tuple(stack)), weight_sides, n_max,
+                                 norm_kind, span)
+            first = span[0] if span else 0
+            # one errstate per walk: entering it costs about a microsecond
+            with np.errstate(invalid="ignore", over="ignore"):
+                for i, profile in zip(stack, profiles):
+                    c0, c1 = cols[i] or (0, n_max)
+                    gap = profile[c0 - first : c1 - first] - weights[c0:c1]
+                    split = min(max(half - c0, 0), c1 - c0)
+                    sup_half, sup_rest = (float(part.max(initial=-np.inf))
+                                          for part in (gap[:split], gap[split:]))
+                    pairs[i] = sup_half, max(sup_half, sup_rest)
         return [pairs[i] for i in live]
 
     return [(Outcome.HOLDS, min(scan.entries), max(scan.entries.values()))

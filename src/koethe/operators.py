@@ -406,10 +406,12 @@ def _runs(op: ToeplitzOperator, count: int, log: bool
     linear entries, or log|entries| when ``log`` is set.
 
     Direction +1 walks down from the diagonal (rows n+i), -1 walks up
-    (rows n-i).  This is the one place that puts a full operator's split
-    diagonal back together: the lower run carries theta'_0 + theta''_0 at
-    offset 0 and the upper run 0.0 (log-zero), so the column-norm kernel,
-    the FFT apply and the dense matrix read every entry from one run.
+    (rows n-i).  A full operator's split diagonal is put back together
+    here, for the column-norm kernel, the FFT apply and the dense matrix:
+    the lower run carries theta'_0 + theta''_0 at offset 0 and the upper
+    run 0.0 (log-zero), so they read every entry from one run.  The scalar
+    reference :func:`column` recombines it on its own
+    (:func:`_column_entries`).
     """
     read = SymbolSpec.log_abs_array if log else SymbolSpec.values_array
     runs = [(read(spec, count), direction)
@@ -453,9 +455,8 @@ class _SymbolRun(NamedTuple):
 
 
 class _WeightRun(NamedTuple):
-    """The weight side of a run's kernel set-up (see :func:`_weight_run`)."""
+    """The weight side of a walk in one direction (see :func:`_weight_run`)."""
 
-    v: np.ndarray
     pad: np.ndarray
     v_reach: np.ndarray
 
@@ -480,21 +481,20 @@ def _stack(sides: Sequence[list[_SymbolRun]]) -> list[_SymbolRun]:
             for part in zip(*sides)]
 
 
-def _weight_run(v: np.ndarray, direction: int, n_trunc: int, reach: int
-                ) -> _WeightRun:
+def _weight_run(v: np.ndarray, direction: int, n_trunc: int) -> _WeightRun:
     """The codomain weights v as a run in ``direction`` walks them, for
-    symbols whose support reaches at most ``reach`` offsets.
+    symbols of any support.
 
     The walk goes down only (see :func:`_walk`), so an upward run reads the
     weights reversed.  Row r of the walk sits at pad[r - 1], padded with
-    log-zero for the ``reach`` rows past n_trunc that offsets can reach;
+    log-zero for the n_trunc rows past n_trunc that offsets can reach;
     v_reach is the suffix max of those n_trunc weights, followed by
     log-zero likewise."""
-    pad = np.full(n_trunc + reach, -np.inf)
+    pad = np.full(2 * n_trunc, -np.inf)
     pad[:n_trunc] = v[:n_trunc][::direction]
-    v_reach = np.full(n_trunc + reach, -np.inf)
+    v_reach = np.full(2 * n_trunc, -np.inf)
     v_reach[:n_trunc] = _suffix_max(pad[:n_trunc])
-    return _WeightRun(v, pad, v_reach)
+    return _WeightRun(pad, v_reach)
 
 
 def _walk(
@@ -529,8 +529,7 @@ def _walk(
     offset-block schedule.  The layout is part of the result: a broadcast
     add without ``out`` lays a stack's terms out offset-fastest, and numpy
     then sums them pairwise, which moves the last bit.  The pad is read as
-    far as the stack's support reaches, n_trunc + i_top, however far it was
-    built.
+    far as the stack's support reaches, n_trunc + i_top.
 
     Every remaining term of a column is bounded by u_sufmax + v_reach, the
     running maxima of the symbol from the block's first offset on (the
@@ -668,42 +667,26 @@ def _walk(
     return m_run, s_run
 
 
-def _norms(runs: list[tuple[np.ndarray, np.ndarray]], norm_kind: NormKind
-           ) -> np.ndarray:
-    """The read-only log column norms of the runs' (scale, scaled sum)."""
+def _profiles(runs: list[_SymbolRun], weights: list[_WeightRun], n_trunc: int,
+              norm_kind: NormKind, cols: tuple[int, int] | None = None
+              ) -> np.ndarray:
+    """The read-only log column norms of a stack of operators, a row per
+    member: each triangular part's stack (:func:`_symbol_side`,
+    :func:`_stack`) walked on that part's weight side (:func:`_weight_run`),
+    the parts merged.  With ``cols`` = (c0, c1), only the columns
+    n = c0 + 1..c1, with the bits the full profile has there.  Every walk
+    of the kernel is made here."""
+    walks = [_walk(run, side, n_trunc, norm_kind, cols)
+             for run, side in zip(runs, weights)]
     if norm_kind is NormKind.SUP:
-        out = runs[0][0]
-        for m, _ in runs[1:]:
-            out = np.maximum(out, m)
+        out = reduce(np.maximum, [m for m, _ in walks])
         out.flags.writeable = False
         return out
-    m, s = runs[0]
-    for m2, s2 in runs[1:]:
-        m, s = _merge_scaled(m, s, m2, s2)
+    m, s = reduce(lambda a, b: _merge_scaled(*a, *b), walks)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(s > 0.0, m + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
     out.flags.writeable = False
     return out
-
-
-class _Setup(NamedTuple):
-    """The kernel set-up of a stack of operators at grading k, part by part:
-    the stack of the members' symbol runs (:func:`_symbol_side`,
-    :func:`_stack`) and its weight side.  Every walk of the kernel reads
-    one."""
-
-    runs: list[_SymbolRun]
-    weights: list[_WeightRun]
-    n_trunc: int
-
-    def profile(self, norm_kind: NormKind, cols: tuple[int, int] | None = None
-                ) -> np.ndarray:
-        """The profile of :func:`column_norm_profile` of every member, a
-        row each, walked on this set-up; with ``cols`` = (c0, c1), only
-        their columns n = c0 + 1..c1, with the bits the full profile has
-        there."""
-        return _norms([_walk(run, weights, self.n_trunc, norm_kind, cols)
-                       for run, weights in zip(self.runs, self.weights)], norm_kind)
 
 
 def _symbol_side(op: ToeplitzOperator, n_trunc: int) -> list[_SymbolRun]:
@@ -715,28 +698,18 @@ def _symbol_side(op: ToeplitzOperator, n_trunc: int) -> list[_SymbolRun]:
 
 def _weight_side(codomain: SpaceDescriptor, k: int, n_trunc: int, direction: int
                  ) -> _WeightRun:
-    """The weight side of a kernel set-up shared by a family: grading k of
-    ``codomain`` as a run in ``direction`` walks it, padded for any support
-    (:func:`_weight_run`).  Kept among the facts of the codomain's sequence
-    (:func:`spaces._memo`), so every operator into the codomain shares it;
-    an upward one is built only when an upper part asks for it."""
+    """The weight side shared by a family: grading k of ``codomain`` as a
+    run in ``direction`` walks it (:func:`_weight_run`).  Kept among the
+    facts of the codomain's sequence (:func:`spaces._memo`), so every
+    operator into the codomain shares it; an upward one is built only when
+    an upper part asks for it."""
     def build() -> _WeightRun:
-        weights = _weight_run(weight_array(codomain, k, n_trunc), direction,
-                              n_trunc, n_trunc)
+        weights = _weight_run(weight_array(codomain, k, n_trunc), direction, n_trunc)
         # shared by every member of a family
         weights.pad.flags.writeable = weights.v_reach.flags.writeable = False
         return weights
     return _memo(codomain.alpha, n_trunc,
                  ("kernel weights", codomain.kind, k, direction), build)
-
-
-def _setup(runs: list[_SymbolRun], codomain: SpaceDescriptor, k: int, n_trunc: int
-           ) -> _Setup:
-    """The kernel set-up of the symbol runs ``runs`` (:func:`_symbol_side`,
-    or :func:`_stack` for several members) into grading k of ``codomain``
-    on the family's weight sides (:func:`_weight_side`)."""
-    return _Setup(runs, [_weight_side(codomain, k, n_trunc, run.direction)
-                         for run in runs], n_trunc)
 
 
 @lru_cache(maxsize=1024)
@@ -751,22 +724,22 @@ def column_norm_profile(
     Agrees with :func:`column_norm` up to reduction-order rounding; reports
     that need bit-stable numbers use a fixed block schedule, which this is.
     The kernel reads the symbol, the variant and the codomain, never the
-    domain.  Each call walks a set-up of its own (:class:`_Setup`), its
-    weights padded to each run's support, and keeps none of it.  Results
-    are memoized: an oracle scan holds the profiles it fetched itself, and
-    the memo serves repeat scans (the other property of a cross-validation,
-    another window's checkpoints) and every operator that differs only in
-    its domain.  Library callers go through :func:`column_norm_profiles`,
+    domain.  Each call builds its own symbol and weight sides, walks them
+    (:func:`_profiles`) and keeps none of them.  Results are memoized: an
+    oracle scan holds the profiles it fetched itself, and the memo serves
+    repeat scans (the other property of a cross-validation, another
+    window's checkpoints) and every operator that differs only in its
+    domain.  Library callers go through :func:`column_norm_profiles`,
     which looks every operator up with its domain replaced by its codomain,
     and serves an upper operator's profiles from one call at the
     largest truncation.  The oracle and the ratio curves read it there;
-    the tameness sup pairs walk their members' set-ups (:func:`_setup`)
-    and never reach the memo.
+    the tameness sup pairs walk their members on the family's weight sides
+    (:func:`_weight_side`) and never reach the memo.
     """
     runs = _symbol_side(op, n_trunc)
     v = weight_array(op.codomain, k, n_trunc)
-    weights = [_weight_run(v, run.direction, n_trunc, run.i_top) for run in runs]
-    [profile] = _Setup(runs, weights, n_trunc).profile(norm_kind)
+    weights = [_weight_run(v, run.direction, n_trunc) for run in runs]
+    [profile] = _profiles(runs, weights, n_trunc, norm_kind)
     return profile
 
 

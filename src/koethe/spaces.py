@@ -73,18 +73,18 @@ class ExponentSequence:
 
     def __post_init__(self):
         if self.form == "power":
-            if self.p is None or self.p <= 0:
+            if self.p is None or not self.p > 0:
                 raise InvariantError("power form needs exponent p > 0")
         elif self.form == "log":
             pass
         elif self.form == "affine":
-            if self.a is None or self.b is None or self.a < 0 or self.b < 0:
+            if self.a is None or self.b is None or not (self.a >= 0 and self.b >= 0):
                 raise InvariantError("affine form needs slope a >= 0 and offset b >= 0")
         elif self.form == "table":
             vals = self.values
             if not vals:
                 raise InvariantError("table form needs at least one value")
-            if any(v < 0 for v in vals):
+            if any(not v >= 0 for v in vals):
                 raise InvariantError("exponent values must be nonnegative")
             if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
                 raise InvariantError("exponent values must be nondecreasing")
@@ -222,7 +222,7 @@ class SpaceDescriptor:
             if not w or any(len(row) != len(w[0]) for row in w) or not w[0]:
                 raise InvariantError("weight table must be rectangular and nonempty")
             for i, row in enumerate(w):
-                if any(v < 0 for v in row):
+                if any(not v >= 0 for v in row):
                     raise InvariantError(f"weights must be nonnegative (row {i + 1})")
                 if max(row) <= 0:
                     raise InvariantError(f"row {i + 1} has no positive weight")

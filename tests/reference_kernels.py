@@ -168,8 +168,10 @@ def gather_run_profile(
 def _gather_walk(run, weights, n_trunc: int, norm_kind: NormKind,
                  cols: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``operators._walk``'s signature over :func:`gather_run_profile`, one
-    member of the stack at a time."""
-    walks = [gather_run_profile(u, weights.v, run.direction, n_trunc, norm_kind, cols)
+    member of the stack at a time; the codomain weights v are read back
+    from the walk-order pad."""
+    v = weights.pad[:n_trunc][::run.direction]
+    walks = [gather_run_profile(u, v, run.direction, n_trunc, norm_kind, cols)
              for u in run.u]
     return np.stack([m for m, _ in walks]), np.stack([s for _, s in walks])
 
@@ -273,14 +275,16 @@ def full_profile_tameness():
 # verbatim copies of the per-column profile bounds and the column range
 # that a tameness sup pair read off them, in O(n) per pair, before the
 # pairs chose their columns from facts that a family shares; ``bounds`` was
-# a method of the kernel set-up, which carried the ``bounded`` flag then
+# a method of the kernel set-up, which carried the ``bounded`` flag then,
+# and read the weights v, which it now reads back from the walk-order pad
 def _bounded(arr: np.ndarray) -> bool:
     """No entry is +inf, NaN or 2^1022 or more in magnitude; log-zero is."""
     return bool((np.isneginf(arr) | (np.abs(arr) < 2.0 ** 1022)).all())
 
 
 class BoundedSetup(NamedTuple):
-    """A kernel set-up (``operators._Setup``) with its ``bounded`` flag."""
+    """A member's symbol runs and weight sides at one grading (what
+    ``operators._profiles`` walks) with its ``bounded`` flag."""
 
     runs: list
     weights: list
@@ -307,7 +311,7 @@ class BoundedSetup(NamedTuple):
         upper = np.full(n_trunc, -np.inf)
         terms = 0
         for run, weights in zip(self.runs, self.weights):
-            u, v = run.u, weights.v
+            u, v = run.u, weights.pad[:n_trunc][::run.direction]
             np.maximum(lower, u[0] + v, out=lower)
             # the second row: n + 1 of column n below the diagonal, n - 1 above
             nxt, own = (slice(1, None), slice(None, -1))[::run.direction]
@@ -353,9 +357,10 @@ def bounded_setup(op: ToeplitzOperator, k: int, n_trunc: int) -> BoundedSetup:
     runs = operators._symbol_side(op, n_trunc)
     bounded = (all(_bounded(run.u) for run in runs)
                and _bounded(weight_array(op.codomain, k, n_trunc)))
-    setup = operators._setup(runs, op.codomain, k, n_trunc)
+    weights = [operators._weight_side(op.codomain, k, n_trunc, run.direction)
+               for run in runs]
     # each stack of one as its member's run
-    return BoundedSetup([run._replace(u=run.u[0]) for run in setup.runs], setup.weights,
+    return BoundedSetup([run._replace(u=run.u[0]) for run in runs], weights,
                         n_trunc, bounded)
 
 

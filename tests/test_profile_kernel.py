@@ -24,12 +24,13 @@ from koethe.operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
+    _profiles,
     _runs,
-    _setup,
     _symbol_run,
     _symbol_side,
     _walk,
     _weight_run,
+    _weight_side,
     column_norm_profiles,
 )
 from koethe.spaces import _ROUNDING_LOG, ExponentSequence, SpaceDescriptor, weight_array
@@ -58,17 +59,27 @@ def make_op(variant, lower, upper, domain, codomain):
 
 
 def run_profile(u, v, direction, n_trunc, norm, cols=None):
-    """One run's walk on a set-up built for that run alone, its weights
-    padded to its own support, as ``column_norm_profile`` builds it."""
+    """One run's walk on weights padded to that run's own support alone,
+    n_trunc + i_top rows, so a read past them raises."""
     run = _symbol_run(u, direction, n_trunc)
-    (m,), (s,) = _walk(run, _weight_run(v, direction, n_trunc, run.i_top), n_trunc,
-                       norm, cols)
+    weights = _weight_run(v, direction, n_trunc)
+    (m,), (s,) = _walk(run, weights._replace(
+        pad=weights.pad[: n_trunc + run.i_top],
+        v_reach=weights.v_reach[: n_trunc + run.i_top]), n_trunc, norm, cols)
     return m, s
 
 
 def member_setup(op, k, n_trunc):
-    """``op``'s kernel set-up at grading k as the tameness check builds it."""
-    return _setup(_symbol_side(op, n_trunc), op.codomain, k, n_trunc)
+    """``op``'s symbol side at n_trunc and the weight sides of grading k,
+    as the tameness check looks them up."""
+    runs = _symbol_side(op, n_trunc)
+    return runs, [_weight_side(op.codomain, k, n_trunc, run.direction) for run in runs]
+
+
+def member_profile(op, k, n_trunc, norm, cols=None):
+    """``op``'s profile walked on :func:`member_setup`, as one row."""
+    [profile] = _profiles(*member_setup(op, k, n_trunc), n_trunc, norm, cols)
+    return profile
 
 
 def assert_raw_kernels_agree(u, v, direction, norm):
@@ -87,6 +98,11 @@ def assert_kernels_agree(op, k, n, norm):
     with gather_kernel():
         reference = uncached_profile(op, k, n, norm)
     assert np.array_equal(profile, reference)
+    # the memoised profile in both norms has the bits of a walk on the
+    # family's memoised weight sides, the tameness check's shape
+    for kind in NormKind:
+        assert operators.column_norm_profile(op, k, n, kind).tobytes() \
+            == member_profile(op, k, n, kind).tobytes()
 
 
 @pytest.mark.parametrize("norm", list(NormKind))
@@ -440,8 +456,7 @@ def test_a_column_range_has_the_full_profiles_bits(variant, lower, upper, big,
         assert m_ranged.tobytes() == m[c0:c1].tobytes()
         assert s_ranged.tobytes() == s[c0:c1].tobytes()
     full = uncached_profile(op, k, big, norm)
-    setup = member_setup(op, k, big)
-    assert setup.profile(norm, (c0, c1)).tobytes() == full[c0:c1].tobytes()
+    assert member_profile(op, k, big, norm, (c0, c1)).tobytes() == full[c0:c1].tobytes()
     bounds = reference_kernels.bounded_setup(op, k, big).bounds(norm)
     if bounds is not None:
         lower_bound, upper_bound = bounds
@@ -449,12 +464,12 @@ def test_a_column_range_has_the_full_profiles_bits(variant, lower, upper, big,
 
 
 def assert_shared_walks_match(specs, v, n, norm, cols):
-    """The walk of every part in ``specs``, each way, on one weight set-up
+    """The walk of every part in ``specs``, each way, on one weight side
     per direction built for any support (as the tameness check keeps it,
     and read by each member as far as its own support reaches) has the bits
-    of :func:`run_profile`, which builds its set-up for that member alone;
-    no walk writes to the shared set-up."""
-    shared = {direction: _weight_run(v, direction, n, n) for direction in (1, -1)}
+    of :func:`run_profile`, whose weights end at that member's support;
+    no walk writes to the shared weight side."""
+    shared = {direction: _weight_run(v, direction, n) for direction in (1, -1)}
 
     def state():
         return {d: (w.pad.tobytes(), w.v_reach.tobytes()) for d, w in shared.items()}
@@ -491,9 +506,8 @@ def test_walks_on_a_shared_set_up_have_the_kernels_bits(variant, lower, upper, o
     v = weight_array(codomain, k, big)
     assert_shared_walks_match([lower, upper, *others], v, big, norm, cols)
     op = make_op(variant, lower, upper, SPACES[0], codomain)
-    setup = member_setup(op, k, big)
     profile = operators.column_norm_profile(op, k, big, norm)[slice(*cols or (0, big))]
-    assert setup.profile(norm, cols).tobytes() == profile.tobytes()
+    assert member_profile(op, k, big, norm, cols).tobytes() == profile.tobytes()
     bounded = reference_kernels._bounded(v) and all(
         reference_kernels._bounded(u) for u, _ in _runs(op, big, log=True))
     assert (reference_kernels.bounded_setup(op, k, big).bounds(norm) is not None) == bounded
@@ -545,7 +559,7 @@ def test_shared_walks_with_an_infinite_part(norm):
     n = 32
     table = ExponentSequence.table([1.0, 2.0] + [1e308] * 30)
     v = weight_array(SpaceDescriptor.power_series_infinite(table), 2, n)
-    assert _weight_run(v, 1, n, n).v_reach[0] == np.inf
+    assert _weight_run(v, 1, n).v_reach[0] == np.inf
     specs = [SymbolSpec.explicit([1.0, 0.0, 1.0]), SymbolSpec.geometric(0.5),
              SymbolSpec.exp_of_exponent(2.0, table)]
     for cols in (None, (0, 2), (3, 20)):
@@ -566,8 +580,7 @@ def test_weight_sides_are_kept_per_space_kind_and_direction():
             twin = ToeplitzOperator(op.symbol, op.variant, codomain, codomain)
             for norm in NormKind:
                 profile = uncached_profile(twin, 2, n, norm)
-                assert member_setup(twin, 2, n).profile(norm, None).tobytes() \
-                    == profile.tobytes()
+                assert member_profile(twin, 2, n, norm).tobytes() == profile.tobytes()
 
 
 def test_a_one_column_block_of_a_range_keeps_the_range():
@@ -581,7 +594,7 @@ def test_a_one_column_block_of_a_range_keeps_the_range():
     op = make_op(Variant.LOWER, SymbolSpec.explicit([1.0] * _BLOCK + tail.tolist()),
                  None, SPACES[0],
                  SpaceDescriptor.general([[math.exp(-100.0)]] * _BLOCK + [[1.0]] * 44))
-    setup = member_setup(op, 1, n)
+    runs, sides = member_setup(op, 1, n)
     original = operators._walk
     for norm in NormKind:
         seen = []
@@ -591,9 +604,9 @@ def test_a_one_column_block_of_a_range_keeps_the_range():
             return original(*args)
 
         with mock.patch.object(operators, "_walk", spy):
-            ranged = setup.profile(norm, (0, 2))
+            [ranged] = _profiles(runs, sides, n, norm, (0, 2))
         [(run, weights, _, _, cols)] = seen
-        assert cols == (0, 2) and run is setup.runs[0] and weights is setup.weights[0]
+        assert cols == (0, 2) and run is runs[0] and weights is sides[0]
         assert ranged.tobytes() == uncached_profile(op, 1, n, norm)[:2].tobytes()
 
 

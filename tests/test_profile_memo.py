@@ -158,9 +158,9 @@ def test_shared_profiles_leave_every_report_byte_unchanged():
 
 
 def test_memoised_profiles_keep_no_weight_side():
-    # a memoised profile pads its weights to each run's own support and
-    # keeps none of them; only the tameness check keeps a grading's weight
-    # side among the facts of its codomain's sequence, for its family
+    # a memoised profile builds its own weight sides and keeps none of
+    # them; only the tameness check keeps a grading's weight side among
+    # the facts of its codomain's sequence, for its family
     window = Window().with_n_max(64)
     codomain = SPACES[1]
 

@@ -115,6 +115,19 @@ def test_general_table_koethe_axioms():
     assert weight(space, 1, 1) == LOG_ZERO
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ExponentSequence.table([1.0, 3.0, math.nan, 4.0]),
+    lambda: ExponentSequence.power(math.nan),
+    lambda: ExponentSequence.affine(math.nan),
+    lambda: ExponentSequence.affine(1.0, math.nan),
+    lambda: SpaceDescriptor.general([[math.nan], [1.0]]),
+], ids=["table", "power", "affine-a", "affine-b", "general"])
+def test_nan_inputs_are_refused(build):
+    # NaN fails every comparison, so each check asks for what must hold
+    with pytest.raises(InvariantError):
+        build()
+
+
 @settings(max_examples=60)
 @given(space=space_strategy(), n=st.integers(1, 200), k=st.integers(1, 10))
 def test_weight_monotone_in_grading(space, n, k):

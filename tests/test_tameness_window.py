@@ -40,9 +40,10 @@ from koethe.operators import (
     SymbolSpec,
     ToeplitzOperator,
     Variant,
-    _setup,
+    _profiles,
     _stack,
     _symbol_side,
+    _weight_side,
     column_norm_profiles,
 )
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
@@ -98,16 +99,16 @@ def test_pool_family_reports_match_the_full_profiles():
 
 
 def profile_ranges(run):
-    """The column range of every set-up walk that ``run()`` makes, in order:
-    one per sup pair."""
+    """The column range of every ``_profiles`` walk that ``run()`` makes, in
+    order: one per sup pair."""
     seen = []
-    profile = operators._Setup.profile
+    profiles = criteria._profiles
 
-    def spy(setup, norm_kind, cols=None):
+    def spy(runs, weights, n_trunc, norm_kind, cols=None):
         seen.append(cols)
-        return profile(setup, norm_kind, cols)
+        return profiles(runs, weights, n_trunc, norm_kind, cols)
 
-    with mock.patch.object(operators._Setup, "profile", spy):
+    with mock.patch.object(criteria, "_profiles", spy):
         run()
     return seen
 
@@ -550,15 +551,14 @@ def test_a_stack_of_one_column_ranges_has_each_members_bits():
             return np.add(*args, out=out, **kwargs)
 
     for k in (10, 11, 12):
+        weights = [_weight_side(POOL_TEMPLATE.codomain, k, 4096, 1)]
         blocks = Blocks()
         blocks.count = 0
         with mock.patch.object(operators, "np", blocks):
-            stack = _setup(_stack(sides), POOL_TEMPLATE.codomain, k, 4096).profile(
-                NormKind.SUM, (0, 1))
+            stack = _profiles(_stack(sides), weights, 4096, NormKind.SUM, (0, 1))
         assert blocks.count >= 2
         for side, row in zip(sides, stack):
-            [alone] = _setup(side, POOL_TEMPLATE.codomain, k, 4096).profile(
-                NormKind.SUM, (0, 1))
+            [alone] = _profiles(side, weights, 4096, NormKind.SUM, (0, 1))
             assert row.tobytes() == alone.tobytes(), k
 
 
@@ -573,10 +573,11 @@ def test_a_stack_keeps_the_bits_of_members_with_far_apart_bounds():
              SymbolSpec.explicit([math.exp(-200.0)] * 2 + [math.exp(-100.0)] * (n - 2))]
     sides = [_symbol_side(ToeplitzOperator(Symbol(lower=spec), Variant.LOWER,
                                            codomain, codomain), n) for spec in specs]
+    weights = [_weight_side(codomain, 1, n, 1)]
     for norm in NormKind:
-        stack = _setup(_stack(sides), codomain, 1, n).profile(norm)
+        stack = _profiles(_stack(sides), weights, n, norm)
         for side, row in zip(sides, stack):
-            [alone] = _setup(side, codomain, 1, n).profile(norm)
+            [alone] = _profiles(side, weights, n, norm)
             assert row.tobytes() == alone.tobytes(), norm
 
 
