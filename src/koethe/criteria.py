@@ -663,19 +663,20 @@ def _range_facts(domain: SpaceDescriptor, codomain: SpaceDescriptor, k: int, m: 
     ``direction``, kept among the facts of the domain's sequence at n_max
     (:func:`spaces._memo`), so a family builds them once.
 
-    A pair reads its member through four scalars per run: u[0], u[1],
-    u_sufmax[0] and i_top.  Column n's log norm is at least u[0] + v and
-    u[1] + the weight of its second row (n + 1 below the diagonal, n - 1
-    above), and at most u_sufmax[0] + reach, the largest weight from its
-    first row on, plus log(Σ i_top) in a sum.  With v the codomain weights
-    and w the domain row, the facts are the half and rest maxima of v - w
-    and of the second row's weights minus w, and h = reach - w as its prefix
-    max and its negated suffix max per segment, where ``searchsorted``
-    finds the first and the last column at which h reaches a threshold.
+    A group of members reads its stack through four scalars per run: the
+    smallest u[0] and u[1], u_sufmax[0] and i_top.  Column n's log norm is
+    at least u[0] + v and u[1] + the weight of its second row (n + 1 below
+    the diagonal, n - 1 above), and at most u_sufmax[0] + reach, the
+    largest weight from its first row on, plus log(Σ i_top) in a sum.  With
+    v the codomain weights and w the domain row, the facts are the half and
+    rest maxima of v - w and of the second row's weights minus w, and
+    h = reach - w as its prefix max and its negated suffix max per segment,
+    where ``searchsorted`` finds the first and the last column at which h
+    reaches a threshold.
 
     The facts add u[0] to v - w where the kernel adds u[0] + v and the gap
     subtracts w.  So they exist only where v is log-zero or below 2^40 in
-    magnitude and w is finite and below 2^40 (None otherwise), and a pair
+    magnitude and w is finite and below 2^40 (None otherwise), and a group
     reads them only where its symbol logs are tame likewise.  Every sum is
     then below 2^43 in magnitude and rounds by at most 2^-11; the few such
     roundings that part a pair's thresholds from the real bounds, the
@@ -703,28 +704,32 @@ def _range_facts(domain: SpaceDescriptor, codomain: SpaceDescriptor, k: int, m: 
                  ("range facts", domain.kind, m, codomain, k, direction), build)
 
 
-def _pair_columns(scalars: list[tuple[float, float, float]], facts: list[tuple],
-                  slack: float, n_max: int) -> tuple[int, int] | None:
+def _pair_columns(stack: list, facts: list[tuple], norm_kind: NormKind, n_max: int
+                  ) -> tuple[int, int] | None:
     """The column range [c0, c1) of every column whose gap can reach the sup
-    pair over n >= 1, from each run's (u[0], u[1], u_sufmax[0]) and facts
-    (:func:`_range_facts`), where ``slack`` is log(Σ i_top) in a sum, plus
+    pair over n >= 1 of some member of ``stack`` (:func:`operators._stack`),
+    from each run's smallest u[0] and u[1], its largest u_sufmax[0] and
+    facts (:func:`_range_facts`), with a slack of log(Σ i_top) in a sum plus
     the margin of 1; None for all columns.  A column of the half window is
     kept where its upper gap reaches the best lower gap of the half, any
-    other where it reaches the best of the full window."""
+    other where it reaches the best of the full window.  The thresholds are
+    monotone in each scalar, so the range holds every member's own."""
     half = n_max // 2
+    slack = (math.log(max(sum(run.i_top for run in stack), 1))
+             if norm_kind is NormKind.SUM else 0.0) + 1.0
     best_half = best_rest = -math.inf
-    for (u0, u1, _), ((g0_half, g0_rest), (g1_half, g1_rest)) in zip(
-            scalars, (heads for heads, _, _ in facts)):
+    for run, (((g0_half, g0_rest), (g1_half, g1_rest)), _, _) in zip(stack, facts):
+        u0, u1 = run.u[:, :2].min(axis=0).tolist()
         best_half = max(best_half, u0 + g0_half, u1 + g1_half)
         best_rest = max(best_rest, u0 + g0_rest, u1 + g1_rest)
     if best_half == -math.inf:
         return None
     best_full = max(best_half, best_rest)
     c0, c1 = n_max, 0
-    for (_, _, top), (_, first, last) in zip(scalars, facts):
-        if top == -math.inf:
+    for run, (_, first, last) in zip(stack, facts):
+        if run.u_sufmax[0] == -math.inf:
             continue
-        t_half, t_full = best_half - top - slack, best_full - top - slack
+        t_half, t_full = (best - run.u_sufmax[0] - slack for best in (best_half, best_full))
         i = int(first[:half].searchsorted(t_half))
         if i == half:
             i += int(first[half:].searchsorted(t_full))
@@ -752,25 +757,19 @@ def _sample_tameness(
     A member's symbol side is built once, before the scans, and each
     grading's weight sides are shared by the family
     (:func:`operators._weight_side`); every walk is a
-    :func:`operators._profiles` call on them.  Where a member's symbol logs
-    are tame and the family has range facts for the weights
-    (:func:`_range_facts`), its pair reads only the columns that can attain
-    it (:func:`_pair_columns`), and at each grading such members walk the
-    kernel in one stack, on the union of their ranges, unless that block
-    would be wider than one member's all-columns walk; then each walks
-    alone on its own range.  Every other member walks alone, on all
-    columns, and reads the range (0, n_max).  Either way each pair has the
-    full profile's bits (:func:`operators._walk`)."""
+    :func:`operators._profiles` call on them.  At each grading the live
+    members whose symbol logs are tame, where the family has range facts
+    for the weights (:func:`_range_facts`), walk the one column range that
+    holds every column that can attain one of their pairs
+    (:func:`_pair_columns`), in stacks no wider than one member's
+    all-columns walk, each of which reduces its gaps in one pass.  Every
+    other member walks alone, on all columns.  Either way each pair has
+    the full profile's bits (:func:`operators._walk`)."""
     if n_max < 2:
         return [(Outcome.INCONCLUSIVE, None, None)] * len(ops)
     domain, codomain = ops[0].domain, ops[0].codomain
     sides = [_symbol_side(op, n_max) for op in ops]
     tame = [all(_tame(run.u) for run in runs) for runs in sides]
-    # each member's (u[0], u[1], u_sufmax[0]) per run, and its slack
-    scalars = [[(float(run.u[0, 0]), float(run.u[0, 1]), float(run.u_sufmax[0]))
-                for run in runs] for runs in sides]
-    slacks = [(math.log(max(sum(run.i_top for run in runs), 1))
-               if norm_kind is NormKind.SUM else 0.0) + 1.0 for runs in sides]
     half = n_max // 2
 
     @lru_cache(maxsize=1)
@@ -780,34 +779,32 @@ def _sample_tameness(
         return _stack([sides[i] for i in members])
 
     def sup_pairs(k: int, m: int, live: list[int]) -> list[tuple[LogValue, LogValue]]:
-        facts = ([_range_facts(domain, codomain, k, m, run.direction, n_max)
-                  for run in sides[0]] if any(tame[i] for i in live) else [None])
-        cols = {i: _pair_columns(scalars[i], facts, slacks[i], n_max)
-                if tame[i] and None not in facts else None for i in live}
+        facts = [_range_facts(domain, codomain, k, m, run.direction, n_max)
+                 for run in sides[0]]
+        group = tuple(i for i in live if tame[i]) if None not in facts else ()
         weights = weight_array(domain, m, n_max)
         weight_sides = [_weight_side(codomain, k, n_max, run.direction)
                         for run in sides[0]]
-        ranged = [i for i in live if cols[i] is not None]
-        walks = [([i], None) for i in live if cols[i] is None]
-        if ranged:
-            union = (min(cols[i][0] for i in ranged), max(cols[i][1] for i in ranged))
+        # alone, a member walks its own side, a stack of one, past the cache
+        walks = [((i,), sides[i], None) for i in live if i not in group]
+        if group:
+            cols = _pair_columns(stacked(group), facts, norm_kind, n_max)
             # no stack's block is wider than one member's all-columns walk
-            walks += ([(ranged, union)] if len(ranged) * (union[1] - union[0]) <= n_max
-                      else [([i], cols[i]) for i in ranged])
+            size = n_max // (cols[1] - cols[0]) if cols else 1
+            walks += [(group[g : g + size], stacked(group[g : g + size]), cols)
+                      for g in range(0, len(group), size)]
         pairs = {}
-        for stack, span in walks:
-            profiles = _profiles(stacked(tuple(stack)), weight_sides, n_max,
-                                 norm_kind, span)
-            first = span[0] if span else 0
-            # one errstate per walk: entering it costs about a microsecond
+        for members, runs, cols in walks:
+            c0, c1 = cols or (0, n_max)
+            profiles = _profiles(runs, weight_sides, n_max, norm_kind, cols)
+            split = min(max(half - c0, 0), c1 - c0)
+            # a member alone may meet infinite weights (inf - inf) or overflow
             with np.errstate(invalid="ignore", over="ignore"):
-                for i, profile in zip(stack, profiles):
-                    c0, c1 = cols[i] or (0, n_max)
-                    gap = profile[c0 - first : c1 - first] - weights[c0:c1]
-                    split = min(max(half - c0, 0), c1 - c0)
-                    sup_half, sup_rest = (float(part.max(initial=-np.inf))
-                                          for part in (gap[:split], gap[split:]))
-                    pairs[i] = sup_half, max(sup_half, sup_rest)
+                gap = profiles - weights[c0:c1]
+            sups = (gap[:, :split].max(axis=1, initial=-np.inf).tolist(),
+                    gap[:, split:].max(axis=1, initial=-np.inf).tolist())
+            for i, sup_half, sup_rest in zip(members, *sups):
+                pairs[i] = sup_half, max(sup_half, sup_rest)
         return [pairs[i] for i in live]
 
     return [(Outcome.HOLDS, min(scan.entries), max(scan.entries.values()))

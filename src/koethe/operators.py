@@ -41,6 +41,7 @@ from .logdomain import (
     log_add,
     log_from_linear,
     log_max,
+    log_ratio,
     log_sub,
     log_sum,
 )
@@ -65,9 +66,6 @@ from .verdicts import (
     inconclusive,
     scan_forall,
 )
-
-#: relative log-mass below which a column tail cannot move any report
-NEGLIGIBLE_LOG = 60.0
 
 _BLOCK = 256
 
@@ -106,6 +104,8 @@ class SymbolSpec:
     head: float | None = None
 
     def __post_init__(self):
+        if not all(x == x for x in (self.r, self.c, self.head, *(self.values or ()))):
+            raise InvariantError("symbol numbers must not be NaN")
         if self.form == "explicit":
             if self.values is None:
                 raise InvariantError("explicit form needs a value list")
@@ -535,10 +535,12 @@ def _walk(
     running maxima of the symbol from the block's first offset on (the
     largest of the members') and of the weights from the block's first row
     on; both are nonincreasing in the offset.  A block is skipped for
-    columns whose bound sits NEGLIGIBLE_LOG below the smallest of the
+    columns whose bound sits _ROUNDING_LOG below the smallest of the
     members' running scales (with a log(n) allowance for the many terms) in
     a sum, or at or below it in a sup, so rapidly decaying symbols cost a
-    short band.
+    short band.  The skip is exact: each of the at most n terms a column
+    skips is below e^-40 / n of its scaled running sum, at least 1, so
+    together they add less than 2^-53, half an ulp, and round away.
 
     Each block is then cut before its first row whose bound lies, in every
     active column, _ROUNDING_LOG or more below the larger of the block's
@@ -593,9 +595,9 @@ def _walk(
     pad = weights.pad[: n_trunc + i_top]
     v_reach = weights.v_reach[: n_trunc + i_top]
     if norm_kind is NormKind.SUM:
-        allowance, skip, cut = math.log(n_trunc), NEGLIGIBLE_LOG, _ROUNDING_LOG
+        allowance, cut = math.log(n_trunc), _ROUNDING_LOG
     else:
-        allowance = skip = cut = 0.0
+        allowance = cut = 0.0
     # with a +inf part a term can be NaN, and then the cut is part of the result
     finite = i_top and u_sufmax[0] < np.inf and v_reach[0] < np.inf
     small = _SEARCH_TERMS if finite else 0
@@ -608,7 +610,7 @@ def _walk(
     with np.errstate(invalid="ignore"):
         for i0 in range(0, i_top, _BLOCK):
             peak = u_sufmax[i0] + v_reach[i0 + c0 : i0 + c1]
-            active = peak + allowance > np.minimum.reduce(m_run) - skip
+            active = peak + allowance > np.minimum.reduce(m_run) - cut
             lo = int(active.argmax())
             if not active[lo]:
                 break
@@ -910,7 +912,7 @@ def membership_in_dual(
     logs = spec.log_abs_array(n_max)
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
-        gap = logs - weight_array(space, m, n_max)
+        gap = log_ratio(logs, weight_array(space, m, n_max))
         return float(np.max(gap[:half])), float(np.max(gap))
 
     scan = scan_forall(win, sup_pair, 1, win.m_max)

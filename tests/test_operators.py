@@ -120,6 +120,18 @@ def test_symbol_head_override():
     assert arr[0] == 3.0 and arr[2] == 0.25
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SymbolSpec.geometric(math.nan),
+    lambda: SymbolSpec.explicit([1.0, math.nan]),
+    lambda: SymbolSpec.exp_of_exponent(math.nan, ALPHA_N),
+    lambda: SymbolSpec.geometric(0.5).with_head(math.nan),
+])
+def test_nan_symbols_are_refused(build):
+    # a NaN symbol would read as a member of every space
+    with pytest.raises(InvariantError):
+        build()
+
+
 def test_symbol_json_roundtrip():
     specs = [
         SymbolSpec.geometric(0.5),
@@ -408,6 +420,19 @@ def test_dual_membership_sqrt_growth_fails():
     spec = SymbolSpec.exp_of_exponent(1.0, ExponentSequence.power(0.5))
     verdict = membership_in_dual(spec, L1_N)
     assert verdict.outcome is Outcome.FAILS_ON_WINDOW
+
+
+def test_dual_membership_of_infinite_logs_against_infinite_bounds_is_quiet():
+    # log|theta_j| and log a(n, m) are both +inf from the top entries and
+    # m = 2 on: the gap reads through log_ratio, which warns of nothing; the
+    # verdict stays inconclusive
+    table = ExponentSequence.table([1.0, 2.0] + [1e308] * 14)
+    spec = SymbolSpec.exp_of_exponent(2.0, table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = membership_in_dual(spec, SpaceDescriptor.power_series_infinite(table),
+                                     Window().with_n_max(16))
+    assert verdict.outcome is Outcome.INCONCLUSIVE
 
 
 def test_dual_membership_needs_power_series():

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from koethe import operators, spaces
 from koethe.operators import (
     _BLOCK,
-    NEGLIGIBLE_LOG,
     NormKind,
     Symbol,
     SymbolSpec,
@@ -142,7 +141,7 @@ def test_kernels_agree_on_fixed_cases(variant, norm, n):
 @pytest.mark.parametrize("norm", list(NormKind))
 def test_kernels_agree_on_slow_upper_symbol_past_two_blocks(norm):
     # r = 0.99 loses only ~2.6 per block, so every offset block stays inside
-    # the NEGLIGIBLE_LOG band up to the top columns
+    # the _ROUNDING_LOG band up to the top columns
     n = 4 * _BLOCK + 37
     op = make_op(Variant.UPPER, None, SymbolSpec.geometric(0.99),
                  SPACES[1], SPACES[1])
@@ -231,13 +230,14 @@ def test_sum_block_skip_at_the_negligible_margin(monkeypatch, direction, offset)
     # flat weights put every column's running scale at 0 once the first
     # block is cut after its two head rows; the second block opens with the
     # only other term above e^-500, just below or just above the skip margin
-    # -NEGLIGIBLE_LOG - log n, so the 512 columns it reaches are skipped, or
+    # -_ROUNDING_LOG - log n, so the 512 columns it reaches are skipped, or
     # evaluated for their two head rows.  (The exact tie is left out:
-    # -60 - log n + log n need not round back to -60.)
+    # -40 - log n + log n need not round back to -40.)  The reference skips
+    # at its own, wider margin, so it evaluates the block either way
     n = 3 * _BLOCK
     u = np.full(n, -500.0)
     u[0] = 0.0
-    u[_BLOCK] = -NEGLIGIBLE_LOG - math.log(n) + offset
+    u[_BLOCK] = -_ROUNDING_LOG - math.log(n) + offset
     v = np.zeros(n)
     assert_raw_kernels_agree(u, v, direction, NormKind.SUM)
     assert evaluated_rows(monkeypatch, u, v, direction, NormKind.SUM) \

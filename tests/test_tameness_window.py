@@ -1,18 +1,20 @@
 """Tameness sup pairs run the kernel only on the columns that can attain them,
 and a family's members walk it in lock-step.
 
-``criteria._sample_tameness`` chooses the column range whose gaps can reach
-the sup pair from the member's symbol runs and weight facts that the
-family shares (``criteria._range_facts``); where the weights or the symbol
-are not tame, it walks every column of the same set-up.  The scans of up
-to ``criteria._GROUP`` members run in lock-step, and at each grading the
-members with a range walk the kernel together, on the union of their
-ranges.  These tests hold the pairs bit for bit, and the reports byte for
-byte, against ``reference_kernels._sample_tameness``, which reads the full
-profile for every pair; the lock-step pairs against each member's walk
-alone; the ranges against those of the per-pair bounds in
-``reference_kernels.sup_columns``; and every range against the columns
-where the full profile's gap attains the pair.
+The scans of up to ``criteria._GROUP`` members run in lock-step.  At each
+grading ``criteria._sample_tameness`` chooses one column range for the
+live members whose symbol logs are tame, from their stacked runs and
+weight facts that the family shares (``criteria._range_facts``), walks the
+kernel on it in stacks no wider than one member's all-columns walk and
+reduces each stack's gaps in one pass; where the weights are not tame,
+and for a member whose symbol is not, each member walks every column
+alone.  These tests hold the pairs bit for bit,
+and the reports byte for byte, against ``reference_kernels._sample_tameness``,
+which reads the full profile for every pair; the lock-step pairs against
+each member's walk alone; each grading's range against the ranges that
+the per-pair bounds in ``reference_kernels.sup_columns`` give its members;
+and every range against the columns where the full profile's gap attains
+the pair.
 
 Run as a script, the report check of every family in ``POOLS`` runs at
 the default window (n_max=4096) and exits 1 on a report that differs:
@@ -113,14 +115,15 @@ def profile_ranges(run):
     return seen
 
 
-def pair_ranges(template, seed: int, window: Window):
-    """The column range that each sup pair of a pool family's tameness
-    check reads (None: all columns), and the one the reference bounds give
-    it, both keyed by (member, k)."""
-    read, expected = {}, {}
+def graded_pairs(run):
+    """Run ``run()`` and return, for each grading of each lock-step scan,
+    (ops, kind, n_max, k, m, live, ranges, pairs): the scan's operators,
+    its live members, the column ranges that ``criteria._pair_columns``
+    chose (one, for the group, or none where every live member walks
+    alone; None in it is all columns) and the sup pairs."""
+    out, chosen = [], []
     sample, lockstep, choose = (criteria._sample_tameness, criteria.scan_fixed_lockstep,
                                 criteria._pair_columns)
-    chosen = []
 
     def pair_columns(*args):
         chosen.append(choose(*args))
@@ -130,33 +133,42 @@ def pair_ranges(template, seed: int, window: Window):
         def scans(win, sup_pairs, count, k_max, s_map):
             def pairs(k, m, live):
                 chosen.clear()
-                out = sup_pairs(k, m, live)
-                # the live members choose their ranges in turn, all or none
-                assert len(chosen) in (0, len(live))
-                for i, cols in zip(live, chosen or [None] * len(live)):
-                    read[ops[i], k] = cols
-                    expected[ops[i], k] = ref.sup_columns(ops[i], k, m, n_max, kind)
-                return out
+                got = sup_pairs(k, m, live)
+                out.append((ops, kind, n_max, k, m, list(live), list(chosen), got))
+                return got
             return lockstep(win, pairs, count, k_max, s_map)
         with mock.patch.object(criteria, "scan_fixed_lockstep", scans):
             return sample(ops, s_map, win, kind, k_max, n_max)
 
     with mock.patch.object(criteria, "_sample_tameness", group), \
             mock.patch.object(criteria, "_pair_columns", pair_columns):
-        criteria.tameness_check(pool_family(seed), SMap.identity(), template, window)
-    return read, expected
+        run()
+    return out
+
+
+def union(ranges):
+    """The least column range that holds each of ``ranges``; None, all
+    columns, where one of them is None."""
+    if None in ranges:
+        return None
+    starts, ends = zip(*ranges)
+    return min(starts), max(ends)
 
 
 def test_pool_families_walk_the_reference_bounds_ranges():
-    # the ranges from the family's facts are those of the per-pair bounds,
-    # member by member and grading by grading; the wild domain reads all
-    # columns at every pair, the other families at none
+    # each grading's one range is the union of the ranges that the per-pair
+    # bounds give its live members; the wild domain chooses none, and its
+    # members walk all columns
     for name, (template, seeds) in POOLS.items():
         for seed in seeds:
-            read, expected = pair_ranges(template, seed, Window().with_n_max(512))
-            assert read and read == expected, (name, seed)
-            ranges = set(read.values())
-            assert (None in ranges) == (name == "wild") == (ranges == {None})
+            records = graded_pairs(lambda: criteria.tameness_check(
+                pool_family(seed), SMap.identity(), template, Window().with_n_max(512)))
+            assert records, (name, seed)
+            for ops, kind, n_max, k, m, live, ranges, _ in records:
+                expected = union([ref.sup_columns(ops[i], k, m, n_max, kind)
+                                  for i in live])
+                assert (ranges or [None]) == [expected], (name, seed, k)
+                assert (ranges == []) == (name == "wild") == (expected is None)
 
 
 def hexed(pair):
@@ -483,6 +495,48 @@ def test_lockstep_scans_match_one_member_walks(variant, count, spaces_, n, k_max
     assert _dumps(together.to_json()) == _dumps(alone.to_json())
 
 
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(list(Variant)), count=st.integers(1, 20),
+       spaces_=space_pairs, n=st.integers(4, 600), k_max=st.integers(1, 6),
+       data=st.data())
+def test_a_group_range_holds_each_members_reference_range(variant, count, spaces_, n,
+                                                          k_max, data):
+    # mixed families of signed ratios, finite supports and wild members: at
+    # every grading the group's one range holds the range that the per-pair
+    # bounds give each of its members, and every member's pair, in the group
+    # or alone, has the full profile's bits
+    parts = [data.draw(st.lists(member_parts, min_size=count, max_size=count), label=part)
+             for part in ("lower", "upper")]
+    template = OperatorTemplate(variant, *spaces_)
+    drawn = {Variant.LOWER: parts[0], Variant.UPPER: parts[1]}
+
+    def family(family, part, *_):
+        return drawn[part]
+
+    window = Window(k_max=k_max).with_n_max(n)
+    with mock.patch.object(criteria, "_sample_family", family):
+        records = graded_pairs(lambda: criteria.tameness_check(
+            FamilySpec(count=count), SMap.identity(), template, window))
+    providers = {}
+    for ops, kind, n_max, k, m, live, ranges, pairs in records:
+        # a grading chooses one range where it has tame members and range
+        # facts, and none otherwise
+        sides = [_symbol_side(ops[i], n_max) for i in live]
+        tame = [i for i, side in zip(live, sides)
+                if all(criteria._tame(run.u) for run in side)]
+        facts = [criteria._range_facts(ops[0].domain, ops[0].codomain, k, m,
+                                       run.direction, n_max) for run in sides[0]]
+        assert len(ranges) == (1 if tame and None not in facts else 0), (k, m)
+        c0, c1 = (ranges[0] if ranges else None) or (0, n_max)
+        for i in tame if ranges else ():
+            r0, r1 = ref.sup_columns(ops[i], k, m, n_max, kind) or (0, n_max)
+            assert c0 <= r0 and r1 <= c1, (i, k, m)
+        for i, pair in zip(live, pairs):
+            if ops[i] not in providers:
+                providers[ops[i]] = reference_provider(ops[i], kind, n_max)
+            assert hexed(pair) == hexed(providers[ops[i]](k, m)), (i, k, m)
+
+
 def test_lockstep_scans_stop_at_each_members_own_grading():
     # an upper family from Λ₀(n) into Λ₀(n) whose scans stop at k = 3, 12,
     # 1, 12, 2 and 2: each member asks for its own gradings, from 12 down
@@ -502,10 +556,10 @@ def test_lockstep_scans_stop_at_each_members_own_grading():
     assert pairs == pairs_alone and hexed_samples(report) == hexed_samples(alone)
 
 
-def test_members_with_wide_ranges_walk_alone_on_their_own_ranges():
-    # from Λ∞(√n) into Λ∞(log n) the ranges reach over half of 256 columns:
-    # a stack on their union would be wider than one member's all-columns
-    # walk, so each member walks alone, on its own range, with its own bits
+def test_members_with_wide_ranges_walk_bounded_stacks_on_the_group_range():
+    # from Λ∞(√n) into Λ∞(log n) the group's range reaches 56 to 153 of 256
+    # columns: the 16 members walk it in stacks no wider than one member's
+    # all-columns walk (4, 4, 3 and 1 members), each with its own bits
     template = OperatorTemplate(Variant.LOWER,
                                 SpaceDescriptor.power_series_infinite(
                                     ExponentSequence.power(0.5)),
@@ -524,8 +578,11 @@ def test_members_with_wide_ranges_walk_alone_on_their_own_ranges():
             family, SMap.identity(), template, window), criteria._GROUP)
     alone, pairs_alone = requested_pairs(lambda: criteria.tameness_check(
         family, SMap.identity(), template, window), 1)
-    assert any(size == 1 and cols is not None and cols[1] - cols[0] > 16
+    assert all(cols is not None and size * (cols[1] - cols[0]) <= 256
                for size, cols in walks)
+    sizes = {cols: Counter(size for size, c in walks if c == cols) for _, cols in walks}
+    assert sizes == {(0, 56): {4: 4}, (0, 64): {4: 4}, (0, 83): {3: 5, 1: 1},
+                     (0, 153): {1: 16}}
     assert pairs == pairs_alone and hexed_samples(report) == hexed_samples(alone)
 
 
@@ -536,7 +593,7 @@ def test_a_stack_of_one_column_ranges_has_each_members_bits():
     # own (offset, column) block is; an offset-fastest layout would sum
     # them pairwise and move the last bit
     ops = [POOL_TEMPLATE.build(SymbolSpec.geometric(r))
-           for r in np.linspace(0.86, 0.9, 16)]
+           for r in np.linspace(0.93, 0.97, 16)]
     sides = [_symbol_side(op, 4096) for op in ops]
 
     class Blocks:
