@@ -791,8 +791,10 @@ def _sample_tameness(
             cols = _pair_columns(stacked(group), facts, norm_kind, n_max)
             # no stack's block is wider than one member's all-columns walk
             size = n_max // (cols[1] - cols[0]) if cols else 1
-            walks += [(group[g : g + size], stacked(group[g : g + size]), cols)
-                      for g in range(0, len(group), size)]
+            # a chunk of one walks its own side, so the cache keeps the group
+            chunks = [group[g : g + size] for g in range(0, len(group), size)]
+            walks += [(chunk, stacked(chunk) if len(chunk) > 1 else sides[chunk[0]],
+                       cols) for chunk in chunks]
         pairs = {}
         for members, runs, cols in walks:
             c0, c1 = cols or (0, n_max)

@@ -856,12 +856,27 @@ def membership_in_space(
     terms of all gradings fill one ``(k_max, n_max)`` block, row k - 1 for
     grading k, which one series pass classifies; the first divergent
     grading decides, else the last inconclusive one.  A grading that
-    :func:`spaces._settled_rows` settles as convergent skips the pass."""
+    :func:`spaces._settled_rows` settles as convergent skips the pass.
+
+    A power series space keeps the verdict under ``("membership",
+    space.kind, spec, window)`` among the facts of its sequence at the
+    clipped n_max (:func:`spaces._memo`); a general Köthe space is checked
+    on every call."""
     win = window or Window()
     k_max, _, n_max, _ = win.clip(space)
     if n_max < 2:
         return inconclusive("window too short for series evidence", win)
+    # the symbol's logs, then the weights, evaluate the exponents before the
+    # memo reads them, each under its own errstate: an overflow to +inf that
+    # they take silently stays silent
     logs = spec.log_abs_array(n_max)
+    weight_array(space, 1, n_max)
+    return _memo(space.alpha, n_max, ("membership", space.kind, spec, win),
+                 lambda: _membership_scan(logs, space, win, k_max, n_max))
+
+
+def _membership_scan(logs: np.ndarray, space: SpaceDescriptor, win: Window,
+                     k_max: int, n_max: int) -> Verdict:
     terms = np.empty((k_max, n_max))
     for k in range(1, k_max + 1):
         terms[k - 1] = weight_array(space, k, n_max)
@@ -899,7 +914,10 @@ def membership_in_dual(
     coefficients up to e^{m * alpha_n}, finite type demands decay
     e^{-alpha_n / m}.  Searches m <= m_max for which
     sup_n (log|theta_{n-1}| - log a(n, m)) stabilizes between the half and
-    full window; the stabilized sup is the certificate constant."""
+    full window; the stabilized sup is the certificate constant.  The
+    verdict is kept under ``("dual membership", space.kind, spec, window)``
+    among the facts of the space's sequence at the clipped n_max
+    (:func:`spaces._memo`)."""
     win = window or Window()
     if not space.is_power_series:
         raise UnsupportedCombinationError(
@@ -910,6 +928,15 @@ def membership_in_dual(
     if half < 1:
         return inconclusive("window too short for a plateau test", win)
     logs = spec.log_abs_array(n_max)
+    # the scan's first bound, read before the memo (see membership_in_space)
+    weight_array(space, 1, n_max)
+    return _memo(space.alpha, n_max, ("dual membership", space.kind, spec, win),
+                 lambda: _dual_scan(logs, space, win, n_max))
+
+
+def _dual_scan(logs: np.ndarray, space: SpaceDescriptor, win: Window, n_max: int
+               ) -> Verdict:
+    half = n_max // 2
 
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
         gap = log_ratio(logs, weight_array(space, m, n_max))

@@ -150,9 +150,10 @@ class _Exponents:
     """alpha_1..alpha_{n_max}, and the window facts computed from them.
 
     ``facts`` memoises reports on the sequence at this truncation
-    (subadditivity constants, nuclearity verdicts, certified conditions
-    whose lhs it grades, and the tameness check's range facts and kernel
-    weight sides of the spaces it grades), so they are computed once per key
+    (subadditivity constants, nuclearity verdicts, symbol memberships in
+    the spaces it grades and in their duals, certified conditions whose lhs
+    it grades, and the tameness check's range facts and kernel weight sides
+    of the spaces it grades), so they are computed once per key
     and are dropped with their ``_exponent_values`` entry.  Shared reports
     must be immutable.
     """

@@ -11,8 +11,10 @@ so a warning that escapes the pass fails here too.
 ``membership_in_space`` settles, without the pass, a grading whose tail
 half cannot move its float sum (``spaces._settled_rows``); the reference
 keeps no such rule.  Run as a script, every membership of ``SWEEP_SPACES`` x
-``SWEEP_SYMBOLS`` x ``SWEEP_WINDOWS`` is compared with the reference's byte
-for byte, and the script exits 1 on a report that differs:
+``SWEEP_SYMBOLS`` x ``SWEEP_WINDOWS`` is read cold and then from the memo
+(``spaces._memo``), each read is compared with the reference's byte for
+byte, and the script exits 1 on a report that differs or on a power series
+space's warm read that checks anew:
 
     python tests/test_series_pass.py
 """
@@ -334,10 +336,13 @@ SWEEP_WINDOWS = [Window(series_tail_rel=rel).with_n_max(n)
                  for rel in (1e-300, 0.5)]
 
 
-def sweep_mismatches() -> tuple[int, int, int, list[tuple[int, int, int]]]:
-    """(cases, gradings, settled gradings, (space, symbol, window) indices
-    of the memberships whose report differs from the reference's)."""
-    counts = [0, 0]
+def sweep_mismatches() -> tuple[int, int, int, int, list[tuple[int, int, int]]]:
+    """(cases, gradings, settled gradings, warm reads that ran the check
+    again, (space, symbol, window) indices of the memberships whose report
+    differs from the reference's).  Every membership is read twice, cold
+    and then from the memo, and both reads must give the reference's bytes;
+    only a general space's warm read runs the check again."""
+    counts = [0, 0, 0]
 
     def counted(block):
         settled = spaces._settled_rows(block)
@@ -345,21 +350,34 @@ def sweep_mismatches() -> tuple[int, int, int, list[tuple[int, int, int]]]:
         counts[1] += int(settled.sum())
         return settled
 
-    cases, mismatched = 0, []
+    def rerun(block):
+        counts[2] += 1
+        return spaces._settled_rows(block)
+
+    cases = [(i, j, w) for i in range(len(SWEEP_SPACES))
+             for j in range(len(SWEEP_SYMBOLS)) for w in range(len(SWEEP_WINDOWS))]
+
+    def reports(check):
+        return [_dumps(check(SWEEP_SYMBOLS[j], SWEEP_SPACES[i], SWEEP_WINDOWS[w])
+                       .to_json()) for i, j, w in cases]
+
+    spaces._exponent_values.cache_clear()
     with mock.patch.object(operators, "_settled_rows", counted):
-        for i, space in enumerate(SWEEP_SPACES):
-            for j, spec in enumerate(SWEEP_SYMBOLS):
-                for w, win in enumerate(SWEEP_WINDOWS):
-                    cases += 1
-                    got = membership_in_space(spec, space, win).to_json()
-                    want = ref.membership_in_space(spec, space, win).to_json()
-                    if _dumps(got) != _dumps(want):
-                        mismatched.append((i, j, w))
-    return cases, *counts, mismatched
+        cold = reports(membership_in_space)
+    with mock.patch.object(operators, "_settled_rows", rerun):
+        warm = reports(membership_in_space)
+    want = reports(ref.membership_in_space)
+    mismatched = [case for case, ref_bytes, cold_bytes, warm_bytes
+                  in zip(cases, want, cold, warm)
+                  if not ref_bytes == cold_bytes == warm_bytes]
+    return len(cases), *counts, mismatched
 
 
 if __name__ == "__main__":
-    cases, gradings, settled, mismatched = sweep_mismatches()
+    cases, gradings, settled, reruns, mismatched = sweep_mismatches()
     print(f"{cases} memberships, {settled} of {gradings} gradings settled "
-          f"without the series pass; reports that differ: {mismatched}")
-    sys.exit(1 if mismatched else 0)
+          f"without the series pass; {reruns} warm reads ran the check again; "
+          f"reports that differ: {mismatched}")
+    general = sum(space.alpha is None for space in SWEEP_SPACES)
+    sys.exit(1 if mismatched
+             or reruns != general * len(SWEEP_SYMBOLS) * len(SWEEP_WINDOWS) else 0)

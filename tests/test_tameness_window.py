@@ -586,6 +586,28 @@ def test_members_with_wide_ranges_walk_bounded_stacks_on_the_group_range():
     assert pairs == pairs_alone and hexed_samples(report) == hexed_samples(alone)
 
 
+def test_a_group_walked_one_member_at_a_time_is_stacked_once():
+    # from Λ₀(n) into itself the group's range spans every column, so each
+    # member walks alone, on its own symbol side: the group's stack, which
+    # chooses the range, is built once and kept across gradings
+    finite = SpaceDescriptor.power_series_finite(ALPHA)
+    template = OperatorTemplate(Variant.LOWER, finite, finite)
+    family, window = FamilySpec(count=16, seed=1), Window().with_n_max(256)
+    stacks = []
+
+    def counted(sides):
+        stacks.append(len(sides))
+        return _stack(sides)
+
+    with mock.patch.object(criteria, "_stack", counted):
+        report, pairs = requested_pairs(lambda: criteria.tameness_check(
+            family, SMap.identity(), template, window), criteria._GROUP)
+    alone, pairs_alone = requested_pairs(lambda: criteria.tameness_check(
+        family, SMap.identity(), template, window), 1)
+    assert stacks == [16]
+    assert pairs == pairs_alone and hexed_samples(report) == hexed_samples(alone)
+
+
 def test_a_stack_of_one_column_ranges_has_each_members_bits():
     # each member on the one-column range of column 1, at n = 4096 and
     # k >= 10, where the walk reaches a second offset block: the stack's
