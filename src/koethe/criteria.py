@@ -67,7 +67,7 @@ from .verdicts import (
     Outcome,
     PointwiseCertificate,
     Shape,
-    SupPair,
+    Sups,
     TameCertificate,
     UniformCertificate,
     Verdict,
@@ -200,10 +200,38 @@ def _check_index_map(s_map: SMap, k_max: int, m_max: int) -> None:
         )
 
 
-def _row(arr: np.ndarray) -> tuple[np.ndarray, bool]:
-    """A weight row and whether it is wild: an infinite, NaN or huge entry
-    (where a difference may overflow) can make a gap warn or meet a zero."""
-    return arr, not np.abs(arr).max() < 2.0 ** 1022
+def _row(space: SpaceDescriptor, k: int, n_max: int) -> tuple[np.ndarray, bool]:
+    """The weight row of grading k and whether it is wild: an infinite, NaN
+    or huge entry (where a difference may overflow) can make a gap warn or
+    meet a zero.  A power series row (a space with an exponent sequence) is
+    monotone in n, its exponents being nondecreasing, so its last entry has
+    the largest magnitude."""
+    arr = weight_array(space, k, n_max)
+    top = np.abs(arr).max() if space.alpha is None else abs(arr.item(-1))
+    return arr, not top < 2.0 ** 1022
+
+
+class _Rows:
+    """Rows by grading k: ``fetch(k, row)`` fills row k - 1 of one matrix on
+    the first call that reads grading k, and the row is kept, so the rows
+    of a run of gradings are one slice.  The matrix grows by doubling."""
+
+    def __init__(self, width: int, fetch: Callable[[int, np.ndarray], None]):
+        self.matrix = np.empty((0, width))
+        self.held: set[int] = set()
+        self.fetch = fetch
+
+    def __getitem__(self, ks: range) -> np.ndarray:
+        for k in ks:
+            if k not in self.held:
+                rows, width = self.matrix.shape
+                if k > rows:
+                    grown = np.empty((max(k, 2 * rows), width))
+                    grown[:rows] = self.matrix
+                    self.matrix = grown
+                self.fetch(k, self.matrix[k - 1])
+                self.held.add(k)
+        return self.matrix[ks.start - 1 : ks.stop - 1]
 
 
 def _sup_pair(gap: np.ndarray, n0: int, n_max: int) -> tuple[LogValue, LogValue]:
@@ -215,28 +243,60 @@ def _sup_pair(gap: np.ndarray, n0: int, n_max: int) -> tuple[LogValue, LogValue]
     return sup_half, max(sup_half, sup_rest)
 
 
-def _gap_pairs(cond: QuantifierCondition, n_max: int) -> SupPair:
+def _gap_pairs(cond: QuantifierCondition, n_max: int) -> Sups:
     """Scan evidence from the raw weight gaps of the condition.  A scan
     fetches each grading's and each witness's weight row once, on its
     first pair, and keeps it (see :func:`_row`) for the scan's other pairs;
-    the gap of two tame rows is one plain subtraction."""
+    the gap of two tame rows is one plain subtraction.
+
+    A run copies its gradings' rows into a :class:`_Rows` matrix once, and
+    takes their gaps by one subtraction of the witness's row, through
+    :func:`logdomain.log_ratio` where a row is wild, and one segmented max
+    from each row's own n0.  From n0 = k on, a grading past half the window
+    holds no evidence and is never fetched."""
     from_k = cond.n_start is NStart.K
+    half = n_max // 2
     lhs_rows: dict[int, tuple[np.ndarray, bool]] = {}
     rhs_rows: dict[int, tuple[np.ndarray, bool]] = {}
 
-    def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue] | None:
+    # fetched on a first read, as ``lhs_rows.get(k) or lhs(k)``
+    def lhs(k: int) -> tuple[np.ndarray, bool]:
+        row = lhs_rows[k] = _row(cond.lhs, k, n_max)
+        return row
+
+    def rhs(m: int) -> tuple[np.ndarray, bool]:
+        row = rhs_rows[m] = _row(cond.rhs, m, n_max)
+        return row
+
+    def pair(k: int, m: int) -> tuple[LogValue, LogValue] | None:
         n0 = k if from_k else 1
-        if n0 > n_max // 2:
+        if n0 > half:
             return None
-        lhs = lhs_rows.get(k)
-        if lhs is None:
-            lhs = lhs_rows[k] = _row(weight_array(cond.lhs, k, n_max))
-        rhs = rhs_rows.get(m)
-        if rhs is None:
-            rhs = rhs_rows[m] = _row(weight_array(cond.rhs, m, n_max))
-        gap = log_ratio(lhs[0], rhs[0]) if lhs[1] or rhs[1] else lhs[0] - rhs[0]
+        lhs_row, lhs_wild = lhs_rows.get(k) or lhs(k)
+        rhs_row, rhs_wild = rhs_rows.get(m) or rhs(m)
+        gap = (log_ratio(lhs_row, rhs_row) if lhs_wild or rhs_wild
+               else lhs_row - rhs_row)
         return _sup_pair(gap, n0, n_max)
-    return sup_pair
+
+    matrix = _Rows(n_max, lambda k, row: np.copyto(row, (lhs_rows.get(k) or lhs(k))[0]))
+
+    def run(ks: range, m: int) -> list[tuple[LogValue, LogValue] | None]:
+        live = range(ks.start, min(ks.stop, half + 1)) if from_k else ks
+        if not live:
+            return [None] * len(ks)
+        block = matrix[live]
+        rhs_row, wild = rhs_rows.get(m) or rhs(m)
+        wild = wild or any(lhs_rows[k][1] for k in live)
+        gap = log_ratio(block, rhs_row) if wild else block - rhs_row
+        # each row's segments [n0 - 1, half) and [half, n_max), and the
+        # next row's head up to its n0 - 1, which is dropped
+        bounds = []
+        for head, k in zip(range(0, gap.size, n_max), live):
+            bounds += (head + (k if from_k else 1) - 1, head + half, head + n_max)
+        sups = np.maximum.reduceat(gap.ravel(), bounds[:-1]).tolist()
+        return ([(h, max(h, r)) for h, r in zip(sups[::3], sups[1::3])]
+                + [None] * (len(ks) - len(live)))
+    return Sups(pair, run)
 
 
 #: reasons of the certifier's verdicts; ``{k}`` is the grading the scan names
@@ -782,7 +842,7 @@ def _sample_tameness(
         facts = [_range_facts(domain, codomain, k, m, run.direction, n_max)
                  for run in sides[0]]
         group = tuple(i for i in live if tame[i]) if None not in facts else ()
-        weights = weight_array(domain, m, n_max)
+        weights, wild = _row(domain, m, n_max)
         weight_sides = [_weight_side(codomain, k, n_max, run.direction)
                         for run in sides[0]]
         # alone, a member walks its own side, a stack of one, past the cache
@@ -800,9 +860,11 @@ def _sample_tameness(
             c0, c1 = cols or (0, n_max)
             profiles = _profiles(runs, weight_sides, n_max, norm_kind, cols)
             split = min(max(half - c0, 0), c1 - c0)
-            # a member alone may meet infinite weights (inf - inf) or overflow
-            with np.errstate(invalid="ignore", over="ignore"):
-                gap = profiles - weights[c0:c1]
+            # a member alone may overflow; a wild row reads a zero column
+            # norm as -inf against any weight (log_ratio)
+            with np.errstate(over="ignore"):
+                gap = (log_ratio(profiles, weights[c0:c1]) if wild
+                       else profiles - weights[c0:c1])
             sups = (gap[:, :split].max(axis=1, initial=-np.inf).tolist(),
                     gap[:, split:].max(axis=1, initial=-np.inf).tolist())
             for i, sup_half, sup_rest in zip(members, *sups):

@@ -766,7 +766,8 @@ def column_norm_profiles(
     its domain replaced by its codomain, so operators that differ only in
     their domain share their profiles.
     """
-    op = dataclasses.replace(op, domain=op.codomain)
+    if op.domain is not op.codomain:
+        op = dataclasses.replace(op, domain=op.codomain)
     if op.variant is Variant.UPPER:
         top = column_norm_profile(op, k, truncations[-1], norm_kind)
         return [top[:n] for n in truncations]

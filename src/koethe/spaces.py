@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
@@ -48,6 +48,23 @@ from .verdicts import (
 # ---------------------------------------------------------------------------
 # exponent sequences
 # ---------------------------------------------------------------------------
+
+
+def _keep_hash(record: Any) -> None:
+    """Hash a frozen record's fields once, to the value of their dataclass
+    hash: every cache and memo key holds records, and a table's tuple is as
+    long as the table."""
+    object.__setattr__(record, "_hash",
+                       hash(tuple(getattr(record, f.name) for f in fields(record))))
+
+
+def _kept_hash(record: Any) -> int:
+    return record._hash
+
+
+def _rebuilt(record: Any) -> tuple:
+    # a string hash differs between processes: rebuild, do not copy it
+    return type(record), tuple(getattr(record, f.name) for f in fields(record))
 
 
 def _float(value: float) -> float:
@@ -90,6 +107,10 @@ class ExponentSequence:
                 raise InvariantError("exponent values must be nondecreasing")
         else:
             raise InvariantError(f"unknown exponent form {self.form!r}")
+        _keep_hash(self)
+
+    __hash__ = _kept_hash
+    __reduce__ = _rebuilt
 
     # -- constructors ------------------------------------------------------
 
@@ -233,6 +254,10 @@ class SpaceDescriptor:
                     )
         else:
             raise InvariantError(f"unknown space kind {self.kind!r}")
+        _keep_hash(self)
+
+    __hash__ = _kept_hash
+    __reduce__ = _rebuilt
 
     # -- constructors ------------------------------------------------------
 

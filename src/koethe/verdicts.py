@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import ConfigurationError, json_fields, json_record, json_report
 from .logdomain import LogValue, linear_or_none
@@ -157,6 +157,19 @@ class Window:
 #: window holds no evidence for the pair
 SupPair = Callable[[int, int], "tuple[LogValue, LogValue] | None"]
 
+#: the pairs of the gradings of a run ``ks`` (a range) against a witness
+#: index m, in order, each as the pair call gives it
+SupRun = Callable[[range, int], "list[tuple[LogValue, LogValue] | None]"]
+
+
+class Sups(NamedTuple):
+    """A sup-pair provider: its pair call and its run call.  A provider
+    fetches a grading's and a witness's rows on the first call that reads
+    them and keeps them for its later calls."""
+
+    pair: SupPair
+    run: SupRun
+
 
 @dataclass(frozen=True)
 class Scan:
@@ -207,7 +220,7 @@ def scan_forall(win: Window, sup_pair: SupPair, k_max: int, m_max: int) -> Scan:
 
 
 def scan_exists(
-    win: Window, sup_pair: SupPair, k_max: int, m_max: int,
+    win: Window, sups: Sups, k_max: int, m_max: int,
     k_limit: int | None = None,
 ) -> Scan:
     """There is an m <= m_max for all k <= k_max: the first m whose sup
@@ -219,22 +232,35 @@ def scan_exists(
     grading of a tabulated codomain).  Plateaus above k_max are checked but
     not recorded.  Failure reports the growing grading of the largest
     candidate; any drifting candidate makes the scan inconclusive.
+
+    A candidate asks in one run for the pairs of the gradings that earlier
+    candidates reached, whose rows the provider holds, when they are two or
+    more (a run of one costs more than its pair), and for each other
+    grading's pair alone.  It classifies them in order up to the first that
+    is not a plateau, so the scan reads, and the provider fetches, what a
+    scan of one pair at a time would.
     """
+    sup_pair, sup_run = sups
     drift = False
     failing: tuple[int, float] | None = None
+    reached = 0
     for m in range(1, m_max + 1):
         k_top = max(k_max, 2 * m + 1)
         if k_limit is not None:
             k_top = min(k_top, k_limit)
+        held = min(reached, k_top) if reached > 1 else 0
+        run = sup_run(range(1, held + 1), m) if held else ()
         log_c: dict[int, LogValue] = {}
         status = PlateauStatus.PLATEAU
         for k in range(1, k_top + 1):
-            pair = sup_pair(k, m)
+            pair = run[k - 1] if k <= held else sup_pair(k, m)
             status = _status(win, pair)
             if status is not PlateauStatus.PLATEAU:
                 break
             if k <= k_max:
                 log_c[k] = pair[1]
+        if k > reached:
+            reached = k
         if status is PlateauStatus.DRIFT:
             drift = True
         elif status is PlateauStatus.GROWTH:
@@ -438,12 +464,12 @@ def inconclusive(reason: str, window: Window, **kw) -> Verdict:
 
 
 def decide(
-    shape: Shape, win: Window, sup_pair: SupPair, k_max: int, m_max: int,
+    shape: Shape, win: Window, sups: Sups, k_max: int, m_max: int,
     n_range: tuple[int, int], tags: tuple[str, ...],
     reasons: Mapping[tuple[Shape, Outcome], str],
     k_limit: int | None = None, s_map: Callable[[int], int] | None = None,
 ) -> Verdict:
-    """Run the scan of ``shape`` over ``sup_pair`` and turn it into a verdict.
+    """Run the scan of ``shape`` over ``sups`` and turn it into a verdict.
 
     Holds carries the shape's certificate.  A failure names the grading the
     scan reports, ``m_max`` (``S(k_max)`` under a fixed map) as the best
@@ -452,11 +478,11 @@ def decide(
     ``{k}`` set to the scan's grading.
     """
     if shape is Shape.FORALL_K_EXISTS_M:
-        scan = scan_forall(win, sup_pair, k_max, m_max)
+        scan = scan_forall(win, sups.pair, k_max, m_max)
     elif shape is Shape.EXISTS_M_FORALL_K:
-        scan = scan_exists(win, sup_pair, k_max, m_max, k_limit)
+        scan = scan_exists(win, sups, k_max, m_max, k_limit)
     else:
-        scan = scan_fixed(win, sup_pair, k_max, s_map)
+        scan = scan_fixed(win, sups.pair, k_max, s_map)
     if scan.outcome is Outcome.HOLDS:
         if shape is Shape.FORALL_K_EXISTS_M:
             certificate = PointwiseCertificate(scan.entries)

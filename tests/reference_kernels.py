@@ -17,9 +17,18 @@ rows: every pair looks its rows up in the caches again and reduces each
 half of the gap by its own ``np.max``.  They return the same floats, so the
 two must agree bit for bit as well.
 
+``scan_exists`` is the exists scan as it was before it asked for runs of
+gradings: one sup pair per call.  The scan over runs must return the same
+``Scan`` and have its provider fetch the same rows in the same order.
+
 ``_sample_tameness`` is the tameness check's per-member scan as it was
 before its sup pairs ran the kernel on a column range: every pair reads
 the full profile.  ``full_profile_tameness`` puts it in place.
+
+The oracle's and the tameness check's references read their gaps through
+the zero-lhs rule of ``_gap``, as the fast paths read theirs through
+``logdomain.log_ratio`` at a wild weight row: a zero column norm meets a
+zero weight as -inf, where a plain difference gave NaN.
 
 ``BoundedSetup.bounds`` and ``_sup_columns`` are the per-column profile
 bounds and the column range of a tameness sup pair as they were before
@@ -70,10 +79,13 @@ from koethe.spaces import (
 from koethe.verdicts import (
     FailureWitness,
     Outcome,
+    PlateauStatus,
+    Scan,
     SupPair,
     Verdict,
     Window,
     _halvings,
+    _status,
     fails,
     holds,
     inconclusive,
@@ -192,6 +204,40 @@ def uncached_profile(op, k: int, n_trunc: int, norm_kind: NormKind) -> np.ndarra
     return operators.column_norm_profile.__wrapped__(op, k, n_trunc, norm_kind)
 
 
+# verbatim copy of the exists scan before it asked for runs of gradings
+def scan_exists(
+    win: Window, sup_pair: SupPair, k_max: int, m_max: int,
+    k_limit: int | None = None,
+) -> Scan:
+    drift = False
+    failing: tuple[int, float] | None = None
+    for m in range(1, m_max + 1):
+        k_top = max(k_max, 2 * m + 1)
+        if k_limit is not None:
+            k_top = min(k_top, k_limit)
+        log_c: dict[int, LogValue] = {}
+        status = PlateauStatus.PLATEAU
+        for k in range(1, k_top + 1):
+            pair = sup_pair(k, m)
+            status = _status(win, pair)
+            if status is not PlateauStatus.PLATEAU:
+                break
+            if k <= k_max:
+                log_c[k] = pair[1]
+        if status is PlateauStatus.DRIFT:
+            drift = True
+        elif status is PlateauStatus.GROWTH:
+            failing = (k, pair[1] - pair[0])
+        elif len(log_c) == k_max:
+            return Scan(Outcome.HOLDS, log_c, m=m)
+        else:
+            failing = None
+    if drift or failing is None:
+        return Scan(Outcome.INCONCLUSIVE)
+    k, growth = failing
+    return Scan(Outcome.FAILS_ON_WINDOW, k=k, growth=growth)
+
+
 # verbatim copies of the sup-pair providers before the scan-local rows
 def _gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # zero lhs weight satisfies any bound; zero rhs weight under a nonzero
@@ -230,7 +276,7 @@ def _curve_points(
     points = []
     for n_c in checkpoints:
         profile = column_norm_profile(op, k, n_c, norm_kind)
-        gap = profile - weight_array(op.domain, m, n_c)
+        gap = _gap(profile, weight_array(op.domain, m, n_c))
         points.append((n_c, float(np.max(gap))))
     return points
 
@@ -257,8 +303,8 @@ def _sample_tameness(
     def sup_pair(k: int, m: int) -> tuple[LogValue, LogValue]:
         [profile] = column_norm_profiles(op, k, (n_max,), norm_kind)
         weights = weight_array(op.domain, m, n_max)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return _sup_pair(profile - weights, 1, n_max)
+        with np.errstate(over="ignore"):
+            return _sup_pair(_gap(profile, weights), 1, n_max)
 
     scan = scan_fixed(win, sup_pair, k_max, s_map)
     if scan.outcome is Outcome.HOLDS:

@@ -188,6 +188,25 @@ def test_oracle_compactness_holds_on_a_short_codomain():
     assert set(report.oracle_verdict.certificate.log_c) == {1, 2, 3}
 
 
+#: a zero weight at the first grading of every row, into Λ₀(n): the shift's
+#: last column has norm zero at every truncation, against a zero weight
+ZERO_WEIGHTS = ToeplitzOperator(Symbol(lower=SymbolSpec.explicit([0, 1])), Variant.LOWER,
+                                SpaceDescriptor.general([[0, 1, 2]] * 64), L1_N)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_zero_norm_over_a_zero_weight_reads_as_log_zero():
+    # 0/0 was NaN (-inf - -inf) with an "invalid value" warning; the gap is
+    # log_ratio's, so the curve of m = 1 reads the other columns' +inf
+    win = Window(n_max=64, k_max=2, m_max=3)
+    curve = ratio_curve(ZERO_WEIGHTS, 1, 1, window=win)
+    assert [v for _, v in curve.points] == [math.inf] * 5
+    verdict = oracle_continuity(ZERO_WEIGHTS, win)
+    assert verdict.outcome is Outcome.HOLDS
+    assert {m for m, _ in verdict.certificate.entries.values()} == {2}
+    assert cross_validate(ZERO_WEIGHTS, win, CONTINUITY).agreement is Agreement.AGREE
+
+
 def test_cross_validate_agreement_cases():
     report = cross_validate(DECAY_OP, WIN, COMPACTNESS)
     assert report.agreement is Agreement.AGREE

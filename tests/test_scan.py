@@ -7,7 +7,10 @@ catch a scan bug; these tests pin the scans on their own.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernels as ref
 from koethe.operators import Symbol, SymbolSpec, ToeplitzOperator, Variant
 from koethe.oracle import oracle_continuity, ratio_curve
 from koethe.spaces import ExponentSequence, SpaceDescriptor
@@ -15,6 +18,7 @@ from koethe.verdicts import (
     Outcome,
     PointwiseCertificate,
     Shape,
+    Sups,
     TameCertificate,
     UniformCertificate,
     Window,
@@ -35,16 +39,26 @@ def grows(move: float) -> tuple[float, float]:
 
 
 class Table:
-    """sup_pair provider over a {(k, m): pair} table, recording its calls."""
+    """Sup-pair provider over a {(k, m): pair} table, recording each pair it
+    gives in ``calls`` (a run's in order) and each run in ``runs``."""
 
     def __init__(self, pairs, default=PLATEAU):
         self.pairs = pairs
         self.default = default
         self.calls = []
+        self.runs = []
 
     def __call__(self, k, m):
         self.calls.append((k, m))
         return self.pairs.get((k, m), self.default)
+
+    def run(self, ks, m):
+        self.runs.append((ks, m))
+        return [self(k, m) for k in ks]
+
+    @property
+    def sups(self):
+        return Sups(self, self.run)
 
 
 # -- for all k there is an m ---------------------------------------------------
@@ -111,25 +125,27 @@ def test_oracle_reports_m_max_and_the_smallest_curve_growth():
 def test_exists_probe_climbs_past_k_max_without_recording():
     # m = 1 is refuted only at k = 3 > k_max; m = 2 is probed up to k = 5
     table = Table({(3, 1): grows(1.0), (5, 2): (0.75, 0.75)})
-    scan = scan_exists(WIN, table, k_max=2, m_max=4)
+    scan = scan_exists(WIN, table.sups, k_max=2, m_max=4)
     assert scan.outcome is Outcome.HOLDS
     assert scan.m == 2
     assert scan.entries == {1: 0.25, 2: 0.25}
     assert table.calls == [(1, 1), (2, 1), (3, 1)] + [(k, 2) for k in range(1, 6)]
+    # m = 2 reads the gradings that m = 1 reached in one run
+    assert table.runs == [(range(1, 4), 2)]
 
 
 def test_exists_probe_is_capped_by_k_limit():
     table = Table({(3, 1): grows(1.0), (5, 2): grows(1.0)})
-    assert scan_exists(WIN, table, k_max=2, m_max=4).m == 3
+    assert scan_exists(WIN, table.sups, k_max=2, m_max=4).m == 3
     table.calls.clear()
-    scan = scan_exists(WIN, table, k_max=2, m_max=4, k_limit=4)
+    scan = scan_exists(WIN, table.sups, k_max=2, m_max=4, k_limit=4)
     assert scan.outcome is Outcome.HOLDS and scan.m == 2
     assert table.calls == [(1, 1), (2, 1), (3, 1)] + [(k, 2) for k in range(1, 5)]
 
 
 def test_exists_fails_at_the_growing_grading_of_the_largest_m():
     table = Table({(1, 1): grows(4.0), (2, 2): grows(1.0), (3, 3): grows(2.0)})
-    scan = scan_exists(WIN, table, k_max=3, m_max=3)
+    scan = scan_exists(WIN, table.sups, k_max=3, m_max=3)
     assert scan.outcome is Outcome.FAILS_ON_WINDOW
     assert (scan.k, scan.growth) == (3, 2.0)
 
@@ -137,7 +153,7 @@ def test_exists_fails_at_the_growing_grading_of_the_largest_m():
 @pytest.mark.parametrize("bad", [DRIFT, None])
 def test_exists_any_drift_is_inconclusive(bad):
     table = Table({(1, 1): bad, (1, 2): grows(1.0), (1, 3): grows(1.0)})
-    scan = scan_exists(WIN, table, k_max=1, m_max=3)
+    scan = scan_exists(WIN, table.sups, k_max=1, m_max=3)
     assert scan.outcome is Outcome.INCONCLUSIVE
 
 
@@ -145,8 +161,63 @@ def test_exists_short_codomain_never_holds():
     # k_limit < k_max: a candidate that plateaus everywhere it can be probed
     # still leaves gradings unchecked, and clears the failure of a smaller m
     table = Table({(1, 1): grows(1.0)})
-    scan = scan_exists(WIN, table, k_max=3, m_max=2, k_limit=2)
+    scan = scan_exists(WIN, table.sups, k_max=3, m_max=2, k_limit=2)
     assert scan.outcome is Outcome.INCONCLUSIVE
+
+
+def hexed_scan(scan):
+    """A scan's fields with its floats as float.hex, so NaN compares."""
+    def h(v):
+        return None if v is None else float(v).hex()
+    return (scan.outcome, scan.m, scan.k, h(scan.growth),
+            {k: h(v) for k, v in scan.entries.items()})
+
+
+class Touches(Table):
+    """A table that records the first call reading each grading and each
+    witness: the rows a real provider fetches, in its order."""
+
+    def __init__(self, pairs, default=PLATEAU):
+        super().__init__(pairs, default)
+        self.touched = []
+
+    def __call__(self, k, m):
+        for row in (("k", k), ("m", m)):
+            if row not in self.touched:
+                self.touched.append(row)
+        return super().__call__(k, m)
+
+    def run(self, ks, m):
+        # a run reads only gradings that earlier calls read
+        assert all(("k", k) in self.touched for k in ks)
+        return super().run(ks, m)
+
+
+# plateaus and growth at exactly the thresholds, drift, zero sups, NaN and
+# no evidence
+sup_pairs = st.one_of(
+    st.sampled_from([PLATEAU, DRIFT, None, (0.0, WIN.plateau_tol),
+                     (0.0, WIN.growth_tol), (-math.inf, -math.inf),
+                     (0.5, -math.inf), (math.nan, math.nan), (0.0, math.nan)]),
+    st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(k_max=st.integers(1, 4), m_max=st.integers(1, 6),
+       k_limit=st.none() | st.integers(1, 14), default=sup_pairs,
+       data=st.data())
+def test_exists_over_runs_is_the_per_pair_scan(k_max, m_max, k_limit, default, data):
+    # candidate m probes up to 2m + 1 > k_max, so every m past k_max // 2
+    # reads gradings above k_max
+    cells = [(k, m) for k in range(1, 2 * m_max + 2) for m in range(1, m_max + 1)]
+    pairs = data.draw(st.dictionaries(st.sampled_from(cells), sup_pairs))
+    old, new = Touches(pairs, default), Touches(pairs, default)
+    expected = ref.scan_exists(WIN, old, k_max, m_max, k_limit)
+    scan = scan_exists(WIN, new.sups, k_max, m_max, k_limit)
+    assert hexed_scan(scan) == hexed_scan(expected)
+    # the provider reads the rows that the per-pair scan reads, in its order
+    assert new.touched == old.touched
 
 
 # -- m fixed by an index map ---------------------------------------------------
@@ -188,7 +259,7 @@ TAGS = ("finite-window",)
 def run_decide(shape, table, k_max=3, m_max=4, k_limit=None):
     """decide under S(k) = k + 1 for the fixed map."""
     s_map = (lambda k: k + 1) if shape is Shape.FIXED_MAP else None
-    return decide(shape, WIN, table, k_max, m_max, N_RANGE, TAGS, REASONS,
+    return decide(shape, WIN, table.sups, k_max, m_max, N_RANGE, TAGS, REASONS,
                   k_limit=k_limit, s_map=s_map)
 
 

@@ -88,6 +88,53 @@ def test_exponent_json_roundtrip():
 # -- weights -----------------------------------------------------------------
 
 
+class CountingTuple(tuple):
+    """A tuple that counts the calls of its ``__hash__``."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+@pytest.mark.parametrize("build", [
+    lambda table: SpaceDescriptor.power_series_finite(
+        ExponentSequence(form="table", values=table)),
+    lambda table: SpaceDescriptor(kind="general_koethe", weights=CountingTuple(
+        (v + 1.0, v + 2.0) for v in table)),
+], ids=["exponent table", "general weights"])
+def test_a_table_is_hashed_once_however_often_it_is_looked_up(build):
+    CountingTuple.hashes = 0
+    space = build(CountingTuple([0.0, 1.0, 2.0, 3.0]))
+    assert CountingTuple.hashes == 1
+    for k in (1, 2, 1, 2):
+        weight_array(space, k, 4)
+        nuclearity_verdict(space, Window(n_max=4, k_max=1, l_slack=1))
+    assert CountingTuple.hashes == 1
+    # the dataclass hash of the fields
+    assert hash(space) == hash((space.kind, space.alpha, space.weights))
+
+
+def test_an_unpickled_space_hashes_as_one_built_in_its_process():
+    # the hash of a str differs between processes: pickled in one process
+    # and loaded in another, a record must not carry the first one's hash
+    import subprocess
+    code = ("import pickle, sys; from koethe.spaces import ExponentSequence as E, "
+            "SpaceDescriptor as S; "
+            "records = (E.table([1.0, 2.0]), S.general([[1.0, 2.0]] * 4)); "
+            "sys.stdout.buffer.write(pickle.dumps(records)) if sys.argv[1] == 'dump' "
+            "else print(list(map(hash, pickle.loads(sys.stdin.buffer.read())))"
+            " == list(map(hash, records)))")
+    env = {**__import__("os").environ, "PYTHONPATH": ":".join(sys.path)}
+    dumped = subprocess.run([sys.executable, "-c", code, "dump"], capture_output=True,
+                            check=True, env={**env, "PYTHONHASHSEED": "1"}).stdout
+    loaded = subprocess.run([sys.executable, "-c", code, "load"], input=dumped,
+                            capture_output=True, check=True,
+                            env={**env, "PYTHONHASHSEED": "2"})
+    assert loaded.stdout.strip() == b"True"
+
+
 def test_weight_finite_type():
     assert weight(L1_N, 2, 2) == -1.0
 

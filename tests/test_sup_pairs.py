@@ -38,7 +38,7 @@ from koethe.operators import (
 )
 from koethe.oracle import _ratio_sups, oracle_compactness, ratio_curve
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
-from koethe.verdicts import Outcome, Scan, Window
+from koethe.verdicts import Outcome, Scan, Sups, Window
 
 
 def hexed(pair):
@@ -144,11 +144,19 @@ def test_gap_pairs_match_the_per_pair_reference(lhs, rhs, n_start, n):
     window = [(k, m) for k in range(1, min(6, lhs.k_limit or 6) + 1)
               for m in range(1, min(6, rhs.k_limit or 6) + 1)]
     # twice over, so the second pass reads the rows the first one kept
+    expected = {}
     for k, m in window + window[::-1]:
         with np.errstate(over="ignore"):  # the reference lets overflow warn
-            expected = hexed(old(k, m))
+            expected[k, m] = hexed(old(k, m))
         with raising():  # no warning escapes the provider
-            assert hexed(new(k, m)) == expected, (k, m)
+            assert hexed(new.pair(k, m)) == expected[k, m], (k, m)
+    # a run gives its gradings' pairs in one call, bit for bit
+    k_top = max(k for k, _ in window)
+    for m in range(1, max(m for _, m in window) + 1):
+        for ks in (range(1, k_top + 1), range(2, k_top + 1)):
+            with raising():
+                pairs = new.run(ks, m)
+            assert [hexed(p) for p in pairs] == [expected[k, m] for k in ks], (ks, m)
 
 
 def quiet_reference_pairs(cond, n_max):
@@ -157,7 +165,7 @@ def quiet_reference_pairs(cond, n_max):
     def sup_pair(k, m):
         with np.errstate(over="ignore"):  # the reference lets overflow warn
             return pairs(k, m)
-    return sup_pair
+    return Sups(sup_pair, lambda ks, m: [sup_pair(k, m) for k in ks])
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,7 +198,60 @@ def test_profile_pairs_match_the_per_pair_reference(op, kind, n, data):
     new, old = _ratio_sups(op, kind, pts), ref._profile_pairs(op, kind, pts)
     window = [(k, m) for k in range(1, 5) for m in range(1, 5)]
     for k, m in window + window[::-1]:
-        assert hexed(new(k, m)) == hexed(old(k, m)), (k, m)
+        assert hexed(new.pair(k, m)) == hexed(old(k, m)), (k, m)
+    for m in range(1, 5):
+        assert ([hexed(p) for p in new.run(range(1, 5), m)]
+                == [hexed(old(k, m)) for k in range(1, 5)])
+
+
+GRID_SPACES = [make(alpha) for alpha in (ExponentSequence.affine(1.0),
+                                          ExponentSequence.power(2.0),
+                                          ExponentSequence.power(0.5))
+               for make in (SpaceDescriptor.power_series_finite,
+                            SpaceDescriptor.power_series_infinite)]
+GRID_OPERATORS = [ToeplitzOperator(Symbol(**{variant.value: spec}), variant, dom, cod)
+                  for variant in (Variant.LOWER, Variant.UPPER)
+                  for dom in GRID_SPACES for cod in GRID_SPACES
+                  for spec in (SymbolSpec.delta(), SymbolSpec.geometric(0.5))]
+#: a zero weight under every row's first grading: wild weight rows
+ZERO_WEIGHTS = SpaceDescriptor.general([[0, 1, 2]] * 64)
+
+
+def assert_runs_are_pairs(sups, gradings, witnesses):
+    for m in witnesses:
+        with raising():
+            pairs = [hexed(sups.pair(k, m)) for k in gradings]
+            for lo in (gradings[0], gradings[0] + 2):
+                ks = range(lo, gradings[-1] + 1)
+                expected = pairs[lo - gradings[0]:]
+                assert [hexed(p) for p in sups.run(ks, m)] == expected, (ks, m)
+
+
+def test_oracle_runs_equal_its_pairs_on_the_grid_and_on_wild_weights():
+    assert len(GRID_OPERATORS) == 144
+    wild = ToeplitzOperator(Symbol(lower=SymbolSpec.explicit([0, 1])), Variant.LOWER,
+                            ZERO_WEIGHTS, GRID_SPACES[0])
+    for op in GRID_OPERATORS + [wild]:
+        sups = _ratio_sups(op, criteria.default_norm_kind(op), (32, 64))
+        assert_runs_are_pairs(sups, range(1, 7), (1, 3))
+
+
+def test_certifier_runs_equal_its_pairs_on_the_grid_and_on_wild_rows():
+    # 1.5e308 is wild, and overflows against -4e307, which is not
+    wild = [SpaceDescriptor.power_series_infinite(INF_TABLE),
+            SpaceDescriptor.power_series_finite(INF_TABLE), ZERO_WEIGHTS,
+            SpaceDescriptor.power_series_infinite(
+                ExponentSequence.table([0.0, 1.0] + [1.5e308] * 6)),
+            SpaceDescriptor.power_series_finite(
+                ExponentSequence.table([0.0, 1.0] + [4e307] * 6))]
+    for lhs in GRID_SPACES + wild:
+        for rhs in GRID_SPACES + wild:
+            for n_start in NStart:
+                cond = QuantifierCondition(lhs, rhs, Shape.EXISTS_M_FORALL_K, n_start)
+                k_top = min(6, lhs.k_limit or 6)
+                # from n0 = k, gradings past n_max // 2 = 4 have no evidence
+                assert_runs_are_pairs(_gap_pairs(cond, n_within(8, lhs, rhs)),
+                                      range(1, k_top + 1), (1, min(3, rhs.k_limit or 3)))
 
 
 # tabulated codomains put zero weights and few gradings under the columns
@@ -215,7 +276,7 @@ def test_upper_pairs_and_curves_match_the_per_checkpoint_reference(op, kind, n, 
     window = [(k, m) for k in range(1, min(4, op.codomain.k_limit or 4) + 1)
               for m in range(1, 5)]
     for k, m in window + window[::-1]:
-        assert hexed(new(k, m)) == hexed(old(k, m)), (k, m)
+        assert hexed(new.pair(k, m)) == hexed(old(k, m)), (k, m)
         curve = ratio_curve(op, k, m, kind, win)
         assert ([(c, hexed([v])) for c, v in curve.points]
                 == [(c, hexed([v])) for c, v in ref._curve_points(op, kind, k, m, pts)])
@@ -251,8 +312,8 @@ def test_tameness_sup_pair_matches_the_reference(op, kind, n):
         for m in range(1, 7):
             profile = column_norm_profile(op, k, n_max, kind)
             weights = weight_array(op.domain, m, n_max)
-            with np.errstate(invalid="ignore", over="ignore"):
-                expected = hexed(ref._sup_pair(profile - weights, 1, n_max))
+            with np.errstate(over="ignore"):
+                expected = hexed(ref._sup_pair(ref._gap(profile, weights), 1, n_max))
             with raising():  # no warning escapes the provider
                 assert hexed(new(k, m)) == expected, (k, m)
 
