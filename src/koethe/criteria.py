@@ -19,6 +19,7 @@ established.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -211,92 +212,104 @@ def _row(space: SpaceDescriptor, k: int, n_max: int) -> tuple[np.ndarray, bool]:
     return arr, not top < 2.0 ** 1022
 
 
-class _Rows:
-    """Rows by grading k: ``fetch(k, row)`` fills row k - 1 of one matrix on
-    the first call that reads grading k, and the row is kept, so the rows
-    of a run of gradings are one slice.  The matrix grows by doubling."""
+def _gap_sups(
+    lhs: Callable[[int], tuple[Sequence[np.ndarray], bool]],
+    rhs: Callable[[int], tuple[np.ndarray, bool]],
+    widths: Sequence[int],
+    starts: Callable[[int], Sequence[int] | None],
+    fold: Callable[[list[LogValue]], tuple[LogValue, ...]],
+) -> Sups:
+    """The one sup-pair provider of the certifier and the oracle.  Grading
+    k's parts ``lhs(k)``, rows of ``widths``, meet prefixes of witness m's
+    row ``rhs(m)``; both carry a wild flag (:func:`_row`), and a gap with a
+    wild side goes through :func:`logdomain.log_ratio`.  ``fold`` turns the
+    gap's maxima over the segments from ``starts(k)`` into the pair; starts
+    of None, from some grading on, mean no evidence: a None pair, and no
+    fetch.  Gradings that share their starts may share one array of them.
+    Rows are fetched on their first read and kept.  A pair writes its gap
+    into one provider-local row.  A run copies its gradings' parts into row
+    k - 1 of one matrix (grown by doubling) once, subtracts the witness's
+    prefixes laid out as one row, and takes one segmented max: along the
+    rows where the run's starts are shared, else over the raveled gaps."""
+    bounds = (0, *itertools.accumulate(widths))
+    lhs_rows: dict[int, tuple[Sequence[np.ndarray], bool]] = {}
+    rhs_rows: dict[int, tuple[np.ndarray, bool]] = {}
+    gap = np.empty(bounds[-1])
+    segments = [gap[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def __init__(self, width: int, fetch: Callable[[int, np.ndarray], None]):
-        self.matrix = np.empty((0, width))
-        self.held: set[int] = set()
-        self.fetch = fetch
+    def pair(k: int, m: int) -> tuple[LogValue, ...] | None:
+        at = starts(k)
+        if at is None:
+            return None
+        parts, lhs_wild = lhs_rows.get(k) or lhs_rows.setdefault(k, lhs(k))
+        w, rhs_wild = rhs_rows.get(m) or rhs_rows.setdefault(m, rhs(m))
+        for part, segment in zip(parts, segments):
+            if lhs_wild or rhs_wild:
+                segment[:] = log_ratio(part, w[:len(segment)])
+            else:
+                np.subtract(part, w[:len(segment)], segment)
+        return fold(np.maximum.reduceat(gap, at).tolist())
 
-    def __getitem__(self, ks: range) -> np.ndarray:
-        for k in ks:
-            if k not in self.held:
-                rows, width = self.matrix.shape
-                if k > rows:
-                    grown = np.empty((max(k, 2 * rows), width))
-                    grown[:rows] = self.matrix
-                    self.matrix = grown
-                self.fetch(k, self.matrix[k - 1])
-                self.held.add(k)
-        return self.matrix[ks.start - 1 : ks.stop - 1]
+    matrix = np.empty((0, bounds[-1]))
+    held: set[int] = set()
+    # log_ratio keeps a tame gap's bits: once a wild row is held, runs read it
+    wild_held = False
+    # the starts of gradings 1, 2, ..., as far as runs have read them
+    at_list: list[Sequence[int] | None] = []
+    laid = np.empty(bounds[-1])
 
-
-def _sup_pair(gap: np.ndarray, n0: int, n_max: int) -> tuple[LogValue, LogValue]:
-    """Sups of the gap from n0 <= n_max // 2 over the half and the full
-    window by one segmented max; the full one is Python's ``max`` of the two
-    segments, which drops a NaN past the half.  Gaps go through
-    :func:`logdomain.log_ratio` only at a wild row (:func:`_row`)."""
-    sup_half, sup_rest = np.maximum.reduceat(gap, (n0 - 1, n_max // 2)).tolist()
-    return sup_half, max(sup_half, sup_rest)
+    def run(ks: range, m: int) -> list[tuple[LogValue, ...] | None]:
+        nonlocal matrix, wild_held
+        at_list.extend(map(starts, range(len(at_list) + 1, ks.stop)))
+        ats = at_list[ks.start - 1 : ks.stop - 1]
+        live = ks[:len(ks) - sum(at is None for at in ats)] if ats and ats[-1] is None else ks
+        if not live:
+            return [None] * len(ks)
+        for k in live:
+            if k not in held:
+                if k > len(matrix):
+                    grown = np.empty((max(k, 2 * len(matrix)), bounds[-1]))
+                    grown[:len(matrix)] = matrix
+                    matrix = grown
+                parts, wild = lhs_rows.get(k) or lhs_rows.setdefault(k, lhs(k))
+                np.concatenate(parts, out=matrix[k - 1])
+                held.add(k)
+                wild_held = wild_held or wild
+        block = matrix[live.start - 1 : live.stop - 1]
+        w, wild = rhs_rows.get(m) or rhs_rows.setdefault(m, rhs(m))
+        np.concatenate([w[:b - a] for a, b in zip(bounds, bounds[1:])], out=laid)
+        gaps = log_ratio(block, laid) if wild or wild_held else block - laid
+        if ats[:len(live)].count(ats[0]) == len(live):
+            sups = np.maximum.reduceat(gaps, ats[0], axis=1).tolist()
+        else:
+            # each row's segments, and the next row's head up to its first
+            # start, which is dropped
+            flat = [head + a for head, at in zip(range(0, gaps.size, bounds[-1]), ats)
+                    for a in (*at, bounds[-1])]
+            maxima = np.maximum.reduceat(gaps.ravel(), flat[:-1]).tolist()
+            step = len(ats[0]) + 1
+            sups = [maxima[i : i + step - 1] for i in range(0, len(maxima), step)]
+        return list(map(fold, sups)) + [None] * (len(ks) - len(live))
+    return Sups(pair, run)
 
 
 def _gap_pairs(cond: QuantifierCondition, n_max: int) -> Sups:
-    """Scan evidence from the raw weight gaps of the condition.  A scan
-    fetches each grading's and each witness's weight row once, on its
-    first pair, and keeps it (see :func:`_row`) for the scan's other pairs;
-    the gap of two tame rows is one plain subtraction.
-
-    A run copies its gradings' rows into a :class:`_Rows` matrix once, and
-    takes their gaps by one subtraction of the witness's row, through
-    :func:`logdomain.log_ratio` where a row is wild, and one segmented max
-    from each row's own n0.  From n0 = k on, a grading past half the window
-    holds no evidence and is never fetched."""
-    from_k = cond.n_start is NStart.K
+    """Scan evidence from the raw weight gaps of the condition, one part per
+    grading (:func:`_gap_sups`): the sups from n0 = k or 1 over the half and
+    the full window, the latter Python's ``max`` of the two, which drops a
+    NaN past the half; from n0 = k, no grading past the half holds any."""
     half = n_max // 2
-    lhs_rows: dict[int, tuple[np.ndarray, bool]] = {}
-    rhs_rows: dict[int, tuple[np.ndarray, bool]] = {}
+    from_k = cond.n_start is NStart.K
 
-    # fetched on a first read, as ``lhs_rows.get(k) or lhs(k)``
-    def lhs(k: int) -> tuple[np.ndarray, bool]:
-        row = lhs_rows[k] = _row(cond.lhs, k, n_max)
-        return row
+    def lhs(k: int) -> tuple[tuple[np.ndarray], bool]:
+        row, wild = _row(cond.lhs, k, n_max)
+        return (row,), wild
 
-    def rhs(m: int) -> tuple[np.ndarray, bool]:
-        row = rhs_rows[m] = _row(cond.rhs, m, n_max)
-        return row
-
-    def pair(k: int, m: int) -> tuple[LogValue, LogValue] | None:
+    def starts(k: int) -> tuple[int, int] | None:
         n0 = k if from_k else 1
-        if n0 > half:
-            return None
-        lhs_row, lhs_wild = lhs_rows.get(k) or lhs(k)
-        rhs_row, rhs_wild = rhs_rows.get(m) or rhs(m)
-        gap = (log_ratio(lhs_row, rhs_row) if lhs_wild or rhs_wild
-               else lhs_row - rhs_row)
-        return _sup_pair(gap, n0, n_max)
-
-    matrix = _Rows(n_max, lambda k, row: np.copyto(row, (lhs_rows.get(k) or lhs(k))[0]))
-
-    def run(ks: range, m: int) -> list[tuple[LogValue, LogValue] | None]:
-        live = range(ks.start, min(ks.stop, half + 1)) if from_k else ks
-        if not live:
-            return [None] * len(ks)
-        block = matrix[live]
-        rhs_row, wild = rhs_rows.get(m) or rhs(m)
-        wild = wild or any(lhs_rows[k][1] for k in live)
-        gap = log_ratio(block, rhs_row) if wild else block - rhs_row
-        # each row's segments [n0 - 1, half) and [half, n_max), and the
-        # next row's head up to its n0 - 1, which is dropped
-        bounds = []
-        for head, k in zip(range(0, gap.size, n_max), live):
-            bounds += (head + (k if from_k else 1) - 1, head + half, head + n_max)
-        sups = np.maximum.reduceat(gap.ravel(), bounds[:-1]).tolist()
-        return ([(h, max(h, r)) for h, r in zip(sups[::3], sups[1::3])]
-                + [None] * (len(ks) - len(live)))
-    return Sups(pair, run)
+        return None if n0 > half else (n0 - 1, half)
+    return _gap_sups(lhs, lambda m: _row(cond.rhs, m, n_max), (n_max,), starts,
+                     lambda sups: (sups[0], max(sups)))
 
 
 #: reasons of the certifier's verdicts; ``{k}`` is the grading the scan names

@@ -51,7 +51,10 @@ from .spaces import (
     SpaceDescriptor,
     _ROUNDING_LOG,
     _classify_rows,
+    _keep_hash,
+    _kept_hash,
     _memo,
+    _rebuilt,
     _settled_rows,
     weight_array,
 )
@@ -122,6 +125,10 @@ class SymbolSpec:
             json_field({"d": self.d}, "d", "float_integer", "symbol part")
         else:
             raise InvariantError(f"unknown symbol form {self.form!r}")
+        _keep_hash(self)
+
+    __hash__ = _kept_hash
+    __reduce__ = _rebuilt
 
     @classmethod
     def explicit(cls, values: Sequence[float]) -> "SymbolSpec":

@@ -24,13 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, WindowError, json_report
-from .logdomain import LogValue, log_ratio
+from .logdomain import LogValue
 from .criteria import (
     COMPACTNESS,
     CONTINUITY,
     OperatorReport,
+    _gap_sups,
     _row,
-    _Rows,
     compactness_verdict,
     continuity_verdict,
     default_norm_kind,
@@ -132,60 +132,15 @@ def _ratio_sups(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]) -> Sup
     """The sup of log(||T e_n||_k / ||e_n||_m) over n <= N, at truncation N,
     for each checkpoint N of ``pts``: a ratio curve's points, or with the
     last two checkpoints an oracle scan's sup pair (the plateau status only
-    reads the last doubling).  A provider fetches each grading's profiles
-    at every checkpoint, and each witness's weights at the top one, on the
-    first call that reads them, and keeps them as fetched for its other
-    calls.  A pair subtracts them into one provider-local row, a segment per
-    checkpoint, a weight prefix each, as ``weight_array`` is prefix-stable;
-    gaps go through :func:`logdomain.log_ratio` where the weights are wild
-    (:func:`criteria._row`).
-
-    A run copies its gradings' profiles into a :class:`criteria._Rows`
-    matrix once, lays the witness's weight prefixes out as one row, and
-    takes the run's gaps by one subtraction and one segmented max."""
-    bounds = (0, *itertools.accumulate(pts))
-    starts = np.array(bounds[:-1])
+    reads the last doubling).  Grading k's parts are its profiles at the
+    checkpoints, witness m's row its weights at the top one, whose prefixes
+    they meet, as ``weight_array`` is prefix-stable; the one provider
+    (:func:`criteria._gap_sups`) keeps and subtracts them."""
+    starts = np.array((0, *itertools.accumulate(pts[:-1])))
     # the profiles' memo key, built once (see column_norm_profiles)
     key_op = dataclasses.replace(op, domain=op.codomain)
-    profiles: dict[int, list[np.ndarray]] = {}
-    weights: dict[int, tuple[np.ndarray, bool]] = {}
-
-    # fetched on a first read, as ``profiles.get(k) or profile(k)``
-    def profile(k: int) -> list[np.ndarray]:
-        prof = profiles[k] = column_norm_profiles(key_op, k, pts, kind)
-        return prof
-
-    def weight(m: int) -> tuple[np.ndarray, bool]:
-        w = weights[m] = _row(op.domain, m, pts[-1])
-        return w
-
-    gap = np.empty(bounds[-1])
-    segments = [gap[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    def pair(k: int, m: int) -> tuple[LogValue, ...]:
-        prof = profiles.get(k) or profile(k)
-        w, wild = weights.get(m) or weight(m)
-        for part, segment in zip(prof, segments):
-            if wild:
-                segment[:] = log_ratio(part, w[:len(segment)])
-            else:
-                np.subtract(part, w[:len(segment)], segment)
-        return tuple(np.maximum.reduceat(gap, starts).tolist())
-
-    def copy(k: int, row: np.ndarray) -> None:
-        for part, a, b in zip(profiles.get(k) or profile(k), bounds, bounds[1:]):
-            row[a:b] = part
-    matrix = _Rows(bounds[-1], copy)
-    prefixes = np.empty(bounds[-1])
-
-    def run(ks: range, m: int) -> list[tuple[LogValue, ...]]:
-        block = matrix[ks]
-        w, wild = weights.get(m) or weight(m)
-        for a, b in zip(bounds, bounds[1:]):
-            prefixes[a:b] = w[:b - a]
-        gaps = log_ratio(block, prefixes) if wild else block - prefixes
-        return list(map(tuple, np.maximum.reduceat(gaps, starts, axis=1).tolist()))
-    return Sups(pair, run)
+    return _gap_sups(lambda k: (column_norm_profiles(key_op, k, pts, kind), False),
+                     lambda m: _row(op.domain, m, pts[-1]), pts, lambda k: starts, tuple)
 
 
 # ---------------------------------------------------------------------------

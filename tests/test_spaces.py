@@ -15,6 +15,14 @@ from hypothesis import strategies as st
 from koethe import spaces
 from koethe.errors import ConfigurationError, InvariantError, WindowError
 from koethe.logdomain import LOG_ZERO
+from koethe.operators import (
+    Symbol,
+    SymbolSpec,
+    ToeplitzOperator,
+    Variant,
+    column_norm_profile,
+    membership_in_space,
+)
 from koethe.spaces import (
     ExponentSequence,
     SeriesClass,
@@ -98,22 +106,36 @@ class CountingTuple(tuple):
         return super().__hash__()
 
 
-@pytest.mark.parametrize("build", [
-    lambda table: SpaceDescriptor.power_series_finite(
-        ExponentSequence(form="table", values=table)),
-    lambda table: SpaceDescriptor(kind="general_koethe", weights=CountingTuple(
-        (v + 1.0, v + 2.0) for v in table)),
-], ids=["exponent table", "general weights"])
-def test_a_table_is_hashed_once_however_often_it_is_looked_up(build):
-    CountingTuple.hashes = 0
-    space = build(CountingTuple([0.0, 1.0, 2.0, 3.0]))
-    assert CountingTuple.hashes == 1
+def look_up_space(space):
     for k in (1, 2, 1, 2):
         weight_array(space, k, 4)
         nuclearity_verdict(space, Window(n_max=4, k_max=1, l_slack=1))
+
+
+def look_up_symbol(spec):
+    # the profile cache and the membership memo keys hold the spec
+    op = ToeplitzOperator(Symbol(lower=spec), Variant.LOWER, L1_N, L1_N)
+    for k in (1, 2, 1, 2):
+        column_norm_profile(op, k, 4)
+        membership_in_space(spec, L1_N, Window(n_max=4, k_max=2))
+
+
+@pytest.mark.parametrize("build, look_up", [
+    (lambda table: SpaceDescriptor.power_series_finite(
+        ExponentSequence(form="table", values=table)), look_up_space),
+    (lambda table: SpaceDescriptor(kind="general_koethe", weights=CountingTuple(
+        (v + 1.0, v + 2.0) for v in table)), look_up_space),
+    (lambda table: SymbolSpec(form="explicit", values=table), look_up_symbol),
+], ids=["exponent table", "general weights", "explicit symbol"])
+def test_a_table_is_hashed_once_however_often_it_is_looked_up(build, look_up):
+    CountingTuple.hashes = 0
+    record = build(CountingTuple([0.0, 1.0, 2.0, 3.0]))
+    assert CountingTuple.hashes == 1
+    look_up(record)
     assert CountingTuple.hashes == 1
     # the dataclass hash of the fields
-    assert hash(space) == hash((space.kind, space.alpha, space.weights))
+    assert hash(record) == hash(tuple(getattr(record, f.name)
+                                      for f in dataclasses.fields(record)))
 
 
 def test_an_unpickled_space_hashes_as_one_built_in_its_process():
@@ -121,8 +143,9 @@ def test_an_unpickled_space_hashes_as_one_built_in_its_process():
     # and loaded in another, a record must not carry the first one's hash
     import subprocess
     code = ("import pickle, sys; from koethe.spaces import ExponentSequence as E, "
-            "SpaceDescriptor as S; "
-            "records = (E.table([1.0, 2.0]), S.general([[1.0, 2.0]] * 4)); "
+            "SpaceDescriptor as S; from koethe.operators import SymbolSpec as P; "
+            "records = (E.table([1.0, 2.0]), S.general([[1.0, 2.0]] * 4), "
+            "P.explicit([1.0, 0.5]).with_head(2.0)); "
             "sys.stdout.buffer.write(pickle.dumps(records)) if sys.argv[1] == 'dump' "
             "else print(list(map(hash, pickle.loads(sys.stdin.buffer.read())))"
             " == list(map(hash, records)))")

@@ -1,17 +1,29 @@
-"""The certifier's, the tameness check's and the oracle's sup-pair providers.
+"""The sup-pair providers: the one provider of the certifier and the
+oracle (``criteria._gap_sups``, behind ``criteria._gap_pairs`` and
+``oracle._ratio_sups``), and the tameness check's.
 
 A scan keeps each row it fetched for its later pairs; these tests hold the
 providers bit for bit against the per-pair references in
 ``reference_kernels``, hold that no numpy warning escapes a provider or a
-scan, and pin how the oracle looks its profiles up.
+scan, and pin how the certifier and the oracle look their rows up.
+
+Run as a script, a seeded sweep of 1,000 random conditions, 1,000 random
+operators and the 144 grid operators holds the provider's pairs and runs
+bit for bit against the references, and the script exits 1 on any
+difference:
+
+    python tests/test_sup_pairs.py
 """
 
 import contextlib
 import math
+import sys
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +37,7 @@ from koethe.criteria import (
     Shape,
     SMap,
     _gap_pairs,
+    _gap_sups,
     _sample_tameness,
     certify,
 )
@@ -254,6 +267,125 @@ def test_certifier_runs_equal_its_pairs_on_the_grid_and_on_wild_rows():
                                       range(1, k_top + 1), (1, min(3, rhs.k_limit or 3)))
 
 
+# -- the one provider on hand-made rows ------------------------------------------
+
+#: mostly zeros of both signs, so that segment maxima tie between them
+TAME_VALUES = np.array([-0.0, 0.0] * 4 + [-1.0, 2.5])
+#: with NaN, +-inf and huge entries, which make a row wild
+WILD_VALUES = np.concatenate([TAME_VALUES, [math.nan, math.inf, -math.inf, 1e308, -1e308]])
+
+
+def hand_made(rng, widths, tame):
+    """Parts of ``widths`` and their wild flag: set where an entry is
+    infinite, NaN or huge, as ``criteria._row`` sets it, and on one tame row
+    in five too.  Unless ``tame``, one row in three draws wild entries."""
+    values = TAME_VALUES if tame or rng.random() < 2 / 3 else WILD_VALUES
+    parts = [rng.choice(values, size=w) for w in widths]
+    top = max(np.abs(part).max() for part in parts)
+    return parts, bool(not top < 2.0 ** 1022 or rng.random() < 0.2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), from_k=st.booleans(),
+       widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       n=st.integers(2, 24), gradings=st.integers(1, 20), evidence=st.integers(1, 21),
+       tame=st.booleans(), data=st.data())
+def test_the_one_provider_gives_each_run_its_pairs(seed, from_k, widths, n, gradings,
+                                                   evidence, tame, data):
+    # common starts, as the oracle's checkpoints, or the certifier's own
+    # start n0 = k per grading; no evidence from grading ``evidence`` on, or
+    # past half the window from n0 = k
+    rng = np.random.default_rng(seed)
+    if from_k:
+        widths, fold = [n], (lambda sups: (sups[0], max(sups)))
+        def at(k):
+            return (k - 1, n // 2) if k <= n // 2 else None
+    else:
+        # as a tuple, or as one array that every grading shares, as the
+        # oracle's checkpoint starts are
+        fold = tuple
+        common = tuple(sorted(data.draw(st.sets(st.integers(0, sum(widths) - 1),
+                                                min_size=1, max_size=3))))
+        common = np.array(common) if data.draw(st.booleans()) else common
+        def at(k):
+            return common
+    lhs_rows = {k: hand_made(rng, widths, tame) for k in range(1, gradings + 1)}
+    rhs_rows = {m: hand_made(rng, [max(widths)], tame) for m in range(1, 5)}
+    rhs_rows = {m: (parts[0], wild) for m, (parts, wild) in rhs_rows.items()}
+
+    def provider():
+        fetched = Counter()
+
+        def lhs(k):
+            fetched["k", k] += 1
+            return lhs_rows[k]
+
+        def rhs(m):
+            fetched["m", m] += 1
+            return rhs_rows[m]
+        return _gap_sups(lhs, rhs, widths, lambda k: None if k >= evidence else at(k),
+                         fold), fetched
+
+    reference, fetched_by_pairs = provider()
+    with raising():
+        expected = {(k, m): hexed(reference.pair(k, m))
+                    for k in range(1, gradings + 1) for m in rhs_rows}
+    sups, fetched = provider()
+    # a run past grading 1 into an empty matrix, a run below it, all
+    # gradings past the matrix's doublings, the top half, and drawn runs
+    runs = [(3, 5), (1, 3), (1, gradings + 1), (gradings // 2 + 1, gradings + 1)]
+    runs += data.draw(st.lists(st.tuples(st.integers(1, gradings), st.integers(1, gradings))
+                               .map(lambda lh: (min(lh), max(lh) + 1)), max_size=4))
+    for lo, hi in runs:
+        for m in data.draw(st.permutations(list(rhs_rows)))[:2]:
+            ks = range(lo, min(hi, gradings + 1))
+            with raising():  # no warning escapes a run
+                got = [hexed(p) for p in sups.run(ks, m)]
+                again = hexed(sups.pair(lo, m)) if lo <= gradings else None
+            assert got == [expected[k, m] for k in ks], (ks, m)
+            assert again == expected.get((lo, m)), (lo, m)
+    for counts in (fetched, fetched_by_pairs):
+        assert set(counts.values()) <= {1}
+        assert all(k < evidence and at(k) is not None
+                   for side, k in counts if side == "k")
+
+
+@pytest.mark.parametrize("shape", list(Shape), ids=lambda shape: shape.name)
+@pytest.mark.parametrize("n_start", list(NStart), ids=lambda n_start: n_start.name)
+def test_certify_reads_each_weight_row_once_through_criteria_row(shape, n_start):
+    # the twin of test_oracle_looks_each_profile_up_once_through_its_module_global:
+    # one search reads each (space, grading) row through criteria._row once,
+    # in the order in which the per-pair reference, which reads both rows of
+    # every pair, first reads it
+    s_map = SMap.identity() if shape is Shape.FIXED_MAP else None
+    win = Window(n_max=256, k_max=4, m_max=8)
+    original = criteria._row
+    for lhs in GRID_SPACES + [ZERO_WEIGHTS]:
+        for rhs in GRID_SPACES:
+            if lhs == rhs:  # a row is read once per side
+                continue
+            cond = QuantifierCondition(lhs, rhs, shape, n_start, s_map)
+            seen, first_read = [], []
+
+            def read(space, k, n_max):
+                seen.append((space, k))
+                return original(space, k, n_max)
+
+            def reference_read(space, k, n_max):
+                if (space, k) not in first_read:
+                    first_read.append((space, k))
+                return weight_array(space, k, n_max)
+
+            spaces._exponent_values.cache_clear()  # certify's memo
+            with mock.patch.object(criteria, "_row", read):
+                certify(cond, win)
+            spaces._exponent_values.cache_clear()
+            with mock.patch.object(criteria, "_gap_pairs", quiet_reference_pairs), \
+                    mock.patch.object(ref, "weight_array", reference_read):
+                certify(cond, win)
+            assert seen and seen == first_read, (lhs, rhs)
+
+
 # tabulated codomains put zero weights and few gradings under the columns
 curve_operators = st.builds(operator, st.sampled_from(list(Variant)), symbol_parts,
                             symbol_parts, power_series(1e3),
@@ -352,3 +484,118 @@ def test_oracle_looks_each_profile_up_once_through_its_module_global():
         assert {n for _, n in seen} == truncations
         if op is twin:
             assert after.misses == before.misses
+
+
+# -- the seeded sweep ----------------------------------------------------------
+
+
+def random_alpha(rng, top, special):
+    """An exponent sequence as :func:`exponents` draws it, or where
+    ``special`` also as ``special_tables`` does."""
+    form = rng.integers(5 if special else 4)
+    if form == 0:
+        return ExponentSequence.logarithmic()
+    if form == 1:
+        return ExponentSequence.power(rng.uniform(0.25, 3.0))
+    if form == 2:
+        return ExponentSequence.affine(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
+    size = rng.integers(4, 41)
+    if form == 3:
+        return ExponentSequence.table(np.sort(rng.uniform(0.0, top, size)))
+    return ExponentSequence.table(np.sort(rng.choice(
+        [-0.0, 0.0, 0.0, 0.5, 2.0, 1e308, math.inf], size)))
+
+
+def random_space(rng, top, general=True, special=False):
+    """A power series space over :func:`random_alpha`, or where ``general``
+    in three cases of ten a general space as ``general_spaces`` draws it."""
+    if general and rng.random() < 0.3:
+        cols = rng.integers(1, 7)
+        return SpaceDescriptor.general(
+            [_row(rng.choice([0.0, 0.0, 0.5, 1.0, 3.0, 1e5], cols).tolist())
+             for _ in range(rng.integers(4, 25))])
+    make = (SpaceDescriptor.power_series_finite, SpaceDescriptor.power_series_infinite)
+    return make[rng.integers(2)](random_alpha(rng, top, special))
+
+
+def random_part(rng):
+    form = rng.integers(3)
+    if form == 0:
+        return SymbolSpec.delta()
+    if form == 1:
+        return SymbolSpec.geometric(rng.uniform(0.05, 0.95))
+    return SymbolSpec.explicit(rng.uniform(-4.0, 4.0, rng.integers(1, 13)))
+
+
+def runs_are_pairs(sups, pairs, gradings, witnesses) -> bool:
+    """Do the runs from gradings 1 and 2 on give ``pairs``, hexed by
+    (k, m), and does the pair call give them too, with no warning?"""
+    with raising():
+        return all(hexed(sups.pair(k, m)) == pairs[k, m]
+                   and [hexed(p) for p in sups.run(range(lo, gradings + 1), m)]
+                   == [pairs[k, m] for k in range(lo, gradings + 1)]
+                   for m in witnesses for lo in (1, 2) for k in range(1, gradings + 1))
+
+
+def condition_differs(cond, n_max) -> bool:
+    old = ref._gap_pairs(cond, n_max)
+    k_top, m_top = min(6, cond.lhs.k_limit or 6), min(6, cond.rhs.k_limit or 6)
+    with np.errstate(over="ignore"):  # the reference lets overflow warn
+        pairs = {(k, m): hexed(old(k, m))
+                 for k in range(1, k_top + 1) for m in range(1, m_top + 1)}
+    return not runs_are_pairs(_gap_pairs(cond, n_max), pairs, k_top, range(1, m_top + 1))
+
+
+def operator_differs(op, kind, pts) -> bool:
+    """The scan pairs at the last two checkpoints, and the curves at all of
+    them, against the per-checkpoint references."""
+    old = ref._profile_pairs(op, kind, pts)
+    k_top = min(4, op.codomain.k_limit or 4)
+    pairs = {(k, m): hexed(old(k, m)) for k in range(1, k_top + 1) for m in range(1, 5)}
+    curves = _ratio_sups(op, kind, pts)
+    with raising():
+        curves_differ = any(
+            hexed(curves.pair(k, m))
+            != hexed([v for _, v in ref._curve_points(op, kind, k, m, pts)])
+            for k in range(1, k_top + 1) for m in range(1, 5))
+    return curves_differ or not runs_are_pairs(_ratio_sups(op, kind, pts[-2:]), pairs,
+                                               k_top, range(1, 5))
+
+
+def sweep(count: int = 1000) -> tuple[int, list[str]]:
+    """(cases, the cases whose pairs, runs or curves differ from the
+    reference's) over ``count`` seeded random conditions, ``count`` random
+    operators, and the grid operators."""
+    rng = np.random.default_rng(36)
+    cases, bad = 0, []
+    for i in range(count):
+        lhs, rhs = (random_space(rng, 1e308, special=True) for _ in range(2))
+        cond = QuantifierCondition(lhs, rhs, Shape.FORALL_K_EXISTS_M,
+                                   list(NStart)[rng.integers(2)])
+        cases += 1
+        if condition_differs(cond, n_within(int(rng.integers(4, 65)), lhs, rhs)):
+            bad.append(f"condition {i}: {cond}")
+    for i in range(count):
+        variant = list(Variant)[rng.integers(3)]
+        op = operator(variant, random_part(rng), random_part(rng),
+                      random_space(rng, 1e3, general=False), random_space(rng, 1e3))
+        kind = list(NormKind)[rng.integers(2)]
+        full = n_within(int(rng.integers(4, 257)), op.domain, op.codomain)
+        pts = sorted(set(rng.integers(1, full, rng.integers(1, 4)).tolist())) + [full]
+        cases += 1
+        if operator_differs(op, kind, pts):
+            bad.append(f"operator {i}: {op}, {kind}, {pts}")
+    for op in GRID_OPERATORS:
+        cases += 1
+        if operator_differs(op, criteria.default_norm_kind(op), (128, 256)):
+            bad.append(f"grid operator: {op}")
+    return cases, bad
+
+
+if __name__ == "__main__":
+    cases, bad = sweep()
+    print(f"{cases} conditions and operators ({len(GRID_OPERATORS)} grid operators): "
+          f"{len(bad)} differ")
+    for case in bad[:10]:
+        print(case)
+    sys.exit(1 if bad else 0)
