@@ -297,18 +297,24 @@ def _gap_pairs(cond: QuantifierCondition, n_max: int) -> Sups:
     """Scan evidence from the raw weight gaps of the condition, one part per
     grading (:func:`_gap_sups`): the sups from n0 = k or 1 over the half and
     the full window, the latter Python's ``max`` of the two, which drops a
-    NaN past the half; from n0 = k, no grading past the half holds any."""
+    NaN past the half; from n0 = k, no grading past the half holds any.
+    Each (space, grading) row is fetched once, whichever side asks first:
+    where lhs and rhs are one space, grading k's row is witness k's."""
     half = n_max // 2
     from_k = cond.n_start is NStart.K
+    rows: dict[tuple[SpaceDescriptor, int], tuple[np.ndarray, bool]] = {}
+
+    def row(space: SpaceDescriptor, k: int) -> tuple[np.ndarray, bool]:
+        return rows.get((space, k)) or rows.setdefault((space, k), _row(space, k, n_max))
 
     def lhs(k: int) -> tuple[tuple[np.ndarray], bool]:
-        row, wild = _row(cond.lhs, k, n_max)
-        return (row,), wild
+        arr, wild = row(cond.lhs, k)
+        return (arr,), wild
 
     def starts(k: int) -> tuple[int, int] | None:
         n0 = k if from_k else 1
         return None if n0 > half else (n0 - 1, half)
-    return _gap_sups(lhs, lambda m: _row(cond.rhs, m, n_max), (n_max,), starts,
+    return _gap_sups(lhs, lambda m: row(cond.rhs, m), (n_max,), starts,
                      lambda sups: (sups[0], max(sups)))
 
 

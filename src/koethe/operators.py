@@ -733,20 +733,38 @@ def column_norm_profile(
     Agrees with :func:`column_norm` up to reduction-order rounding; reports
     that need bit-stable numbers use a fixed block schedule, which this is.
     The kernel reads the symbol, the variant and the codomain, never the
-    domain.  Each call builds its own symbol and weight sides, walks them
-    (:func:`_profiles`) and keeps none of them.  Results are memoized: an
-    oracle scan holds the profiles it fetched itself, and the memo serves
-    repeat scans (the other property of a cross-validation, another
-    window's checkpoints) and every operator that differs only in its
-    domain.  Library callers go through :func:`column_norm_profiles`,
-    which looks every operator up with its domain replaced by its codomain,
-    and serves an upper operator's profiles from one call at the
-    largest truncation.  The oracle and the ratio curves read it there;
-    the tameness sup pairs walk their members on the family's weight sides
-    (:func:`_weight_side`) and never reach the memo.
+    domain.  Each call builds its own symbol side and, for a walk, its
+    weight sides, walks them (:func:`_profiles`) and keeps none of them.
+
+    A symbol supported at offset 0 alone (delta, any diagonal theta_0)
+    with no +inf symbol log or weight is not walked: its column n is the
+    one term t = u_0 + v_n (log-zero without support), and the walk stores
+    a one-row block as it stands, (t, exp(t - t) = 1.0), so its profile is
+    u_0 + v, plus log(1.0) = 0.0 in the sum norm, bit for bit.
+
+    Results are memoized: an oracle scan holds the profiles it fetched
+    itself, and the memo serves repeat scans (the other property of a
+    cross-validation, another window's checkpoints) and every operator
+    that differs only in its domain.  Library callers go through
+    :func:`column_norm_profiles`, which looks every operator up with its
+    domain replaced by its codomain, and serves an upper operator's
+    profiles from one call at the largest truncation.  The oracle and the
+    ratio curves read it there; the tameness sup pairs walk their members
+    on the family's weight sides (:func:`_weight_side`) and never reach
+    the memo.
     """
     runs = _symbol_side(op, n_trunc)
     v = weight_array(op.codomain, k, n_trunc)
+    if all(run.i_top <= 1 for run in runs):
+        # at most one run reaches offset 0 (a full symbol's upper run holds
+        # log-zero there), so a column is the one term u_0 + v_n or none
+        [u0] = [run.u[0, 0] for run in runs if run.i_top] or [LOG_ZERO]
+        if u0 < np.inf and (v < np.inf).all():
+            out = u0 + v
+            if norm_kind is NormKind.SUM:
+                out += 0.0  # -0.0 reads 0.0
+            out.flags.writeable = False
+            return out
     weights = [_weight_run(v, run.direction, n_trunc) for run in runs]
     [profile] = _profiles(runs, weights, n_trunc, norm_kind)
     return profile

@@ -6,7 +6,10 @@ offset block it builds a clipped index array into the padded codomain
 weights and gathers through it.  It computes the same terms in the same
 (offset, column) layout, a lone active column beside a log-zero companion
 as in the walk, so the two kernels must agree bit for bit.
-``gather_kernel`` puts it in the walk's place.
+``gather_kernel`` puts it in the walk's place; a profile that the kernel
+gives in closed form, of a symbol supported at offset 0 alone, walks
+nothing and so is not reached there.  ``merged_profile`` is a whole profile
+from the reference alone, every run gathered and the runs merged.
 
 ``same_exp_log_build`` tells whether numpy rounds exp and log as on the
 build that recorded the tests' byte digests.
@@ -50,6 +53,7 @@ row in turn.  The sweep must give the same report.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 from typing import NamedTuple, Sequence
@@ -197,6 +201,20 @@ def gather_kernel():
     """Walk every kernel set-up on the reference kernel inside the block."""
     with mock.patch.object(operators, "_walk", _gather_walk):
         yield
+
+
+def merged_profile(op, k: int, n_trunc: int, norm_kind: NormKind) -> np.ndarray:
+    """``column_norm_profile`` from :func:`gather_run_profile`: each run of
+    ``op`` (``operators._runs``) gathered on grading k's weights, the runs
+    merged as the kernel merges its walks."""
+    v = weight_array(op.codomain, k, n_trunc)
+    walks = [gather_run_profile(u, v, direction, n_trunc, norm_kind)
+             for u, direction in operators._runs(op, n_trunc, log=True)]
+    if norm_kind is NormKind.SUP:
+        return functools.reduce(np.maximum, [m for m, _ in walks])
+    m, s = functools.reduce(lambda a, b: _merge_scaled(*a, *b), walks)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s > 0.0, m + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
 
 
 def uncached_profile(op, k: int, n_trunc: int, norm_kind: NormKind) -> np.ndarray:

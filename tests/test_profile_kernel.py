@@ -4,15 +4,23 @@ Both kernels compute the same terms in the same (offset, column) layout; the
 window-view kernel only leaves out the rows at a block's end that cannot move
 its bits.  So every comparison here is exact: ``np.array_equal``, not a
 tolerance.
+
+A symbol supported at offset 0 alone has its profile in closed form, with
+no walk; those profiles are held against the merged reference itself.  Run
+as a script, a seeded sweep of 2,000 random such operators does so, and
+the script exits 1 on any difference:
+
+    python tests/test_profile_kernel.py
 """
 
 import hashlib
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koethe import operators, spaces
@@ -373,18 +381,23 @@ def test_small_blocks_skip_the_search_without_moving_a_bit(variant, lower, upper
         assert m.tobytes() == m_cut.tobytes() and s.tobytes() == s_cut.tobytes()
 
 
-@st.composite
-def general_codomains(draw, rows: int):
+def general_codomain(rng, rows: int, cols: int) -> SpaceDescriptor:
     """A tabulated codomain of ``rows`` rows, log weights rising in k, with
     some zero weights in the first of two or more gradings."""
-    cols = draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     logs = (rng.uniform(-30.0, 30.0, size=(rows, 1))
             + np.cumsum(rng.uniform(0.0, 2.0, size=(rows, cols)), axis=1))
     weights = np.exp(logs)
     if cols > 1:
         weights[rng.random(rows) < 0.1, 0] = 0.0
     return SpaceDescriptor.general(weights.tolist())
+
+
+@st.composite
+def general_codomains(draw, rows: int):
+    """:func:`general_codomain` with 1 to 12 gradings."""
+    cols = draw(st.integers(1, 12))
+    return general_codomain(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                            rows, cols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -610,6 +623,90 @@ def test_a_one_column_block_of_a_range_keeps_the_range():
         assert ranged.tobytes() == uncached_profile(op, 1, n, norm)[:2].tobytes()
 
 
+#: the parts of symbols supported at offset 0 alone, with or without a head:
+#: theta_0 = c, r = 0, and e^{-2 alpha} where alpha jumps from 0 past float
+#: range, whose log at 0 is -0.0 and -inf after it
+ONE_TERM_PARTS = [spec if h is None else spec.with_head(h)
+                  for spec in [SymbolSpec.geometric(0.0), SymbolSpec.exp_of_exponent(
+                      -2.0, ExponentSequence.table([0.0] + [1e308] * 1100))]
+                  + [SymbolSpec.explicit([sign * c]) for c in (1e-300, 0.5, 1.0, 3.0, 1e300)
+                     for sign in (1.0, -1.0)]
+                  for h in (None, 0.5, -2.0)]
+
+
+def one_term_codomain(rng, kind: int, rows: int) -> SpaceDescriptor:
+    """Codomain ``kind`` of ``rows`` rows: 0, a power series of a closed
+    form; 1, of an exponent table whose zeros give log weights 0.0 (Λ∞) or
+    -0.0 (Λ₀); 2, a general space with zero weights (log-zero)."""
+    if kind == 0:
+        return SPACES[rng.integers(len(SPACES))]
+    if kind == 1:
+        alpha = np.sort(rng.uniform(0.0, 40.0, rows))
+        alpha[: rng.integers(4)] = 0.0
+        space = (SpaceDescriptor.power_series_finite,
+                 SpaceDescriptor.power_series_infinite)[rng.integers(2)]
+        return space(ExponentSequence.table(alpha.tolist()))
+    return general_codomain(rng, rows, int(rng.integers(1, 13)))
+
+
+def one_term_differs(variant, lower, upper, kind, n, norm, seed) -> bool:
+    """Does a one-term operator's profile differ from the merged reference?
+    A full operator's upper part keeps its all-zero tail; its diagonal is
+    the parts' heads summed, zero where they cancel."""
+    rng = np.random.default_rng(seed)
+    codomain = one_term_codomain(rng, kind, n)
+    k = int(rng.integers(1, (codomain.k_limit or 12) + 1))
+    op = make_op(variant, lower, upper, SPACES[0], codomain)
+    return uncached_profile(op, k, n, norm).tobytes() \
+        != reference_kernels.merged_profile(op, k, n, norm).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+# a -0.0 symbol log on -0.0 log weights (seed 1: alpha_1..3 = 0 in Λ₀), a
+# -0.0 column sup and a 0.0 column sum
+@example(Variant.LOWER, ONE_TERM_PARTS[3], None, 1, 5, NormKind.SUM, 1)
+@example(Variant.UPPER, None, ONE_TERM_PARTS[3], 1, 5, NormKind.SUP, 1)
+@given(variant=st.sampled_from(list(Variant)), lower=st.sampled_from(ONE_TERM_PARTS),
+       upper=st.sampled_from(ONE_TERM_PARTS), kind=st.integers(0, 2),
+       n=st.integers(1, 1100), norm=st.sampled_from(list(NormKind)),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_term_profiles_have_the_references_bits(variant, lower, upper, kind, n,
+                                                   norm, seed):
+    # the kernel gives these profiles in closed form, without a walk, so
+    # they are held against the reference itself, not under gather_kernel
+    assert not one_term_differs(variant, lower, upper, kind, n, norm, seed)
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_a_one_term_profile_walks_only_on_an_infinite_weight(norm):
+    calls = []
+
+    def spy(name):
+        original = getattr(operators, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    delta = make_op(Variant.LOWER, SymbolSpec.delta(), None, SPACES[0], SPACES[5])
+    # log weights 2, 4 and then past float range, +inf
+    wild = make_op(Variant.LOWER, SymbolSpec.delta(), None, SPACES[0],
+                   SpaceDescriptor.power_series_infinite(
+                       ExponentSequence.table([1.0, 2.0] + [1e308] * 30)))
+    with mock.patch.object(operators, "_weight_run", spy("_weight_run")), \
+            mock.patch.object(operators, "_walk", spy("_walk")):
+        one = uncached_profile(delta, 3, 300, norm)
+        assert calls == []
+        walked = uncached_profile(wild, 2, 8, norm)
+        assert calls == ["_weight_run", "_walk"]
+    assert one.tobytes() == reference_kernels.merged_profile(delta, 3, 300, norm).tobytes()
+    assert walked.tobytes() == reference_kernels.merged_profile(wild, 2, 8, norm).tobytes()
+    # a +inf term's inf - inf is NaN in a sum, which reads as log-zero
+    tail = -np.inf if norm is NormKind.SUM else np.inf
+    assert walked.tolist() == [2.0, 4.0] + [tail] * 6
+
+
 #: sha256 of the profiles below, recorded before the kernel was cut at the
 #: rounding horizon
 PROFILE_DIGEST = "d53994b036e442c0b2334ab436d1a9ba530c6e9f772d79d08449740b96571450"
@@ -653,3 +750,27 @@ def test_small_profiles_match_the_recorded_digest():
     if not same_exp_log_build():
         pytest.skip("this numpy build rounds exp or log differently")
     assert profile_digest([2, 16, 64, 128, 256]) == SMALL_PROFILE_DIGEST
+
+
+def sweep(count: int = 2000) -> int:
+    """How many of ``count`` seeded random one-term operators have a
+    profile that differs from the merged reference's; each is printed."""
+    rng = np.random.default_rng(37)
+    bad = 0
+    for _ in range(count):
+        parts = rng.integers(len(ONE_TERM_PARTS), size=2).tolist()
+        case = (list(Variant)[rng.integers(3)], int(rng.integers(3)),
+                int(rng.integers(1, 1101)), list(NormKind)[rng.integers(2)],
+                int(rng.integers(2**32)))
+        variant, *rest = case
+        if one_term_differs(variant, *(ONE_TERM_PARTS[i] for i in parts), *rest):
+            bad += 1
+            print(f"ONE_TERM_PARTS{parts}", *case)
+    return bad
+
+
+if __name__ == "__main__":
+    count = 2000
+    bad = sweep(count)
+    print(f"{count} one-term profiles: {bad} differ")
+    sys.exit(1 if bad else 0)

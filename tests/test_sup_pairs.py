@@ -362,8 +362,6 @@ def test_certify_reads_each_weight_row_once_through_criteria_row(shape, n_start)
     original = criteria._row
     for lhs in GRID_SPACES + [ZERO_WEIGHTS]:
         for rhs in GRID_SPACES:
-            if lhs == rhs:  # a row is read once per side
-                continue
             cond = QuantifierCondition(lhs, rhs, shape, n_start, s_map)
             seen, first_read = [], []
 
