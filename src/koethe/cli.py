@@ -221,6 +221,7 @@ def parse_config(data: Mapping[str, Any], base_dir: Path | None = None
         path = f"operators.{name}"
         if not isinstance(spec, Mapping):
             raise ConfigurationError(f"{path}: expected an object")
+        _known_keys(spec, ("variant", "domain", "codomain", "symbol"), f"{path}.")
         variant = json_field(spec, "variant", Variant, f"{path}.variant")
         domain, codomain = (
             _resolve(spec.get(key), f"{path}.{key}", spaces, SpaceDescriptor, "space")

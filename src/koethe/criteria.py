@@ -31,7 +31,6 @@ from .errors import (
     ConfigurationError,
     NotWellDefinedError,
     UnsupportedCombinationError,
-    json_fields,
     json_form,
     json_record,
     json_report,
@@ -93,6 +92,8 @@ class SMap:
     values: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.values is not None:
+            object.__setattr__(self, "values", tuple(self.values))
         if self.form == "identity":
             return
         if self.form == "linear":
@@ -667,7 +668,8 @@ class FamilySpec:
     def from_json(cls, data: Mapping[str, Any]) -> "FamilySpec":
         kinds = {"sampler": "string", "count": "integer", "seed": "integer",
                  "r_min": "number", "r_max": "number", "signed": "boolean"}
-        return cls(**json_fields(data, kinds, "family"))
+        return json_form(data, {None: (cls, kinds)}, "family", tag=None,
+                         optional=tuple(kinds))
 
 
 def _sample_family(

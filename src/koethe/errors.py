@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and the one JSON codec:
 the encoders :func:`json_record` of the input records and
 :func:`json_report` of the reports, the field checks that turn malformed
-inline objects into configuration errors, and the tag dispatch
-:func:`json_form`."""
+inline objects into configuration errors, and :func:`json_form`, the one
+decoder of the input records."""
 
 import dataclasses
 import enum
@@ -117,26 +117,23 @@ def json_field(data: Mapping[str, Any], key: str, kind: Any, what: str) -> Any:
     return value
 
 
-def json_fields(data: Any, kinds: Mapping[str, str], what: str) -> dict[str, Any]:
-    """The fields of a JSON object whose every key is named in ``kinds``
-    (key -> kind, as for :func:`json_field`); absent keys are left out, so
-    the caller's defaults apply."""
-    unknown = set(json_object(data, what)) - set(kinds)
-    if unknown:
-        raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
-    return {key: json_field(data, key, kind, what)
-            for key, kind in kinds.items() if key in data}
-
-
 def json_form(data: Any,
-              forms: Mapping[str, tuple[Callable[..., Any], Mapping[str, Any]]],
-              what: str, tag: str = "form", optional: tuple[str, ...] = ()) -> Any:
+              forms: Mapping[Any, tuple[Callable[..., Any], Mapping[str, Any]]],
+              what: str, tag: str | None = "form", optional: tuple[str, ...] = (),
+              shared: tuple[str, ...] = ()) -> Any:
     """The record that a JSON object describes: its ``tag`` field picks one of
     ``forms``, which maps each tag value to the constructor of that form and
-    the kinds of the fields it takes (as for :func:`json_field`).  The
-    constructor gets each field by name; a field named in ``optional`` may be
-    absent, and then the constructor's default applies."""
-    make, kinds = forms[json_field(json_object(data, what), tag, tuple(forms), what)]
+    the kinds of the fields it takes (as for :func:`json_field`); a record of
+    one form has no tag (None), and its table has the one key None.  A key
+    that the form does not take, other than the tag and the ``shared`` keys
+    that the caller reads, is a ConfigurationError.  The constructor gets
+    each field by name; a field named in ``optional`` may be absent, and
+    then the constructor's default applies."""
+    data = json_object(data, what)
+    make, kinds = forms[json_field(data, tag, tuple(forms), what) if tag else None]
+    unknown = set(data).difference(kinds, (tag,), shared)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} fields: {sorted(unknown, key=str)}")
     return make(**{key: json_field(data, key, kind, what) for key, kind in kinds.items()
                    if key in data or key not in optional})
 

@@ -32,7 +32,6 @@ from .errors import (
     WindowError,
     json_field,
     json_form,
-    json_object,
     json_record,
 )
 from .logdomain import (
@@ -212,7 +211,7 @@ class SymbolSpec:
             "exp_of_exponent": (cls.exp_of_exponent, {"c": "number",
                                                       "alpha": ExponentSequence}),
             "polynomial": (cls.polynomial, {"d": "float_integer"}),
-        }, what)
+        }, what, shared=("head",))
         if "head" in data:
             spec = spec.with_head(json_field(data, "head", "number", what))
         return spec
@@ -249,9 +248,9 @@ class Symbol:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Symbol":
-        data = json_object(data, "symbol")
-        return cls(**{part: json_field(data, part, SymbolSpec, "symbol")
-                      for part in ("lower", "upper") if part in data})
+        parts = {"lower": SymbolSpec, "upper": SymbolSpec}
+        return json_form(data, {None: (cls, parts)}, "symbol", tag=None,
+                         optional=tuple(parts))
 
 
 def decompose(
@@ -327,14 +326,9 @@ class ToeplitzOperator:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ToeplitzOperator":
-        what = "operator"
-        variant = json_field(json_object(data, what), "variant", Variant, what)
-        return cls(
-            symbol=json_field(data, "symbol", Symbol, what),
-            variant=variant,
-            domain=json_field(data, "domain", SpaceDescriptor, what),
-            codomain=json_field(data, "codomain", SpaceDescriptor, what),
-        )
+        return json_form(data, {None: (cls, {
+            "variant": Variant, "symbol": Symbol, "domain": SpaceDescriptor,
+            "codomain": SpaceDescriptor})}, "operator", tag=None)
 
 
 def lower_part(op: ToeplitzOperator) -> ToeplitzOperator:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
-from .errors import ConfigurationError, json_fields, json_record, json_report
+from .errors import ConfigurationError, json_form, json_record, json_report
 from .logdomain import LogValue, linear_or_none
 
 
@@ -82,8 +82,8 @@ class Window:
     dense_cap: int = 4096
 
     def __post_init__(self):
-        if self.checkpoints == ():
-            object.__setattr__(self, "checkpoints", _halvings(self.n_max, 2))
+        object.__setattr__(self, "checkpoints",
+                           tuple(self.checkpoints) or _halvings(self.n_max, 2))
         if self.k_max < 1 or self.m_max < 1:
             raise ConfigurationError("k_max and m_max must be >= 1")
         if self.n_max < 4:
@@ -142,10 +142,8 @@ class Window:
             "growth_tol": "number", "series_tail_rel": "number",
             "series_growth_tol": "number", "dense_cap": "integer",
         }
-        kwargs = json_fields(data, kinds, "window")
-        if "checkpoints" in kwargs:
-            kwargs["checkpoints"] = tuple(kwargs["checkpoints"])
-        return cls(**kwargs)
+        return json_form(data, {None: (cls, kinds)}, "window", tag=None,
+                         optional=tuple(kinds))
 
 
 # ---------------------------------------------------------------------------

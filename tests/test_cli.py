@@ -634,6 +634,13 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
      "operators.T.variant: expected 'lower', 'upper' or 'full', got 'x'"),
     (base_config(operators={"T": {"domain": "A", "codomain": "B", "symbol": "geo"}}),
      "operators.T.variant: missing field 'variant'"),
+    # a named operator takes no norm; a probe task does
+    (base_config(operators={"T": {"variant": "lower", "domain": "A", "codomain": "B",
+                                  "symbol": "geo", "norm": "sup"}}),
+     "operators.T.norm: unknown config key"),
+    (["symbol", "membership", "--symbol", json.dumps({**GEO, "uper": GEO["lower"]}),
+      "--space", json.dumps(L1N), "--n-max", "64"],
+     "membership.symbol: unknown symbol fields: ['uper']"),
     (base_config(tasks=[{"command": "membership", "symbol": "geo", "space": "A",
                          "part": "middle"}]),
      "tasks[0].part: expected 'lower' or 'upper', got 'middle'"),
@@ -703,7 +710,8 @@ def test_malformed_inline_objects_are_usage_errors(argv, capsys):
         "run-seed-negative", "direct-apply-n-negative", "apply-task-n-zero",
         "s-map-table-not-integers", "polynomial-d-not-an-integer",
         "direct-polynomial-d-past-float-range", "polynomial-d-past-float-range",
-        "unknown-operator-variant", "operator-without-variant", "unknown-membership-part",
+        "unknown-operator-variant", "operator-without-variant", "operator-norm-key",
+        "direct-symbol-misspelled-part", "unknown-membership-part",
         "membership-target-not-a-string", "tame-variant-not-a-string",
         "unknown-tame-condition-direction", "certify-property-field",
         "tame-condition-misspelled-field", "probe-out-field", "window-checkpoint-zero",
@@ -986,7 +994,7 @@ def test_zero_window_flags_are_usage_errors(flag, via_run, tmp_path, capsys):
 
 FIELDS = ["kind", "alpha", "weights", "form", "p", "a", "b", "values", "r", "c",
           "d", "head", "lower", "upper", "variant", "symbol", "domain", "codomain"]
-# Window and FamilySpec reject unknown keys, so their objects draw only these
+# every record rejects unknown keys; Window's and FamilySpec's objects draw these
 FLAT_FIELDS = ["k_max", "m_max", "n_max", "l_slack", "subadd_m_max", "checkpoints",
                "plateau_tol", "growth_tol", "series_tail_rel", "series_growth_tol",
                "dense_cap", "sampler", "count", "seed", "r_min", "r_max", "signed",

@@ -10,14 +10,16 @@ import pkgutil
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import koethe
 from koethe.cli import _dumps
-from koethe.criteria import FamilySpec, OperatorTemplate, SMap
+from koethe.criteria import (FamilySpec, OperatorTemplate, SMap, continuity_verdict,
+                             tame_condition_certify)
 from koethe.errors import ConfigurationError, json_field, json_record, json_report
 from koethe.operators import NormKind, Symbol, SymbolSpec, ToeplitzOperator, Variant
+from koethe.oracle import cross_validate
 from koethe.spaces import ExponentSequence, SpaceDescriptor
 from koethe.verdicts import Window
 
@@ -118,6 +120,60 @@ def test_input_records_round_trip_through_their_report_bytes(record):
     back = type(record).from_json(json.loads(text))
     assert back == record
     assert _dumps(back.to_json()) == text
+
+
+# keys that some record reads, and misspellings of them
+FIELD_NAMES = sorted({f.name for cls in (ExponentSequence, SpaceDescriptor, SymbolSpec,
+                                          Symbol, ToeplitzOperator, SMap, FamilySpec,
+                                          Window)
+                      for f in dataclasses.fields(cls)} | {"uper", "haed", "B", "norm"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=records, key=st.sampled_from(FIELD_NAMES) | st.text(max_size=6))
+def test_input_records_refuse_a_key_that_they_do_not_read(record, key):
+    assume(key not in {f.name for f in dataclasses.fields(record)})
+    with pytest.raises(ConfigurationError) as info:
+        type(record).from_json({**record.to_json(), key: 1})
+    assert str(info.value).endswith(f" fields: {[key]}")
+
+
+GEO_PART = {"form": "geometric", "r": 0.5}
+LOG_SPACE = {"kind": "power_series_finite", "alpha": {"form": "log"}}
+
+
+@pytest.mark.parametrize("cls, data, message", [
+    (ExponentSequence, {"form": "affine", "a": 1.0, "B": 2.0},
+     "unknown exponent sequence fields: ['B']"),
+    (SpaceDescriptor, {**LOG_SPACE, "weights": [[1.0]]},
+     "unknown space fields: ['weights']"),
+    (SMap, {"form": "identity", "a": 2.0}, "unknown index map fields: ['a']"),
+    (SymbolSpec, {**GEO_PART, "haed": 2.0}, "unknown symbol part fields: ['haed']"),
+    (Symbol, {"lower": GEO_PART, "uper": GEO_PART}, "unknown symbol fields: ['uper']"),
+    (ToeplitzOperator, {"variant": "lower", "symbol": {"lower": GEO_PART},
+                        "domain": LOG_SPACE, "codomain": LOG_SPACE, "norm": "sup", "k": 1},
+     "unknown operator fields: ['k', 'norm']"),
+], ids=["exponent-sequence", "space", "index-map", "symbol-part", "symbol", "operator"])
+def test_a_record_names_the_keys_that_it_does_not_read(cls, data, message):
+    with pytest.raises(ConfigurationError) as info:
+        cls.from_json(data)
+    assert str(info.value) == message
+
+
+def test_records_built_with_lists_equal_those_built_with_tuples():
+    # a list field would leave the record unhashable for the memoised decisions
+    space = SpaceDescriptor.power_series_finite(ExponentSequence.power(1.0))
+    op = ToeplitzOperator(Symbol(lower=SymbolSpec.geometric(0.5)), Variant.LOWER,
+                          space, space)
+    listed = Window(n_max=64, checkpoints=[16, 32, 64])
+    tupled = Window(n_max=64, checkpoints=(16, 32, 64))
+    s_map = SMap(form="table", values=list(range(1, 13)))
+    assert (listed, s_map) == (tupled, SMap.table(range(1, 13)))
+    assert continuity_verdict(op, listed) == continuity_verdict(op, tupled)
+    assert cross_validate(op, listed) == cross_validate(op, tupled)
+    assert (tame_condition_certify(s_map, space, space, Variant.LOWER, listed)
+            == tame_condition_certify(SMap.table(range(1, 13)), space, space,
+                                      Variant.LOWER, tupled))
 
 
 @pytest.mark.parametrize("d", [10**400, -10**400], ids=["1e400", "-1e400"])
