@@ -218,20 +218,24 @@ def _gap_sups(
     rhs: Callable[[int], tuple[np.ndarray, bool]],
     widths: Sequence[int],
     starts: Callable[[int], Sequence[int] | None],
-    fold: Callable[[list[LogValue]], tuple[LogValue, ...]],
+    fold: Callable[[np.ndarray], np.ndarray],
 ) -> Sups:
     """The one sup-pair provider of the certifier and the oracle.  Grading
     k's parts ``lhs(k)``, rows of ``widths``, meet prefixes of witness m's
     row ``rhs(m)``; both carry a wild flag (:func:`_row`), and a gap with a
-    wild side goes through :func:`logdomain.log_ratio`.  ``fold`` turns the
-    gap's maxima over the segments from ``starts(k)`` into the pair; starts
-    of None, from some grading on, mean no evidence: a None pair, and no
-    fetch.  Gradings that share their starts may share one array of them.
-    Rows are fetched on their first read and kept.  A pair writes its gap
-    into one provider-local row.  A run copies its gradings' parts into row
-    k - 1 of one matrix (grown by doubling) once, subtracts the witness's
-    prefixes laid out as one row, and takes one segmented max: along the
-    rows where the run's starts are shared, else over the raveled gaps."""
+    wild side goes through :func:`logdomain.log_ratio`.  ``fold`` maps the
+    gaps' maxima over the segments from ``starts(k)``, along the last axis,
+    to the pair: a pair's one row, or a run's row per grading, and may
+    reuse its argument.  Starts of None, from some grading on, mean no
+    evidence: a None pair, no row of a run, and no fetch.  Gradings that
+    share their starts may share one array of them.  Rows are fetched on
+    their first read and kept.  A pair writes its gap into one
+    provider-local row.  A run copies its gradings' parts into row k - 1 of
+    one matrix (grown by doubling) once, subtracts the witness's prefixes
+    laid out as one row, and takes one segmented max: along the rows where
+    the run's starts are shared, else over the raveled gaps.  It returns
+    the pairs of its gradings up to the last with evidence as one array,
+    a row each."""
     bounds = (0, *itertools.accumulate(widths))
     lhs_rows: dict[int, tuple[Sequence[np.ndarray], bool]] = {}
     rhs_rows: dict[int, tuple[np.ndarray, bool]] = {}
@@ -249,7 +253,7 @@ def _gap_sups(
                 segment[:] = log_ratio(part, w[:len(segment)])
             else:
                 np.subtract(part, w[:len(segment)], segment)
-        return fold(np.maximum.reduceat(gap, at).tolist())
+        return tuple(fold(np.maximum.reduceat(gap, at)).tolist())
 
     matrix = np.empty((0, bounds[-1]))
     held: set[int] = set()
@@ -259,13 +263,13 @@ def _gap_sups(
     at_list: list[Sequence[int] | None] = []
     laid = np.empty(bounds[-1])
 
-    def run(ks: range, m: int) -> list[tuple[LogValue, ...] | None]:
+    def run(ks: range, m: int) -> np.ndarray:
         nonlocal matrix, wild_held
         at_list.extend(map(starts, range(len(at_list) + 1, ks.stop)))
         ats = at_list[ks.start - 1 : ks.stop - 1]
         live = ks[:len(ks) - sum(at is None for at in ats)] if ats and ats[-1] is None else ks
         if not live:
-            return [None] * len(ks)
+            return np.empty((0, 2))
         for k in live:
             if k not in held:
                 if k > len(matrix):
@@ -281,16 +285,13 @@ def _gap_sups(
         np.concatenate([w[:b - a] for a, b in zip(bounds, bounds[1:])], out=laid)
         gaps = log_ratio(block, laid) if wild or wild_held else block - laid
         if ats[:len(live)].count(ats[0]) == len(live):
-            sups = np.maximum.reduceat(gaps, ats[0], axis=1).tolist()
-        else:
-            # each row's segments, and the next row's head up to its first
-            # start, which is dropped
-            flat = [head + a for head, at in zip(range(0, gaps.size, bounds[-1]), ats)
-                    for a in (*at, bounds[-1])]
-            maxima = np.maximum.reduceat(gaps.ravel(), flat[:-1]).tolist()
-            step = len(ats[0]) + 1
-            sups = [maxima[i : i + step - 1] for i in range(0, len(maxima), step)]
-        return list(map(fold, sups)) + [None] * (len(ks) - len(live))
+            return fold(np.maximum.reduceat(gaps, ats[0], axis=1))
+        # each row's segments, and the next row's head up to its first start,
+        # which is dropped
+        flat = [head + a for head, at in zip(range(0, gaps.size, bounds[-1]), ats)
+                for a in (*at, bounds[-1])]
+        maxima = np.maximum.reduceat(gaps.ravel(), flat[:-1])
+        return fold(np.append(maxima, 0.0).reshape(len(live), -1)[:, :-1])
     return Sups(pair, run)
 
 
@@ -315,8 +316,12 @@ def _gap_pairs(cond: QuantifierCondition, n_max: int) -> Sups:
     def starts(k: int) -> tuple[int, int] | None:
         n0 = k if from_k else 1
         return None if n0 > half else (n0 - 1, half)
-    return _gap_sups(lhs, lambda m: row(cond.rhs, m), (n_max,), starts,
-                     lambda sups: (sups[0], max(sups)))
+    def fold(sups: np.ndarray) -> np.ndarray:
+        # the full sup as Python's max(half, rest) takes it: a NaN rest drops
+        half, rest = sups[..., :1], sups[..., 1:]
+        np.copyto(rest, half, where=~(rest > half))
+        return sups
+    return _gap_sups(lhs, lambda m: row(cond.rhs, m), (n_max,), starts, fold)
 
 
 #: reasons of the certifier's verdicts; ``{k}`` is the grading the scan names

@@ -106,6 +106,9 @@ class SymbolSpec:
     head: float | None = None
 
     def __post_init__(self):
+        if self.values is not None and not isinstance(self.values, tuple):
+            # as :meth:`explicit` takes it: a list would leave it unhashable
+            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not all(x == x for x in (self.r, self.c, self.head, *(self.values or ()))):
             raise InvariantError("symbol numbers must not be NaN")
         if self.form == "explicit":
@@ -694,9 +697,13 @@ def _profiles(runs: list[_SymbolRun], weights: list[_WeightRun], n_trunc: int,
 
 def _symbol_side(op: ToeplitzOperator, n_trunc: int) -> list[_SymbolRun]:
     """The symbol side of ``op``'s kernel set-up at n_trunc, one run per
-    triangular part (:func:`_runs`, :func:`_symbol_run`)."""
-    return [_symbol_run(u, direction, n_trunc)
+    triangular part (:func:`_runs`, :func:`_symbol_run`), read-only, as
+    the profile memo shares it."""
+    runs = [_symbol_run(u, direction, n_trunc)
             for u, direction in _runs(op, n_trunc, log=True)]
+    for run in runs:
+        run.u.flags.writeable = run.u_sufmax.flags.writeable = False
+    return runs
 
 
 def _weight_side(codomain: SpaceDescriptor, k: int, n_trunc: int, direction: int
@@ -727,8 +734,13 @@ def column_norm_profile(
     Agrees with :func:`column_norm` up to reduction-order rounding; reports
     that need bit-stable numbers use a fixed block schedule, which this is.
     The kernel reads the symbol, the variant and the codomain, never the
-    domain.  Each call builds its own symbol side and, for a walk, its
-    weight sides, walks them (:func:`_profiles`) and keeps none of them.
+    domain.  The symbol side (:func:`_symbol_side`) depends on neither k
+    nor the codomain's kind, so it is kept, read-only, among the facts of
+    the codomain's sequence at n_trunc (:func:`spaces._memo`) and built
+    once for every grading; a general Köthe codomain builds it on each
+    call.  The weights are read first: that evaluates the sequence with an
+    infinite type's overflow silenced, which a lookup first would not.  A
+    walk builds its weight sides on each call and keeps none of them.
 
     A symbol supported at offset 0 alone (delta, any diagonal theta_0)
     with no +inf symbol log or weight is not walked: its column n is the
@@ -747,8 +759,9 @@ def column_norm_profile(
     on the family's weight sides (:func:`_weight_side`) and never reach
     the memo.
     """
-    runs = _symbol_side(op, n_trunc)
     v = weight_array(op.codomain, k, n_trunc)
+    runs = _memo(op.codomain.alpha, n_trunc, ("symbol side", op.symbol, op.variant),
+                 lambda: _symbol_side(op, n_trunc))
     if all(run.i_top <= 1 for run in runs):
         # at most one run reaches offset 0 (a full symbol's upper run holds
         # log-zero there), so a column is the one term u_0 + v_n or none

@@ -140,7 +140,8 @@ def _ratio_sups(op: ToeplitzOperator, kind: NormKind, pts: Sequence[int]) -> Sup
     # the profiles' memo key, built once (see column_norm_profiles)
     key_op = dataclasses.replace(op, domain=op.codomain)
     return _gap_sups(lambda k: (column_norm_profiles(key_op, k, pts, kind), False),
-                     lambda m: _row(op.domain, m, pts[-1]), pts, lambda k: starts, tuple)
+                     lambda m: _row(op.domain, m, pts[-1]), pts, lambda k: starts,
+                     lambda sups: sups)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,9 @@ class ExponentSequence:
     values: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.values is not None and not isinstance(self.values, tuple):
+            # as :meth:`table` takes it: a list would leave it unhashable
+            object.__setattr__(self, "values", tuple(map(_float, self.values)))
         if self.form == "power":
             if self.p is None or not self.p > 0:
                 raise InvariantError("power form needs exponent p > 0")
@@ -236,6 +239,12 @@ class SpaceDescriptor:
     weights: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
+        w = self.weights
+        if w is not None and not (isinstance(w, tuple)
+                                  and all(isinstance(row, tuple) for row in w)):
+            # as :meth:`general` takes them: lists would leave it unhashable
+            object.__setattr__(self, "weights",
+                               tuple(tuple(map(_float, row)) for row in w))
         if self.kind in (POWER_SERIES_FINITE, POWER_SERIES_INFINITE):
             if self.alpha is None:
                 raise InvariantError(f"{self.kind} needs an exponent sequence")

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
+import numpy as np
+
 from .errors import ConfigurationError, json_form, json_record, json_report
 from .logdomain import LogValue, linear_or_none
 
@@ -131,6 +133,14 @@ class Window:
             return PlateauStatus.GROWTH
         return PlateauStatus.DRIFT
 
+    def plateau_rows(self, pairs: np.ndarray) -> np.ndarray:
+        """Where :meth:`classify_sup` reads a plateau, for an array of
+        (sup_half, sup_full) rows."""
+        half, full = pairs[:, 0], pairs[:, 1]
+        # inf - inf is NaN, which no threshold holds: drift, as a pair reads
+        with np.errstate(invalid="ignore"):
+            return (full == -np.inf) | (full - half <= self.plateau_tol)
+
     to_json = json_record
 
     @classmethod
@@ -156,8 +166,9 @@ class Window:
 SupPair = Callable[[int, int], "tuple[LogValue, LogValue] | None"]
 
 #: the pairs of the gradings of a run ``ks`` (a range) against a witness
-#: index m, in order, each as the pair call gives it
-SupRun = Callable[[range, int], "list[tuple[LogValue, LogValue] | None]"]
+#: index m, in order, as the rows of one (rows, 2) float array with the pair
+#: call's bits; the gradings past the last row have no evidence (a None pair)
+SupRun = Callable[[range, int], np.ndarray]
 
 
 class Sups(NamedTuple):
@@ -234,9 +245,12 @@ def scan_exists(
     A candidate asks in one run for the pairs of the gradings that earlier
     candidates reached, whose rows the provider holds, when they are two or
     more (a run of one costs more than its pair), and for each other
-    grading's pair alone.  It classifies them in order up to the first that
-    is not a plateau, so the scan reads, and the provider fetches, what a
-    scan of one pair at a time would.
+    grading's pair alone.  One array test (:meth:`Window.plateau_rows`)
+    finds the run's first row that is not a plateau, or the first grading
+    with no row, and only that pair is classified; the pairs past the run
+    are classified in order up to the first that is not a plateau.  So the
+    scan reads, and the provider fetches, what a scan of one pair at a time
+    would.
     """
     sup_pair, sup_run = sups
     drift = False
@@ -247,15 +261,24 @@ def scan_exists(
         if k_limit is not None:
             k_top = min(k_top, k_limit)
         held = min(reached, k_top) if reached > 1 else 0
-        run = sup_run(range(1, held + 1), m) if held else ()
         log_c: dict[int, LogValue] = {}
         status = PlateauStatus.PLATEAU
-        for k in range(1, k_top + 1):
-            pair = run[k - 1] if k <= held else sup_pair(k, m)
+        k = 0
+        if held:
+            rows = sup_run(range(1, held + 1), m)
+            plateaus = win.plateau_rows(rows)
+            # gradings 1..k plateau
+            k = len(rows) if plateaus.all() else int(plateaus.argmin())
+            log_c = dict(zip(range(1, k_max + 1), rows[:min(k, k_max), 1].tolist()))
+            if k < held:
+                pair = tuple(rows[k].tolist()) if k < len(rows) else None
+                status = _status(win, pair)
+                k += 1
+        while status is PlateauStatus.PLATEAU and k < k_top:
+            k += 1
+            pair = sup_pair(k, m)
             status = _status(win, pair)
-            if status is not PlateauStatus.PLATEAU:
-                break
-            if k <= k_max:
+            if status is PlateauStatus.PLATEAU and k <= k_max:
                 log_c[k] = pair[1]
         if k > reached:
             reached = k

@@ -218,7 +218,8 @@ def merged_profile(op, k: int, n_trunc: int, norm_kind: NormKind) -> np.ndarray:
 
 
 def uncached_profile(op, k: int, n_trunc: int, norm_kind: NormKind) -> np.ndarray:
-    """``column_norm_profile`` without its memo, on whichever kernel is bound."""
+    """``column_norm_profile`` without its profile memo, on whichever kernel
+    is bound; the symbol side still comes from, or goes into, its memo."""
     return operators.column_norm_profile.__wrapped__(op, k, n_trunc, norm_kind)
 
 

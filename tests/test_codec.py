@@ -18,9 +18,10 @@ from koethe.cli import _dumps
 from koethe.criteria import (FamilySpec, OperatorTemplate, SMap, continuity_verdict,
                              tame_condition_certify)
 from koethe.errors import ConfigurationError, json_field, json_record, json_report
-from koethe.operators import NormKind, Symbol, SymbolSpec, ToeplitzOperator, Variant
+from koethe.operators import (NormKind, Symbol, SymbolSpec, ToeplitzOperator, Variant,
+                              column_norm_profile)
 from koethe.oracle import cross_validate
-from koethe.spaces import ExponentSequence, SpaceDescriptor
+from koethe.spaces import ExponentSequence, SpaceDescriptor, _memo
 from koethe.verdicts import Window
 
 # below 1e150, c * alpha_1 of an exp_of_exponent head stays in float range:
@@ -174,6 +175,35 @@ def test_records_built_with_lists_equal_those_built_with_tuples():
     assert (tame_condition_certify(s_map, space, space, Variant.LOWER, listed)
             == tame_condition_certify(SMap.table(range(1, 13)), space, space,
                                       Variant.LOWER, tupled))
+    # a symbol part, an exponent table and a weight table built with lists
+    # equal and hash as their classmethod twins
+    pairs = [(SymbolSpec(form="explicit", values=[1.0]), SymbolSpec.delta()),
+             (ExponentSequence(form="table", values=[1.0, 2.0]),
+              ExponentSequence.table((1.0, 2.0))),
+             (SpaceDescriptor(kind="general_koethe", weights=[[1.0], [2.0]]),
+              SpaceDescriptor.general(((1.0,), (2.0,))))]
+    for built, twin in pairs:
+        assert built == twin and hash(built) == hash(twin)
+    # so a list-built symbol reads the symbol side its twin memoised
+    tupled_op = ToeplitzOperator(Symbol(lower=SymbolSpec.delta()), Variant.LOWER,
+                                 space, space)
+    listed_op = dataclasses.replace(tupled_op, symbol=Symbol(lower=pairs[0][0]))
+    column_norm_profile(tupled_op, 2, 64)
+
+    def rebuilt():
+        raise AssertionError("the symbol side was built again")
+    assert (_memo(space.alpha, 64, ("symbol side", listed_op.symbol, Variant.LOWER),
+                  rebuilt)
+            is _memo(space.alpha, 64, ("symbol side", tupled_op.symbol, Variant.LOWER),
+                     rebuilt))
+    # and a list-built exponent table decides as its twin does
+    listed_table, tupled_table = (
+        SpaceDescriptor.power_series_infinite(alpha)
+        for alpha in (ExponentSequence(form="table", values=list(range(64))),
+                      ExponentSequence.table(range(64))))
+    assert (cross_validate(dataclasses.replace(listed_op, domain=listed_table), listed)
+            == cross_validate(dataclasses.replace(tupled_op, domain=tupled_table),
+                              tupled))
 
 
 @pytest.mark.parametrize("d", [10**400, -10**400], ids=["1e400", "-1e400"])

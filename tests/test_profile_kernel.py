@@ -6,9 +6,10 @@ its bits.  So every comparison here is exact: ``np.array_equal``, not a
 tolerance.
 
 A symbol supported at offset 0 alone has its profile in closed form, with
-no walk; those profiles are held against the merged reference itself.  Run
-as a script, a seeded sweep of 2,000 random such operators does so, and
-the script exits 1 on any difference:
+no walk; those profiles are held against the merged reference itself, read
+once on a symbol side built cold and again after another grading has
+memoised that side.  Run as a script, a seeded sweep of 2,000 random such
+operators does so, and the script exits 1 on any difference:
 
     python tests/test_profile_kernel.py
 """
@@ -650,15 +651,21 @@ def one_term_codomain(rng, kind: int, rows: int) -> SpaceDescriptor:
 
 
 def one_term_differs(variant, lower, upper, kind, n, norm, seed) -> bool:
-    """Does a one-term operator's profile differ from the merged reference?
+    """Does a one-term operator's profile differ from the merged reference,
+    on a cold symbol side or on the side that another grading memoised?
     A full operator's upper part keeps its all-zero tail; its diagonal is
     the parts' heads summed, zero where they cancel."""
     rng = np.random.default_rng(seed)
     codomain = one_term_codomain(rng, kind, n)
-    k = int(rng.integers(1, (codomain.k_limit or 12) + 1))
+    top = codomain.k_limit or 12
+    k = int(rng.integers(1, top + 1))
     op = make_op(variant, lower, upper, SPACES[0], codomain)
-    return uncached_profile(op, k, n, norm).tobytes() \
-        != reference_kernels.merged_profile(op, k, n, norm).tobytes()
+    expected = reference_kernels.merged_profile(op, k, n, norm).tobytes()
+    spaces._exponent_values.cache_clear()  # the memoised symbol sides
+    cold = uncached_profile(op, k, n, norm).tobytes()
+    spaces._exponent_values.cache_clear()
+    uncached_profile(op, k % top + 1, n, norm)
+    return not cold == uncached_profile(op, k, n, norm).tobytes() == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -772,5 +779,6 @@ def sweep(count: int = 2000) -> int:
 if __name__ == "__main__":
     count = 2000
     bad = sweep(count)
-    print(f"{count} one-term profiles: {bad} differ")
+    print(f"{count} one-term profiles, read cold and on a memoised symbol side: "
+          f"{bad} differ")
     sys.exit(1 if bad else 0)

@@ -5,7 +5,9 @@ catch a scan bug; these tests pin the scans on their own.
 """
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +42,9 @@ def grows(move: float) -> tuple[float, float]:
 
 class Table:
     """Sup-pair provider over a {(k, m): pair} table, recording each pair it
-    gives in ``calls`` (a run's in order) and each run in ``runs``."""
+    gives in ``calls`` (a run's in order) and each run in ``runs``.  A run
+    is an array of its gradings' pairs, a row each, up to the first with no
+    evidence (None)."""
 
     def __init__(self, pairs, default=PLATEAU):
         self.pairs = pairs
@@ -54,7 +58,9 @@ class Table:
 
     def run(self, ks, m):
         self.runs.append((ks, m))
-        return [self(k, m) for k in ks]
+        pairs = [self(k, m) for k in ks]
+        live = pairs[:pairs.index(None)] if None in pairs else pairs
+        return np.array(live, dtype=float).reshape(-1, 2)
 
     @property
     def sups(self):
@@ -132,6 +138,34 @@ def test_exists_probe_climbs_past_k_max_without_recording():
     assert table.calls == [(1, 1), (2, 1), (3, 1)] + [(k, 2) for k in range(1, 6)]
     # m = 2 reads the gradings that m = 1 reached in one run
     assert table.runs == [(range(1, 4), 2)]
+
+
+def test_exists_classifies_a_run_only_at_its_first_other_row():
+    # m = 1 reaches k = 3, so each later candidate reads gradings 1..3 in
+    # one run: m = 2 stops at an inf - inf gap, m = 3 at a NaN one, both
+    # drift, and m = 4 plateaus throughout, at the plateau threshold and on
+    # log-zero sups.  classify_sup sees a pair call's every pair and only
+    # the row that stops a run
+    pairs = {(3, 1): grows(1.0), (2, 2): (math.inf, math.inf), (3, 3): (0.0, math.nan),
+             (1, 4): (0.0, WIN.plateau_tol), (2, 4): (-math.inf, -math.inf)}
+    old, new = Touches(pairs), Touches(pairs)
+    expected = ref.scan_exists(WIN, old, k_max=2, m_max=4)
+    seen = []
+    original = Window.classify_sup
+
+    def counted(win, sup_half, sup_full):
+        seen.append((float(sup_half).hex(), float(sup_full).hex()))
+        return original(win, sup_half, sup_full)
+
+    with mock.patch.object(Window, "classify_sup", counted):
+        scan = scan_exists(WIN, new.sups, k_max=2, m_max=4)
+    assert hexed_scan(scan) == hexed_scan(expected)
+    assert (scan.outcome, scan.m) == (Outcome.HOLDS, 4)
+    assert scan.entries == {1: WIN.plateau_tol, 2: -math.inf}
+    assert new.touched == old.touched
+    assert new.runs == [(range(1, 4), m) for m in (2, 3, 4)]
+    stops = [(math.inf.hex(), math.inf.hex()), ((0.0).hex(), math.nan.hex())]
+    assert seen[3:5] == stops and len(seen) == 3 + 2 + 6
 
 
 def test_exists_probe_is_capped_by_k_limit():

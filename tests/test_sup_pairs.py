@@ -8,9 +8,10 @@ providers bit for bit against the per-pair references in
 scan, and pin how the certifier and the oracle look their rows up.
 
 Run as a script, a seeded sweep of 1,000 random conditions, 1,000 random
-operators and the 144 grid operators holds the provider's pairs and runs
-bit for bit against the references, and the script exits 1 on any
-difference:
+operators and the 144 grid operators holds the provider's pairs and the
+rows of its runs bit for bit against the references, and the exists scan
+over the grid operators' runs against the per-pair reference scan, and the
+script exits 1 on any difference:
 
     python tests/test_sup_pairs.py
 """
@@ -51,12 +52,20 @@ from koethe.operators import (
 )
 from koethe.oracle import _ratio_sups, oracle_compactness, ratio_curve
 from koethe.spaces import ExponentSequence, SpaceDescriptor, weight_array
-from koethe.verdicts import Outcome, Scan, Sups, Window
+from koethe.verdicts import Outcome, Scan, Sups, Window, scan_exists
 
 
 def hexed(pair):
     """A pair as float.hex strings, so -0.0, +-inf and NaN are told apart."""
     return None if pair is None else tuple(float(v).hex() for v in pair)
+
+
+def hexed_run(rows, ks):
+    """A run's rows as the hexed pairs of its gradings ``ks``: one float row
+    per grading up to the last with evidence, and None (no row) past it."""
+    assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+    assert rows.ndim == 2 and len(rows) <= len(ks)
+    return [hexed(row) for row in rows] + [None] * (len(ks) - len(rows))
 
 
 def exponents(top: float):
@@ -163,13 +172,13 @@ def test_gap_pairs_match_the_per_pair_reference(lhs, rhs, n_start, n):
             expected[k, m] = hexed(old(k, m))
         with raising():  # no warning escapes the provider
             assert hexed(new.pair(k, m)) == expected[k, m], (k, m)
-    # a run gives its gradings' pairs in one call, bit for bit
+    # a run gives its gradings' pairs in one call, a row each, bit for bit
     k_top = max(k for k, _ in window)
     for m in range(1, max(m for _, m in window) + 1):
         for ks in (range(1, k_top + 1), range(2, k_top + 1)):
             with raising():
-                pairs = new.run(ks, m)
-            assert [hexed(p) for p in pairs] == [expected[k, m] for k in ks], (ks, m)
+                rows = new.run(ks, m)
+            assert hexed_run(rows, ks) == [expected[k, m] for k in ks], (ks, m)
 
 
 def quiet_reference_pairs(cond, n_max):
@@ -178,7 +187,11 @@ def quiet_reference_pairs(cond, n_max):
     def sup_pair(k, m):
         with np.errstate(over="ignore"):  # the reference lets overflow warn
             return pairs(k, m)
-    return Sups(sup_pair, lambda ks, m: [sup_pair(k, m) for k in ks])
+    def sup_run(ks, m):
+        pairs = [sup_pair(k, m) for k in ks]
+        live = pairs[:pairs.index(None)] if None in pairs else pairs
+        return np.array(live, dtype=float).reshape(-1, 2)
+    return Sups(sup_pair, sup_run)
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,7 +226,7 @@ def test_profile_pairs_match_the_per_pair_reference(op, kind, n, data):
     for k, m in window + window[::-1]:
         assert hexed(new.pair(k, m)) == hexed(old(k, m)), (k, m)
     for m in range(1, 5):
-        assert ([hexed(p) for p in new.run(range(1, 5), m)]
+        assert (hexed_run(new.run(range(1, 5), m), range(1, 5))
                 == [hexed(old(k, m)) for k in range(1, 5)])
 
 
@@ -237,7 +250,7 @@ def assert_runs_are_pairs(sups, gradings, witnesses):
             for lo in (gradings[0], gradings[0] + 2):
                 ks = range(lo, gradings[-1] + 1)
                 expected = pairs[lo - gradings[0]:]
-                assert [hexed(p) for p in sups.run(ks, m)] == expected, (ks, m)
+                assert hexed_run(sups.run(ks, m), ks) == expected, (ks, m)
 
 
 def test_oracle_runs_equal_its_pairs_on_the_grid_and_on_wild_weights():
@@ -247,6 +260,35 @@ def test_oracle_runs_equal_its_pairs_on_the_grid_and_on_wild_weights():
     for op in GRID_OPERATORS + [wild]:
         sups = _ratio_sups(op, criteria.default_norm_kind(op), (32, 64))
         assert_runs_are_pairs(sups, range(1, 7), (1, 3))
+
+
+#: a compactness scan whose candidates probe gradings up to 2 m_max + 1 = 17
+EXISTS_WINDOW = Window(n_max=256, k_max=4, m_max=8)
+
+
+def hexed_scan(scan):
+    """A scan's fields with its floats hexed, so NaN compares."""
+    growth = [] if scan.growth is None else [scan.growth]
+    return (scan.outcome, scan.m, scan.k, hexed(growth), list(scan.entries),
+            hexed(scan.entries.values()))
+
+
+def exists_differs(op) -> bool:
+    """Does the exists scan over the oracle's runs and pairs at the last two
+    checkpoints differ from the per-pair reference scan?"""
+    kind = criteria.default_norm_kind(op)
+    bounds = EXISTS_WINDOW.k_max, EXISTS_WINDOW.m_max
+    with raising():
+        scan = scan_exists(EXISTS_WINDOW, _ratio_sups(op, kind, (128, 256)), *bounds)
+    with np.errstate(over="ignore"):  # the reference lets overflow warn
+        expected = ref.scan_exists(EXISTS_WINDOW, ref._profile_pairs(op, kind, (128, 256)),
+                                   *bounds)
+    return hexed_scan(scan) != hexed_scan(expected)
+
+
+def test_exists_scans_over_oracle_runs_are_the_per_pair_scans():
+    # every twelfth grid operator: lower and upper, delta and geometric
+    assert not [op for op in GRID_OPERATORS[::12] if exists_differs(op)]
 
 
 def test_certifier_runs_equal_its_pairs_on_the_grid_and_on_wild_rows():
@@ -297,13 +339,17 @@ def test_the_one_provider_gives_each_run_its_pairs(seed, from_k, widths, n, grad
     # past half the window from n0 = k
     rng = np.random.default_rng(seed)
     if from_k:
-        widths, fold = [n], (lambda sups: (sups[0], max(sups)))
+        # the certifier's fold, by Python's max
+        widths = [n]
+        def fold(sups):
+            pairs = [(half, max(half, rest)) for half, rest in sups.reshape(-1, 2).tolist()]
+            return np.array(pairs).reshape(sups.shape)
         def at(k):
             return (k - 1, n // 2) if k <= n // 2 else None
     else:
         # as a tuple, or as one array that every grading shares, as the
         # oracle's checkpoint starts are
-        fold = tuple
+        fold = np.copy
         common = tuple(sorted(data.draw(st.sets(st.integers(0, sum(widths) - 1),
                                                 min_size=1, max_size=3))))
         common = np.array(common) if data.draw(st.booleans()) else common
@@ -340,7 +386,7 @@ def test_the_one_provider_gives_each_run_its_pairs(seed, from_k, widths, n, grad
         for m in data.draw(st.permutations(list(rhs_rows)))[:2]:
             ks = range(lo, min(hi, gradings + 1))
             with raising():  # no warning escapes a run
-                got = [hexed(p) for p in sups.run(ks, m)]
+                got = hexed_run(sups.run(ks, m), ks)
                 again = hexed(sups.pair(lo, m)) if lo <= gradings else None
             assert got == [expected[k, m] for k in ks], (ks, m)
             assert again == expected.get((lo, m)), (lo, m)
@@ -530,7 +576,8 @@ def runs_are_pairs(sups, pairs, gradings, witnesses) -> bool:
     (k, m), and does the pair call give them too, with no warning?"""
     with raising():
         return all(hexed(sups.pair(k, m)) == pairs[k, m]
-                   and [hexed(p) for p in sups.run(range(lo, gradings + 1), m)]
+                   and hexed_run(sups.run(range(lo, gradings + 1), m),
+                                 range(lo, gradings + 1))
                    == [pairs[k, m] for k in range(lo, gradings + 1)]
                    for m in witnesses for lo in (1, 2) for k in range(1, gradings + 1))
 
@@ -561,9 +608,9 @@ def operator_differs(op, kind, pts) -> bool:
 
 
 def sweep(count: int = 1000) -> tuple[int, list[str]]:
-    """(cases, the cases whose pairs, runs or curves differ from the
-    reference's) over ``count`` seeded random conditions, ``count`` random
-    operators, and the grid operators."""
+    """(cases, the cases whose pairs, runs, curves or exists scans differ
+    from the reference's) over ``count`` seeded random conditions, ``count``
+    random operators, and the grid operators."""
     rng = np.random.default_rng(36)
     cases, bad = 0, []
     for i in range(count):
@@ -587,13 +634,15 @@ def sweep(count: int = 1000) -> tuple[int, list[str]]:
         cases += 1
         if operator_differs(op, criteria.default_norm_kind(op), (128, 256)):
             bad.append(f"grid operator: {op}")
+        if exists_differs(op):
+            bad.append(f"grid exists scan: {op}")
     return cases, bad
 
 
 if __name__ == "__main__":
     cases, bad = sweep()
-    print(f"{cases} conditions and operators ({len(GRID_OPERATORS)} grid operators): "
-          f"{len(bad)} differ")
+    print(f"{cases} conditions and operators ({len(GRID_OPERATORS)} grid operators, "
+          f"each with its exists scan): {len(bad)} differ")
     for case in bad[:10]:
         print(case)
     sys.exit(1 if bad else 0)
